@@ -16,22 +16,17 @@ from .exactmat import (
     principal_submatrix,
     inverse,
     trace,
-    abs_matrix,
-    lex_rank,
-    lex_unrank,
 )
 from .compound import (
     CompoundMatrix,
     GeneralizedCompound,
     compound,
-    compound_block,
     diag_generalized_compound,
     exterior_product,
     generalized_compound,
-    wedge_vectors,
 )
-from .classify import ClassReport, classify_full, is_p, is_q, is_p2, is_q2
-from .nests import NestCertificate, find_q2_nest, find_positive_nest, verify_nest
+from .classify import ClassReport, classify_full, is_p, is_q, is_q2
+from .nests import NestCertificate, find_q2_nest, verify_nest
 from .stabilize import (
     StabilityCertificate,
     Stabilizer,
@@ -57,26 +52,19 @@ __all__ = [
     "principal_submatrix",
     "inverse",
     "trace",
-    "abs_matrix",
-    "lex_rank",
-    "lex_unrank",
     "CompoundMatrix",
     "GeneralizedCompound",
     "compound",
-    "compound_block",
     "diag_generalized_compound",
     "exterior_product",
     "generalized_compound",
-    "wedge_vectors",
     "ClassReport",
     "classify_full",
     "is_p",
     "is_q",
-    "is_p2",
     "is_q2",
     "NestCertificate",
     "find_q2_nest",
-    "find_positive_nest",
     "verify_nest",
     "StabilityCertificate",
     "Stabilizer",

@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .compound import compound
 from .errors import MatrixArgumentError
-from .exactmat import ExactMatrix, index_sets, minor, trace
+from .exactmat import ExactMatrix, index_sets, minor, principal_minor_sums
 
 # Pair enumeration for sign-symmetry is C(n,k)^2 per order; keep it small.
 SIGN_SYMMETRY_MAX_N = 7
@@ -95,17 +94,14 @@ def is_p(m: ExactMatrix):
 def order_sum_traces(m: ExactMatrix):
     """Sums of principal minors of each order for M and for M^2.
 
-    Both come from one family of compounds: the order-k sum is the trace of
-    the k-th compound, and by the Cauchy-Binet formula the k-th compound of
-    M^2 is the square of the k-th compound of M.
+    The order-k sum E_k is the k-th coefficient of det(xI + M); both lists
+    come from the char-poly kernel :func:`principal_minor_sums`, applied
+    to M and to M^2.
     """
-    sums_m = []
-    sums_m2 = []
-    for k in range(1, m.n + 1):
-        ck = compound(m, k).data
-        sums_m.append(trace(ck))
-        sums_m2.append(trace(ck * ck))
-    return sums_m, sums_m2
+    return (
+        list(principal_minor_sums(m)[1:]),
+        list(principal_minor_sums(m.square())[1:]),
+    )
 
 
 def _first_nonpositive(sums):
@@ -120,13 +116,6 @@ def is_q(m: ExactMatrix):
     sums, _ = order_sum_traces(m)
     witness = _first_nonpositive(sums)
     return witness is None, sums, witness
-
-
-def is_p2(m: ExactMatrix):
-    verdict, witness = is_p(m)
-    if not verdict:
-        return False, witness
-    return is_p(m.square())
 
 
 def is_q2(m: ExactMatrix):

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .exactmat import ExactMatrix
 from .nests import NestCertificate, NestEvidence, verify_nest
-from .spectra import SpectralTolerances
+from .spectra import DEFAULT_TOL_IMAG, DEFAULT_TOL_POS, DEFAULT_TOL_SEP
 from .stabilize import (
     DEFAULT_MAX_SHRINK,
     block_traces,
@@ -137,10 +137,6 @@ def _matrix_doc(m: ExactMatrix):
     return [[frac_str(x) for x in row] for row in m.rows]
 
 
-def _matrix_from_doc(doc) -> ExactMatrix:
-    return ExactMatrix([[Fraction(x) for x in row] for row in doc])
-
-
 def _complex_doc(v):
     return {"re": v.real, "im": v.imag}
 
@@ -152,7 +148,6 @@ def certificate_document(cert) -> dict:
     the spectrum section is the only floating-point content.
     """
     report = cert.report
-    tols = cert.tolerances
     return {
         "tool": {"name": "pstab", "version": __version__},
         "verdict": "certified",
@@ -200,79 +195,141 @@ def certificate_document(cert) -> dict:
             "wedge_margin": cert.wedge_margin,
             "method": cert.spectrum.method,
             "tolerances": {
-                "tol_imag": tols.tol_imag,
-                "tol_pos": tols.tol_pos,
-                "tol_sep": tols.tol_sep,
+                "tol_imag": DEFAULT_TOL_IMAG,
+                "tol_pos": DEFAULT_TOL_POS,
+                "tol_sep": DEFAULT_TOL_SEP,
             },
         },
     }
 
 
-def verify_document(doc, a: ExactMatrix):
+class _MalformedField(Exception):
+    """A certificate section or field that is missing or of the wrong type."""
+
+
+def _typed(kind):
+    """Converter accepting exactly the JSON values of Python type ``kind``."""
+
+    def convert(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected {kind.__name__}")
+        return value
+
+    return convert
+
+
+def _list_of(convert):
+    def convert_list(value):
+        return [convert(x) for x in _typed(list)(value)]
+
+    return convert_list
+
+
+def _fraction(value):
+    return Fraction(_typed(str)(value))
+
+
+def _matrix(value):
+    return ExactMatrix(_list_of(_list_of(_fraction))(value))
+
+
+def _field(doc, section, key=None, convert=_typed(dict)):
+    """doc[section] or doc[section][key], passed through ``convert``;
+    raises _MalformedField naming the field when it is missing or the
+    conversion fails."""
+    value = doc.get(section)
+    if key is not None:
+        value = value.get(key) if isinstance(value, dict) else None
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        name = section if key is None else f"{section}.{key}"
+        raise _MalformedField(name) from exc
+
+
+def verify_document(doc: dict, a: ExactMatrix):
     """Re-derive every exact claim of a certificate from the matrix alone.
 
     Returns a list of discrepancy strings; an empty list means the document
-    re-verifies.  Floating-point sections are not re-checked here: they are
-    advisory.  The certificate is the exact part: the trace ledger and its
-    cross terms (the homotopy stays Q^2) and the endpoint Hurwitz minors
-    (diag(eps) * B is positively stable), each re-derived and required
-    positive.
+    re-verifies.  A missing or mistyped section or field is a discrepancy
+    that names it.  Floating-point sections are not re-checked here: they
+    are advisory.  The certificate is the exact part: the trace ledger and
+    its cross terms (the homotopy stays Q^2) and the endpoint Hurwitz
+    minors (diag(eps) * B is positively stable), each re-derived and
+    required positive.
     """
     problems = []
+    try:
+        _verify_fields(doc, a, problems)
+    except _MalformedField as exc:
+        problems.append(f"certificate field {exc} is missing or malformed")
+    return problems
+
+
+def _verify_fields(doc, a, problems):
     if doc.get("verdict") != "certified":
         problems.append(f"unexpected verdict {doc.get('verdict')!r}")
-        return problems
+        return
 
-    inp = doc["input"]
-    if inp["n"] != a.n:
-        problems.append(f"dimension mismatch: document says {inp['n']}, matrix is {a.n}")
-        return problems
-    if inp["sha256"] != matrix_hash(a):
+    n = _field(doc, "input", "n", _typed(int))
+    if n != a.n:
+        problems.append(f"dimension mismatch: document says {n}, matrix is {a.n}")
+        return
+    if _field(doc, "input", "sha256", _typed(str)) != matrix_hash(a):
         problems.append("matrix hash mismatch")
-        return problems
-    if _matrix_from_doc(inp["matrix"]) != a:
+        return
+    if _field(doc, "input", "matrix", _matrix) != a:
         problems.append("matrix entries do not match the document")
-        return problems
+        return
 
     report = classify_full(a)
-    if doc["classification"]["flags"] != report.flags():
+    if _field(doc, "classification", "flags") != report.flags():
         problems.append("classification flags do not re-verify")
-    if [frac_str(v) for v in report.order_sums] != doc["classification"]["order_sums"]:
-        problems.append("order sums do not re-verify")
-    if [frac_str(v) for v in report.order_sums_square] != doc["classification"][
-        "order_sums_square"
-    ]:
-        problems.append("order sums of the square do not re-verify")
+    for key, sums, label in (
+        ("order_sums", report.order_sums, "order sums"),
+        ("order_sums_square", report.order_sums_square, "order sums of the square"),
+    ):
+        claimed = _field(doc, "classification", key, _typed(list))
+        if [frac_str(v) for v in sums] != claimed:
+            problems.append(f"{label} do not re-verify")
 
-    chain = [tuple(s) for s in doc["nest"]["chain"]]
-    tau = tuple(doc["nest"]["tau"])
-    evidence = verify_nest(a, chain)
+    chain = [
+        tuple(s)
+        for s in _field(doc, "nest", "chain", _list_of(_list_of(_typed(int))))
+    ]
+    tau = tuple(_field(doc, "nest", "tau", _list_of(_typed(int))))
+    try:
+        evidence = verify_nest(a, chain)
+    except MatrixArgumentError as exc:
+        problems.append(f"nest fails re-verification: {exc}")
+        return
     if not isinstance(evidence, NestEvidence):
         problems.append(f"nest fails re-verification: {evidence.describe()}")
-        return problems
+        return
 
     try:
         theta, b = build_B(a, NestCertificate(chain=tuple(chain), tau=tau, evidence=evidence))
     except (CertificationError, MatrixArgumentError, SingularMatrixError) as exc:
         problems.append(f"transform fails re-verification: {exc}")
-        return problems
-    if list(theta) != doc["transform"]["theta"]:
+        return
+    if list(theta) != _field(doc, "transform", "theta", _typed(list)):
         problems.append("permutation theta does not re-verify")
-    if _matrix_from_doc(doc["transform"]["b_matrix"]) != b:
+    if _field(doc, "transform", "b_matrix", _matrix) != b:
         problems.append("transformed matrix B does not re-verify")
-        return problems
+        return
 
-    recomputed_bt = {
-        f"{j},{m}": frac_str(v) for (j, m), v in block_traces(b).items()
-    }
-    for key in sorted(doc["block_traces"]):
-        if recomputed_bt.get(key) != doc["block_traces"][key]:
-            problems.append(f"block trace ({key}) does not re-verify")
+    recomputed = {f"{j},{m}": frac_str(v) for (j, m), v in block_traces(b).items()}
+    problems.extend(
+        _exact_section_problems(doc, "block_traces", "block trace", recomputed)
+    )
 
-    eps = [Fraction(e) for e in doc["stabilizer"]["eps"]]
+    eps = _field(doc, "stabilizer", "eps", _list_of(_fraction))
+    if len(eps) != a.n:
+        problems.append(f"stabilizer diagonal has {len(eps)} entries, not {a.n}")
+        return
     if eps[0] != 1 or any(not (0 < b_ < a_) for a_, b_ in zip(eps, eps[1:])):
         problems.append("stabilizer diagonal is not strictly decreasing from 1")
-        return problems
+        return
 
     ledger = homotopy_certificate(b, eps)
     sections = [
@@ -293,7 +350,8 @@ def verify_document(doc, a: ExactMatrix):
             doc, "endpoint_hurwitz_minors", "endpoint Hurwitz minor", recomputed
         )
     )
-    return problems
+    for section in ("tool", "spectrum"):  # advisory, but part of the format
+        _field(doc, section)
 
 
 def _exact_section_problems(doc, section, label, recomputed):
@@ -381,11 +439,8 @@ def cmd_compound(args) -> int:
 
 def cmd_certify(args) -> int:
     a = load_matrix(args.matrix)
-    tols = SpectralTolerances(
-        tol_imag=args.tol_imag, tol_pos=args.tol_pos, tol_sep=args.tol_sep
-    )
     try:
-        cert = certify_stability(a, tols=tols, max_shrink=args.max_shrink)
+        cert = certify_stability(a, max_shrink=args.max_shrink)
     except HypothesisError as exc:
         print(f"refuted ({exc.kind}): {exc}")
         return EXIT_REFUTED
@@ -418,6 +473,9 @@ def cmd_certify(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.certificate, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
+    if not isinstance(doc, dict):
+        print("input error: certificate is not a JSON object", file=sys.stderr)
+        return EXIT_INPUT
     a = load_matrix(args.matrix)
     problems = verify_document(doc, a)
     if problems:
@@ -513,9 +571,6 @@ def build_parser():
     p = sub.add_parser("certify", help="run the stability certification pipeline")
     p.add_argument("matrix", help="matrix file")
     p.add_argument("--json", metavar="PATH", help="write the certificate document ('-' for stdout)")
-    p.add_argument("--tol-pos", type=float, default=SpectralTolerances().tol_pos)
-    p.add_argument("--tol-imag", type=float, default=SpectralTolerances().tol_imag)
-    p.add_argument("--tol-sep", type=float, default=SpectralTolerances().tol_sep)
     p.add_argument("--max-shrink", type=int, default=DEFAULT_MAX_SHRINK)
     p.set_defaults(func=cmd_certify)
 
@@ -541,7 +596,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (MatrixArgumentError, json.JSONDecodeError) as exc:
+    except (MatrixArgumentError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

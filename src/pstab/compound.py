@@ -21,7 +21,6 @@ from .exactmat import (
     as_rational,
     det,
     index_sets,
-    lex_unrank,
     minor,
 )
 
@@ -45,9 +44,6 @@ class CompoundMatrix:
                 f"compound data has size {self.data.n}, expected C({self.base_n},"
                 f"{self.order_j}) = {expected}"
             )
-
-    def row_index_set(self, alpha):
-        return lex_unrank(self.base_n, self.order_j, alpha)
 
 
 @dataclass(frozen=True)
@@ -76,25 +72,6 @@ class GeneralizedCompound:
 def _check_order(n, j):
     if not (1 <= j <= n):
         raise MatrixArgumentError(f"compound order j={j} out of range [1, {n}]")
-
-
-def wedge_vectors(vectors):
-    """Exterior product of j n-vectors: coordinate alpha is the j-by-j
-    determinant of the components picked out by the alpha-th index set."""
-    vectors = [[as_rational(x) for x in v] for v in vectors]
-    j = len(vectors)
-    if j < 2:
-        raise MatrixArgumentError("need at least two vectors to wedge")
-    n = len(vectors[0])
-    if any(len(v) != n for v in vectors):
-        raise MatrixArgumentError("all vectors must have the same length")
-    if j > n:
-        raise MatrixArgumentError(f"cannot wedge {j} vectors in dimension {n}")
-    out = []
-    for rows in index_sets(n, j):
-        block = ExactMatrix([[vectors[c][i - 1] for c in range(j)] for i in rows])
-        out.append(det(block))
-    return out
 
 
 def compound(m: ExactMatrix, j: int) -> CompoundMatrix:
@@ -211,28 +188,4 @@ def diag_generalized_compound(d, j: int, wedge_m: int) -> GeneralizedCompound:
         diag.append(e_m)
     return GeneralizedCompound(
         base_n=n, order_j=j, wedge_m=wedge_m, data=ExactMatrix.diagonal(diag)
-    )
-
-
-def compound_block(m: ExactMatrix, j: int, block_m: int) -> ExactMatrix:
-    """The leading block of the j-th compound on index sets containing
-    {1, ..., block_m}.
-
-    Built by filtering index sets, then asserted against the fact that those
-    sets are exactly the first C(n - m, j - m) in lexicographic order.
-    """
-    n = m.n
-    if not (1 <= block_m <= j <= n):
-        raise MatrixArgumentError(
-            f"need 1 <= m <= j <= n, got m={block_m}, j={j}, n={n}"
-        )
-    prefix = tuple(range(1, block_m + 1))
-    selected = [s for s in index_sets(n, j) if s[:block_m] == prefix]
-    # Lexicographic-prefix property: the filtered sets must form the prefix
-    # of the full ordering.
-    count = math.comb(n - block_m, j - block_m)
-    head = list(itertools.islice(index_sets(n, j), count))
-    assert selected == head, "lexicographic prefix property violated"
-    return ExactMatrix(
-        [[minor(m, rows, cols) for cols in selected] for rows in selected]
     )

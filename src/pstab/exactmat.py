@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import MatrixArgumentError, SingularMatrixError
@@ -177,42 +178,19 @@ def index_sets(n, k):
     return itertools.combinations(range(1, n + 1), k)
 
 
-def lex_rank(s, n):
-    """1-based lexicographic rank of a k-subset of [n]."""
-    s = check_index_set(s, n)
-    k = len(s)
-    rank = 1
-    prev = 0
-    for pos, idx in enumerate(s):
-        for v in range(prev + 1, idx):
-            rank += math.comb(n - v, k - pos - 1)
-        prev = idx
-    return rank
-
-
-def lex_unrank(n, k, rank):
-    """Inverse of :func:`lex_rank`: the k-subset of [n] at the given rank."""
-    total = math.comb(n, k)
-    if not (1 <= rank <= total):
-        raise MatrixArgumentError(
-            f"rank {rank} out of range [1, C({n},{k}) = {total}]"
-        )
-    out = []
-    r = rank - 1
-    v = 1
-    for pos in range(k):
-        while True:
-            block = math.comb(n - v, k - pos - 1)
-            if r < block:
-                out.append(v)
-                v += 1
-                break
-            r -= block
-            v += 1
-    return tuple(out)
-
-
 # -- determinants and minors ------------------------------------------------
+
+
+def cleared(m: ExactMatrix):
+    """(rows of cA as ints, c), with c the lcm of the entries' denominators."""
+    c = math.lcm(*(x.denominator for row in m.rows for x in row))
+    return [[x.numerator * (c // x.denominator) for x in row] for row in m.rows], c
+
+
+def integer_product(a, b) -> list:
+    """Product of two square integer matrices given as lists of int rows."""
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 def det(m: ExactMatrix) -> Fraction:
@@ -223,11 +201,7 @@ def det(m: ExactMatrix) -> Fraction:
     polynomial.
     """
     n = m.n
-    denom_lcm = 1
-    for row in m.rows:
-        for x in row:
-            denom_lcm = denom_lcm * x.denominator // math.gcd(denom_lcm, x.denominator)
-    a = [[int(x * denom_lcm) for x in row] for row in m.rows]
+    a, denom_lcm = cleared(m)
 
     sign = 1
     prev_pivot = 1
@@ -305,30 +279,38 @@ def trace(m: ExactMatrix) -> Fraction:
     return sum((m.rows[i][i] for i in range(m.n)), Fraction(0))
 
 
+def integer_minor_sums(a) -> list:
+    """(E_0, ..., E_n) of an integer matrix given as a list of int rows.
+
+    Faddeev-LeVerrier: N_k = A N_(k-1) + c_(k-1) I and c_k = -Tr(A N_k) / k
+    give det(xI - A) = sum_k c_k x^(n-k), so E_k = (-1)^k c_k.  On an
+    integer matrix every N_k and c_k is an integer, so the division by k
+    is exact and the recurrence never leaves the ints.
+    """
+    n = len(a)
+    sums = [1]
+    coeff = 1  # c_(k-1)
+    an = [[0] * n for _ in range(n)]  # A N_(k-1), then N_k, then A N_k
+    for k in range(1, n + 1):
+        for i in range(n):
+            an[i][i] += coeff
+        an = integer_product(a, an)
+        coeff = -sum(an[i][i] for i in range(n)) // k
+        sums.append(-coeff if k % 2 else coeff)
+    return sums
+
+
 def principal_minor_sums(m: ExactMatrix) -> tuple:
     """(E_0, ..., E_n): E_k is the sum of the principal minors of order k.
 
-    These are the coefficients of det(xI + A) = sum_k E_k x^(n-k), computed
-    exactly by the Faddeev-LeVerrier recurrence (N_k = A N_(k-1) + c I,
-    E_k = Tr(A N_k) / k up to sign) in O(n^4) rational operations.
+    These are the coefficients of det(xI + A) = sum_k E_k x^(n-k).  This is
+    the pipeline's one exact kernel: the order sums of A and A^2 (the Q and
+    Q^2 tests and the nest search), the block traces and the trace ledger
+    all come from it.  With c the lcm of the denominators,
+    E_k(A) = E_k(cA) / c^k, and :func:`integer_minor_sums` runs on cA in
+    O(n^4) integer operations.
     """
-    n = m.n
-    a = m.rows
-    sums = [Fraction(1)]
-    coeff = Fraction(1)  # c_(k-1) of det(lambda I - A)
-    prev = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        cur = [
-            [sum(a[i][t] * prev[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        for i in range(n):
-            cur[i][i] += coeff
-        coeff = -sum(a[i][t] * cur[t][i] for i in range(n) for t in range(n)) / k
-        sums.append(coeff if k % 2 == 0 else -coeff)
-        prev = cur
-    return tuple(sums)
-
-
-def abs_matrix(m: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix([[abs(x) for x in row] for row in m.rows])
+    a, c = cleared(m)
+    return tuple(
+        Fraction(e, c**k) for k, e in enumerate(integer_minor_sums(a))
+    )

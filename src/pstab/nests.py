@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .classify import is_q2
 from .errors import MatrixArgumentError
-from .exactmat import ExactMatrix, index_sets, minor, principal_submatrix
+from .exactmat import ExactMatrix, principal_submatrix
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,8 @@ class NestCertificate:
     evidence: NestEvidence
 
 
-def _chain_tau(chain):
+def chain_tau(chain):
+    """The permutation a chain defines: the element each level adds."""
     tau = [chain[0][0]]
     for prev, cur in zip(chain, chain[1:]):
         added = set(cur) - set(prev)
@@ -127,7 +128,7 @@ def find_q2_nest(m: ExactMatrix):
     evidence = _chain_evidence(m, chain, memo)
     assert isinstance(evidence, NestEvidence)
     return NestCertificate(
-        chain=tuple(chain), tau=_chain_tau(chain), evidence=evidence
+        chain=tuple(chain), tau=chain_tau(chain), evidence=evidence
     )
 
 
@@ -163,29 +164,3 @@ def verify_nest(m: ExactMatrix, chain):
     """
     chain = _validate_chain(chain, m.n)
     return _chain_evidence(m, chain)
-
-
-def find_positive_nest(m: ExactMatrix):
-    """Permutation ordering with all leading principal minors positive.
-
-    Returns the permutation (i_1, ..., i_n) with every A(i_1..i_j; i_1..i_j)
-    positive, or None.  Greedy depth-first with backtracking; candidate
-    indices are tried in increasing order.
-    """
-    n = m.n
-
-    def extend(order):
-        if len(order) == n:
-            return order
-        for e in range(1, n + 1):
-            if e in order:
-                continue
-            s = tuple(sorted(order + [e]))
-            if minor(m, s, s) > 0:
-                found = extend(order + [e])
-                if found is not None:
-                    return found
-        return None
-
-    found = extend([])
-    return tuple(found) if found is not None else None

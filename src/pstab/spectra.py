@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -20,16 +20,10 @@ from .exactmat import ExactMatrix, det, trace
 
 MAX_DIMENSION = 64
 
+# Recorded in the certificate's advisory spectrum block; no verdict reads them.
 DEFAULT_TOL_IMAG = 1e-8
 DEFAULT_TOL_POS = 1e-9
 DEFAULT_TOL_SEP = 1e-9
-
-
-@dataclass(frozen=True)
-class SpectralTolerances:
-    tol_imag: float = DEFAULT_TOL_IMAG
-    tol_pos: float = DEFAULT_TOL_POS
-    tol_sep: float = DEFAULT_TOL_SEP
 
 
 @dataclass(frozen=True)
@@ -96,26 +90,6 @@ def wedge_check(spectrum: Spectrum, n, kind="kellogg"):
         raise MatrixArgumentError(f"unknown wedge kind {kind!r}")
     slack = min(bound - abs(cmath.phase(v)) for v in spectrum.eigenvalues)
     return slack > 0, slack
-
-
-def positive_simple(spectrum: Spectrum, tols: SpectralTolerances | None = None):
-    """Numeric surrogate for "positive and simple" eigenvalues.
-
-    Near-real per tol_imag (relative to max(1, |v|)), positive per tol_pos,
-    pairwise separated per tol_sep.
-    """
-    tols = tols or SpectralTolerances()
-    values = spectrum.eigenvalues
-    for v in values:
-        if abs(v.imag) > tols.tol_imag * max(1.0, abs(v)):
-            return False
-        if v.real < tols.tol_pos:
-            return False
-    for i, a in enumerate(values):
-        for b in values[i + 1 :]:
-            if abs(a - b) < tols.tol_sep:
-                return False
-    return True
 
 
 def multiset_match(values_a, values_b, abs_tol=1e-8, rel_tol=1e-8):

@@ -22,6 +22,13 @@ These are the two facts the homotopy argument rests on: the spectrum
 starts in the open right half-plane at t = 0 and, the path staying Q^2,
 does not cross the imaginary axis on the way to B.
 
+No compound matrix is formed: every exact quantity is a sum of principal
+minors from the char-poly kernel (:mod:`pstab.exactmat`).  The block
+traces are det(B[1..m])^2 E_(j-m)(S_m^2) by Sylvester's identity, S_m the
+Schur complement of the leading m-block; the ledger is read off the
+generating function E_j((I + sD) B (I + tD) B) = sum s^k t^m L(j,k,m);
+the Hurwitz minors are built from E_k(D B).
+
 Exact and numeric content are kept separate: the ledger, Hurwitz minors,
 block traces and class verdicts are rational arithmetic; eigenvalues are
 tolerance-carrying floats, recorded as advisory cross-checks.
@@ -35,7 +42,6 @@ from fractions import Fraction
 
 from . import spectra
 from .classify import ClassReport, classify_full, is_p, is_q2
-from .compound import compound, compound_block, diag_generalized_compound
 from .errors import (
     HypothesisError,
     InternalInconsistencyError,
@@ -47,14 +53,16 @@ from .errors import (
 from .exactmat import (
     ExactMatrix,
     as_rational,
+    cleared,
     det,
+    integer_minor_sums,
+    integer_product,
     minor,
     principal_submatrix,
     inverse,
     principal_minor_sums,
-    trace,
 )
-from .nests import NestCertificate, NestEvidence, verify_nest
+from .nests import NestCertificate, NestEvidence, chain_tau, verify_nest
 
 DEFAULT_MAX_SHRINK = 64
 
@@ -167,13 +175,13 @@ def build_B(a: ExactMatrix, nest: NestCertificate):
     trailing block.
     """
     n = a.n
-    if len(nest.tau) != n:
-        raise MatrixArgumentError("nest permutation size does not match matrix")
     check = verify_nest(a, nest.chain)
     if not isinstance(check, NestEvidence):
         raise InternalInconsistencyError(
             f"supplied nest fails re-verification: {check.describe()}"
         )
+    if tuple(nest.tau) != chain_tau(nest.chain):
+        raise MatrixArgumentError("nest permutation does not match its chain")
 
     theta = [0] * n  # theta[i-1] = image of index i
     for m_pos, i_m in enumerate(nest.tau, start=1):
@@ -207,13 +215,26 @@ def build_B(a: ExactMatrix, nest: NestCertificate):
 
 
 def block_traces(b: ExactMatrix):
-    """Tr((B^(j)[1..m])^2) for all 1 <= m <= j <= n, exactly."""
+    """Tr((B^(j)[1..m])^2) for all 1 <= m <= j <= n, exactly; B must have
+    nonsingular leading blocks (B is a P-matrix in the pipeline).
+
+    The leading block of B^(j) on the index sets containing {1..m} is
+    det(B[1..m]) times the (j-m)-th compound of the Schur complement S_m
+    (Sylvester's identity), so its squared trace is
+    det(B[1..m])^2 * E_(j-m)(S_m^2), with S_n taken as empty.
+    """
+    n = b.n
     values = {}
-    for j in range(1, b.n + 1):
-        for m_pos in range(1, j + 1):
-            block = compound_block(b, j, m_pos)
-            values[(j, m_pos)] = trace(block * block)
-    return values
+    for m_pos in range(1, n + 1):
+        lead = det(principal_submatrix(b, tuple(range(1, m_pos + 1))))
+        sums = (
+            principal_minor_sums(schur_complement(b, m_pos).square())
+            if m_pos < n
+            else (1,)
+        )
+        for j in range(m_pos, n + 1):
+            values[(j, m_pos)] = lead * lead * sums[j - m_pos]
+    return dict(sorted(values.items()))
 
 
 @dataclass(frozen=True)
@@ -257,55 +278,47 @@ class TraceLedger:
         return None
 
 
-def _quad_trace(c: ExactMatrix, dk, dm):
-    """Tr(diag(dk) * C * diag(dm) * C) without forming the products."""
-    total = Fraction(0)
-    for alpha in range(c.n):
-        row = c.rows[alpha]
-        for beta in range(c.n):
-            total += dk[alpha] * row[beta] * dm[beta] * c.rows[beta][alpha]
-    return total
+def _trace_ledger(b: ExactMatrix, eps) -> TraceLedger:
+    """The complete ledger of diag(eps) over B from one generating function.
 
+    By Cauchy-Binet and (I + sD)^(j) = sum_k s^k D_k^(j),
 
-def _diag_vectors(eps, j):
-    """Diagonals of D_k^(j) for k = 0..j, via the symmetric-polynomial form."""
-    vectors = {0: [Fraction(1)] * math.comb(len(eps), j)}
-    for k in range(1, j + 1):
-        data = diag_generalized_compound(eps, j, k).data
-        vectors[k] = [data.rows[i][i] for i in range(data.n)]
-    return vectors
+        E_j((I + sD) B (I + tD) B) = sum_{0 <= k,m <= j} s^k t^m L(j,k,m).
 
+    With D = D'/delta and B = B'/beta on integers, the left side is
+    E_j(X_s X_t) / (delta beta)^(2j), X_s = (delta I + s D') B'.  It is
+    evaluated for s, t in {0..n}, only for s <= t since
+    E_j(X_s X_t) = E_j(X_t X_s), and the coefficients are recovered by
+    two exact Vandermonde passes, W P W^T / w^2 with W / w = V^(-1).
+    """
+    n = b.n
+    b_int, beta = cleared(b)
+    delta = math.lcm(*(e.denominator for e in eps))
+    d_int = [e.numerator * (delta // e.denominator) for e in eps]
+    nodes = range(n + 1)
+    scaled = [
+        [[(delta + s * d_int[i]) * x for x in b_int[i]] for i in range(n)]
+        for s in nodes
+    ]
+    grid = {}
+    for s in nodes:
+        for t in range(s, n + 1):
+            sums = integer_minor_sums(integer_product(scaled[s], scaled[t]))
+            grid[s, t] = grid[t, s] = sums
+    vandermonde = ExactMatrix([[s**k for k in nodes] for s in nodes])
+    w_rows, w = cleared(inverse(vandermonde))
+    w_cols = [list(col) for col in zip(*w_rows)]
 
-def _entry_keys(n):
-    return {
-        (j, k, m_pos)
-        for j in range(1, n + 1)
-        for k in range(1, j + 1)
-        for m_pos in range(1, j + 1)
-    }
-
-
-def _cross_keys(n):
-    return {(j, 0, m_pos) for j in range(1, n + 1) for m_pos in range(1, j + 1)}
-
-
-def _ledger(comps, eps, keys):
-    """Ledger values L(j,k,m) for diag(eps) over precomputed compounds of B."""
-    values = {}
-    dvecs = {}
-    for j, k, m_pos in sorted(keys):
-        if j not in dvecs:
-            dvecs[j] = _diag_vectors(eps, j)
-        values[(j, k, m_pos)] = _quad_trace(comps[j], dvecs[j][k], dvecs[j][m_pos])
-    return values
-
-
-def _full_ledger(comps, eps):
-    n = len(eps)
-    return TraceLedger(
-        entries=_ledger(comps, eps, _entry_keys(n)),
-        cross_terms=_ledger(comps, eps, _cross_keys(n)),
-    )
+    entries, cross_terms = {}, {}
+    for j in range(1, n + 1):
+        values = [[grid[s, t][j] for t in nodes] for s in nodes]
+        coeffs = integer_product(integer_product(w_rows, values), w_cols)
+        scale = w * w * (delta * beta) ** (2 * j)
+        for k in range(j + 1):
+            target = entries if k else cross_terms
+            for m_pos in range(1, j + 1):
+                target[(j, k, m_pos)] = Fraction(coeffs[k][m_pos], scale)
+    return TraceLedger(entries=entries, cross_terms=cross_terms)
 
 
 def homotopy_certificate(b: ExactMatrix, d) -> TraceLedger:
@@ -321,8 +334,7 @@ def homotopy_certificate(b: ExactMatrix, d) -> TraceLedger:
         raise MatrixArgumentError("diagonal length must equal matrix dimension")
     if any(e <= 0 for e in eps):
         raise MatrixArgumentError("diagonal entries must be positive")
-    comps = {j: compound(b, j).data for j in range(1, b.n + 1)}
-    return _full_ledger(comps, eps)
+    return _trace_ledger(b, eps)
 
 
 def hurwitz_minors(m: ExactMatrix) -> tuple:
@@ -404,19 +416,20 @@ def build_stabilizer(
             raise MatrixArgumentError(
                 f"block trace ({j},{m_pos}) = {value} is not positive"
             )
-    comps = {j: compound(b, j).data for j in range(1, n + 1)}
 
     ratios = [Fraction(1, 2)] * (n - 1)
     shrink_log = [0] * (n - 1)
-    entry_keys = _entry_keys(n)
 
     for level in range(1, n):
-        level_keys = {key for key in entry_keys if max(key[1:]) == level}
         last_violation = None
         for _ in range(max_shrink + 1):
             eps = _eps_from_ratios(ratios)
-            entries = _ledger(comps, eps, level_keys)
-            bad = [(key, v) for key, v in sorted(entries.items()) if v <= 0]
+            entries = _trace_ledger(b, eps).entries
+            bad = [
+                (key, v)
+                for key, v in sorted(entries.items())
+                if max(key[1:]) == level and v <= 0
+            ]
             if not bad and _leading_block_stable(b, eps, level + 1):
                 break
             last_violation = bad[0] if bad else ("leading-block-hurwitz", level + 1)
@@ -433,7 +446,7 @@ def build_stabilizer(
         scale = Fraction(1, 2**steps)
         eps = [1 - (1 - e) * scale for e in start]
         violation = first_exact_violation(
-            _full_ledger(comps, eps), hurwitz_minors(b.scale_rows(eps))
+            _trace_ledger(b, eps), hurwitz_minors(b.scale_rows(eps))
         )
         if violation is None:
             return Stabilizer(
@@ -455,8 +468,7 @@ class StabilityCertificate:
     ``trace_ledger`` (entries and cross terms) keeps the homotopy Q^2, and
     positive ``endpoint_hurwitz`` minors prove diag(eps) * B positively
     stable.  The two spectra and the wedge margin are the only
-    floating-point content; they are advisory cross-checks and carry their
-    tolerances.
+    floating-point content; they are advisory cross-checks.
     """
 
     matrix: ExactMatrix
@@ -471,13 +483,10 @@ class StabilityCertificate:
     spectrum: spectra.Spectrum  # of the input matrix
     stabilized_spectrum: spectra.Spectrum  # of diag(eps) * B
     wedge_margin: float
-    tolerances: spectra.SpectralTolerances
 
 
 def certify_stability(
-    a: ExactMatrix,
-    tols: spectra.SpectralTolerances | None = None,
-    max_shrink: int = DEFAULT_MAX_SHRINK,
+    a: ExactMatrix, max_shrink: int = DEFAULT_MAX_SHRINK
 ) -> StabilityCertificate:
     """Run the whole certification pipeline on an exact matrix.
 
@@ -490,7 +499,6 @@ def certify_stability(
     """
     from .nests import find_q2_nest
 
-    tols = tols or spectra.SpectralTolerances()
     report = classify_full(a)
     if not report.is_p:
         raise HypothesisError(
@@ -556,5 +564,4 @@ def certify_stability(
         spectrum=spectrum,
         stabilized_spectrum=stabilized,
         wedge_margin=margin,
-        tolerances=tols,
     )

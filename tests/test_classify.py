@@ -11,7 +11,6 @@ from pstab import ExactMatrix
 from pstab.classify import (
     classify_full,
     is_p,
-    is_p2,
     is_q,
     is_q2,
     is_sign_symmetric,
@@ -92,9 +91,9 @@ def test_is_q2_reports_square_witness():
 
 
 def test_is_p2_on_demo():
-    verdict, witness = is_p2(DEMO_A)
-    assert not verdict
-    assert witness.value == -30  # (A^2)_22
+    report = classify_full(DEMO_A)
+    assert not report.is_p2
+    assert report.witnesses["P2"].value == -30  # (A^2)_22
 
 
 def test_spd_matrices_are_sign_symmetric_p2():
@@ -102,7 +101,7 @@ def test_spd_matrices_are_sign_symmetric_p2():
     for _ in range(5):
         m = random_spd_matrix(rng, 4)
         assert is_p(m)[0]
-        assert is_p2(m)[0]
+        assert classify_full(m).is_p2
         assert is_sign_symmetric(m)[0]
 
 
@@ -137,7 +136,7 @@ def test_classify_full_agrees_with_individual_tests():
         report = classify_full(m)
         assert report.is_p == is_p(m)[0]
         assert report.is_q == is_q(m)[0]
-        assert report.is_p2 == is_p2(m)[0]
+        assert report.is_p2 == (is_p(m)[0] and is_p(m.square())[0])
         assert report.is_q2 == is_q2(m)[0]
         assert report.is_sign_symmetric == is_sign_symmetric(m)[0]
         assert report.is_row_sqdd == is_square_diag_dominant(m, "row")[0]

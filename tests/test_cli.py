@@ -223,6 +223,84 @@ def test_verify_reports_missing_exact_sections(demo_file, demo_certificate, caps
     assert "no valid endpoint_hurwitz_minors section" in out
 
 
+CERTIFICATE_SECTIONS = [
+    "tool",
+    "verdict",
+    "input",
+    "classification",
+    "nest",
+    "transform",
+    "block_traces",
+    "stabilizer",
+    "trace_ledger",
+    "cross_terms",
+    "endpoint_hurwitz_minors",
+    "spectrum",
+]
+
+
+@pytest.mark.parametrize("section", CERTIFICATE_SECTIONS)
+def test_verify_names_each_missing_section(
+    demo_file, demo_certificate, section, capsys
+):
+    cert_path, doc = demo_certificate
+    assert set(doc) == set(CERTIFICATE_SECTIONS)
+    del doc[section]
+    _rewrite(cert_path, doc)
+    assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
+    assert section in capsys.readouterr().out
+
+
+MALFORMED_FIELDS = [
+    ("input", None, {"n": 4}, "field input.sha256 is missing"),
+    ("input", "n", "4", "field input.n is missing"),
+    ("input", "matrix", "1 2 3 4", "field input.matrix is missing"),
+    ("classification", "flags", None, "field classification.flags is missing"),
+    ("nest", "chain", [[4], [3, "4"]], "field nest.chain is missing"),
+    ("nest", "chain", [[4], [2, 3, 4]], "nest fails re-verification"),
+    ("nest", "tau", [9, 3, 2, 1], "does not match its chain"),
+    ("transform", "b_matrix", [["1", "2"]], "field transform.b_matrix is missing"),
+    ("block_traces", None, ["1/1"], "block traces key set does not match"),
+    ("block_traces", None, {}, "block traces key set does not match"),
+    ("stabilizer", "eps", ["1/0"] * 4, "field stabilizer.eps is missing"),
+    ("stabilizer", "eps", ["1/1"], "has 1 entries, not 4"),
+]
+
+
+@pytest.mark.parametrize(
+    "section,key,value,message",
+    MALFORMED_FIELDS,
+    ids=[f"{section}.{key}" for section, key, _, _ in MALFORMED_FIELDS],
+)
+def test_verify_names_malformed_fields(
+    demo_file, demo_certificate, section, key, value, message, capsys
+):
+    cert_path, doc = demo_certificate
+    if key is None:
+        doc[section] = value
+    else:
+        doc[section][key] = value
+    _rewrite(cert_path, doc)
+    assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
+    assert message in capsys.readouterr().out
+
+
+def test_verify_rejects_a_document_that_is_not_an_object(
+    demo_file, demo_certificate, capsys
+):
+    cert_path, doc = demo_certificate
+    _rewrite(cert_path, [doc])
+    assert main(["verify", cert_path, demo_file]) == EXIT_INPUT
+    assert "not a JSON object" in capsys.readouterr().err
+
+
+def test_verify_undecodable_certificate_exits_3(demo_file, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["verify", str(path), demo_file]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
 def test_certify_exits_2_when_the_exact_recheck_fails(demo_file, monkeypatch, capsys):
     import pstab.stabilize
     from pstab.stabilize import Stabilizer

@@ -1,21 +1,22 @@
 """Compound matrices, exterior products and generalized compounds."""
 
+import ast
 import itertools
 import math
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_matrix
-from pstab import ExactMatrix, det, minor
+import pstab
+from pstab import ExactMatrix, det
 from pstab.compound import (
     compound,
-    compound_block,
     diag_generalized_compound,
     exterior_product,
     generalized_compound,
-    wedge_vectors,
 )
 from pstab.errors import MatrixArgumentError
 from pstab.fixtures import DEMO_A, DEMO_COMPOUND_2, DEMO_COMPOUND_3
@@ -40,42 +41,12 @@ def test_compound_extremes():
     assert compound(m, 4).data == ExactMatrix([[det(m)]])
 
 
-def test_compound_row_index_set_is_lex():
-    c = compound(ExactMatrix.identity(4), 2)
-    assert [c.row_index_set(r) for r in range(1, 7)] == [
-        (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)
-    ]
-
-
 def test_compound_order_out_of_range():
     m = ExactMatrix.identity(3)
     with pytest.raises(MatrixArgumentError):
         compound(m, 0)
     with pytest.raises(MatrixArgumentError):
         compound(m, 4)
-
-
-def test_wedge_vectors_basis():
-    # e1 ^ e2 in dimension 3 is the (1,2) coordinate vector
-    assert wedge_vectors([[1, 0, 0], [0, 1, 0]]) == [1, 0, 0]
-    assert wedge_vectors([[0, 1, 0], [0, 0, 1]]) == [0, 0, 1]
-
-
-def test_wedge_vectors_antisymmetry():
-    rng = random.Random(21)
-    u = [rng.randint(-5, 5) for _ in range(4)]
-    v = [rng.randint(-5, 5) for _ in range(4)]
-    assert wedge_vectors([u, v]) == [-x for x in wedge_vectors([v, u])]
-    assert all(x == 0 for x in wedge_vectors([u, u]))
-
-
-def test_wedge_vectors_argument_errors():
-    with pytest.raises(MatrixArgumentError):
-        wedge_vectors([[1, 2]])
-    with pytest.raises(MatrixArgumentError):
-        wedge_vectors([[1, 2], [1, 2, 3]])
-    with pytest.raises(MatrixArgumentError):
-        wedge_vectors([[1, 2], [3, 4], [5, 6]])
 
 
 def test_exterior_product_of_equal_factors_is_compound():
@@ -161,25 +132,19 @@ def test_diag_generalized_compound_identity_counts():
     assert g.data == Fraction(3) * ExactMatrix.identity(4)
 
 
-def test_compound_block_is_leading_block():
-    rng = random.Random(27)
-    for _ in range(8):
-        n = rng.choice([3, 4, 5])
-        m = random_matrix(rng, n, -4, 4)
-        for j in range(1, n + 1):
-            full = compound(m, j).data
-            for block_m in range(1, j + 1):
-                block = compound_block(m, j, block_m)
-                size = math.comb(n - block_m, j - block_m)
-                assert block.n == size
-                assert block == ExactMatrix(
-                    [row[:size] for row in full.rows[:size]]
-                )
-
-
-def test_compound_block_single_cell():
-    rng = random.Random(28)
-    m = random_matrix(rng, 4)
-    assert compound_block(m, 3, 3) == ExactMatrix([[minor(m, (1, 2, 3), (1, 2, 3))]])
-    with pytest.raises(MatrixArgumentError):
-        compound_block(m, 2, 3)
+def test_pipeline_modules_do_not_import_compound():
+    # compound matrices stay behind the CLI's compound and demo commands
+    # and serve the tests as oracles; the pipeline uses the char-poly kernel
+    src = pathlib.Path(pstab.__file__).parent
+    for module in ("classify", "nests", "stabilize"):
+        tree = ast.parse((src / f"{module}.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = "pstab." * (node.level > 0) + (node.module or "")
+                base = base.rstrip(".")
+                imported.add(base)
+                imported.update(f"{base}.{alias.name}" for alias in node.names)
+        assert "pstab.compound" not in imported, f"{module}.py imports pstab.compound"

@@ -1,21 +1,18 @@
 """Exact matrix arithmetic, determinants and index-set combinatorics."""
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_fraction_matrix, random_invertible, random_matrix
-from pstab import ExactMatrix, abs_matrix, det, inverse, minor, trace
+from pstab import ExactMatrix, det, inverse, minor, trace
 from pstab.errors import MatrixArgumentError, SingularMatrixError
 from pstab.exactmat import (
     as_rational,
     check_index_set,
     index_sets,
-    lex_rank,
-    lex_unrank,
     principal_minor_sums,
     principal_submatrix,
     submatrix,
@@ -128,18 +125,6 @@ def test_index_set_validation():
         check_index_set((1, 2), 4, k=3)
 
 
-def test_lex_rank_unrank_bijection():
-    for n in range(1, 7):
-        for k in range(1, n + 1):
-            sets = list(index_sets(n, k))
-            assert len(sets) == math.comb(n, k)
-            for expected_rank, s in enumerate(sets, start=1):
-                assert lex_rank(s, n) == expected_rank
-                assert lex_unrank(n, k, expected_rank) == s
-    with pytest.raises(MatrixArgumentError):
-        lex_unrank(4, 2, 7)
-
-
 def test_submatrix_and_minor():
     m = ExactMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
     assert submatrix(m, (1, 3), (2, 3)) == ExactMatrix([[2, 3], [8, 10]])
@@ -166,7 +151,6 @@ def test_inverse_of_singular_raises():
 def test_trace_and_abs():
     m = ExactMatrix([[1, -2], ["-1/2", 4]])
     assert trace(m) == 5
-    assert abs_matrix(m) == ExactMatrix([[1, 2], ["1/2", 4]])
 
 
 def test_principal_minor_sums_match_direct_minors():

@@ -16,7 +16,6 @@ from pstab.fixtures import (
 from pstab.nests import (
     NestEvidence,
     NestViolation,
-    find_positive_nest,
     find_q2_nest,
     verify_nest,
 )
@@ -77,14 +76,3 @@ def test_find_q2_nest_none_when_full_set_fails():
 
 def test_find_q2_nest_is_deterministic():
     assert find_q2_nest(DEMO_A) == find_q2_nest(DEMO_A)
-
-
-def test_find_positive_nest_demo():
-    # the demo matrix is P, so the identity ordering already works
-    assert find_positive_nest(DEMO_A) == (1, 2, 3, 4)
-
-
-def test_find_positive_nest_needs_reordering():
-    m = ExactMatrix([[0, 1], [-1, 1]])
-    assert find_positive_nest(m) == (2, 1)
-    assert find_positive_nest(ExactMatrix([[-1, 0], [0, 1]])) is None

@@ -10,11 +10,9 @@ from pstab import ExactMatrix
 from pstab.errors import MatrixArgumentError
 from pstab.spectra import (
     MAX_DIMENSION,
-    SpectralTolerances,
     eigenvalues,
     is_positively_stable,
     multiset_match,
-    positive_simple,
     wedge_check,
 )
 
@@ -65,19 +63,6 @@ def test_wedge_check_sharpened():
     assert abs(slack - (math.pi / 2 - math.pi / 6)) < 1e-12
     with pytest.raises(MatrixArgumentError):
         wedge_check(spectrum, 3, kind="narrow")
-
-
-def test_positive_simple_predicate():
-    assert positive_simple(eigenvalues(ExactMatrix.diagonal([1, 2, 3])))
-    # repeated eigenvalue: fails separation
-    assert not positive_simple(eigenvalues(ExactMatrix.identity(2)))
-    # negative eigenvalue
-    assert not positive_simple(eigenvalues(ExactMatrix.diagonal([-1, 2])))
-    # complex pair: fails the near-real requirement
-    assert not positive_simple(eigenvalues(ExactMatrix([[1, -1], [1, 1]])))
-    # tolerances are honored
-    loose = SpectralTolerances(tol_sep=10.0)
-    assert not positive_simple(eigenvalues(ExactMatrix.diagonal([1, 2])), loose)
 
 
 def test_multiset_match():

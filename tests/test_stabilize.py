@@ -1,14 +1,20 @@
 """Schur complements, the B transform, trace ledgers and certification."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_invertible, random_matrix, random_spd_matrix
+from conftest import (
+    random_fraction_matrix,
+    random_invertible,
+    random_matrix,
+    random_spd_matrix,
+)
 from pstab import ExactMatrix, det, inverse, minor, principal_submatrix, trace
 from pstab.compound import compound, diag_generalized_compound
-from pstab.classify import order_sum_traces
+from pstab.classify import is_p, order_sum_traces
 from pstab.errors import (
     HypothesisError,
     MatrixArgumentError,
@@ -127,6 +133,23 @@ def test_block_traces_demo_all_positive():
     assert values[(3, 3)] == minor(b, head, head) ** 2
 
 
+def test_block_traces_match_compound_blocks():
+    # the leading C(n-m, j-m) block of B^(j) is the one on the index sets
+    # containing {1..m}
+    rng = random.Random(47)
+    for n in (2, 3, 4, 5, 6):
+        b = random_fraction_matrix(rng, n, -4, 4, den=3)
+        while not is_p(b)[0]:
+            b = b + ExactMatrix.identity(n)
+        values = block_traces(b)
+        for j in range(1, n + 1):
+            cj = compound(b, j).data
+            for m in range(1, j + 1):
+                size = math.comb(n - m, j - m)
+                block = ExactMatrix([row[:size] for row in cj.rows[:size]])
+                assert values[(j, m)] == trace(block * block)
+
+
 def test_stabilizer_validation():
     Stabilizer(eps=(Fraction(1), Fraction(1, 2)), shrink_log=(0,))
     with pytest.raises(MatrixArgumentError):
@@ -145,37 +168,50 @@ def test_trace_ledger_violation_reporting():
     assert bad.first_violation() == ((1, 1, 1), Fraction(0))
 
 
+def _ledger_cases(seed):
+    """(B, eps) pairs for the ledger's compound-product oracle tests."""
+    rng = random.Random(seed)
+    _, demo_b = build_B(DEMO_A, find_q2_nest(DEMO_A))
+    return [
+        (random_spd_matrix(rng, 3), [Fraction(1), Fraction(1, 3), Fraction(1, 7)]),
+        (random_matrix(rng, 5, -5, 5), [Fraction(1, 2**i) for i in range(5)]),
+        (
+            demo_b,
+            [Fraction(1), Fraction(4081, 4096), Fraction(8161, 8192),
+             Fraction(16321, 16384)],
+        ),
+    ]
+
+
 def test_homotopy_certificate_matches_direct_products():
-    rng = random.Random(44)
-    b = random_spd_matrix(rng, 3)
-    eps = [Fraction(1), Fraction(1, 3), Fraction(1, 7)]
-    ledger = homotopy_certificate(b, eps)
-    for (j, k, m), value in ledger.entries.items():
-        cj = compound(b, j).data
-        dk = diag_generalized_compound(eps, j, k).data
-        dm = diag_generalized_compound(eps, j, m).data
-        assert value == trace(dk * cj * dm * cj)
-    assert set(ledger.entries) == {
-        (j, k, m)
-        for j in range(1, 4)
-        for k in range(1, j + 1)
-        for m in range(1, j + 1)
-    }
+    for b, eps in _ledger_cases(44):
+        n = b.n
+        ledger = homotopy_certificate(b, eps)
+        for (j, k, m), value in ledger.entries.items():
+            cj = compound(b, j).data
+            dk = diag_generalized_compound(eps, j, k).data
+            dm = diag_generalized_compound(eps, j, m).data
+            assert value == trace(dk * cj * dm * cj)
+        assert set(ledger.entries) == {
+            (j, k, m)
+            for j in range(1, n + 1)
+            for k in range(1, j + 1)
+            for m in range(1, j + 1)
+        }
 
 
 def test_cross_terms_match_direct_products():
-    rng = random.Random(45)
-    b = random_spd_matrix(rng, 3)
-    eps = [Fraction(1), Fraction(1, 3), Fraction(1, 7)]
-    ledger = homotopy_certificate(b, eps)
-    assert set(ledger.cross_terms) == {
-        (j, 0, m) for j in range(1, 4) for m in range(1, j + 1)
-    }
-    for (j, _, m), value in ledger.cross_terms.items():
-        cj = compound(b, j).data
-        dm = diag_generalized_compound(eps, j, m).data
-        assert value == trace(cj * dm * cj)
-        assert value == trace(dm * cj * cj)  # L(j,0,m) = L(j,m,0)
+    for b, eps in _ledger_cases(45):
+        n = b.n
+        ledger = homotopy_certificate(b, eps)
+        assert set(ledger.cross_terms) == {
+            (j, 0, m) for j in range(1, n + 1) for m in range(1, j + 1)
+        }
+        for (j, _, m), value in ledger.cross_terms.items():
+            cj = compound(b, j).data
+            dm = diag_generalized_compound(eps, j, m).data
+            assert value == trace(cj * dm * cj)
+            assert value == trace(dm * cj * cj)  # L(j,0,m) = L(j,m,0)
 
 
 def test_ledger_is_the_expansion_of_the_homotopy_square():
