@@ -5,6 +5,12 @@ sum of principal minors positive; the squared variants require the same of
 the matrix square.  Sign-symmetry and square diagonal dominance are the two
 classical sufficient conditions the stability theorem subsumes.
 
+P is decided by one Bareiss determinant per principal minor, Q and Q^2 by
+the char-poly kernel.  Sign-symmetry and both sides of square dominance
+read every minor A(a;b), principal or not; they share one table of all
+minors, built one order at a time by Laplace expansion on the integer-
+cleared matrix and only up to the order at which the checks stop.
+
 All verdicts are exact.  Every negative verdict carries a witness that
 re-evaluates to a violation; witness ordering is deterministic (smallest
 minor order first, then lexicographic rank).
@@ -16,9 +22,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import MatrixArgumentError
-from .exactmat import ExactMatrix, index_sets, minor, principal_minor_sums
+from .exactmat import (
+    ExactMatrix,
+    cleared,
+    index_sets,
+    minor,
+    principal_minor_sums,
+    rational_str,
+)
 
-# Pair enumeration for sign-symmetry is C(n,k)^2 per order; keep it small.
+# Sign-symmetry compares all C(n,k)^2 minors of each order, C(2n,n) - 1 in
+# all (3431 at n = 7), each from k integer products in the minor table;
+# keep n small.
 SIGN_SYMMETRY_MAX_N = 7
 
 
@@ -34,7 +49,7 @@ class MinorWitness:
     def describe(self):
         return (
             f"A({','.join(map(str, self.rows))}; {','.join(map(str, self.cols))})"
-            f" = {self.value}"
+            f" = {rational_str(self.value)}"
         )
 
 
@@ -46,7 +61,10 @@ class OrderSumWitness:
     value: Fraction
 
     def describe(self):
-        return f"sum of principal minors of order {self.order} = {self.value}"
+        return (
+            f"sum of principal minors of order {self.order} = "
+            f"{rational_str(self.value)}"
+        )
 
 
 @dataclass
@@ -131,22 +149,104 @@ def is_q2(m: ExactMatrix):
     return witness is None, sums_m, sums_m2, witness
 
 
-def is_sign_symmetric(m: ExactMatrix):
-    """Sign-symmetry: A(a;b) * A(b;a) >= 0 for all same-size index sets."""
-    if m.n > SIGN_SYMMETRY_MAX_N:
+class _MinorTable:
+    """Every minor A(R; C) of one matrix, built one order at a time on demand.
+
+    With c the lcm of the denominators and A' = cA on integers, order k
+    holds c^k A(R; C) = A'(R; C) for all k-subsets R, C in lexicographic
+    order.  Order 1 is A' itself; order k comes from order k-1 by Laplace
+    expansion along the last row r of R,
+
+        A'(R; C) = sum_i (-1)^(k-1+i) a'[r][c_i] A'(R - r; C - c_i),
+
+    k integer products per minor in place of a Bareiss elimination.  An
+    order is built only when a check first reaches it, so checks that stop
+    at order 1 cost the n^2 cleared entries and nothing more.  A witness
+    value is a table value over c^(2k): signs and comparisons are the same
+    on A' as on A.
+    """
+
+    def __init__(self, m: ExactMatrix):
+        self.n = m.n
+        self._a, self._c = cleared(m)
+        self.subsets = [[()]]  # per order, the k-subsets in lex order
+        self._minors = [[[1]]]  # per order, [row set][column set]
+
+    def order(self, k):
+        """(k-subsets, minors of A' of order k, c^(2k))."""
+        while len(self._minors) <= k:
+            self._grow()
+        return self.subsets[k], self._minors[k], self._c ** (2 * k)
+
+    def _grow(self):
+        k = len(self._minors)
+        position = {s: i for i, s in enumerate(self.subsets[k - 1])}
+        prev = self._minors[k - 1]
+        subsets = list(index_sets(self.n, k))
+        expansions = [  # per column set C: (sign, c_i, position of C - c_i)
+            [
+                ((-1) ** (k - 1 + i), c - 1, position[cols[:i] + cols[i + 1 :]])
+                for i, c in enumerate(cols)
+            ]
+            for cols in subsets
+        ]
+        minors = []
+        for rows in subsets:
+            a_row = self._a[rows[-1] - 1]
+            prev_row = prev[position[rows[:-1]]]
+            minors.append(
+                [
+                    sum(sign * a_row[c] * prev_row[j] for sign, c, j in terms)
+                    for terms in expansions
+                ]
+            )
+        self.subsets.append(subsets)
+        self._minors.append(minors)
+
+
+def _check_sign_symmetry_size(n):
+    if n > SIGN_SYMMETRY_MAX_N:
         raise MatrixArgumentError(
             f"sign-symmetry check is capped at n <= {SIGN_SYMMETRY_MAX_N}"
         )
-    for k in range(1, m.n + 1):
-        subsets = list(index_sets(m.n, k))
+
+
+def _sign_symmetry_witness(table: _MinorTable):
+    """The first pair A(a;b) * A(b;a) < 0, a before b in lex order, or None."""
+    for k in range(1, table.n + 1):
+        subsets, minors, scale = table.order(k)
         for i, a in enumerate(subsets):
-            for b in subsets[i + 1 :]:
-                product = minor(m, a, b) * minor(m, b, a)
+            for j in range(i + 1, len(subsets)):
+                product = minors[i][j] * minors[j][i]
                 if product < 0:
-                    return False, MinorWitness(
-                        order=k, rows=a, cols=b, value=product
+                    return MinorWitness(
+                        order=k, rows=a, cols=subsets[j],
+                        value=Fraction(product, scale),
                     )
-    return True, None
+    return None
+
+
+def _square_dominance_witness(table: _MinorTable, side):
+    """The first principal set a with A(a;a)^2 <= sum over b != a of
+    A(a;b)^2 (row side) or A(b;a)^2 (column side), or None."""
+    for k in range(1, table.n + 1):
+        subsets, minors, scale = table.order(k)
+        for i, a in enumerate(subsets):
+            line = minors[i] if side == "row" else [row[i] for row in minors]
+            diag = line[i] * line[i]
+            off = sum(x * x for x in line) - diag
+            if diag <= off:
+                return MinorWitness(
+                    order=k, rows=a, cols=a, value=Fraction(diag - off, scale)
+                )
+    return None
+
+
+def is_sign_symmetric(m: ExactMatrix):
+    """Sign-symmetry: A(a;b) * A(b;a) >= 0 for all same-size index sets."""
+    _check_sign_symmetry_size(m.n)
+    witness = _sign_symmetry_witness(_MinorTable(m))
+    return witness is None, witness
 
 
 def is_square_diag_dominant(m: ExactMatrix, side="row"):
@@ -158,19 +258,8 @@ def is_square_diag_dominant(m: ExactMatrix, side="row"):
     """
     if side not in ("row", "col"):
         raise MatrixArgumentError(f"side must be 'row' or 'col', got {side!r}")
-    mm = m if side == "row" else m.transpose()
-    for k in range(1, mm.n + 1):
-        subsets = list(index_sets(mm.n, k))
-        for a in subsets:
-            diag = minor(mm, a, a)
-            off = sum(
-                (minor(mm, a, b) ** 2 for b in subsets if b != a), Fraction(0)
-            )
-            if diag * diag <= off:
-                return False, MinorWitness(
-                    order=k, rows=a, cols=a, value=diag * diag - off
-                )
-    return True, None
+    witness = _square_dominance_witness(_MinorTable(m), side)
+    return witness is None, witness
 
 
 def classify_full(m: ExactMatrix) -> ClassReport:
@@ -200,16 +289,16 @@ def classify_full(m: ExactMatrix) -> ClassReport:
         p2_ok = False
         witnesses.setdefault("P2", p_witness)
 
-    ss_ok, ss_witness = is_sign_symmetric(m)
-    if ss_witness is not None:
-        witnesses["sign_symmetric"] = ss_witness
-
-    row_ok, row_witness = is_square_diag_dominant(m, "row")
-    if row_witness is not None:
-        witnesses["row_sqdd"] = row_witness
-    col_ok, col_witness = is_square_diag_dominant(m, "col")
-    if col_witness is not None:
-        witnesses["col_sqdd"] = col_witness
+    _check_sign_symmetry_size(m.n)
+    table = _MinorTable(m)
+    checks = (
+        ("sign_symmetric", _sign_symmetry_witness(table)),
+        ("row_sqdd", _square_dominance_witness(table, "row")),
+        ("col_sqdd", _square_dominance_witness(table, "col")),
+    )
+    for key, witness in checks:
+        if witness is not None:
+            witnesses[key] = witness
 
     return ClassReport(
         n=m.n,
@@ -217,9 +306,9 @@ def classify_full(m: ExactMatrix) -> ClassReport:
         is_q=q_ok,
         is_p2=p2_ok,
         is_q2=q2_ok,
-        is_sign_symmetric=ss_ok,
-        is_row_sqdd=row_ok,
-        is_col_sqdd=col_ok,
+        is_sign_symmetric="sign_symmetric" not in witnesses,
+        is_row_sqdd="row_sqdd" not in witnesses,
+        is_col_sqdd="col_sqdd" not in witnesses,
         order_sums=sums_m,
         order_sums_square=sums_m2,
         witnesses=witnesses,

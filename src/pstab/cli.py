@@ -3,6 +3,8 @@ stage, certificate serialization and the built-in demo.
 
 Matrix files are plain text: a dimension line, then n rows of n entries
 (integers, fractions like "-7/5", or finite decimals, all parsed exactly).
+An entry may have at most MAX_LITERAL_DIGITS digits and a decimal exponent
+of at most MAX_LITERAL_EXPONENT in magnitude.
 Certificates are JSON with every exact value stored as a fraction string;
 the only floats are eigenvalues, which carry their tolerances.
 
@@ -15,7 +17,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -29,7 +33,7 @@ from .errors import (
     SingularMatrixError,
     StabilizerInconclusiveError,
 )
-from .exactmat import ExactMatrix
+from .exactmat import ExactMatrix, rational_str as entry_str
 from .nests import NestCertificate, NestEvidence, verify_nest
 from .spectra import DEFAULT_TOL_IMAG, DEFAULT_TOL_POS, DEFAULT_TOL_SEP
 from .stabilize import (
@@ -45,6 +49,13 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+
+# The exact integer behind a literal can be far larger than its text:
+# "1e100000000" is 11 characters and a 100,000,001-digit integer.  The caps
+# are checked on the text, before the integer is built.
+MAX_LITERAL_DIGITS = 1000
+MAX_LITERAL_EXPONENT = 10000
+_EXPONENT = re.compile(r"[eE][+-]?([\d_]+)$")
 
 
 class MatrixParseError(Exception):
@@ -92,6 +103,9 @@ def parse_matrix(text) -> ExactMatrix:
             )
         row = []
         for col, token in enumerate(tokens, start=1):
+            problem = _literal_size_problem(token)
+            if problem:
+                raise MatrixParseError(problem, lineno, col)
             try:
                 row.append(Fraction(token))
             except (ValueError, ZeroDivisionError) as exc:
@@ -102,18 +116,28 @@ def parse_matrix(text) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
+def _literal_size_problem(token):
+    """Why a matrix entry's text is over the literal caps, or None."""
+    digits = sum(ch.isdigit() for ch in token)
+    if digits > MAX_LITERAL_DIGITS:
+        return f"entry has {digits} digits; at most {MAX_LITERAL_DIGITS} are allowed"
+    match = _EXPONENT.search(token)
+    if match and int(match[1].replace("_", "") or "0") > MAX_LITERAL_EXPONENT:
+        return (
+            f"entry's decimal exponent is larger than {MAX_LITERAL_EXPONENT} "
+            "in magnitude"
+        )
+    return None
+
+
 def load_matrix(path) -> ExactMatrix:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_matrix(handle.read())
 
 
-def entry_str(x: Fraction) -> str:
-    """Shortest exact form: "7" for integers, "p/q" otherwise."""
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def format_matrix(m: ExactMatrix) -> str:
-    """Canonical matrix file text; parse(format(m)) == m token for token."""
+    """Canonical matrix file text; parse(format(m)) == m token for token
+    while every entry's digits are within MAX_LITERAL_DIGITS."""
     lines = [str(m.n)]
     for row in m.rows:
         lines.append(" ".join(entry_str(x) for x in row))
@@ -128,9 +152,10 @@ def matrix_hash(m: ExactMatrix) -> str:
 
 
 def frac_str(x) -> str:
-    """Lossless fraction string, denominator always explicit ("5491/1")."""
+    """Lossless fraction string, denominator always explicit ("5491/1"),
+    at any length (see :func:`pstab.exactmat.rational_str`)."""
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 def _matrix_doc(m: ExactMatrix):
@@ -225,8 +250,17 @@ def _list_of(convert):
     return convert_list
 
 
+_RATIO = re.compile(r"([+-]?[0-9]+)/([0-9]+)")
+
+
 def _fraction(value):
-    return Fraction(_typed(str)(value))
+    """A certificate's exact value; the "p/q" form that :func:`frac_str`
+    writes is read at any length."""
+    text = _typed(str)(value)
+    match = _RATIO.fullmatch(text)
+    if match is None:
+        return Fraction(text)
+    return Fraction(int(Decimal(match[1])), int(Decimal(match[2])))
 
 
 def _matrix(value):
@@ -371,7 +405,7 @@ def _exact_section_problems(doc, section, label, recomputed):
             continue
         if values[key] != recomputed[key]:
             problems.append(f"{label} ({key}) does not re-verify")
-        elif Fraction(recomputed[key]) <= 0:
+        elif _fraction(recomputed[key]) <= 0:
             problems.append(f"{label} ({key}) is not positive")
     return problems
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import MatrixArgumentError, SingularMatrixError
@@ -37,6 +38,19 @@ def as_rational(x) -> Fraction:
     raise MatrixArgumentError(
         f"unsupported entry type {type(x).__name__}; pass int, Fraction or str"
     )
+
+
+def rational_str(x) -> str:
+    """str(Fraction(x)), "p" or "p/q", for values of any length.
+
+    str() of an int refuses more digits than the interpreter's
+    int-to-str limit (4300 by default); the decimal module's conversion of
+    an int is exact and has no such limit.
+    """
+    x = Fraction(x)
+    if x.denominator == 1:
+        return str(Decimal(x.numerator))
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 class ExactMatrix:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .classify import is_q2
 from .errors import MatrixArgumentError
-from .exactmat import ExactMatrix, principal_submatrix
+from .exactmat import ExactMatrix, principal_submatrix, rational_str
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class NestViolation:
         src = "square" if self.from_square else "matrix"
         return (
             f"level {self.level} subset {self.subset}: order-{self.order} "
-            f"minor sum of the {src} is {self.value}"
+            f"minor sum of the {src} is {rational_str(self.value)}"
         )
 
 

@@ -36,12 +36,23 @@ class Spectrum:
 def eigenvalues(m: ExactMatrix) -> Spectrum:
     """All eigenvalues of the double-precision image of an exact matrix.
 
-    Raises NumericToleranceError if the eigenvalue sum or product disagrees
-    with the exact trace or determinant beyond n * 1e-8 * (1 + |value|).
+    Raises NumericToleranceError if an entry is beyond the double range, or
+    if the eigenvalue sum or product disagrees with the exact trace or
+    determinant beyond n * 1e-8 * (1 + |value|).  The comparison is made on
+    values scaled by 2^-e, 2^e about the largest entry, so that the
+    determinant of a matrix with large entries stays within the double
+    range.  A power-of-two scale is exact in binary floating point, so
+    wherever the unscaled values are normal doubles the comparison is the
+    same as on them.
     """
     if m.n > MAX_DIMENSION:
         raise MatrixArgumentError(f"eigenvalues capped at n <= {MAX_DIMENSION}")
-    dense = np.array([[float(x) for x in row] for row in m.rows], dtype=float)
+    try:
+        dense = np.array([[float(x) for x in row] for row in m.rows], dtype=float)
+    except OverflowError as exc:
+        raise NumericToleranceError(
+            "matrix entries exceed the double range"
+        ) from exc
     values = np.linalg.eigvals(dense)
     spectrum = Spectrum(
         eigenvalues=tuple(complex(v) for v in values),
@@ -49,21 +60,27 @@ def eigenvalues(m: ExactMatrix) -> Spectrum:
         tol_backward=np.finfo(float).eps,
     )
 
-    exact_trace = float(trace(m))
-    exact_det = float(det(m))
-    eig_sum = sum(spectrum.eigenvalues)
-    eig_prod = math.prod(spectrum.eigenvalues)
-    tol_sum = m.n * 1e-8 * (1 + abs(exact_trace))
-    tol_prod = m.n * 1e-8 * (1 + abs(exact_det))
-    if abs(eig_sum - exact_trace) > tol_sum:
+    e = max(
+        0,
+        *(x.numerator.bit_length() - x.denominator.bit_length()
+          for row in m.rows for x in row),
+    )
+    scale = math.ldexp(1.0, -e)
+    exact_trace = float(trace(m) / 2**e)
+    exact_det = float(det(m) / 2 ** (m.n * e))
+    eig_sum = sum(v * scale for v in spectrum.eigenvalues)
+    eig_prod = math.prod(v * scale for v in spectrum.eigenvalues)
+    tol_sum = m.n * 1e-8 * (scale + abs(exact_trace))
+    tol_prod = m.n * 1e-8 * (scale**m.n + abs(exact_det))
+    if not abs(eig_sum - exact_trace) <= tol_sum:
         raise NumericToleranceError(
             f"eigenvalue sum {eig_sum} vs exact trace {exact_trace} "
-            f"differs beyond {tol_sum}"
+            f"differs beyond {tol_sum} (all scaled by 2^-{e})"
         )
-    if abs(eig_prod - exact_det) > tol_prod:
+    if not abs(eig_prod - exact_det) <= tol_prod:
         raise NumericToleranceError(
             f"eigenvalue product {eig_prod} vs exact det {exact_det} "
-            f"differs beyond {tol_prod}"
+            f"differs beyond {tol_prod} (all scaled by 2^-{e})"
         )
     return spectrum
 

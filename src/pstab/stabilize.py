@@ -61,6 +61,7 @@ from .exactmat import (
     principal_submatrix,
     inverse,
     principal_minor_sums,
+    rational_str,
 )
 from .nests import NestCertificate, NestEvidence, chain_tau, verify_nest
 
@@ -278,6 +279,25 @@ class TraceLedger:
         return None
 
 
+def _lagrange_operator(n) -> list:
+    """W = n! V^(-1) on integers, V = (s^k) the Vandermonde matrix of the
+    nodes s = 0..n (rows) and powers k = 0..n (columns).
+
+    Column s of W holds the coefficients, lowest power first, of
+    n! L_s(x) = (-1)^(n-s) C(n,s) prod_{r != s} (x - r), L_s the Lagrange
+    basis polynomial of node s, so W V = n! I with no rational inverse.
+    """
+    w = [[0] * (n + 1) for _ in range(n + 1)]
+    for s in range(n + 1):
+        poly = [(-1) ** (n - s) * math.comb(n, s)]
+        for r in range(n + 1):
+            if r != s:
+                poly = [a - r * b for a, b in zip([0] + poly, poly + [0])]
+        for k, coeff in enumerate(poly):
+            w[k][s] = coeff
+    return w
+
+
 def _trace_ledger(b: ExactMatrix, eps) -> TraceLedger:
     """The complete ledger of diag(eps) over B from one generating function.
 
@@ -289,7 +309,8 @@ def _trace_ledger(b: ExactMatrix, eps) -> TraceLedger:
     E_j(X_s X_t) / (delta beta)^(2j), X_s = (delta I + s D') B'.  It is
     evaluated for s, t in {0..n}, only for s <= t since
     E_j(X_s X_t) = E_j(X_t X_s), and the coefficients are recovered by
-    two exact Vandermonde passes, W P W^T / w^2 with W / w = V^(-1).
+    two exact Vandermonde passes, W P W^T / (n!)^2 with the integer
+    Lagrange operator W = n! V^(-1) of :func:`_lagrange_operator`.
     """
     n = b.n
     b_int, beta = cleared(b)
@@ -305,8 +326,7 @@ def _trace_ledger(b: ExactMatrix, eps) -> TraceLedger:
         for t in range(s, n + 1):
             sums = integer_minor_sums(integer_product(scaled[s], scaled[t]))
             grid[s, t] = grid[t, s] = sums
-    vandermonde = ExactMatrix([[s**k for k in nodes] for s in nodes])
-    w_rows, w = cleared(inverse(vandermonde))
+    w_rows, w = _lagrange_operator(n), math.factorial(n)
     w_cols = [list(col) for col in zip(*w_rows)]
 
     entries, cross_terms = {}, {}
@@ -414,7 +434,7 @@ def build_stabilizer(
     for (j, m_pos), value in block_traces(b).items():
         if value <= 0:
             raise MatrixArgumentError(
-                f"block trace ({j},{m_pos}) = {value} is not positive"
+                f"block trace ({j},{m_pos}) = {rational_str(value)} is not positive"
             )
 
     ratios = [Fraction(1, 2)] * (n - 1)

@@ -5,10 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_matrix, random_spd_matrix
 from pstab import ExactMatrix
+from pstab import classify
 from pstab.classify import (
+    MinorWitness,
     classify_full,
     is_p,
     is_q,
@@ -18,6 +22,7 @@ from pstab.classify import (
     order_sum_traces,
 )
 from pstab.errors import MatrixArgumentError
+from pstab.exactmat import index_sets, minor
 from pstab.fixtures import DEMO_A, DEMO_D, DEMO_SQUARE_ORDER_SUMS
 
 
@@ -144,3 +149,98 @@ def test_classify_full_agrees_with_individual_tests():
         for key, flag in report.flags().items():
             if not flag:
                 assert key in report.witnesses
+
+
+# -- the shared minor table against one Bareiss minor per index pair --------
+
+
+def reference_sign_symmetry(m):
+    """Sign-symmetry with every minor a separate Bareiss determinant."""
+    for k in range(1, m.n + 1):
+        subsets = list(index_sets(m.n, k))
+        for i, a in enumerate(subsets):
+            for b in subsets[i + 1 :]:
+                product = minor(m, a, b) * minor(m, b, a)
+                if product < 0:
+                    return False, MinorWitness(order=k, rows=a, cols=b, value=product)
+    return True, None
+
+
+def reference_square_dominance(m, side):
+    """Square diagonal dominance with every minor a separate Bareiss
+    determinant; the column side runs on the transpose."""
+    mm = m if side == "row" else m.transpose()
+    for k in range(1, mm.n + 1):
+        subsets = list(index_sets(mm.n, k))
+        for a in subsets:
+            diag = minor(mm, a, a)
+            off = sum((minor(mm, a, b) ** 2 for b in subsets if b != a), Fraction(0))
+            if diag * diag <= off:
+                return False, MinorWitness(
+                    order=k, rows=a, cols=a, value=diag * diag - off
+                )
+    return True, None
+
+
+@st.composite
+def class_test_matrices(draw):
+    """Integer, fraction, sparse, singular or nearly symmetric matrices,
+    n = 1..6, with a diagonal shift that lets the checks run past order 1."""
+    n = draw(st.integers(1, 6))
+    kind = draw(
+        st.sampled_from(["integer", "fraction", "sparse", "singular", "symmetric"])
+    )
+    if kind == "fraction":
+        entry = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    elif kind == "sparse":
+        entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    else:
+        entry = st.integers(-5, 5)
+    row = st.lists(entry, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    shift = draw(st.sampled_from([0, 0, 4, 12, 30]))
+    for i in range(n):
+        rows[i][i] += shift
+    if kind == "singular" and n > 1:
+        rows[-1] = list(rows[0])
+    if kind == "symmetric":  # sign-symmetric, then one entry moved
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] += draw(st.sampled_from([0, 1, -2]))
+    return ExactMatrix(rows)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(class_test_matrices())
+def test_minor_table_checks_match_per_minor_reference(m):
+    report = classify_full(m)
+    row, col = (
+        (is_square_diag_dominant(m, side), reference_square_dominance(m, side))
+        for side in ("row", "col")
+    )
+    for key, (got, (verdict, witness)) in (
+        ("sign_symmetric", (is_sign_symmetric(m), reference_sign_symmetry(m))),
+        ("row_sqdd", row),
+        ("col_sqdd", col),
+    ):
+        assert got == (verdict, witness)
+        assert report.flags()[key] == verdict
+        assert report.witnesses.get(key) == witness
+
+
+def test_minor_table_grows_only_to_the_order_the_checks_reach(monkeypatch):
+    built = []
+    grow = classify._MinorTable._grow
+
+    def recording_grow(table):
+        grow(table)
+        built.append(len(table.subsets) - 1)
+
+    monkeypatch.setattr(classify._MinorTable, "_grow", recording_grow)
+    report = classify_full(DEMO_A)  # every check fails at order 1
+    assert built == [1]
+    checks = ("sign_symmetric", "row_sqdd", "col_sqdd")
+    assert {report.witnesses[key].order for key in checks} == {1}
+    built.clear()
+    assert is_sign_symmetric(ExactMatrix.identity(4))[0]
+    assert built == [1, 2, 3, 4]

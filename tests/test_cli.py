@@ -1,6 +1,7 @@
 """The command-line front end: parsing, subcommands, exit codes."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,60 @@ def test_classify_malformed_file_exits_3(tmp_path, capsys):
     path.write_text("4\n1 2 3\n")
     assert main(["classify", str(path)]) == EXIT_INPUT
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "token", ["1e100000000", "1E-100000000", "1e1_0000_0000", "1" * 1001]
+)
+def test_oversized_literal_exits_3_at_once(tmp_path, capsys, token):
+    path = tmp_path / "big.txt"
+    path.write_text(f"2\n1 0\n0 {token}\n")
+    start = time.perf_counter()
+    assert main(["classify", str(path)]) == EXIT_INPUT
+    assert time.perf_counter() - start < 1.0
+    assert "line 3, entry 2" in capsys.readouterr().err
+    with pytest.raises(MatrixParseError):
+        parse_matrix(f"1\n{token}\n")
+
+
+def test_literals_at_the_caps_parse():
+    assert parse_matrix("1\n1e10000\n").entry(1, 1) == 10**10000
+    assert parse_matrix(f"1\n{'9' * 1000}\n").entry(1, 1) == 10**1000 - 1
+
+
+def test_classify_json_prints_values_beyond_the_int_str_limit(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("1\n1e5000\n")
+    assert main(["classify", "--json", str(path)]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["order_sums"] == ["1" + "0" * 5000 + "/1"]
+    assert doc["order_sums_square"] == ["1" + "0" * 10000 + "/1"]
+    path.write_text("1\n-1e5000\n")
+    assert main(["classify", "--json", str(path)]) == EXIT_REFUTED
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["witnesses"]["P"] == "A(1; 1) = -1" + "0" * 5000
+
+
+def test_certify_scaled_demo_beyond_the_double_determinant(tmp_path, capsys):
+    # every entry times 10^150: det A is about 10^603, past the double range
+    path = tmp_path / "scaled.txt"
+    path.write_text(format_matrix(DEMO_A * 10**150))
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify", str(path), "--json", cert_path]) == EXIT_OK
+    assert main(["verify", cert_path, str(path)]) == EXIT_OK
+    path.write_text("2\n1 0\n0 1e400\n")  # no double holds the entry
+    assert main(["certify", str(path)]) == EXIT_INCONCLUSIVE
+    assert "double range" in capsys.readouterr().out
+
+
+def test_certificate_with_long_exact_values_re_verifies(tmp_path, capsys):
+    path = tmp_path / "tiny.txt"
+    path.write_text("2\n1 1e-5000\n0 1\n")
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify", str(path), "--json", cert_path]) == EXIT_OK
+    with open(cert_path) as handle:
+        assert json.load(handle)["input"]["matrix"][0][1] == "1/1" + "0" * 5000
+    assert main(["verify", cert_path, str(path)]) == EXIT_OK
 
 
 def test_missing_file_exits_3(capsys):

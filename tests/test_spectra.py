@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_matrix
 from pstab import ExactMatrix
-from pstab.errors import MatrixArgumentError
+from pstab.errors import MatrixArgumentError, NumericToleranceError
 from pstab.spectra import (
     MAX_DIMENSION,
     eigenvalues,
@@ -39,6 +39,15 @@ def test_eigenvalue_cross_checks_pass_on_random_input():
     rng = random.Random(50)
     for _ in range(10):
         eigenvalues(random_matrix(rng, rng.choice([2, 3, 4, 5])))
+
+
+def test_eigenvalue_cross_checks_scale_with_the_entries():
+    # det = 2 * 10^1200: beyond the double range, each eigenvalue within it
+    big = 10**300
+    spectrum = eigenvalues(ExactMatrix.diagonal([big, 2 * big, big, big]))
+    assert multiset_match(spectrum.eigenvalues, [1e300, 2e300, 1e300, 1e300])
+    with pytest.raises(NumericToleranceError):
+        eigenvalues(ExactMatrix.diagonal([1, 10**400]))
 
 
 def test_is_positively_stable_margin():

@@ -26,6 +26,7 @@ from pstab.nests import find_q2_nest
 from pstab.stabilize import (
     Stabilizer,
     TraceLedger,
+    _lagrange_operator,
     block_traces,
     build_B,
     build_stabilizer,
@@ -377,3 +378,17 @@ def test_certify_stability_no_nest(monkeypatch):
     with pytest.raises(HypothesisError) as exc:
         certify_stability(DEMO_A)
     assert exc.value.kind == "no-nest"
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_lagrange_operator_inverts_the_vandermonde_matrix(n):
+    vandermonde = [[s**k for k in range(n + 1)] for s in range(n + 1)]
+    w = _lagrange_operator(n)
+    product = [
+        [sum(w[i][s] * vandermonde[s][j] for s in range(n + 1)) for j in range(n + 1)]
+        for i in range(n + 1)
+    ]
+    factorial = math.factorial(n)
+    assert product == [
+        [factorial if i == j else 0 for j in range(n + 1)] for i in range(n + 1)
+    ]
