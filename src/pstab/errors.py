@@ -37,22 +37,25 @@ class HypothesisError(CertificationError):
 
 
 class StabilizerInconclusiveError(CertificationError):
-    """The diagonal-stabilizer search hit its shrink cap, or its result
+    """The diagonal-stabilizer search hit its halving cap, or its result
     failed the exact re-check.
 
     Not a refutation: when B is positively stable a diagonal close enough
-    to I passes both exact checks, but the search gave up.  ``level`` is
-    the level search's failing block size, or None after the approach to
-    the identity; ``last_violation`` names the last nonpositive value.
+    to I passes both exact checks, but the search gave up after
+    ``halvings`` halvings of I - D.  ``last_violation`` names the last
+    nonpositive value as (key, value), or is None when no diagonal was
+    tried.
     """
 
     kind = "inconclusive"
 
-    def __init__(self, level, last_violation, message=None):
-        super().__init__(
-            message or f"stabilizer search exhausted at level {level}"
-        )
-        self.level = level
+    def __init__(self, halvings, last_violation, message=None):
+        if message is None:
+            message = f"stabilizer search gave up after {halvings} halvings of I - D"
+            if last_violation is not None:
+                key, value = last_violation
+                message += f"; last violation {key} = {value}"
+        super().__init__(message)
         self.last_violation = last_violation
 
 

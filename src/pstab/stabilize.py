@@ -5,7 +5,8 @@ The pipeline: a P-matrix that is Q^2 and carries a maximal Q^2 chain is
 transformed (via the chain's permutation and exact inversion) into a matrix
 B whose compound leading blocks all have positive squared traces.  A
 strictly decreasing positive diagonal D = diag(1, e_2, ..., e_n) is then
-searched for such that two exact checks pass:
+found such that two exact checks pass.  The search starts at
+diag(1, 1/2, ..., 2^(1-n)) and halves I - D until both do:
 
 * the complete trace ledger L(j,k,m) = Tr(D_k^(j) B^(j) D_m^(j) B^(j)),
   0 <= k, m <= j <= n with D_0^(j) = I, is positive.  Its entries are the
@@ -243,8 +244,7 @@ class Stabilizer:
     """Strictly decreasing positive diagonal, e_1 = 1 > e_2 > ... > e_n > 0."""
 
     eps: tuple  # Fractions
-    shrink_log: tuple  # halvings of e_(l+1) / e_l in the level search, l = 1..n-1
-    identity_steps: int = 0  # halvings of I - D after the level search
+    identity_steps: int = 0  # halvings of I - D from the geometric start
 
     def __post_init__(self):
         if self.eps[0] != 1:
@@ -393,36 +393,19 @@ def first_exact_violation(ledger: TraceLedger, minors):
 # -- the stabilizer search --------------------------------------------------
 
 
-def _eps_from_ratios(ratios):
-    eps = [Fraction(1)]
-    for r in ratios:
-        eps.append(eps[-1] * r)
-    return eps
-
-
-def _leading_block_stable(b, eps, size):
-    head = tuple(range(1, size + 1))
-    block = principal_submatrix(b, head).scale_rows(eps[:size])
-    return all(v > 0 for v in hurwitz_minors(block))
-
-
 def build_stabilizer(
     b: ExactMatrix, max_shrink: int = DEFAULT_MAX_SHRINK
 ) -> Stabilizer:
-    """Constructive search for a diagonal that passes both exact checks.
+    """Search for a diagonal that passes both exact checks.
 
-    Level search: e_(l+1) starts at e_l / 2 and halves until all ledger
-    entries (1 <= k, m) with max(k, m) = l are positive and the leading
-    (l+1)-block of diag(eps) * B has positive Hurwitz minors.  Unchosen
-    trailing entries continue the current geometric decay.
-
-    Approach to the identity: the complete ledger (entries and cross
-    terms) and the Hurwitz minors of diag(eps) * B are then checked
-    exactly, and on any nonpositive value I - D is halved, which moves D
-    along its own homotopy path toward I.  As D -> I every L(j,k,m) tends
-    to C(j,k) C(j,m) E_j(B^2) > 0 and diag(eps) * B tends to B, so when B
-    is positively stable the approach ends after finitely many halvings.
-    Both loops stop after ``max_shrink`` halvings and raise
+    The search starts at the geometric diagonal D_0 = diag(1, 1/2, ...,
+    2^(1-n)) and tries D = I - (I - D_0) / 2^s for s = 0, 1, ...: each
+    halving of I - D moves D along its own homotopy path toward I.  The
+    first D whose complete ledger (entries and cross terms) and Hurwitz
+    minors of diag(eps) * B are all positive is returned.  As D -> I every
+    L(j,k,m) tends to C(j,k) C(j,m) E_j(B^2) > 0 and diag(eps) * B tends
+    to B, so when B is positively stable the search ends after finitely
+    many halvings; after ``max_shrink`` of them it raises
     StabilizerInconclusiveError.
     """
     n = b.n
@@ -437,43 +420,17 @@ def build_stabilizer(
                 f"block trace ({j},{m_pos}) = {rational_str(value)} is not positive"
             )
 
-    ratios = [Fraction(1, 2)] * (n - 1)
-    shrink_log = [0] * (n - 1)
-
-    for level in range(1, n):
-        last_violation = None
-        for _ in range(max_shrink + 1):
-            eps = _eps_from_ratios(ratios)
-            entries = _trace_ledger(b, eps).entries
-            bad = [
-                (key, v)
-                for key, v in sorted(entries.items())
-                if max(key[1:]) == level and v <= 0
-            ]
-            if not bad and _leading_block_stable(b, eps, level + 1):
-                break
-            last_violation = bad[0] if bad else ("leading-block-hurwitz", level + 1)
-            ratios[level - 1] /= 2
-            shrink_log[level - 1] += 1
-        else:
-            raise StabilizerInconclusiveError(
-                level=level + 1, last_violation=last_violation
-            )
-
-    start = _eps_from_ratios(ratios)
+    gaps = [1 - Fraction(1, 2**i) for i in range(n)]
     last_violation = None
     for steps in range(max_shrink + 1):
-        scale = Fraction(1, 2**steps)
-        eps = [1 - (1 - e) * scale for e in start]
+        eps = [1 - gap / 2**steps for gap in gaps]
         violation = first_exact_violation(
             _trace_ledger(b, eps), hurwitz_minors(b.scale_rows(eps))
         )
         if violation is None:
-            return Stabilizer(
-                eps=tuple(eps), shrink_log=tuple(shrink_log), identity_steps=steps
-            )
+            return Stabilizer(eps=tuple(eps), identity_steps=steps)
         last_violation = violation
-    raise StabilizerInconclusiveError(level=None, last_violation=last_violation)
+    raise StabilizerInconclusiveError(max_shrink, last_violation)
 
 
 # -- the top-level certificate ---------------------------------------------
@@ -554,8 +511,8 @@ def certify_stability(
     violation = first_exact_violation(ledger, minors)
     if violation is not None:
         raise StabilizerInconclusiveError(
-            level=None,
-            last_violation=violation,
+            stabilizer.identity_steps,
+            violation,
             message=f"stabilizer fails the exact re-check at {violation}",
         )
 

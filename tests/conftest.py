@@ -1,4 +1,4 @@
-"""Shared random-matrix generators for the test suite.
+"""Shared random-matrix generators and fixed matrices for the test suite.
 
 Every generator takes an explicit random.Random so each test pins its own
 seed; nothing here touches the global RNG state.
@@ -8,6 +8,20 @@ from fractions import Fraction
 
 from pstab import ExactMatrix, det
 from pstab.classify import is_p, is_q
+
+# P and Q^2 with a Q^2 nest, spectrum real parts >= 4.7.  A greedy search
+# that fixes the stabilizer's entries one level at a time gives up on it
+# at level 3, on ledger entry (2,1,2).
+LEVEL_SEARCH_FAULT = ExactMatrix(
+    [
+        [4, -4, 6, -9, 6, -7],
+        [8, 18, -2, 9, 1, 8],
+        [-6, -4, 7, 2, 1, 2],
+        [0, -2, -6, 7, -7, -4],
+        [4, 2, -4, -8, 18, -2],
+        [4, -4, 9, -9, 2, 17],
+    ]
+)
 
 
 def random_matrix(rng, n, lo=-9, hi=9):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import LEVEL_SEARCH_FAULT
 from pstab import ExactMatrix
 from pstab.cli import (
     EXIT_INCONCLUSIVE,
@@ -204,6 +205,18 @@ def test_certify_demo_and_verify_round_trip(demo_file, tmp_path, capsys):
     assert "re-verifies" in capsys.readouterr().out
 
 
+def test_certify_and_verify_level_search_fault(tmp_path, capsys):
+    matrix_path = tmp_path / "fault.txt"
+    matrix_path.write_text(format_matrix(LEVEL_SEARCH_FAULT))
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify", str(matrix_path), "--json", cert_path]) == EXIT_OK
+    with open(cert_path) as handle:
+        doc = json.load(handle)
+    assert doc["stabilizer"]["shrink_log"] == [0] * 5
+    assert main(["verify", cert_path, str(matrix_path)]) == EXIT_OK
+    assert "re-verifies" in capsys.readouterr().out
+
+
 def test_verify_detects_tampered_ledger(demo_file, tmp_path, capsys):
     cert_path = str(tmp_path / "cert.json")
     main(["certify", demo_file, "--json", cert_path])
@@ -361,8 +374,7 @@ def test_certify_exits_2_when_the_exact_recheck_fails(demo_file, monkeypatch, ca
     from pstab.stabilize import Stabilizer
 
     former = Stabilizer(
-        eps=(Fraction(1), Fraction(1, 64), Fraction(1, 128), Fraction(1, 256)),
-        shrink_log=(5, 0, 0),
+        eps=(Fraction(1), Fraction(1, 64), Fraction(1, 128), Fraction(1, 256))
     )
     monkeypatch.setattr(
         pstab.stabilize, "build_stabilizer", lambda b, max_shrink: former

@@ -7,14 +7,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    LEVEL_SEARCH_FAULT,
     random_fraction_matrix,
     random_invertible,
     random_matrix,
+    random_p_matrix,
     random_spd_matrix,
 )
 from pstab import ExactMatrix, det, inverse, minor, principal_submatrix, trace
 from pstab.compound import compound, diag_generalized_compound
-from pstab.classify import is_p, order_sum_traces
+from pstab.classify import is_p, is_q2, order_sum_traces
 from pstab.errors import (
     HypothesisError,
     MatrixArgumentError,
@@ -152,13 +154,13 @@ def test_block_traces_match_compound_blocks():
 
 
 def test_stabilizer_validation():
-    Stabilizer(eps=(Fraction(1), Fraction(1, 2)), shrink_log=(0,))
+    Stabilizer(eps=(Fraction(1), Fraction(1, 2)))
     with pytest.raises(MatrixArgumentError):
-        Stabilizer(eps=(Fraction(2), Fraction(1)), shrink_log=(0,))
+        Stabilizer(eps=(Fraction(2), Fraction(1)))
     with pytest.raises(MatrixArgumentError):
-        Stabilizer(eps=(Fraction(1), Fraction(1)), shrink_log=(0,))
+        Stabilizer(eps=(Fraction(1), Fraction(1)))
     with pytest.raises(MatrixArgumentError):
-        Stabilizer(eps=(Fraction(1), Fraction(-1, 2)), shrink_log=(0,))
+        Stabilizer(eps=(Fraction(1), Fraction(-1, 2)))
 
 
 def test_trace_ledger_violation_reporting():
@@ -309,7 +311,7 @@ def test_build_stabilizer_demo_passes_both_exact_checks():
     assert ledger.cross_terms and all(v > 0 for v in ledger.cross_terms.values())
     assert all(v > 0 for v in hurwitz_minors(b.scale_rows(stab.eps)))
     # the demo needs D close to I: the cross term (1,0,1) is negative for
-    # the level search's own diagonal
+    # the geometric start diag(1, 1/2, 1/4, 1/8)
     assert stab.identity_steps > 0
     assert all(e > Fraction(99, 100) for e in stab.eps)
 
@@ -323,6 +325,101 @@ def test_build_stabilizer_shrink_cap():
 def test_build_stabilizer_rejects_non_p():
     with pytest.raises(MatrixArgumentError):
         build_stabilizer(ExactMatrix([[1, 0], [0, -1]]))
+
+
+def test_build_stabilizer_demo_halves_from_the_geometric_start():
+    _, b = build_B(DEMO_A, find_q2_nest(DEMO_A))
+    stab = build_stabilizer(b)
+    # eight halvings of I - diag(1, 1/2, 1/4, 1/8)
+    assert stab.identity_steps == 8
+    assert stab.eps == (
+        Fraction(1), Fraction(511, 512), Fraction(1021, 1024), Fraction(2041, 2048)
+    )
+
+
+def test_shrink_cap_message_names_halvings_and_last_violation():
+    _, b = build_B(DEMO_A, find_q2_nest(DEMO_A))
+    with pytest.raises(StabilizerInconclusiveError) as exc:
+        build_stabilizer(b, max_shrink=1)
+    key, value = exc.value.last_violation
+    assert value <= 0
+    assert str(exc.value) == (
+        f"stabilizer search gave up after 1 halvings of I - D; "
+        f"last violation {key} = {value}"
+    )
+
+
+@pytest.mark.parametrize("a", [DEMO_A, LEVEL_SEARCH_FAULT], ids=["demo", "fault"])
+def test_build_stabilizer_computes_one_ledger_per_diagonal(monkeypatch, a):
+    import pstab.stabilize
+
+    _, b = build_B(a, find_q2_nest(a))
+    ledger = pstab.stabilize._trace_ledger
+    calls = []
+
+    def counted(b, eps):
+        calls.append(eps)
+        return ledger(b, eps)
+
+    monkeypatch.setattr(pstab.stabilize, "_trace_ledger", counted)
+    stab = build_stabilizer(b)
+    assert len(calls) == stab.identity_steps + 1
+
+
+def test_certify_stability_level_search_fault():
+    cert = certify_stability(LEVEL_SEARCH_FAULT)
+    assert cert.stabilizer.identity_steps == 3
+    assert cert.trace_ledger.all_positive()
+    assert all(v > 0 for v in cert.endpoint_hurwitz)
+
+
+def _nested_p_q2(m):
+    return is_p(m)[0] and is_q2(m)[0] and find_q2_nest(m) is not None
+
+
+def _boosted(rng):
+    """Random [-4, 4] 6x6 matrix, diagonal raised to the least P-making
+    shift, redrawn until it is Q^2 with a nest."""
+    while True:
+        m = random_p_matrix(rng, 6)
+        if _nested_p_q2(m):
+            return m
+
+
+def _demo_last(rng):
+    """DEMO_A on indices 3..6 after a diagonally dominant 2-block, coupled
+    by entries in [-1, 1]."""
+    def entry(i, j):
+        if i > 2 and j > 2:
+            return DEMO_A.entry(i - 2, j - 2)
+        return rng.randint(8, 12) if i == j else rng.randint(-1, 1)
+
+    while True:
+        m = ExactMatrix([[entry(i, j) for j in range(1, 7)] for i in range(1, 7)])
+        if _nested_p_q2(m):
+            return m
+
+
+def _demo_permuted(rng):
+    """:func:`_demo_last` under a random symmetric permutation."""
+    m = _demo_last(rng)
+    perm = rng.sample(range(1, 7), 6)
+    return ExactMatrix([[m.entry(i, j) for j in perm] for i in perm])
+
+
+@pytest.mark.parametrize(
+    "draw,count,seed",
+    [(_boosted, 12, 1), (_demo_last, 4, 2), (_demo_permuted, 4, 3)],
+    ids=["boosted", "demo-last", "demo-permuted"],
+)
+def test_certify_stability_nested_family(draw, count, seed):
+    # P and Q^2 with a nest, so the theorem covers every input; each group
+    # holds inputs on which a level-by-level stabilizer search gives up
+    rng = random.Random(seed)
+    for _ in range(count):
+        a = draw(rng)
+        cert = certify_stability(a)
+        assert cert.trace_ledger.all_positive()
 
 
 def test_certify_stability_demo_certificate():
@@ -341,8 +438,7 @@ def test_certify_stability_refuses_a_failing_stabilizer(monkeypatch):
     import pstab.stabilize
 
     former = Stabilizer(
-        eps=(Fraction(1), Fraction(1, 64), Fraction(1, 128), Fraction(1, 256)),
-        shrink_log=(5, 0, 0),
+        eps=(Fraction(1), Fraction(1, 64), Fraction(1, 128), Fraction(1, 256))
     )
     monkeypatch.setattr(
         pstab.stabilize, "build_stabilizer", lambda b, max_shrink: former
