@@ -18,8 +18,6 @@ from .exactmat import (
     trace,
 )
 from .compound import (
-    CompoundMatrix,
-    GeneralizedCompound,
     compound,
     diag_generalized_compound,
     exterior_product,
@@ -52,8 +50,6 @@ __all__ = [
     "principal_submatrix",
     "inverse",
     "trace",
-    "CompoundMatrix",
-    "GeneralizedCompound",
     "compound",
     "diag_generalized_compound",
     "exterior_product",

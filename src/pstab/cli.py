@@ -9,7 +9,8 @@ Certificates are JSON with every exact value stored as a fraction string;
 the only floats are eigenvalues, which carry their tolerances.
 
 Exit codes are uniform across subcommands: 0 success/certified, 1 refuted
-(with a witness), 2 inconclusive, 3 input error.
+(with a witness), 2 inconclusive, 3 input error; a usage error (bad or
+missing argument, unknown command) is an input error.
 """
 
 from __future__ import annotations
@@ -353,7 +354,9 @@ def _verify_fields(doc, a, problems):
         problems.append("transformed matrix B does not re-verify")
         return
 
-    recomputed = {f"{j},{m}": frac_str(v) for (j, m), v in block_traces(b).items()}
+    recomputed = {
+        f"{j},{m}": frac_str(v) for (j, m), v in block_traces(evidence).items()
+    }
     problems.extend(
         _exact_section_problems(doc, "block_traces", "block trace", recomputed)
     )
@@ -465,9 +468,9 @@ def _print_exact_matrix(m: ExactMatrix, as_json):
 def cmd_compound(args) -> int:
     a = load_matrix(args.matrix)
     if args.wedge is None:
-        result = compound(a, args.order).data
+        result = compound(a, args.order)
     else:
-        result = generalized_compound(a, args.order, args.wedge).data
+        result = generalized_compound(a, args.order, args.wedge)
     _print_exact_matrix(result, args.json)
     return EXIT_OK
 
@@ -507,7 +510,11 @@ def cmd_certify(args) -> int:
 
 def cmd_verify(args) -> int:
     with open(args.certificate, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except RecursionError:
+            print("input error: certificate is nested too deeply", file=sys.stderr)
+            return EXIT_INPUT
     if not isinstance(doc, dict):
         print("input error: certificate is not a JSON object", file=sys.stderr)
         return EXIT_INPUT
@@ -539,8 +546,8 @@ def cmd_demo(args) -> int:
         print(f"[{'PASS' if ok else 'FAIL'}] {label}: {got} vs {want}")
 
     check("det A", det(a), fx.DEMO_DET)
-    check("A^(2)", compound(a, 2).data, fx.DEMO_COMPOUND_2)
-    check("A^(3)", compound(a, 3).data, fx.DEMO_COMPOUND_3)
+    check("A^(2)", compound(a, 2), fx.DEMO_COMPOUND_2)
+    check("A^(3)", compound(a, 3), fx.DEMO_COMPOUND_3)
     sq = a.square()
     check("A^2", sq, fx.DEMO_SQUARE)
     report = classify_full(a)
@@ -577,8 +584,28 @@ def cmd_demo(args) -> int:
 # -- argument parsing -------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_INPUT; argparse's own status 2 would read as
+    "inconclusive"."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _halvings(text):
+    """The type of --max-shrink: an integer of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pstab",
         description="Exact matrix-class tests and positive-stability certificates.",
     )
@@ -608,7 +635,7 @@ def build_parser():
     p.add_argument("--json", metavar="PATH", help="write the certificate document ('-' for stdout)")
     p.add_argument(
         "--max-shrink",
-        type=int,
+        type=_halvings,
         default=DEFAULT_MAX_SHRINK,
         help="halvings of I - D before giving up (exit 2)",
     )

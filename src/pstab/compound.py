@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MatrixArgumentError
@@ -29,59 +28,18 @@ EXTERIOR_MAX_N = 6
 EXTERIOR_MAX_J = 4
 
 
-@dataclass(frozen=True)
-class CompoundMatrix:
-    """The j-th compound of an n-by-n matrix: all j-minors, lex-indexed."""
-
-    base_n: int
-    order_j: int
-    data: ExactMatrix
-
-    def __post_init__(self):
-        expected = math.comb(self.base_n, self.order_j)
-        if self.data.n != expected:
-            raise MatrixArgumentError(
-                f"compound data has size {self.data.n}, expected C({self.base_n},"
-                f"{self.order_j}) = {expected}"
-            )
-
-
-@dataclass(frozen=True)
-class GeneralizedCompound:
-    """Exterior product of m copies of A with j-m copies of the identity."""
-
-    base_n: int
-    order_j: int
-    wedge_m: int
-    data: ExactMatrix
-
-    def __post_init__(self):
-        if not (1 <= self.wedge_m <= self.order_j <= self.base_n):
-            raise MatrixArgumentError(
-                f"need 1 <= m <= j <= n, got m={self.wedge_m}, j={self.order_j}, "
-                f"n={self.base_n}"
-            )
-        expected = math.comb(self.base_n, self.order_j)
-        if self.data.n != expected:
-            raise MatrixArgumentError(
-                f"generalized compound data has size {self.data.n}, expected "
-                f"{expected}"
-            )
-
-
 def _check_order(n, j):
     if not (1 <= j <= n):
         raise MatrixArgumentError(f"compound order j={j} out of range [1, {n}]")
 
 
-def compound(m: ExactMatrix, j: int) -> CompoundMatrix:
+def compound(m: ExactMatrix, j: int) -> ExactMatrix:
     """The j-th compound matrix: entry (alpha, beta) = A(alpha; beta)."""
     _check_order(m.n, j)
     subsets = list(index_sets(m.n, j))
-    data = ExactMatrix(
+    return ExactMatrix(
         [[minor(m, rows, cols) for cols in subsets] for rows in subsets]
     )
-    return CompoundMatrix(base_n=m.n, order_j=j, data=data)
 
 
 def _mixed_minor(matrices, rows, cols, assignment):
@@ -128,7 +86,7 @@ def exterior_product(matrices) -> ExactMatrix:
     return ExactMatrix(out)
 
 
-def generalized_compound(m: ExactMatrix, j: int, wedge_m: int) -> GeneralizedCompound:
+def generalized_compound(m: ExactMatrix, j: int, wedge_m: int) -> ExactMatrix:
     """The generalized compound A_m^(j): wedge_m copies of A against
     j - wedge_m identities.
 
@@ -164,12 +122,10 @@ def generalized_compound(m: ExactMatrix, j: int, wedge_m: int) -> GeneralizedCom
                 acc += det(ExactMatrix(block))
             out_row.append(acc)
         out.append(out_row)
-    return GeneralizedCompound(
-        base_n=n, order_j=j, wedge_m=wedge_m, data=ExactMatrix(out)
-    )
+    return ExactMatrix(out)
 
 
-def diag_generalized_compound(d, j: int, wedge_m: int) -> GeneralizedCompound:
+def diag_generalized_compound(d, j: int, wedge_m: int) -> ExactMatrix:
     """Fast path for diagonal input: entry alpha is the m-th elementary
     symmetric polynomial of the j diagonal values selected by alpha."""
     d = [as_rational(x) for x in d]
@@ -186,6 +142,4 @@ def diag_generalized_compound(d, j: int, wedge_m: int) -> GeneralizedCompound:
             Fraction(0),
         )
         diag.append(e_m)
-    return GeneralizedCompound(
-        base_n=n, order_j=j, wedge_m=wedge_m, data=ExactMatrix.diagonal(diag)
-    )
+    return ExactMatrix.diagonal(diag)

@@ -4,7 +4,7 @@ DEMO_A is the stock 4-by-4 example the demo subcommand walks through: a
 P-matrix that is neither sign-symmetric nor square diagonally dominant,
 yet carries a maximal Q^2 chain and so certifies as positively stable.
 Every reference value below was recomputed with the brute-force routines
-in :mod:`pstab.oracle` before being frozen here.
+of the test suite's ``oracle`` module before being frozen here.
 """
 
 from fractions import Fraction

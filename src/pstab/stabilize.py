@@ -23,12 +23,13 @@ These are the two facts the homotopy argument rests on: the spectrum
 starts in the open right half-plane at t = 0 and, the path staying Q^2,
 does not cross the imaginary axis on the way to B.
 
-No compound matrix is formed: every exact quantity is a sum of principal
-minors from the char-poly kernel (:mod:`pstab.exactmat`).  The block
-traces are det(B[1..m])^2 E_(j-m)(S_m^2) by Sylvester's identity, S_m the
-Schur complement of the leading m-block; the ledger is read off the
-generating function E_j((I + sD) B (I + tD) B) = sum s^k t^m L(j,k,m);
-the Hurwitz minors are built from E_k(D B).
+No compound matrix and no Schur complement is formed: every exact
+quantity is a sum of principal minors from the char-poly kernel
+(:mod:`pstab.exactmat`).  The block traces are read off the chain's own Q^2
+evidence, Tr((B^(j)[1..m])^2) = E_(n-j)(A[S_(n-m)]^2) / det(A)^2 (see
+:func:`block_traces`); the ledger is read off the generating function
+E_j((I + sD) B (I + tD) B) = sum s^k t^m L(j,k,m); the Hurwitz minors are
+built from E_k(D B).
 
 Exact and numeric content are kept separate: the ledger, Hurwitz minors,
 block traces and class verdicts are rational arithmetic; eigenvalues are
@@ -62,9 +63,8 @@ from .exactmat import (
     principal_submatrix,
     inverse,
     principal_minor_sums,
-    rational_str,
 )
-from .nests import NestCertificate, NestEvidence, chain_tau, verify_nest
+from .nests import NestCertificate, NestEvidence, chain_tau
 
 DEFAULT_MAX_SHRINK = 64
 
@@ -171,17 +171,14 @@ def build_B(a: ExactMatrix, nest: NestCertificate):
 
     With tau = (i_1, ..., i_n) listing the chain inner-to-outer, the
     permutation theta(i_m) = n - m + 1 sends the chain's submatrices to the
-    trailing blocks of the conjugated matrix; B is the inverse of that
-    conjugation.  B is verified exactly to be a P- and Q^2-matrix, and each
-    leading Schur complement of B is verified to invert onto the matching
-    trailing block.
+    trailing blocks of the conjugated matrix A~; B is the inverse of A~, so
+    the Schur complement of B's leading m-block is the inverse of A~'s
+    trailing (n-m)-block, a permutation of A[S_(n-m)]^(-1).  The nest is
+    taken as verified (it comes from :func:`pstab.nests.find_q2_nest` or
+    :func:`pstab.nests.verify_nest`); tau must be the permutation of its
+    chain.  B is verified exactly to be a P- and Q^2-matrix.
     """
     n = a.n
-    check = verify_nest(a, nest.chain)
-    if not isinstance(check, NestEvidence):
-        raise InternalInconsistencyError(
-            f"supplied nest fails re-verification: {check.describe()}"
-        )
     if tuple(nest.tau) != chain_tau(nest.chain):
         raise MatrixArgumentError("nest permutation does not match its chain")
 
@@ -193,8 +190,7 @@ def build_B(a: ExactMatrix, nest: NestCertificate):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             conjugated[theta[i - 1] - 1][theta[j - 1] - 1] = a.rows[i - 1][j - 1]
-    a_tilde = ExactMatrix(conjugated)
-    b = inverse(a_tilde)
+    b = inverse(ExactMatrix(conjugated))
 
     ok_p, p_witness = is_p(b)
     if not ok_p:
@@ -204,39 +200,40 @@ def build_B(a: ExactMatrix, nest: NestCertificate):
     ok_q2, *_ = is_q2(b)
     if not ok_q2:
         raise InternalInconsistencyError("transformed matrix is not a Q^2-matrix")
-    for m_pos in range(1, n):
-        tail = tuple(range(m_pos + 1, n + 1))
-        if inverse(schur_complement(b, m_pos)) != principal_submatrix(a_tilde, tail):
-            raise InternalInconsistencyError(
-                f"Schur-inverse identity failed at block size {m_pos}"
-            )
     return tuple(theta), b
 
 
 # -- block traces and the trace ledger -------------------------------------
 
 
-def block_traces(b: ExactMatrix):
-    """Tr((B^(j)[1..m])^2) for all 1 <= m <= j <= n, exactly; B must have
-    nonsingular leading blocks (B is a P-matrix in the pipeline).
+def block_traces(evidence: NestEvidence):
+    """Tr((B^(j)[1..m])^2) for all 1 <= m <= j <= n, exactly, from the
+    evidence of the Q^2 chain that :func:`build_B` transforms by.
 
     The leading block of B^(j) on the index sets containing {1..m} is
     det(B[1..m]) times the (j-m)-th compound of the Schur complement S_m
     (Sylvester's identity), so its squared trace is
-    det(B[1..m])^2 * E_(j-m)(S_m^2), with S_n taken as empty.
+    det(B[1..m])^2 E_(j-m)(S_m^2).  With M = A[S_(n-m)], the chain level of
+    size k = n-m: S_m is a permutation of M^(-1), Jacobi's identity gives
+    det(B[1..m]) = det(M) / det(A), and E_i(M^(-2)) = E_(k-i)(M^2) / det(M)^2.
+    Hence
+
+        Tr((B^(j)[1..m])^2) = E_(n-j)(A[S_(n-m)]^2) / det(A)^2,
+
+    with E_0 = 1 and S_0 empty.  Each E(A[S_k]^2) is level k's
+    ``order_sums_square`` and det(A) = E_n(A) is the full level's last
+    ``order_sums`` entry, so every value is positive when the chain is Q^2.
     """
-    n = b.n
+    levels = evidence.levels
+    n = len(levels)
+    det_sq = Fraction(levels[-1].order_sums[-1]) ** 2
     values = {}
-    for m_pos in range(1, n + 1):
-        lead = det(principal_submatrix(b, tuple(range(1, m_pos + 1))))
-        sums = (
-            principal_minor_sums(schur_complement(b, m_pos).square())
-            if m_pos < n
-            else (1,)
-        )
-        for j in range(m_pos, n + 1):
-            values[(j, m_pos)] = lead * lead * sums[j - m_pos]
-    return dict(sorted(values.items()))
+    for j in range(1, n + 1):
+        for m_pos in range(1, j + 1):
+            k = n - m_pos
+            square_sums = (1, *levels[k - 1].order_sums_square) if k else (1,)
+            values[(j, m_pos)] = square_sums[n - j] / det_sq
+    return values
 
 
 @dataclass(frozen=True)
@@ -414,12 +411,6 @@ def build_stabilizer(
         raise MatrixArgumentError(
             f"stabilizer target must be a P-matrix: {p_witness.describe()}"
         )
-    for (j, m_pos), value in block_traces(b).items():
-        if value <= 0:
-            raise MatrixArgumentError(
-                f"block trace ({j},{m_pos}) = {rational_str(value)} is not positive"
-            )
-
     gaps = [1 - Fraction(1, 2**i) for i in range(n)]
     last_violation = None
     for steps in range(max_shrink + 1):
@@ -497,13 +488,6 @@ def certify_stability(
         )
 
     theta, b = build_B(a, nest)
-    bt = block_traces(b)
-    bad_bt = [(key, v) for key, v in sorted(bt.items()) if v <= 0]
-    if bad_bt:
-        raise InternalInconsistencyError(
-            f"nonpositive block trace {bad_bt[0]} contradicts the transform lemma"
-        )
-
     stabilizer = build_stabilizer(b, max_shrink=max_shrink)
     endpoint = b.scale_rows(stabilizer.eps)
     ledger = homotopy_certificate(b, stabilizer)
@@ -534,7 +518,7 @@ def certify_stability(
         nest=nest,
         theta=theta,
         b_matrix=b,
-        block_trace_values=bt,
+        block_trace_values=block_traces(nest.evidence),
         stabilizer=stabilizer,
         trace_ledger=ledger,
         endpoint_hurwitz=minors,

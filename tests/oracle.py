@@ -2,8 +2,8 @@
 
 Nothing here shares code with the main determinant or compound routines:
 the determinant is a first-row cofactor recursion on plain lists, and the
-exterior product evaluates the full permutation sum literally.  The main
-pipeline must never import this module.
+exterior product evaluates the full permutation sum literally.  It lives
+with the tests so that the package cannot import it.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exactmat import ExactMatrix
+from pstab.exactmat import ExactMatrix
 
 
 def _cells(m: ExactMatrix):

@@ -407,3 +407,99 @@ def test_demo_command_all_pass(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "det A: 5491" in out
+
+
+def _count_calls(monkeypatch, *functions):
+    """Counts of calls to ``functions``, through every binding of each in
+    every loaded pstab module."""
+    import sys
+
+    counts = {f.__name__: 0 for f in functions}
+
+    def counted(f):
+        def wrapper(*args, **kwargs):
+            counts[f.__name__] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    wrappers = [(f, counted(f)) for f in functions]
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "pstab":
+            continue
+        for attr, value in list(vars(module).items()):
+            for f, wrapper in wrappers:
+                if value is f:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("a", [DEMO_A, LEVEL_SEARCH_FAULT], ids=["demo", "fault"])
+def test_certify_and_verify_form_no_schur_complement(tmp_path, monkeypatch, capsys, a):
+    # the block traces come from the nest's evidence, and each command
+    # checks the chain once: certify found it, verify re-verifies it
+    import pstab.nests
+    import pstab.stabilize
+
+    matrix_path = tmp_path / "a.txt"
+    matrix_path.write_text(format_matrix(a))
+    cert_path = str(tmp_path / "cert.json")
+    counts = _count_calls(
+        monkeypatch, pstab.stabilize.schur_complement, pstab.nests.verify_nest
+    )
+    assert main(["certify", str(matrix_path), "--json", cert_path]) == EXIT_OK
+    assert counts == {"schur_complement": 0, "verify_nest": 0}
+    assert main(["verify", cert_path, str(matrix_path)]) == EXIT_OK
+    assert counts == {"schur_complement": 0, "verify_nest": 1}
+
+
+@pytest.mark.parametrize(
+    "matrix", [DEMO_A, ExactMatrix([[0, 1], [1, 1]])], ids=["demo", "not-P"]
+)
+def test_certify_rejects_a_negative_max_shrink_before_any_work(
+    tmp_path, capsys, matrix
+):
+    path = tmp_path / "m.txt"
+    path.write_text(format_matrix(matrix))
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", str(path), "--max-shrink", "-1"])
+    assert exc.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-shrink" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "{demo}", "--max-shrink", "abc"],
+        ["certify"],
+        ["verify", "{demo}"],
+        ["frobnicate", "{demo}"],
+        ["classify", "{demo}", "--require", "R"],
+    ],
+    ids=["bad-int", "no-matrix", "no-certificate", "unknown-command", "bad-choice"],
+)
+def test_usage_errors_exit_3(demo_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(demo=demo_file) for arg in argv])
+    assert exc.value.code == EXIT_INPUT
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["certify", "--help"], ["--version"]],
+    ids=["help", "command-help", "version"],
+)
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_OK
+
+
+def test_verify_deeply_nested_certificate_exits_3(demo_file, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["verify", str(path), demo_file]) == EXIT_INPUT
+    assert "nested too deeply" in capsys.readouterr().err

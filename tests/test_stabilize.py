@@ -8,7 +8,6 @@ import pytest
 
 from conftest import (
     LEVEL_SEARCH_FAULT,
-    random_fraction_matrix,
     random_invertible,
     random_matrix,
     random_p_matrix,
@@ -127,8 +126,9 @@ def test_build_B_applies_the_permutation():
 
 
 def test_block_traces_demo_all_positive():
-    _, b = build_B(DEMO_A, find_q2_nest(DEMO_A))
-    values = block_traces(b)
+    nest = find_q2_nest(DEMO_A)
+    _, b = build_B(DEMO_A, nest)
+    values = block_traces(nest.evidence)
     assert set(values) == {(j, m) for j in range(1, 5) for m in range(1, j + 1)}
     assert all(v > 0 for v in values.values())
     # the (j, j) block trace is the squared leading j-minor
@@ -138,19 +138,31 @@ def test_block_traces_demo_all_positive():
 
 def test_block_traces_match_compound_blocks():
     # the leading C(n-m, j-m) block of B^(j) is the one on the index sets
-    # containing {1..m}
-    rng = random.Random(47)
-    for n in (2, 3, 4, 5, 6):
-        b = random_fraction_matrix(rng, n, -4, 4, den=3)
-        while not is_p(b)[0]:
-            b = b + ExactMatrix.identity(n)
-        values = block_traces(b)
+    # containing {1..m}; block_traces reads its squared trace off the chain
+    demo_rng, spd_rng = random.Random(3), random.Random(47)
+    inputs = [LEVEL_SEARCH_FAULT]
+    inputs += [_demo_permuted(demo_rng) for _ in range(4)]
+    inputs += [random_spd_matrix(spd_rng, n) for n in (2, 3, 4, 5, 6)]
+    permuted = 0
+    for a in inputs:
+        n = a.n
+        nest = find_q2_nest(a)
+        theta, b = build_B(a, nest)
+        permuted += theta != tuple(range(1, n + 1))
+        values = block_traces(nest.evidence)
         for j in range(1, n + 1):
-            cj = compound(b, j).data
+            cj = compound(b, j)
             for m in range(1, j + 1):
                 size = math.comb(n - m, j - m)
                 block = ExactMatrix([row[:size] for row in cj.rows[:size]])
                 assert values[(j, m)] == trace(block * block)
+        # the Schur complement of B's leading m-block inverts onto the
+        # trailing block of the permuted A, which holds chain level n - m
+        a_tilde = inverse(b)
+        for m in range(1, n):
+            tail = tuple(range(m + 1, n + 1))
+            assert inverse(schur_complement(b, m)) == principal_submatrix(a_tilde, tail)
+    assert permuted >= 2  # the fault and one permuted embedding
 
 
 def test_stabilizer_validation():
@@ -191,9 +203,9 @@ def test_homotopy_certificate_matches_direct_products():
         n = b.n
         ledger = homotopy_certificate(b, eps)
         for (j, k, m), value in ledger.entries.items():
-            cj = compound(b, j).data
-            dk = diag_generalized_compound(eps, j, k).data
-            dm = diag_generalized_compound(eps, j, m).data
+            cj = compound(b, j)
+            dk = diag_generalized_compound(eps, j, k)
+            dm = diag_generalized_compound(eps, j, m)
             assert value == trace(dk * cj * dm * cj)
         assert set(ledger.entries) == {
             (j, k, m)
@@ -211,8 +223,8 @@ def test_cross_terms_match_direct_products():
             (j, 0, m) for j in range(1, n + 1) for m in range(1, j + 1)
         }
         for (j, _, m), value in ledger.cross_terms.items():
-            cj = compound(b, j).data
-            dm = diag_generalized_compound(eps, j, m).data
+            cj = compound(b, j)
+            dm = diag_generalized_compound(eps, j, m)
             assert value == trace(cj * dm * cj)
             assert value == trace(dm * cj * cj)  # L(j,0,m) = L(j,m,0)
 
