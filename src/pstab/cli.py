@@ -27,11 +27,9 @@ from . import __version__
 from .classify import classify_full
 from .compound import compound, generalized_compound
 from .errors import (
-    CertificationError,
     HypothesisError,
     MatrixArgumentError,
     NumericToleranceError,
-    SingularMatrixError,
     StabilizerInconclusiveError,
 )
 from .exactmat import ExactMatrix, rational_str as entry_str
@@ -292,7 +290,8 @@ def verify_document(doc: dict, a: ExactMatrix):
     are advisory.  The certificate is the exact part: the trace ledger and
     its cross terms (the homotopy stays Q^2) and the endpoint Hurwitz
     minors (diag(eps) * B is positively stable), each re-derived and
-    required positive.
+    required positive.  The matrix must be a P-matrix, and the nest's full
+    level makes it Q^2; B inherits both (see :func:`pstab.stabilize.build_B`).
     """
     problems = []
     try:
@@ -328,6 +327,11 @@ def _verify_fields(doc, a, problems):
         claimed = _field(doc, "classification", key, _typed(list))
         if [frac_str(v) for v in sums] != claimed:
             problems.append(f"{label} do not re-verify")
+    if not report.is_p:
+        problems.append(
+            f"matrix is not a P-matrix: {report.witnesses['P'].describe()}"
+        )
+        return
 
     chain = [
         tuple(s)
@@ -345,7 +349,7 @@ def _verify_fields(doc, a, problems):
 
     try:
         theta, b = build_B(a, NestCertificate(chain=tuple(chain), tau=tau, evidence=evidence))
-    except (CertificationError, MatrixArgumentError, SingularMatrixError) as exc:
+    except MatrixArgumentError as exc:
         problems.append(f"transform fails re-verification: {exc}")
         return
     if list(theta) != _field(doc, "transform", "theta", _typed(list)):
@@ -484,9 +488,6 @@ def cmd_certify(args) -> int:
         return EXIT_REFUTED
     except (StabilizerInconclusiveError, NumericToleranceError) as exc:
         print(f"inconclusive: {exc}")
-        return EXIT_INCONCLUSIVE
-    except CertificationError as exc:
-        print(f"inconclusive (internal check failed): {exc}")
         return EXIT_INCONCLUSIVE
 
     doc = certificate_document(cert)

@@ -63,9 +63,3 @@ class NumericToleranceError(CertificationError):
     """A floating-point cross-check fell outside its stated tolerance."""
 
     kind = "numeric"
-
-
-class InternalInconsistencyError(CertificationError):
-    """An exactly-provable identity failed; indicates a bug upstream."""
-
-    kind = "internal"

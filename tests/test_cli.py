@@ -371,13 +371,19 @@ def test_verify_undecodable_certificate_exits_3(demo_file, tmp_path, capsys):
 
 def test_certify_exits_2_when_the_exact_recheck_fails(demo_file, monkeypatch, capsys):
     import pstab.stabilize
-    from pstab.stabilize import Stabilizer
+    from pstab.stabilize import Stabilizer, homotopy_certificate, hurwitz_minors
 
     former = Stabilizer(
         eps=(Fraction(1), Fraction(1, 64), Fraction(1, 128), Fraction(1, 256))
     )
     monkeypatch.setattr(
-        pstab.stabilize, "build_stabilizer", lambda b, max_shrink: former
+        pstab.stabilize,
+        "build_stabilizer",
+        lambda b, max_shrink: (
+            former,
+            homotopy_certificate(b, former),
+            hurwitz_minors(b.scale_rows(former.eps)),
+        ),
     )
     assert main(["certify", demo_file]) == EXIT_INCONCLUSIVE
     assert "inconclusive" in capsys.readouterr().out
@@ -451,6 +457,82 @@ def test_certify_and_verify_form_no_schur_complement(tmp_path, monkeypatch, caps
     assert counts == {"schur_complement": 0, "verify_nest": 0}
     assert main(["verify", cert_path, str(matrix_path)]) == EXIT_OK
     assert counts == {"schur_complement": 0, "verify_nest": 1}
+
+
+@pytest.mark.parametrize("a", [DEMO_A, LEVEL_SEARCH_FAULT], ids=["demo", "fault"])
+def test_certify_and_verify_decide_each_exact_fact_once(
+    tmp_path, monkeypatch, capsys, a
+):
+    # P is tested on A and on A^2 (the P^2 flag), never on B; certify
+    # writes the ledger and minors its search accepted, and verify
+    # re-derives each once and tests Q^2 only on the chain's n levels
+    import pstab.classify
+    import pstab.stabilize
+
+    matrix_path = tmp_path / "a.txt"
+    matrix_path.write_text(format_matrix(a))
+    cert_path = str(tmp_path / "cert.json")
+    counts = _count_calls(
+        monkeypatch,
+        pstab.classify.is_p,
+        pstab.classify.is_q2,
+        pstab.stabilize._trace_ledger,
+        pstab.stabilize.hurwitz_minors,
+    )
+    assert main(["certify", str(matrix_path), "--json", cert_path]) == EXIT_OK
+    with open(cert_path) as handle:
+        steps = json.load(handle)["stabilizer"]["identity_steps"]
+    assert counts["is_p"] == 2
+    assert counts["_trace_ledger"] == counts["hurwitz_minors"] == steps + 1
+    counts.update(dict.fromkeys(counts, 0))
+    assert main(["verify", cert_path, str(matrix_path)]) == EXIT_OK
+    assert counts == {
+        "is_p": 2, "is_q2": a.n, "_trace_ledger": 1, "hurwitz_minors": 1
+    }
+
+
+def test_verify_refuses_a_matrix_that_is_not_p(tmp_path, capsys):
+    # Q^2 with a Q^2 nest, but A(1,3; 1,3) = 0.  Every field of the
+    # document is derived honestly from A, flags included, so the missing
+    # P hypothesis is the one discrepancy.
+    from pstab import classify_full, find_q2_nest, spectra
+    from pstab.cli import certificate_document
+    from pstab.stabilize import (
+        StabilityCertificate,
+        block_traces,
+        build_B,
+        build_stabilizer,
+    )
+
+    a = ExactMatrix([[2, -1, -2], [-2, 3, -3], [-2, 2, 2]])
+    report = classify_full(a)
+    assert report.is_q2 and not report.is_p
+    nest = find_q2_nest(a)
+    theta, b = build_B(a, nest)
+    stabilizer, ledger, minors = build_stabilizer(b)
+    spectrum = spectra.eigenvalues(a)
+    cert = StabilityCertificate(
+        matrix=a,
+        report=report,
+        nest=nest,
+        theta=theta,
+        b_matrix=b,
+        block_trace_values=block_traces(nest.evidence),
+        stabilizer=stabilizer,
+        trace_ledger=ledger,
+        endpoint_hurwitz=minors,
+        spectrum=spectrum,
+        stabilized_spectrum=spectra.eigenvalues(b.scale_rows(stabilizer.eps)),
+        wedge_margin=spectra.wedge_check(spectrum, a.n, kind="sharpened")[1],
+    )
+    matrix_path = tmp_path / "a.txt"
+    matrix_path.write_text(format_matrix(a))
+    cert_path = str(tmp_path / "cert.json")
+    _rewrite(cert_path, certificate_document(cert))
+    assert main(["verify", cert_path, str(matrix_path)]) == EXIT_REFUTED
+    assert capsys.readouterr().out == (
+        "FAIL: matrix is not a P-matrix: A(1,3; 1,3) = 0\n"
+    )
 
 
 @pytest.mark.parametrize(

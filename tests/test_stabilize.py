@@ -149,6 +149,8 @@ def test_block_traces_match_compound_blocks():
         nest = find_q2_nest(a)
         theta, b = build_B(a, nest)
         permuted += theta != tuple(range(1, n + 1))
+        # B inherits P and Q^2 from A, so build_B does not test them
+        assert is_p(b)[0] and is_q2(b)[0]
         values = block_traces(nest.evidence)
         for j in range(1, n + 1):
             cj = compound(b, j)
@@ -310,7 +312,7 @@ def test_homotopy_certificate_argument_errors():
 
 def test_build_stabilizer_demo():
     _, b = build_B(DEMO_A, find_q2_nest(DEMO_A))
-    stab = build_stabilizer(b)
+    stab, _, _ = build_stabilizer(b)
     assert stab.eps[0] == 1
     assert all(x > y for x, y in zip(stab.eps, stab.eps[1:]))
     assert homotopy_certificate(b, stab).all_positive()
@@ -318,7 +320,7 @@ def test_build_stabilizer_demo():
 
 def test_build_stabilizer_demo_passes_both_exact_checks():
     _, b = build_B(DEMO_A, find_q2_nest(DEMO_A))
-    stab = build_stabilizer(b)
+    stab, _, _ = build_stabilizer(b)
     ledger = homotopy_certificate(b, stab)
     assert ledger.cross_terms and all(v > 0 for v in ledger.cross_terms.values())
     assert all(v > 0 for v in hurwitz_minors(b.scale_rows(stab.eps)))
@@ -334,14 +336,9 @@ def test_build_stabilizer_shrink_cap():
         build_stabilizer(b, max_shrink=1)
 
 
-def test_build_stabilizer_rejects_non_p():
-    with pytest.raises(MatrixArgumentError):
-        build_stabilizer(ExactMatrix([[1, 0], [0, -1]]))
-
-
 def test_build_stabilizer_demo_halves_from_the_geometric_start():
     _, b = build_B(DEMO_A, find_q2_nest(DEMO_A))
-    stab = build_stabilizer(b)
+    stab, _, _ = build_stabilizer(b)
     # eight halvings of I - diag(1, 1/2, 1/4, 1/8)
     assert stab.identity_steps == 8
     assert stab.eps == (
@@ -374,7 +371,7 @@ def test_build_stabilizer_computes_one_ledger_per_diagonal(monkeypatch, a):
         return ledger(b, eps)
 
     monkeypatch.setattr(pstab.stabilize, "_trace_ledger", counted)
-    stab = build_stabilizer(b)
+    stab, _, _ = build_stabilizer(b)
     assert len(calls) == stab.identity_steps + 1
 
 
@@ -453,7 +450,13 @@ def test_certify_stability_refuses_a_failing_stabilizer(monkeypatch):
         eps=(Fraction(1), Fraction(1, 64), Fraction(1, 128), Fraction(1, 256))
     )
     monkeypatch.setattr(
-        pstab.stabilize, "build_stabilizer", lambda b, max_shrink: former
+        pstab.stabilize,
+        "build_stabilizer",
+        lambda b, max_shrink: (
+            former,
+            homotopy_certificate(b, former),
+            hurwitz_minors(b.scale_rows(former.eps)),
+        ),
     )
     with pytest.raises(StabilizerInconclusiveError) as exc:
         certify_stability(DEMO_A)
@@ -467,6 +470,7 @@ def test_certify_stability_demo_exact_fields_positive():
     assert all(v > 0 for v in cert.endpoint_hurwitz)
     endpoint = cert.b_matrix.scale_rows(cert.stabilizer.eps)
     assert cert.endpoint_hurwitz == hurwitz_minors(endpoint)
+    assert cert.trace_ledger == homotopy_certificate(cert.b_matrix, cert.stabilizer)
 
 
 def test_certify_stability_hypothesis_failures():
