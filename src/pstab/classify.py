@@ -5,11 +5,14 @@ sum of principal minors positive; the squared variants require the same of
 the matrix square.  Sign-symmetry and square diagonal dominance are the two
 classical sufficient conditions the stability theorem subsumes.
 
-P is decided by one Bareiss determinant per principal minor, Q and Q^2 by
-the char-poly kernel.  Sign-symmetry and both sides of square dominance
-read every minor A(a;b), principal or not; they share one table of all
-minors, built one order at a time by Laplace expansion on the integer-
-cleared matrix and only up to the order at which the checks stop.
+Every check runs on the integer-cleared matrix A' = cA.  P is decided by
+one Sylvester sweep over the subset lattice, which reaches each principal
+minor with one exact integer division per bordered minor and stops at the
+first nonpositive one (:func:`is_p`); Q and Q^2 come from one char-poly
+of A' and its root-squaring step.  Sign-symmetry and both sides of square
+dominance read every minor A(a;b), principal or not; they share one table
+of all minors, built one order at a time by Laplace expansion on A' and
+only up to the order at which the checks stop.
 
 All verdicts are exact.  Every negative verdict carries a witness that
 re-evaluates to a violation; witness ordering is deterministic (smallest
@@ -26,9 +29,9 @@ from .exactmat import (
     ExactMatrix,
     cleared,
     index_sets,
-    minor,
-    principal_minor_sums,
+    integer_minor_sums,
     rational_str,
+    squared_minor_sums,
 )
 
 # Sign-symmetry compares all C(n,k)^2 minors of each order, C(2n,n) - 1 in
@@ -100,25 +103,57 @@ def is_p(m: ExactMatrix):
 
     Returns (verdict, witness); the witness is the first nonpositive
     principal minor in (order, lex rank) order, or None.
+
+    One Sylvester sweep over the subset lattice of A' = cA on integers, c
+    the lcm of the denominators.  A subset S with largest index s carries
+    its bordered minors b_ij = det A'[S + i; S + j] for i, j > s; S = {}
+    carries A' itself.  Then det A'[S + p] = b_pp, and Sylvester's identity
+    gives the bordered minors of S + p,
+
+        (b_pp b_ij - b_ip b_pj) / det A'[S],   i, j > p,
+
+    an exact integer division.  Subsets are visited level by level in lex
+    order and the sweep stops at the first b_pp <= 0, so it never divides
+    by zero; that minor of A is b_pp / c^k.
     """
+    a, c = cleared(m)
+    level = [((), 1, a)]  # (S, det A'[S], bordered minors of S), lex order
     for k in range(1, m.n + 1):
-        for s in index_sets(m.n, k):
-            value = minor(m, s, s)
-            if value <= 0:
-                return False, MinorWitness(order=k, rows=s, cols=s, value=value)
+        grown = []
+        for subset, minor_s, bordered in level:
+            last = subset[-1] if subset else 0
+            for p, pivot_line in enumerate(bordered):
+                value = pivot_line[p]
+                grown_subset = subset + (last + p + 1,)
+                if value <= 0:
+                    return False, MinorWitness(
+                        order=k, rows=grown_subset, cols=grown_subset,
+                        value=Fraction(value, c**k),
+                    )
+                if p + 1 < len(bordered):
+                    tail = pivot_line[p + 1 :]
+                    grown.append((grown_subset, value, [
+                        [(value * x - row[p] * y) // minor_s
+                         for x, y in zip(row[p + 1 :], tail)]
+                        for row in bordered[p + 1 :]
+                    ]))
+        level = grown
     return True, None
 
 
 def order_sum_traces(m: ExactMatrix):
     """Sums of principal minors of each order for M and for M^2.
 
-    The order-k sum E_k is the k-th coefficient of det(xI + M); both lists
-    come from the char-poly kernel :func:`principal_minor_sums`, applied
-    to M and to M^2.
+    The order-k sum E_k is the k-th coefficient of det(xI + M).  Both lists
+    come from one char-poly of the integer-cleared M' = cM: E_k(M) =
+    E_k(M') / c^k by :func:`integer_minor_sums`, and E_k(M^2) =
+    E_k(M'^2) / c^(2k) by the root-squaring step :func:`squared_minor_sums`.
     """
+    a, c = cleared(m)
+    sums = integer_minor_sums(a)
     return (
-        list(principal_minor_sums(m)[1:]),
-        list(principal_minor_sums(m.square())[1:]),
+        [Fraction(e, c**k) for k, e in enumerate(sums) if k],
+        [Fraction(e, c ** (2 * k)) for k, e in enumerate(squared_minor_sums(sums)) if k],
     )
 
 

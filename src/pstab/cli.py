@@ -56,6 +56,10 @@ MAX_LITERAL_DIGITS = 1000
 MAX_LITERAL_EXPONENT = 10000
 _EXPONENT = re.compile(r"[eE][+-]?([\d_]+)$")
 
+# The advisory spectrum section of a certificate whose spectra have no
+# double image.
+SPECTRUM_NOT_COMPUTED = "an entry of A or of D B is beyond the double range"
+
 
 class MatrixParseError(Exception):
     """Parse failure with 1-based line and token position."""
@@ -135,12 +139,57 @@ def load_matrix(path) -> ExactMatrix:
 
 
 def format_matrix(m: ExactMatrix) -> str:
-    """Canonical matrix file text; parse(format(m)) == m token for token
-    while every entry's digits are within MAX_LITERAL_DIGITS."""
+    """Canonical matrix file text, with parse(format(m)) == m for every
+    matrix that :func:`parse_matrix` returns.
+
+    An entry is written "p" or "p/q" when those digits are within
+    MAX_LITERAL_DIGITS, and otherwise, when it is a finite decimal, in the
+    exponent form of :func:`_decimal_literal`.
+    """
     lines = [str(m.n)]
     for row in m.rows:
-        lines.append(" ".join(entry_str(x) for x in row))
+        lines.append(" ".join(_entry_literal(x) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def _entry_literal(x):
+    text = entry_str(x)
+    if len(text) <= MAX_LITERAL_DIGITS or _literal_size_problem(text) is None:
+        return text
+    literal = _decimal_literal(x)
+    if literal is None or _literal_size_problem(literal) is not None:
+        return text
+    return literal
+
+
+def _decimal_literal(x):
+    """x as "[-]digits[.digits][e<exponent>]", the exponent as near 0 as
+    the digits allow and within MAX_LITERAL_EXPONENT, or None when x is
+    not a finite decimal.
+
+    With x = s * 10^e, s a digit string without trailing zeros, the
+    decimal point may go anywhere in s, so the exponent can be any value
+    from e to e + len(s) - 1 without adding a digit; one beyond
+    MAX_LITERAL_EXPONENT moves into zeros of the mantissa.
+    """
+    shift = x.denominator.bit_length()  # 10^shift is a multiple of q = 2^a 5^b
+    scaled, rest = divmod(abs(x.numerator) * 10**shift, x.denominator)
+    if rest:
+        return None
+    digits = str(Decimal(scaled))
+    s = digits.rstrip("0")
+    e = len(digits) - len(s) - shift
+    exponent = min(max(e, 0), e + len(s) - 1)
+    exponent = max(-MAX_LITERAL_EXPONENT, min(exponent, MAX_LITERAL_EXPONENT))
+    places = e - exponent  # x / 10^exponent = s * 10^places
+    if places >= 0:
+        mantissa = s + "0" * places
+    elif -places < len(s):
+        mantissa = f"{s[:places]}.{s[places:]}"
+    else:
+        mantissa = "0." + "0" * (-places - len(s)) + s
+    sign = "-" if x < 0 else ""
+    return f"{sign}{mantissa}e{exponent}" if exponent else sign + mantissa
 
 
 def matrix_hash(m: ExactMatrix) -> str:
@@ -169,7 +218,9 @@ def certificate_document(cert) -> dict:
     """Serialize a StabilityCertificate to a JSON-ready dict.
 
     Everything up to endpoint_hurwitz_minors is exact (fraction strings);
-    the spectrum section is the only floating-point content.
+    the spectrum section is the only floating-point content.  When the
+    spectra were not computed (an entry beyond the double range) it is
+    {"computed": false, "reason": ...}.
     """
     report = cert.report
     return {
@@ -212,18 +263,24 @@ def certificate_document(cert) -> dict:
             for (j, k, m), v in sorted(cert.trace_ledger.cross_terms.items())
         },
         "endpoint_hurwitz_minors": [frac_str(v) for v in cert.endpoint_hurwitz],
-        "spectrum": {
-            "input_eigenvalues": [_complex_doc(v) for v in cert.spectrum.eigenvalues],
-            "stabilized_eigenvalues": [
-                _complex_doc(v) for v in cert.stabilized_spectrum.eigenvalues
-            ],
-            "wedge_margin": cert.wedge_margin,
-            "method": cert.spectrum.method,
-            "tolerances": {
-                "tol_imag": DEFAULT_TOL_IMAG,
-                "tol_pos": DEFAULT_TOL_POS,
-                "tol_sep": DEFAULT_TOL_SEP,
-            },
+        "spectrum": _spectrum_doc(cert),
+    }
+
+
+def _spectrum_doc(cert):
+    if cert.spectrum is None:
+        return {"computed": False, "reason": SPECTRUM_NOT_COMPUTED}
+    return {
+        "input_eigenvalues": [_complex_doc(v) for v in cert.spectrum.eigenvalues],
+        "stabilized_eigenvalues": [
+            _complex_doc(v) for v in cert.stabilized_spectrum.eigenvalues
+        ],
+        "wedge_margin": cert.wedge_margin,
+        "method": cert.spectrum.method,
+        "tolerances": {
+            "tol_imag": DEFAULT_TOL_IMAG,
+            "tol_pos": DEFAULT_TOL_POS,
+            "tol_sep": DEFAULT_TOL_SEP,
         },
     }
 
@@ -501,6 +558,9 @@ def cmd_certify(args) -> int:
     print(f"certified: positively stable (n = {a.n})")
     print(f"nest chain: {' < '.join(str(set(s)) for s in cert.nest.chain)}")
     print(f"stabilizer eps: {', '.join(entry_str(e) for e in cert.stabilizer.eps)}")
+    if cert.spectrum is None:
+        print(f"eigenvalues: not computed ({SPECTRUM_NOT_COMPUTED})")
+        return EXIT_OK
     print(
         "eigenvalues: "
         + ", ".join(f"{v.real:.5g}{v.imag:+.5g}i" for v in cert.spectrum.eigenvalues)

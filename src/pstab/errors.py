@@ -63,3 +63,8 @@ class NumericToleranceError(CertificationError):
     """A floating-point cross-check fell outside its stated tolerance."""
 
     kind = "numeric"
+
+
+class DoubleRangeError(NumericToleranceError):
+    """An exact matrix has an entry that no double holds, so it has no
+    floating-point image to take eigenvalues of."""

@@ -1,9 +1,14 @@
 """Exact rational matrices and the minor machinery everything else builds on.
 
-Scalars are ``fractions.Fraction`` throughout; floating point enters the
-system only in :mod:`pstab.spectra`.  Index sets at the API boundary are
-1-based strictly increasing tuples, matching the usual minor notation
-A(i1...ik; j1...jk).
+Entries are ``fractions.Fraction`` at the API boundary only.  Every exact
+kernel first clears denominators, A' = cA with c the lcm of the entries'
+denominators, and runs on Python ints: the product, the Bareiss
+determinant, the fraction-free Gauss-Jordan inverse and the char-poly
+kernel (power traces and Newton's identities, with a root-squaring step
+for the square).  A Fraction is built once per result entry.  Floating
+point enters the system only in :mod:`pstab.spectra`.  Index sets at the
+API boundary are 1-based strictly increasing tuples, matching the usual
+minor notation A(i1...ik; j1...jk).
 """
 
 from __future__ import annotations
@@ -129,12 +134,11 @@ class ExactMatrix:
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
             self._check_same_size(other)
-            cols = list(zip(*other.rows))
+            a, ca = cleared(self)
+            b, cb = cleared(other)
+            c = ca * cb
             return ExactMatrix(
-                [
-                    [sum(a * b for a, b in zip(row, col)) for col in cols]
-                    for row in self.rows
-                ]
+                [[Fraction(x, c) for x in row] for row in integer_product(a, b)]
             )
         scalar = as_rational(other)
         return ExactMatrix([[scalar * x for x in row] for row in self.rows])
@@ -263,30 +267,32 @@ def principal_submatrix(m: ExactMatrix, s) -> ExactMatrix:
 
 
 def inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse by Gauss-Jordan elimination over Q."""
+    """Exact inverse by fraction-free Gauss-Jordan elimination on [A' | I].
+
+    A' = cA is the integer-cleared matrix.  Step k replaces every row but
+    the pivot row by (p_k row - a_ik pivot row) / p_(k-1), an exact integer
+    division (Bareiss), with p_k the k-th pivot and p_0 = 1; the last step
+    leaves [p I | p A'^(-1)] with p = +-det A', so A^(-1) = c (p A'^(-1)) / p.
+    """
     n = m.n
-    a = [list(row) for row in m.rows]
-    b = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    a, c = cleared(m)
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
     for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot_row is None:
             raise SingularMatrixError()
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        b[col], b[pivot_row] = b[pivot_row], b[col]
-        pivot = a[col][col]
-        a[col] = [x / pivot for x in a[col]]
-        b[col] = [x / pivot for x in b[col]]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            factor = a[r][col]
-            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-            b[r] = [x - factor * y for x, y in zip(b[r], b[col])]
-    return ExactMatrix(b)
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        pivot_line = rows[col]
+        pivot = pivot_line[col]
+        for r, row in enumerate(rows):
+            if r != col:
+                factor = row[col]
+                rows[r] = [
+                    (pivot * x - factor * y) // prev for x, y in zip(row, pivot_line)
+                ]
+        prev = pivot
+    return ExactMatrix([[Fraction(c * x, prev) for x in row[n:]] for row in rows])
 
 
 def trace(m: ExactMatrix) -> Fraction:
@@ -296,33 +302,66 @@ def trace(m: ExactMatrix) -> Fraction:
 def integer_minor_sums(a) -> list:
     """(E_0, ..., E_n) of an integer matrix given as a list of int rows.
 
-    Faddeev-LeVerrier: N_k = A N_(k-1) + c_(k-1) I and c_k = -Tr(A N_k) / k
-    give det(xI - A) = sum_k c_k x^(n-k), so E_k = (-1)^k c_k.  On an
-    integer matrix every N_k and c_k is an integer, so the division by k
-    is exact and the recurrence never leaves the ints.
+    E_k is the sum of the principal minors of order k, the k-th elementary
+    symmetric function of the eigenvalues.  The power sums p_k = Tr(A^k),
+    k = 1..n, come from the powers A, ..., A^h with h = ceil(n/2), as
+    Tr(A^i A^(k-i)) with i, k - i <= h; Newton's identities
+
+        k E_k = sum_(i=1..k) (-1)^(i-1) E_(k-i) p_i
+
+    then give every E_k.  On an integer matrix each E_k is an integer, so
+    the division by k is exact and nothing leaves the ints: h - 1 matrix
+    products and n traces of products, where Faddeev-LeVerrier takes n
+    products.
     """
     n = len(a)
-    sums = [1]
-    coeff = 1  # c_(k-1)
-    an = [[0] * n for _ in range(n)]  # A N_(k-1), then N_k, then A N_k
+    h = (n + 1) // 2
+    powers = [None, a]
+    for _ in range(h - 1):
+        powers.append(integer_product(powers[-1], a))
+    sums, traces = [1], [None]
     for k in range(1, n + 1):
-        for i in range(n):
-            an[i][i] += coeff
-        an = integer_product(a, an)
-        coeff = -sum(an[i][i] for i in range(n)) // k
-        sums.append(-coeff if k % 2 else coeff)
+        if k <= h:
+            traces.append(sum(powers[k][r][r] for r in range(n)))
+        else:  # Tr(XY) pairs row r of X with column r of Y
+            cols = zip(*powers[k - h])
+            traces.append(
+                sum(sum(map(operator.mul, row, col)) for row, col in zip(powers[h], cols))
+            )
+        total = sum(
+            (-1) ** (i - 1) * sums[k - i] * traces[i] for i in range(1, k + 1)
+        )
+        sums.append(total // k)
     return sums
+
+
+def squared_minor_sums(sums) -> list:
+    """(E_0(M^2), ..., E_n(M^2)) from (E_0(M), ..., E_n(M)).
+
+    One Graeffe root-squaring step: det(x^2 I + M^2) =
+    det(xI + iM) det(xI - iM), so E_k(M^2) = sum over i + j = 2k of
+    (-1)^(k+j) E_i(M) E_j(M); O(n^2) products of the sums and no matrix
+    product.
+    """
+    n = len(sums) - 1
+    return [
+        sum(
+            (-1) ** (k + j) * sums[2 * k - j] * sums[j]
+            for j in range(max(0, 2 * k - n), min(2 * k, n) + 1)
+        )
+        for k in range(n + 1)
+    ]
 
 
 def principal_minor_sums(m: ExactMatrix) -> tuple:
     """(E_0, ..., E_n): E_k is the sum of the principal minors of order k.
 
-    These are the coefficients of det(xI + A) = sum_k E_k x^(n-k).  This is
-    the pipeline's one exact kernel: the order sums of A and A^2 (the Q and
-    Q^2 tests and the nest search), the block traces and the trace ledger
-    all come from it.  With c the lcm of the denominators,
-    E_k(A) = E_k(cA) / c^k, and :func:`integer_minor_sums` runs on cA in
-    O(n^4) integer operations.
+    These are the coefficients of det(xI + A) = sum_k E_k x^(n-k), the
+    rational face of the char-poly kernel :func:`integer_minor_sums`: with
+    c the lcm of the denominators, E_k(A) = E_k(cA) / c^k, and the kernel
+    runs on cA in about n/2 integer matrix products.  The Hurwitz minors
+    read it; the order sums of A and A^2 in :mod:`pstab.classify` and the
+    trace ledger call the integer kernel directly.
     """
     a, c = cleared(m)
     return tuple(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import MatrixArgumentError, NumericToleranceError
+from .errors import DoubleRangeError, MatrixArgumentError, NumericToleranceError
 from .exactmat import ExactMatrix, det, trace
 
 MAX_DIMENSION = 64
@@ -36,23 +36,21 @@ class Spectrum:
 def eigenvalues(m: ExactMatrix) -> Spectrum:
     """All eigenvalues of the double-precision image of an exact matrix.
 
-    Raises NumericToleranceError if an entry is beyond the double range, or
-    if the eigenvalue sum or product disagrees with the exact trace or
-    determinant beyond n * 1e-8 * (1 + |value|).  The comparison is made on
-    values scaled by 2^-e, 2^e about the largest entry, so that the
-    determinant of a matrix with large entries stays within the double
-    range.  A power-of-two scale is exact in binary floating point, so
-    wherever the unscaled values are normal doubles the comparison is the
-    same as on them.
+    Raises DoubleRangeError if an entry is beyond the double range, and
+    NumericToleranceError if the eigenvalue sum or product disagrees with
+    the exact trace or determinant beyond n * 1e-8 * (1 + |value|).  The
+    comparison is made on values scaled by 2^-e, 2^e about the largest
+    entry, so that the determinant of a matrix with large entries stays
+    within the double range.  A power-of-two scale is exact in binary
+    floating point, so wherever the unscaled values are normal doubles the
+    comparison is the same as on them.
     """
     if m.n > MAX_DIMENSION:
         raise MatrixArgumentError(f"eigenvalues capped at n <= {MAX_DIMENSION}")
     try:
         dense = np.array([[float(x) for x in row] for row in m.rows], dtype=float)
     except OverflowError as exc:
-        raise NumericToleranceError(
-            "matrix entries exceed the double range"
-        ) from exc
+        raise DoubleRangeError("matrix entries exceed the double range") from exc
     values = np.linalg.eigvals(dense)
     spectrum = Spectrum(
         eigenvalues=tuple(complex(v) for v in values),

@@ -50,6 +50,7 @@ from fractions import Fraction
 from . import spectra
 from .classify import ClassReport, classify_full
 from .errors import (
+    DoubleRangeError,
     HypothesisError,
     MatrixArgumentError,
     SingularMatrixError,
@@ -433,7 +434,9 @@ class StabilityCertificate:
     ``trace_ledger`` (entries and cross terms) keeps the homotopy Q^2, and
     positive ``endpoint_hurwitz`` minors prove diag(eps) * B positively
     stable.  The two spectra and the wedge margin are the only
-    floating-point content; they are advisory cross-checks.
+    floating-point content; they are advisory cross-checks, and all three
+    are None when an entry of A or of diag(eps) * B is beyond the double
+    range.
     """
 
     matrix: ExactMatrix
@@ -445,9 +448,9 @@ class StabilityCertificate:
     stabilizer: Stabilizer
     trace_ledger: TraceLedger
     endpoint_hurwitz: tuple  # Hurwitz minors of det(xI + diag(eps) * B)
-    spectrum: spectra.Spectrum  # of the input matrix
-    stabilized_spectrum: spectra.Spectrum  # of diag(eps) * B
-    wedge_margin: float
+    spectrum: spectra.Spectrum | None  # of the input matrix
+    stabilized_spectrum: spectra.Spectrum | None  # of diag(eps) * B
+    wedge_margin: float | None
 
 
 def certify_stability(
@@ -458,9 +461,11 @@ def certify_stability(
     Raises HypothesisError (not-P, not-Q2, no-nest),
     StabilizerInconclusiveError (including a stabilizer whose ledger or
     endpoint Hurwitz minors fail the exact re-check), or
-    NumericToleranceError; on success every exact field of the returned
-    certificate is positive where the claim needs it and independently
-    re-verifiable.
+    NumericToleranceError when the advisory spectrum contradicts the exact
+    claim; on success every exact field of the returned certificate is
+    positive where the claim needs it and independently re-verifiable.  A
+    spectrum that cannot be computed, because an entry is beyond the
+    double range, is left out (None), not an error.
 
     P and Q^2 are decided once, on A by :func:`classify_full`.  The ledger
     and endpoint Hurwitz minors written are the ones the search accepted,
@@ -498,18 +503,22 @@ def certify_stability(
             message=f"stabilizer fails the exact re-check at {violation}",
         )
 
-    stabilized = spectra.eigenvalues(b.scale_rows(stabilizer.eps))
-    spectrum = spectra.eigenvalues(a)
-    if not spectra.is_positively_stable(spectrum, margin=0.0):
-        raise NumericToleranceError(
-            "certified matrix shows a numerically nonpositive eigenvalue; "
-            "exact and numeric evidence disagree"
-        )
-    ok_wedge, margin = spectra.wedge_check(spectrum, a.n, kind="sharpened")
-    if not ok_wedge:
-        raise NumericToleranceError(
-            f"sharpened wedge bound violated numerically (slack {margin})"
-        )
+    try:
+        stabilized = spectra.eigenvalues(b.scale_rows(stabilizer.eps))
+        spectrum = spectra.eigenvalues(a)
+    except DoubleRangeError:
+        stabilized = spectrum = margin = None
+    else:
+        if not spectra.is_positively_stable(spectrum, margin=0.0):
+            raise NumericToleranceError(
+                "certified matrix shows a numerically nonpositive eigenvalue; "
+                "exact and numeric evidence disagree"
+            )
+        ok_wedge, margin = spectra.wedge_check(spectrum, a.n, kind="sharpened")
+        if not ok_wedge:
+            raise NumericToleranceError(
+                f"sharpened wedge bound violated numerically (slack {margin})"
+            )
     return StabilityCertificate(
         matrix=a,
         report=report,

@@ -1,0 +1,87 @@
+"""The Fraction and per-minor routines the integer kernels replaced, kept
+as references for the property tests.
+
+Each is the former body of its :mod:`pstab` counterpart: P by one Bareiss
+determinant per principal minor, E(A) by the Faddeev-LeVerrier recurrence
+(n integer products), the inverse by Gauss-Jordan elimination over Q, and
+the product by the naive Fraction double sum.  The package does not
+import this module.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from pstab.classify import MinorWitness
+from pstab.errors import SingularMatrixError
+from pstab.exactmat import ExactMatrix, index_sets, integer_product, minor
+
+
+def per_minor_is_p(m: ExactMatrix):
+    """(verdict, witness) with one determinant per principal minor, in
+    (order, lex rank) order."""
+    for k in range(1, m.n + 1):
+        for s in index_sets(m.n, k):
+            value = minor(m, s, s)
+            if value <= 0:
+                return False, MinorWitness(order=k, rows=s, cols=s, value=value)
+    return True, None
+
+
+def faddeev_leverrier(a) -> list:
+    """(E_0, ..., E_n) of an integer matrix: N_k = A N_(k-1) + c_(k-1) I,
+    c_k = -Tr(A N_k) / k and E_k = (-1)^k c_k."""
+    n = len(a)
+    sums = [1]
+    coeff = 1  # c_(k-1)
+    an = [[0] * n for _ in range(n)]  # A N_(k-1), then N_k, then A N_k
+    for k in range(1, n + 1):
+        for i in range(n):
+            an[i][i] += coeff
+        an = integer_product(a, an)
+        coeff = -sum(an[i][i] for i in range(n)) // k
+        sums.append(-coeff if k % 2 else coeff)
+    return sums
+
+
+def fraction_minor_sums(m: ExactMatrix) -> list:
+    """[E_1, ..., E_n] of a rational matrix: E_k(M) = E_k(cM) / c^k."""
+    c = math.lcm(*(x.denominator for row in m.rows for x in row))
+    a = [[int(x * c) for x in row] for row in m.rows]
+    return [Fraction(e, c**k) for k, e in enumerate(faddeev_leverrier(a)) if k]
+
+
+def fraction_inverse(m: ExactMatrix) -> ExactMatrix:
+    """Gauss-Jordan elimination over Q."""
+    n = m.n
+    a = [list(row) for row in m.rows]
+    b = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot_row = None
+        for r in range(col, n):
+            if a[r][col] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            raise SingularMatrixError()
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        b[col], b[pivot_row] = b[pivot_row], b[col]
+        pivot = a[col][col]
+        a[col] = [x / pivot for x in a[col]]
+        b[col] = [x / pivot for x in b[col]]
+        for r in range(n):
+            if r == col or a[r][col] == 0:
+                continue
+            factor = a[r][col]
+            a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+            b[r] = [x - factor * y for x, y in zip(b[r], b[col])]
+    return ExactMatrix(b)
+
+
+def naive_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The product as a double sum over Fraction entries."""
+    cols = list(zip(*b.rows))
+    return ExactMatrix(
+        [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.rows]
+    )

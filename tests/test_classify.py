@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_matrix, random_spd_matrix
+from reference import fraction_minor_sums, naive_product, per_minor_is_p
 from pstab import ExactMatrix
 from pstab import classify
 from pstab.classify import (
@@ -244,3 +245,53 @@ def test_minor_table_grows_only_to_the_order_the_checks_reach(monkeypatch):
     built.clear()
     assert is_sign_symmetric(ExactMatrix.identity(4))[0]
     assert built == [1, 2, 3, 4]
+
+
+@st.composite
+def p_test_matrices(draw):
+    """Integer, fraction or singular matrices, n = 1..7, diagonally shifted
+    so that the sweep often runs to a deep order or to the end; "diagonal"
+    ones have a positive diagonal over small off-diagonal entries, so that
+    their first nonpositive minor, if any, is often of order 3 or more."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["integer", "fraction", "singular", "diagonal"]))
+    if kind == "fraction":
+        entry = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 7))
+    elif kind == "diagonal":
+        entry = st.integers(-3, 3)
+    else:
+        entry = st.integers(-9, 9)
+    row = st.lists(entry, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    shift = draw(st.sampled_from([0, 3, 8, 15, 25, 40]))
+    for i in range(n):
+        rows[i][i] = draw(st.integers(2, 6)) if kind == "diagonal" else rows[i][i] + shift
+    if kind == "singular" and n > 1:  # a zero minor wherever rows i, j meet
+        i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        factor = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
+        rows[j] = [factor * x for x in rows[i]]
+    return ExactMatrix(rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p_test_matrices())
+def test_sweep_matches_per_minor_bareiss(m):
+    assert is_p(m) == per_minor_is_p(m)
+
+
+def test_sweep_witness_deep_in_the_lattice():
+    # P up to order 3; the one nonpositive minor is A(1,2,3,4; 1,2,3,4)
+    m = ExactMatrix([[2, 1, 0, 1], [1, 2, 1, 0], [0, 1, 2, 1], [1, 0, 1, 2]])
+    assert is_p(m) == per_minor_is_p(m)
+    verdict, witness = is_p(m)
+    assert not verdict and witness.rows == (1, 2, 3, 4) and witness.value == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p_test_matrices())
+def test_order_sums_match_faddeev_leverrier_of_the_square(m):
+    # E(M^2) by root squaring against the char-poly of the formed square
+    assert order_sum_traces(m) == (
+        fraction_minor_sums(m), fraction_minor_sums(naive_product(m, m))
+    )

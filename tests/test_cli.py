@@ -1,10 +1,16 @@
 """The command-line front end: parsing, subcommands, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import LEVEL_SEARCH_FAULT
 from pstab import ExactMatrix
@@ -13,6 +19,8 @@ from pstab.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_REFUTED,
+    MAX_LITERAL_DIGITS,
+    MAX_LITERAL_EXPONENT,
     MatrixParseError,
     entry_str,
     format_matrix,
@@ -73,6 +81,50 @@ def test_format_parse_round_trip():
     assert format_matrix(parse_matrix(text)) == text
     assert entry_str(Fraction(4, 2)) == "2"
     assert entry_str(Fraction(-1, 3)) == "-1/3"
+
+
+def test_format_matrix_writes_long_decimals_in_exponent_form():
+    assert format_matrix(parse_matrix("1\n1e5000\n")) == "1\n1e5000\n"
+    assert format_matrix(parse_matrix("2\n1 -25e-5001\n0 1\n")) == (
+        "2\n1 -2.5e-5000\n0 1\n"
+    )
+    assert format_matrix(parse_matrix("1\n0.1e-10000\n")) == "1\n0.1e-10000\n"
+
+
+DIGITS = st.integers(0, 10**40).map(str) | st.integers(10**899, 10**995).map(str)
+
+
+@st.composite
+def literals(draw):
+    """Decimal and fraction literals, some at the digit and exponent caps."""
+    sign = draw(st.sampled_from(["", "-"]))
+    if draw(st.booleans()):
+        return f"{sign}{draw(DIGITS)}/{draw(st.integers(1, 10**60))}"
+    token = sign + draw(DIGITS)
+    if draw(st.booleans()):
+        token += "." + draw(DIGITS)
+    if draw(st.booleans()):
+        exponent = draw(
+            st.integers(-MAX_LITERAL_EXPONENT, MAX_LITERAL_EXPONENT)
+            | st.sampled_from([MAX_LITERAL_EXPONENT, -MAX_LITERAL_EXPONENT])
+        )
+        token += f"e{exponent}"
+    return token
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(literals())
+def test_format_parse_round_trip_of_every_parsed_entry(token):
+    try:
+        m = parse_matrix(f"1\n{token}\n")
+    except MatrixParseError:
+        return  # over a cap or a zero denominator: not a matrix to write
+    text = format_matrix(m)
+    assert parse_matrix(text) == m
+    assert format_matrix(parse_matrix(text)) == text
+    plain = entry_str(m.entry(1, 1))
+    if sum(ch.isdigit() for ch in plain) <= MAX_LITERAL_DIGITS:
+        assert text == f"1\n{plain}\n"  # in-range entries, and hashes, unchanged
 
 
 def test_matrix_hash_distinguishes_matrices():
@@ -151,8 +203,33 @@ def test_certify_scaled_demo_beyond_the_double_determinant(tmp_path, capsys):
     assert main(["certify", str(path), "--json", cert_path]) == EXIT_OK
     assert main(["verify", cert_path, str(path)]) == EXIT_OK
     path.write_text("2\n1 0\n0 1e400\n")  # no double holds the entry
-    assert main(["certify", str(path)]) == EXIT_INCONCLUSIVE
-    assert "double range" in capsys.readouterr().out
+    assert main(["certify", str(path), "--json", cert_path]) == EXIT_OK
+    assert "eigenvalues: not computed" in capsys.readouterr().out
+    with open(cert_path) as handle:
+        assert json.load(handle)["spectrum"]["computed"] is False
+    assert main(["verify", cert_path, str(path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "text", ["2\n1 0\n0 1e-5000\n", "1\n1e5000\n"], ids=["tiny", "huge"]
+)
+def test_certify_leaves_out_a_spectrum_beyond_the_double_range(
+    tmp_path, capsys, text
+):
+    # the exact fields are complete; only the advisory spectra need doubles
+    # (for "tiny", B = A^-1 holds 10^5000)
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify", str(path), "--json", cert_path]) == EXIT_OK
+    with open(cert_path) as handle:
+        doc = json.load(handle)
+    assert doc["spectrum"] == {
+        "computed": False,
+        "reason": "an entry of A or of D B is beyond the double range",
+    }
+    assert main(["verify", cert_path, str(path)]) == EXIT_OK
+    assert "re-verifies" in capsys.readouterr().out
 
 
 def test_certificate_with_long_exact_values_re_verifies(tmp_path, capsys):
@@ -441,6 +518,24 @@ def _count_calls(monkeypatch, *functions):
 
 
 @pytest.mark.parametrize("a", [DEMO_A, LEVEL_SEARCH_FAULT], ids=["demo", "fault"])
+def test_classify_takes_no_determinant(tmp_path, monkeypatch, capsys, a):
+    # P by one Sylvester sweep, the order sums by one char-poly, and the
+    # other checks from the minor table: no minor is a determinant call
+    import pstab.exactmat
+
+    matrix_path = tmp_path / "a.txt"
+    matrix_path.write_text(format_matrix(a))
+    counts = _count_calls(
+        monkeypatch,
+        pstab.exactmat.det,
+        pstab.exactmat.minor,
+        pstab.exactmat.submatrix,
+    )
+    assert main(["classify", str(matrix_path), "--json"]) == EXIT_REFUTED
+    assert counts == {"det": 0, "minor": 0, "submatrix": 0}
+
+
+@pytest.mark.parametrize("a", [DEMO_A, LEVEL_SEARCH_FAULT], ids=["demo", "fault"])
 def test_certify_and_verify_form_no_schur_complement(tmp_path, monkeypatch, capsys, a):
     # the block traces come from the nest's evidence, and each command
     # checks the chain once: certify found it, verify re-verifies it
@@ -585,3 +680,14 @@ def test_verify_deeply_nested_certificate_exits_3(demo_file, tmp_path, capsys):
     path.write_text("[" * 100_000 + "]" * 100_000)
     assert main(["verify", str(path), demo_file]) == EXIT_INPUT
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pstab", "demo"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK
+    assert "det A: 5491" in proc.stdout and "FAIL" not in proc.stdout

@@ -5,14 +5,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_fraction_matrix, random_invertible, random_matrix
+from reference import faddeev_leverrier, fraction_inverse, naive_product
 from pstab import ExactMatrix, det, inverse, minor, trace
 from pstab.errors import MatrixArgumentError, SingularMatrixError
 from pstab.exactmat import (
     as_rational,
     check_index_set,
     index_sets,
+    integer_minor_sums,
     principal_minor_sums,
     principal_submatrix,
     submatrix,
@@ -162,3 +166,63 @@ def test_principal_minor_sums_match_direct_minors():
         assert sums[0] == 1 and len(sums) == n + 1
         for k in range(1, n + 1):
             assert sums[k] == sum(minor(m, s, s) for s in index_sets(n, k))
+
+
+def square_lists(entries, max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(square_lists(st.integers(-(10**30), 10**30), 7))
+def test_newton_minor_sums_match_faddeev_leverrier(a):
+    assert integer_minor_sums(a) == faddeev_leverrier(a)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(square_lists(st.integers(-4, 4), 7))
+def test_newton_minor_sums_of_small_entries(a):
+    # many zero and repeated eigenvalues, and singular matrices
+    assert integer_minor_sums(a) == faddeev_leverrier(a)
+
+
+FRACTIONS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 7))
+
+
+@st.composite
+def inverse_cases(draw):
+    """A rational matrix, n = 1..6; for some, one row a multiple of another."""
+    rows = draw(square_lists(FRACTIONS, 6))
+    n = len(rows)
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        factor = draw(FRACTIONS)
+        rows[j] = [factor * x for x in rows[i]]
+    return ExactMatrix(rows)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(inverse_cases())
+def test_fraction_free_inverse_matches_gauss_jordan_over_q(m):
+    try:
+        expected = fraction_inverse(m)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            inverse(m)
+        assert det(m) == 0
+    else:
+        assert inverse(m) == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(*[
+        st.lists(st.lists(FRACTIONS, min_size=n, max_size=n), min_size=n, max_size=n)
+    ] * 2)
+))
+def test_cleared_product_matches_the_fraction_product(pair):
+    a, b = (ExactMatrix(rows) for rows in pair)
+    assert a * b == naive_product(a, b)
