@@ -212,15 +212,18 @@ def integer_product(a, b) -> list:
 
 
 def det(m: ExactMatrix) -> Fraction:
-    """Exact determinant via fraction-free (Bareiss) elimination.
+    """Exact determinant, det(A) = det(A') / c^n on the integer-cleared
+    A' = cA (see :func:`integer_det`)."""
+    a, c = cleared(m)
+    return Fraction(integer_det(a), c**m.n)
 
-    Denominators are cleared first so the elimination runs on Python ints,
-    where the Bareiss division is exact and intermediate swell stays
-    polynomial.
-    """
-    n = m.n
-    a, denom_lcm = cleared(m)
 
+def integer_det(a) -> int:
+    """Determinant of an integer matrix given as a list of int rows, by
+    fraction-free (Bareiss) elimination with row swaps: every division is
+    exact and intermediate swell stays polynomial."""
+    a = [list(row) for row in a]
+    n = len(a)
     sign = 1
     prev_pivot = 1
     for col in range(n - 1):
@@ -231,14 +234,43 @@ def det(m: ExactMatrix) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         pivot = a[col][col]
         for r in range(col + 1, n):
             for c in range(col + 1, n):
                 a[r][c] = (a[r][c] * pivot - a[r][col] * a[col][c]) // prev_pivot
             a[r][col] = 0
         prev_pivot = pivot
-    return Fraction(sign * a[n - 1][n - 1], denom_lcm**n)
+    return sign * a[n - 1][n - 1]
+
+
+def integer_leading_minors(a) -> list:
+    """[det A[1..1], ..., det A[1..n]] of an integer matrix given as a
+    list of int rows.
+
+    One fraction-free elimination without row swaps: after step k - 1
+    the k-th pivot is det A[1..k] (Sylvester's identity), so every pivot
+    is a leading minor.  From the first zero pivot on, elimination cannot
+    go on without a swap, and each remaining minor is an
+    :func:`integer_det` of its own block.
+    """
+    n = len(a)
+    rows = [list(row) for row in a]
+    minors, prev = [], 1
+    for k in range(n):
+        pivot_line = rows[k]
+        pivot = pivot_line[k]
+        if pivot == 0:
+            break
+        minors.append(pivot)
+        for row in rows[k + 1 :]:
+            factor = row[k]
+            for c in range(k + 1, n):
+                row[c] = (row[c] * pivot - factor * pivot_line[c]) // prev
+        prev = pivot
+    for k in range(len(minors) + 1, n + 1):
+        minors.append(integer_det([row[:k] for row in a[:k]]))
+    return minors
 
 
 def submatrix(m: ExactMatrix, rows, cols) -> ExactMatrix:
@@ -299,28 +331,31 @@ def trace(m: ExactMatrix) -> Fraction:
     return sum((m.rows[i][i] for i in range(m.n)), Fraction(0))
 
 
-def integer_minor_sums(a) -> list:
-    """(E_0, ..., E_n) of an integer matrix given as a list of int rows.
+def integer_minor_sums(a, top=None) -> list:
+    """(E_0, ..., E_top) of an integer matrix given as a list of int rows;
+    ``top`` defaults to n.
 
     E_k is the sum of the principal minors of order k, the k-th elementary
     symmetric function of the eigenvalues.  The power sums p_k = Tr(A^k),
-    k = 1..n, come from the powers A, ..., A^h with h = ceil(n/2), as
+    k = 1..top, come from the powers A, ..., A^h with h = ceil(top/2), as
     Tr(A^i A^(k-i)) with i, k - i <= h; Newton's identities
 
         k E_k = sum_(i=1..k) (-1)^(i-1) E_(k-i) p_i
 
     then give every E_k.  On an integer matrix each E_k is an integer, so
     the division by k is exact and nothing leaves the ints: h - 1 matrix
-    products and n traces of products, where Faddeev-LeVerrier takes n
-    products.
+    products and top traces of products, where Faddeev-LeVerrier takes n
+    products.  At top = 2 no product is formed: E_1 = Tr A and
+    E_2 = (Tr(A)^2 - Tr(A^2)) / 2.
     """
     n = len(a)
-    h = (n + 1) // 2
+    top = n if top is None else top
+    h = (top + 1) // 2
     powers = [None, a]
     for _ in range(h - 1):
         powers.append(integer_product(powers[-1], a))
     sums, traces = [1], [None]
-    for k in range(1, n + 1):
+    for k in range(1, top + 1):
         if k <= h:
             traces.append(sum(powers[k][r][r] for r in range(n)))
         else:  # Tr(XY) pairs row r of X with column r of Y

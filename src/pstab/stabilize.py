@@ -29,12 +29,17 @@ quantity is a sum of principal minors from the char-poly kernel
 (:mod:`pstab.exactmat`).  The block traces are read off the chain's own Q^2
 evidence, Tr((B^(j)[1..m])^2) = E_(n-j)(A[S_(n-m)]^2) / det(A)^2 (see
 :func:`block_traces`); the ledger is read off the generating function
-E_j((I + sD) B (I + tD) B) = sum s^k t^m L(j,k,m); the Hurwitz minors are
-built from E_k(D B).
+E_j((I + sD) B (I + tD) B) = sum s^k t^m L(j,k,m), whose nodes are
+E_j(N_s W_t) with N_s = B^2 + s B D B and the diagonal W_t = I + t D (up
+to integer scales), and whose top order is closed,
+L(n,k,m) = e_k(eps) e_m(eps) det(B)^2; the Hurwitz minors are the pivots
+of one fraction-free elimination of the Hurwitz matrix of E_k(D B).
 
-Each exact value is computed once per certification: the search returns
-the ledger and Hurwitz minors it accepted its diagonal on, and
-:func:`certify_stability` writes those.
+Each exact value is computed once per certification: the search screens
+every diagonal on the ledger's orders j <= 2 (three nodes, no matrix
+power), computes the complete ledger and the Hurwitz minors only for a
+diagonal that passes the screen, and returns those of the diagonal it
+accepts; :func:`certify_stability` writes them.
 
 Exact and numeric content are kept separate: the ledger, Hurwitz minors,
 block traces and class verdicts are rational arithmetic; eigenvalues are
@@ -44,6 +49,7 @@ tolerance-carrying floats, recorded as advisory cross-checks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -62,6 +68,8 @@ from .exactmat import (
     as_rational,
     cleared,
     det,
+    integer_det,
+    integer_leading_minors,
     integer_minor_sums,
     integer_product,
     minor,
@@ -72,6 +80,8 @@ from .exactmat import (
 from .nests import NestCertificate, NestEvidence, chain_tau
 
 DEFAULT_MAX_SHRINK = 64
+# ledger orders each diagonal of the stabilizer search is screened on
+SCREEN_ORDER = 2
 
 
 # -- Schur complements and Sylvester's identity -----------------------------
@@ -296,42 +306,66 @@ def _lagrange_operator(n) -> list:
     return w
 
 
-def _trace_ledger(b: ExactMatrix, eps) -> TraceLedger:
-    """The complete ledger of diag(eps) over B from one generating function.
+def _trace_ledger(b: ExactMatrix, eps, top=None) -> TraceLedger:
+    """The ledger of diag(eps) over B for orders j <= top (default n), from
+    one generating function.
 
     By Cauchy-Binet and (I + sD)^(j) = sum_k s^k D_k^(j),
 
         E_j((I + sD) B (I + tD) B) = sum_{0 <= k,m <= j} s^k t^m L(j,k,m).
 
     With D = D'/delta and B = B'/beta on integers, the left side is
-    E_j(X_s X_t) / (delta beta)^(2j), X_s = (delta I + s D') B'.  It is
-    evaluated for s, t in {0..n}, only for s <= t since
-    E_j(X_s X_t) = E_j(X_t X_s), and the coefficients are recovered by
-    two exact Vandermonde passes, W P W^T / (n!)^2 with the integer
-    Lagrange operator W = n! V^(-1) of :func:`_lagrange_operator`.
+    E_j(X_s X_t) / (delta beta)^(2j), X_s = (delta I + s D') B'.  Since
+    E_j(UV) = E_j(VU), E_j(X_s X_t) = E_j(N_s W_t) with
+    N_s = delta B'^2 + s B'D'B' and the diagonal W_t = delta I + t D', so
+    every node is a column scaling of a combination of two fixed products.
+    Order j has degree j in s and in t, so orders j <= q = min(top, n-1)
+    are evaluated for s <= t in {0..q} (E_j(X_s X_t) = E_j(X_t X_s)) with
+    the char-poly cut off at order q, and the coefficients are recovered
+    by two exact Vandermonde passes, W P W^T / (q!)^2 with the integer
+    Lagrange operator W = q! V^(-1) of :func:`_lagrange_operator`.  The top
+    order needs no node: B^(n) = det B and D_k^(n) = e_k(eps), so
+    L(n,k,m) = e_k(eps) e_m(eps) det(B)^2, with delta^n e_k(eps) the
+    coefficients of det(delta I + x D') = prod_i (delta + x d'_i).
     """
     n = b.n
+    top = n if top is None else min(top, n)
+    q = min(top, n - 1)
     b_int, beta = cleared(b)
     delta = math.lcm(*(e.denominator for e in eps))
     d_int = [e.numerator * (delta // e.denominator) for e in eps]
-    nodes = range(n + 1)
-    scaled = [
-        [[(delta + s * d_int[i]) * x for x in b_int[i]] for i in range(n)]
-        for s in nodes
-    ]
+    square = integer_product(b_int, b_int)
+    sandwich = integer_product(
+        b_int, [[d * x for x in row] for d, row in zip(d_int, b_int)]
+    )
+    nodes = range(q + 1)
     grid = {}
     for s in nodes:
-        for t in range(s, n + 1):
-            sums = integer_minor_sums(integer_product(scaled[s], scaled[t]))
-            grid[s, t] = grid[t, s] = sums
-    w_rows, w = _lagrange_operator(n), math.factorial(n)
+        n_s = [
+            [delta * x + s * y for x, y in zip(row, line)]
+            for row, line in zip(square, sandwich)
+        ]
+        for t in range(s, q + 1):
+            w_t = [delta + t * d for d in d_int]
+            node = [list(map(operator.mul, row, w_t)) for row in n_s]
+            grid[s, t] = grid[t, s] = integer_minor_sums(node, q)
+    w_rows, w = _lagrange_operator(q), math.factorial(q)
     w_cols = [list(col) for col in zip(*w_rows)]
+    if top == n:
+        det_sq = integer_det(b_int) ** 2
+        poly = [1]
+        for d in d_int:
+            poly = [delta * x + d * y for x, y in zip(poly + [0], [0] + poly)]
 
     entries, cross_terms = {}, {}
-    for j in range(1, n + 1):
-        values = [[grid[s, t][j] for t in nodes] for s in nodes]
-        coeffs = integer_product(integer_product(w_rows, values), w_cols)
-        scale = w * w * (delta * beta) ** (2 * j)
+    for j in range(1, top + 1):
+        if j <= q:
+            values = [[grid[s, t][j] for t in nodes] for s in nodes]
+            coeffs = integer_product(integer_product(w_rows, values), w_cols)
+            scale = w * w * (delta * beta) ** (2 * j)
+        else:
+            coeffs = [[det_sq * x * y for y in poly] for x in poly]
+            scale = (delta * beta) ** (2 * j)
         for k in range(j + 1):
             target = entries if k else cross_terms
             for m_pos in range(1, j + 1):
@@ -361,7 +395,9 @@ def hurwitz_minors(m: ExactMatrix) -> tuple:
     With a_k = E_k(M), the Hurwitz matrix has entry (i, j) = a_(2j-i).  By
     the Routh-Hurwitz criterion all n minors are positive iff every root of
     det(xI + M) lies in the open left half-plane, that is iff M is
-    positively stable.
+    positively stable.  The matrix is cleared, H = H'/c, and the minors
+    det H[1..k] = det H'[1..k] / c^k are the pivots of one fraction-free
+    elimination of H' (see :func:`pstab.exactmat.integer_leading_minors`).
     """
     coeffs = principal_minor_sums(m)
     n = m.n
@@ -369,10 +405,10 @@ def hurwitz_minors(m: ExactMatrix) -> tuple:
         [coeffs[2 * j - i] if 0 <= 2 * j - i <= n else 0 for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
-    hurwitz = ExactMatrix(rows)
+    hurwitz, c = cleared(ExactMatrix(rows))
     return tuple(
-        det(principal_submatrix(hurwitz, tuple(range(1, k + 1))))
-        for k in range(1, n + 1)
+        Fraction(value, c**k)
+        for k, value in enumerate(integer_leading_minors(hurwitz), start=1)
     )
 
 
@@ -405,6 +441,12 @@ def build_stabilizer(b: ExactMatrix, max_shrink: int = DEFAULT_MAX_SHRINK):
     many halvings; after ``max_shrink`` of them it raises
     StabilizerInconclusiveError.
 
+    Each D is first screened on the ledger's orders j <= SCREEN_ORDER,
+    which need three nodes and no matrix power (see :func:`_trace_ledger`);
+    only a D that passes the screen gets the complete ledger and the
+    Hurwitz minors.  Ledger keys sort by j first, so a screen's violation
+    is the one the complete ledger would report first.
+
     The search never tests B: that B is a P- and Q^2-matrix is the
     theorem's hypothesis, which the caller establishes on A (see
     :func:`build_B`).
@@ -413,11 +455,13 @@ def build_stabilizer(b: ExactMatrix, max_shrink: int = DEFAULT_MAX_SHRINK):
     last_violation = None
     for steps in range(max_shrink + 1):
         eps = [1 - gap / 2**steps for gap in gaps]
-        ledger = _trace_ledger(b, eps)
-        minors = hurwitz_minors(b.scale_rows(eps))
-        violation = first_exact_violation(ledger, minors)
+        violation = _trace_ledger(b, eps, SCREEN_ORDER).first_violation()
         if violation is None:
-            return Stabilizer(eps=tuple(eps), identity_steps=steps), ledger, minors
+            ledger = _trace_ledger(b, eps)
+            minors = hurwitz_minors(b.scale_rows(eps))
+            violation = first_exact_violation(ledger, minors)
+            if violation is None:
+                return Stabilizer(eps=tuple(eps), identity_steps=steps), ledger, minors
         last_violation = violation
     raise StabilizerInconclusiveError(max_shrink, last_violation)
 

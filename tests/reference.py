@@ -4,7 +4,8 @@ as references for the property tests.
 Each is the former body of its :mod:`pstab` counterpart: P by one Bareiss
 determinant per principal minor, E(A) by the Faddeev-LeVerrier recurrence
 (n integer products), the inverse by Gauss-Jordan elimination over Q, and
-the product by the naive Fraction double sum.  The package does not
+the product by the naive Fraction double sum, and the Hurwitz minors
+by one Bareiss determinant per leading block.  The package does not
 import this module.
 """
 
@@ -15,7 +16,15 @@ from fractions import Fraction
 
 from pstab.classify import MinorWitness
 from pstab.errors import SingularMatrixError
-from pstab.exactmat import ExactMatrix, index_sets, integer_product, minor
+from pstab.exactmat import (
+    ExactMatrix,
+    det,
+    index_sets,
+    integer_product,
+    minor,
+    principal_minor_sums,
+    principal_submatrix,
+)
 
 
 def per_minor_is_p(m: ExactMatrix):
@@ -84,4 +93,20 @@ def naive_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     cols = list(zip(*b.rows))
     return ExactMatrix(
         [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a.rows]
+    )
+
+
+def per_minor_hurwitz_minors(m: ExactMatrix) -> tuple:
+    """Leading principal minors of the Hurwitz matrix of det(xI + M), one
+    determinant each."""
+    coeffs = principal_minor_sums(m)
+    n = m.n
+    rows = [
+        [coeffs[2 * j - i] if 0 <= 2 * j - i <= n else 0 for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+    hurwitz = ExactMatrix(rows)
+    return tuple(
+        det(principal_submatrix(hurwitz, tuple(range(1, k + 1))))
+        for k in range(1, n + 1)
     )

@@ -148,6 +148,18 @@ def test_classify_demo_report(demo_file, capsys):
     assert main(["classify", demo_file, "--require", "P", "--require", "Q2"]) == EXIT_OK
 
 
+def test_main_reuses_its_parser_without_leaking_values(demo_file, capsys):
+    # the demo is P but not P^2; an --require list kept from one call
+    # would refute the next
+    from pstab.cli import _parser
+
+    assert main(["classify", demo_file, "--require", "P"]) == EXIT_OK
+    assert main(["classify", demo_file, "--require", "P2"]) == EXIT_REFUTED
+    assert main(["classify", demo_file, "--require", "P"]) == EXIT_OK
+    assert main(["classify", demo_file, "--require", "Q2"]) == EXIT_OK
+    assert _parser() is _parser()
+
+
 def test_classify_json(demo_file, capsys):
     main(["classify", demo_file, "--json"])
     doc = json.loads(capsys.readouterr().out)
@@ -559,31 +571,41 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     tmp_path, monkeypatch, capsys, a
 ):
     # P is tested on A and on A^2 (the P^2 flag), never on B; certify
-    # writes the ledger and minors its search accepted, and verify
-    # re-derives each once and tests Q^2 only on the chain's n levels
+    # screens each diagonal on ledger orders j <= 2, computes the complete
+    # ledger and the Hurwitz minors only for the one it accepts and writes
+    # those; verify re-derives each once and tests Q^2 only on the chain's
+    # n levels
     import pstab.classify
     import pstab.stabilize
 
     matrix_path = tmp_path / "a.txt"
     matrix_path.write_text(format_matrix(a))
     cert_path = str(tmp_path / "cert.json")
+    ledger = pstab.stabilize._trace_ledger
+    screens = []
+
+    def screened(b, eps, top=None):
+        screens.append(top)
+        return ledger(b, eps, top)
+
+    monkeypatch.setattr(pstab.stabilize, "_trace_ledger", screened)
     counts = _count_calls(
         monkeypatch,
         pstab.classify.is_p,
         pstab.classify.is_q2,
-        pstab.stabilize._trace_ledger,
         pstab.stabilize.hurwitz_minors,
     )
     assert main(["certify", str(matrix_path), "--json", cert_path]) == EXIT_OK
     with open(cert_path) as handle:
         steps = json.load(handle)["stabilizer"]["identity_steps"]
     assert counts["is_p"] == 2
-    assert counts["_trace_ledger"] == counts["hurwitz_minors"] == steps + 1
+    assert screens.count(pstab.stabilize.SCREEN_ORDER) == steps + 1
+    assert screens.count(None) == counts["hurwitz_minors"] == 1
     counts.update(dict.fromkeys(counts, 0))
+    screens.clear()
     assert main(["verify", cert_path, str(matrix_path)]) == EXIT_OK
-    assert counts == {
-        "is_p": 2, "is_q2": a.n, "_trace_ledger": 1, "hurwitz_minors": 1
-    }
+    assert screens == [None]
+    assert counts == {"is_p": 2, "is_q2": a.n, "hurwitz_minors": 1}
 
 
 def test_verify_refuses_a_matrix_that_is_not_p(tmp_path, capsys):

@@ -16,6 +16,8 @@ from pstab.exactmat import (
     as_rational,
     check_index_set,
     index_sets,
+    integer_det,
+    integer_leading_minors,
     integer_minor_sums,
     principal_minor_sums,
     principal_submatrix,
@@ -187,6 +189,36 @@ def test_newton_minor_sums_match_faddeev_leverrier(a):
 def test_newton_minor_sums_of_small_entries(a):
     # many zero and repeated eigenvalues, and singular matrices
     assert integer_minor_sums(a) == faddeev_leverrier(a)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(square_lists(st.integers(-(10**12), 10**12), 7), st.integers(0, 7))
+def test_minor_sums_cut_off_at_top_are_a_prefix(a, top):
+    top = min(top, len(a))
+    assert integer_minor_sums(a, top) == integer_minor_sums(a)[: top + 1]
+
+
+def test_minor_sums_to_order_two_form_no_product(monkeypatch):
+    import pstab.exactmat
+
+    def refuse(x, y):
+        raise AssertionError("matrix product formed")
+
+    a = [[3, -1, 4], [1, 5, -9], [2, 6, 5]]
+    expected = integer_minor_sums(a)[:3]
+    monkeypatch.setattr(pstab.exactmat, "integer_product", refuse)
+    assert integer_minor_sums(a, 2) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(square_lists(st.integers(-3, 3), 7))
+def test_leading_minors_match_a_determinant_per_block(a):
+    # small entries give zero pivots, after which each minor is its own det
+    expected = [
+        det(ExactMatrix([row[:k] for row in a[:k]])) for k in range(1, len(a) + 1)
+    ]
+    assert integer_leading_minors(a) == expected
+    assert integer_det(a) == expected[-1]
 
 
 FRACTIONS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 7))

@@ -1,0 +1,70 @@
+"""Golden certificates: the exact part of ``certify --json -`` is pinned by
+its sha256, so a rewrite of any exact kernel must reproduce every
+certificate byte for byte."""
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import LEVEL_SEARCH_FAULT, random_p_matrix, random_spd_matrix
+from pstab.cli import EXIT_OK, format_matrix, main
+from pstab.fixtures import DEMO_A
+
+CASES = {
+    "demo": (
+        lambda: DEMO_A,
+        "944be430fdd998cd1897a124c4c634d8b44b92422ae188fbc2e56380ab42c29b",
+    ),
+    "fault": (
+        lambda: LEVEL_SEARCH_FAULT,
+        "a3b72400ad6d4e48509fb78253f100796e1264f7f15cf1931052370b70e2d01d",
+    ),
+    "scaled-demo": (
+        lambda: DEMO_A * 10**150,
+        "6ef63e2b7df7c57ae574f4363a741d9c47b8afa90255767d36080a5d895b9c96",
+    ),
+    "spd2": (
+        lambda: random_spd_matrix(random.Random(1), 2),
+        "c64c4164692e55283957b5623f53a40ee5cf059c7e02b6e3d4dbbbeae6f4610f",
+    ),
+    "spd3": (
+        lambda: random_spd_matrix(random.Random(1), 3),
+        "c20fccb3018bd9580492b16f5df5d2b7dff2d106ac0a366b04db5c4993c55923",
+    ),
+    "spd5": (
+        lambda: random_spd_matrix(random.Random(2), 5),
+        "e4aaed0d74efc13e841caf85ec84b8835999dd34b9aca955fe21bc11623424b8",
+    ),
+    "spd4-sevenths": (
+        lambda: random_spd_matrix(random.Random(3), 4) * Fraction(1, 7),
+        "fbc55859ef7f22285ab52a187bf45c84552cd9bb60c5a1943d7df7f94ff048cf",
+    ),
+    "p4-three-halvings": (
+        lambda: random_p_matrix(random.Random(17), 4),
+        "33b9bb9d6c9e2556626a44ebaebbe2fcf77c9e7d27b38718e46ef6b654edc8b5",
+    ),
+    "p5-one-halving": (
+        lambda: random_p_matrix(random.Random(16), 5),
+        "997f32c01d88aa0ccd0f37beb9d2877b30dbc60d7646c375f9fc94c4e61a40d3",
+    ),
+}
+
+
+def exact_part_sha256(a, tmp_path, capsys):
+    """sha256 of the certificate document of ``a`` less its spectrum."""
+    path = tmp_path / "a.txt"
+    path.write_text(format_matrix(a))
+    capsys.readouterr()
+    assert main(["certify", str(path), "--json", "-"]) == EXIT_OK
+    doc, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    del doc["spectrum"]
+    return hashlib.sha256(json.dumps(doc, indent=2).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_certificate_exact_part_is_pinned(name, tmp_path, capsys):
+    make, digest = CASES[name]
+    assert exact_part_sha256(make(), tmp_path, capsys) == digest

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     LEVEL_SEARCH_FAULT,
@@ -13,6 +15,7 @@ from conftest import (
     random_p_matrix,
     random_spd_matrix,
 )
+from reference import per_minor_hurwitz_minors
 from pstab import ExactMatrix, det, inverse, minor, principal_submatrix, trace
 from pstab.compound import compound, diag_generalized_compound
 from pstab.classify import is_p, is_q2, order_sum_traces
@@ -25,9 +28,11 @@ from pstab.errors import (
 from pstab.fixtures import DEMO_A, DEMO_CHAIN
 from pstab.nests import find_q2_nest
 from pstab.stabilize import (
+    SCREEN_ORDER,
     Stabilizer,
     TraceLedger,
     _lagrange_operator,
+    _trace_ledger,
     block_traces,
     build_B,
     build_stabilizer,
@@ -272,6 +277,64 @@ def test_demo_cross_term_refutes_the_former_stabilizer():
     assert not ledger.all_positive()
 
 
+FRACTIONS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+POSITIVE = st.builds(Fraction, st.integers(1, 30), st.integers(1, 9))
+
+
+@st.composite
+def ledger_cases(draw, max_n=5, entries=FRACTIONS):
+    """(B, eps): a rational matrix, n = 1..max_n, and a positive diagonal."""
+    n = draw(st.integers(1, max_n))
+    row = st.lists(entries, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    eps = draw(st.lists(POSITIVE, min_size=n, max_size=n))
+    return ExactMatrix(rows), eps
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(ledger_cases())
+def test_screen_is_the_ledger_cut_off_at_order_two(case):
+    b, eps = case
+    full = homotopy_certificate(b, eps)
+    screen = _trace_ledger(b, eps, SCREEN_ORDER)
+    assert screen.entries == {k: v for k, v in full.entries.items() if k[0] <= 2}
+    assert screen.cross_terms == {
+        k: v for k, v in full.cross_terms.items() if k[0] <= 2
+    }
+
+
+def test_top_order_of_a_one_by_one_ledger():
+    # L(1,k,m) = e^(k+m) b^2, the closed form with no node at all
+    ledger = homotopy_certificate(ExactMatrix([[Fraction(-3, 2)]]), [Fraction(2, 5)])
+    assert ledger.entries == {(1, 1, 1): Fraction(4, 25) * Fraction(9, 4)}
+    assert ledger.cross_terms == {(1, 0, 1): Fraction(2, 5) * Fraction(9, 4)}
+
+
+@pytest.mark.parametrize("a", [DEMO_A, LEVEL_SEARCH_FAULT], ids=["demo", "fault"])
+def test_screen_reports_the_violation_of_the_full_ledger(a):
+    # every diagonal the search rejects fails at order 1 or 2, and its
+    # screen names the value the full ledger would name first
+    _, b = build_B(a, find_q2_nest(a))
+    stab, _, _ = build_stabilizer(b)
+    gaps = [1 - Fraction(1, 2**i) for i in range(b.n)]
+    for steps in range(stab.identity_steps):
+        eps = [1 - gap / 2**steps for gap in gaps]
+        violation = _trace_ledger(b, eps, SCREEN_ORDER).first_violation()
+        assert violation is not None
+        assert violation == homotopy_certificate(b, eps).first_violation()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    ledger_cases(
+        max_n=6, entries=st.one_of(FRACTIONS, st.integers(-1, 1).map(Fraction))
+    ).map(lambda case: case[0])
+)
+def test_hurwitz_minors_match_a_determinant_per_minor(m):
+    # entries in {-1, 0, 1} give zero pivots, and minors after them
+    assert hurwitz_minors(m) == per_minor_hurwitz_minors(m)
+
+
 def test_hurwitz_minors_decide_positive_stability():
     assert all(v > 0 for v in hurwitz_minors(DEMO_A))
     assert all(v > 0 for v in hurwitz_minors(ExactMatrix.identity(3)))
@@ -360,19 +423,30 @@ def test_shrink_cap_message_names_halvings_and_last_violation():
 
 @pytest.mark.parametrize("a", [DEMO_A, LEVEL_SEARCH_FAULT], ids=["demo", "fault"])
 def test_build_stabilizer_computes_one_ledger_per_diagonal(monkeypatch, a):
+    # every diagonal tried is screened on orders j <= 2; only the accepted
+    # one gets the complete ledger and the Hurwitz minors
     import pstab.stabilize
 
     _, b = build_B(a, find_q2_nest(a))
     ledger = pstab.stabilize._trace_ledger
+    minors = pstab.stabilize.hurwitz_minors
     calls = []
 
-    def counted(b, eps):
-        calls.append(eps)
-        return ledger(b, eps)
+    def counted(b, eps, top=None):
+        calls.append(top)
+        return ledger(b, eps, top)
+
+    def counted_minors(m):
+        calls.append("hurwitz")
+        return minors(m)
 
     monkeypatch.setattr(pstab.stabilize, "_trace_ledger", counted)
+    monkeypatch.setattr(pstab.stabilize, "hurwitz_minors", counted_minors)
     stab, _, _ = build_stabilizer(b)
-    assert len(calls) == stab.identity_steps + 1
+    assert stab.identity_steps > 0
+    assert calls.count(SCREEN_ORDER) == stab.identity_steps + 1
+    assert calls[-3:] == [SCREEN_ORDER, None, "hurwitz"]
+    assert len(calls) == stab.identity_steps + 3
 
 
 def test_certify_stability_level_search_fault():
