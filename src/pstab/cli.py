@@ -27,12 +27,7 @@ from fractions import Fraction
 from . import __version__
 from .classify import classify_full
 from .compound import compound, generalized_compound
-from .errors import (
-    HypothesisError,
-    MatrixArgumentError,
-    NumericToleranceError,
-    StabilizerInconclusiveError,
-)
+from .errors import HypothesisError, MatrixArgumentError, StabilizerInconclusiveError
 from .exactmat import ExactMatrix, rational_str as entry_str
 from .nests import NestCertificate, NestEvidence, verify_nest
 from .spectra import DEFAULT_TOL_IMAG, DEFAULT_TOL_POS, DEFAULT_TOL_SEP
@@ -56,10 +51,6 @@ EXIT_INPUT = 3
 MAX_LITERAL_DIGITS = 1000
 MAX_LITERAL_EXPONENT = 10000
 _EXPONENT = re.compile(r"[eE][+-]?([\d_]+)$")
-
-# The advisory spectrum section of a certificate whose spectra have no
-# double image.
-SPECTRUM_NOT_COMPUTED = "an entry of A or of D B is beyond the double range"
 
 
 class MatrixParseError(Exception):
@@ -220,8 +211,9 @@ def certificate_document(cert) -> dict:
 
     Everything up to endpoint_hurwitz_minors is exact (fraction strings);
     the spectrum section is the only floating-point content.  When the
-    spectra were not computed (an entry beyond the double range) it is
-    {"computed": false, "reason": ...}.
+    spectra were not computed it is {"computed": false, "reason": ...};
+    when they contradict the exact claim it names the contradiction under
+    "disagreement".
     """
     report = cert.report
     return {
@@ -270,8 +262,8 @@ def certificate_document(cert) -> dict:
 
 def _spectrum_doc(cert):
     if cert.spectrum is None:
-        return {"computed": False, "reason": SPECTRUM_NOT_COMPUTED}
-    return {
+        return {"computed": False, "reason": cert.spectrum_reason}
+    doc = {
         "input_eigenvalues": [_complex_doc(v) for v in cert.spectrum.eigenvalues],
         "stabilized_eigenvalues": [
             _complex_doc(v) for v in cert.stabilized_spectrum.eigenvalues
@@ -284,6 +276,9 @@ def _spectrum_doc(cert):
             "tol_sep": DEFAULT_TOL_SEP,
         },
     }
+    if cert.disagreement is not None:
+        doc["disagreement"] = cert.disagreement
+    return doc
 
 
 class _MalformedField(Exception):
@@ -544,7 +539,7 @@ def cmd_certify(args) -> int:
     except HypothesisError as exc:
         print(f"refuted ({exc.kind}): {exc}")
         return EXIT_REFUTED
-    except (StabilizerInconclusiveError, NumericToleranceError) as exc:
+    except StabilizerInconclusiveError as exc:
         print(f"inconclusive: {exc}")
         return EXIT_INCONCLUSIVE
 
@@ -559,8 +554,14 @@ def cmd_certify(args) -> int:
     print(f"certified: positively stable (n = {a.n})")
     print(f"nest chain: {' < '.join(str(set(s)) for s in cert.nest.chain)}")
     print(f"stabilizer eps: {', '.join(entry_str(e) for e in cert.stabilizer.eps)}")
+    if cert.disagreement is not None:
+        print(
+            f"advisory: {cert.disagreement}; the verdict rests on the exact "
+            "fields alone",
+            file=sys.stderr,
+        )
     if cert.spectrum is None:
-        print(f"eigenvalues: not computed ({SPECTRUM_NOT_COMPUTED})")
+        print(f"eigenvalues: not computed ({cert.spectrum_reason})")
         return EXIT_OK
     print(
         "eigenvalues: "

@@ -60,7 +60,10 @@ class StabilizerInconclusiveError(CertificationError):
 
 
 class NumericToleranceError(CertificationError):
-    """A floating-point cross-check fell outside its stated tolerance."""
+    """A floating-point cross-check fell outside its stated tolerance.
+
+    Advisory: :func:`pstab.stabilize.certify_stability` records it in the
+    certificate, and no exit code depends on it."""
 
     kind = "numeric"
 

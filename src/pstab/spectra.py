@@ -3,17 +3,17 @@
 The conversion Rational -> double in :func:`eigenvalues` is the single
 sanctioned precision loss in the system; every Spectrum records the method
 and tolerance used, and its sum/product are cross-checked against the exact
-trace and determinant.
+trace and determinant.  No verdict reads these values: they are advisory.
+numpy is imported on the first :func:`eigenvalues` call, so a command
+that takes no eigenvalues never loads it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DoubleRangeError, MatrixArgumentError, NumericToleranceError
 from .exactmat import ExactMatrix, det, trace
@@ -48,14 +48,16 @@ def eigenvalues(m: ExactMatrix) -> Spectrum:
     if m.n > MAX_DIMENSION:
         raise MatrixArgumentError(f"eigenvalues capped at n <= {MAX_DIMENSION}")
     try:
-        dense = np.array([[float(x) for x in row] for row in m.rows], dtype=float)
+        dense = [[float(x) for x in row] for row in m.rows]
     except OverflowError as exc:
         raise DoubleRangeError("matrix entries exceed the double range") from exc
-    values = np.linalg.eigvals(dense)
+    import numpy as np
+
+    values = np.linalg.eigvals(np.array(dense, dtype=float))
     spectrum = Spectrum(
         eigenvalues=tuple(complex(v) for v in values),
         method="lapack-geev",
-        tol_backward=np.finfo(float).eps,
+        tol_backward=sys.float_info.epsilon,
     )
 
     e = max(
@@ -108,14 +110,32 @@ def wedge_check(spectrum: Spectrum, n, kind="kellogg"):
 
 
 def multiset_match(values_a, values_b, abs_tol=1e-8, rel_tol=1e-8):
-    """Optimal-assignment multiset comparison of two complex spectra."""
+    """True iff the two sequences of complex values have the same length
+    and some one-to-one pairing of them puts every pair (x, y) within
+    abs_tol + rel_tol * max(|x|, |y|).
+
+    Decided exactly, by Kuhn's augmenting paths on the "within tolerance"
+    relation: O(n^3) comparisons for n values, and a recursion depth of
+    at most n.
+    """
     a = list(values_a)
     b = list(values_b)
     if len(a) != len(b):
         return False
-    cost = np.array([[abs(x - y) for y in b] for x in a])
-    rows, cols = linear_sum_assignment(cost)
-    for i, j in zip(rows, cols):
-        if abs(a[i] - b[j]) > abs_tol + rel_tol * max(abs(a[i]), abs(b[j])):
-            return False
-    return True
+    near = [
+        [j for j, y in enumerate(b)
+         if abs(x - y) <= abs_tol + rel_tol * max(abs(x), abs(y))]
+        for x in a
+    ]
+    partner = [None] * len(b)  # partner[j]: the index in a paired with b[j]
+
+    def augment(i, seen):
+        for j in near[i]:
+            if j not in seen:
+                seen.add(j)
+                if partner[j] is None or augment(partner[j], seen):
+                    partner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(a)))

@@ -479,8 +479,10 @@ class StabilityCertificate:
     positive ``endpoint_hurwitz`` minors prove diag(eps) * B positively
     stable.  The two spectra and the wedge margin are the only
     floating-point content; they are advisory cross-checks, and all three
-    are None when an entry of A or of diag(eps) * B is beyond the double
-    range.
+    are None when the spectra were not computed, with ``spectrum_reason``
+    saying why.  ``disagreement`` says how the float evidence contradicts
+    the exact claim (a nonpositive eigenvalue, a wedge margin <= 0, or a
+    failed sum/product cross-check), and is None when it does not.
     """
 
     matrix: ExactMatrix
@@ -495,6 +497,8 @@ class StabilityCertificate:
     spectrum: spectra.Spectrum | None  # of the input matrix
     stabilized_spectrum: spectra.Spectrum | None  # of diag(eps) * B
     wedge_margin: float | None
+    spectrum_reason: str | None = None
+    disagreement: str | None = None
 
 
 def certify_stability(
@@ -502,14 +506,16 @@ def certify_stability(
 ) -> StabilityCertificate:
     """Run the whole certification pipeline on an exact matrix.
 
-    Raises HypothesisError (not-P, not-Q2, no-nest),
+    Raises HypothesisError (not-P, not-Q2, no-nest) or
     StabilizerInconclusiveError (including a stabilizer whose ledger or
-    endpoint Hurwitz minors fail the exact re-check), or
-    NumericToleranceError when the advisory spectrum contradicts the exact
-    claim; on success every exact field of the returned certificate is
-    positive where the claim needs it and independently re-verifiable.  A
-    spectrum that cannot be computed, because an entry is beyond the
-    double range, is left out (None), not an error.
+    endpoint Hurwitz minors fail the exact re-check); on success every
+    exact field of the returned certificate is positive where the claim
+    needs it and independently re-verifiable.  The verdict rests on those
+    fields alone: no float value raises.  Spectra that cannot be computed,
+    because an entry is beyond the double range or their sum/product
+    cross-check fails, are left out (None); an advisory spectrum that
+    contradicts the exact claim is recorded as the certificate's
+    ``disagreement``.
 
     P and Q^2 are decided once, on A by :func:`classify_full`.  The ledger
     and endpoint Hurwitz minors written are the ones the search accepted,
@@ -547,20 +553,25 @@ def certify_stability(
             message=f"stabilizer fails the exact re-check at {violation}",
         )
 
+    spectrum = margin = reason = disagreement = None
     try:
         stabilized = spectra.eigenvalues(b.scale_rows(stabilizer.eps))
         spectrum = spectra.eigenvalues(a)
     except DoubleRangeError:
-        stabilized = spectrum = margin = None
+        stabilized = None
+        reason = "an entry of A or of D B is beyond the double range"
+    except NumericToleranceError as exc:
+        stabilized = None
+        reason = disagreement = str(exc)
     else:
+        ok_wedge, margin = spectra.wedge_check(spectrum, a.n, kind="sharpened")
         if not spectra.is_positively_stable(spectrum, margin=0.0):
-            raise NumericToleranceError(
+            disagreement = (
                 "certified matrix shows a numerically nonpositive eigenvalue; "
                 "exact and numeric evidence disagree"
             )
-        ok_wedge, margin = spectra.wedge_check(spectrum, a.n, kind="sharpened")
-        if not ok_wedge:
-            raise NumericToleranceError(
+        elif not ok_wedge:
+            disagreement = (
                 f"sharpened wedge bound violated numerically (slack {margin})"
             )
     return StabilityCertificate(
@@ -576,4 +587,6 @@ def certify_stability(
         spectrum=spectrum,
         stabilized_spectrum=stabilized,
         wedge_margin=margin,
+        spectrum_reason=reason,
+        disagreement=disagreement,
     )

@@ -5,12 +5,14 @@ Each is the former body of its :mod:`pstab` counterpart: P by one Bareiss
 determinant per principal minor, E(A) by the Faddeev-LeVerrier recurrence
 (n integer products), the inverse by Gauss-Jordan elimination over Q, and
 the product by the naive Fraction double sum, and the Hurwitz minors
-by one Bareiss determinant per leading block.  The package does not
-import this module.
+by one Bareiss determinant per leading block.  The spectrum matcher is
+the search over every pairing that :func:`pstab.spectra.multiset_match`
+decides by augmenting paths.  The package does not import this module.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -109,4 +111,20 @@ def per_minor_hurwitz_minors(m: ExactMatrix) -> tuple:
     return tuple(
         det(principal_submatrix(hurwitz, tuple(range(1, k + 1))))
         for k in range(1, n + 1)
+    )
+
+
+def permutation_multiset_match(values_a, values_b, abs_tol=1e-8, rel_tol=1e-8):
+    """Whether some pairing of the two sequences puts every pair (x, y)
+    within abs_tol + rel_tol * max(|x|, |y|), trying all n! of them."""
+    a = list(values_a)
+    b = list(values_b)
+    if len(a) != len(b):
+        return False
+    return any(
+        all(
+            abs(x - y) <= abs_tol + rel_tol * max(abs(x), abs(y))
+            for x, y in zip(a, pairing)
+        )
+        for pairing in itertools.permutations(b)
     )

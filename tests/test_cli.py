@@ -28,8 +28,9 @@ from pstab.cli import (
     matrix_hash,
     parse_matrix,
 )
+from pstab.errors import NumericToleranceError
 from pstab.fixtures import DEMO_A, DEMO_COMPOUND_2, DEMO_EIGENVALUES
-from pstab.spectra import multiset_match
+from pstab.spectra import Spectrum, multiset_match
 
 
 @pytest.fixture
@@ -497,6 +498,84 @@ def test_certify_identity(identity_file):
     assert main(["certify", identity_file]) == EXIT_OK
 
 
+@pytest.mark.parametrize("entry", ["5", "1/3", "1e-300"])
+def test_certify_certifies_every_one_by_one_p_matrix(tmp_path, capsys, entry):
+    # the sharpened wedge bound pi/2 - pi/(2n) is 0 at n = 1, so a real
+    # positive eigenvalue has slack 0: an advisory, not an exit code
+    path = tmp_path / "m.txt"
+    path.write_text(f"1\n{entry}\n")
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify", str(path), "--json", cert_path]) == EXIT_OK
+    assert "certified" in capsys.readouterr().out
+    assert main(["verify", cert_path, str(path)]) == EXIT_OK
+    assert "re-verifies" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entry", ["0", "-5"])
+def test_certify_refutes_a_one_by_one_non_p_matrix(tmp_path, capsys, entry):
+    path = tmp_path / "m.txt"
+    path.write_text(f"1\n{entry}\n")
+    assert main(["certify", str(path)]) == EXIT_REFUTED
+    assert "refuted (not-P)" in capsys.readouterr().out
+
+
+CROSS_CHECK_FAILURE = (
+    "eigenvalue sum 1.0 vs exact trace 30.0 differs beyond 1.2e-06 "
+    "(all scaled by 2^-0)"
+)
+
+
+def _negative_spectrum(m):
+    return Spectrum((-1 + 0j,) + (2 + 0j,) * (m.n - 1), "lapack-geev", 0.0)
+
+
+def _spectrum_outside_the_wedge(m):
+    # |arg(1 +- 5i)| = 1.37 > pi/2 - pi/8, though both real parts are positive
+    return Spectrum((1 + 5j, 1 - 5j) + (2 + 0j,) * (m.n - 2), "lapack-geev", 0.0)
+
+
+def _failed_cross_check(m):
+    raise NumericToleranceError(CROSS_CHECK_FAILURE)
+
+
+@pytest.mark.parametrize(
+    "fake, named",
+    [
+        (_negative_spectrum, "nonpositive eigenvalue"),
+        (_spectrum_outside_the_wedge, "sharpened wedge bound violated"),
+        (_failed_cross_check, CROSS_CHECK_FAILURE),
+    ],
+    ids=["negative", "outside-wedge", "cross-check"],
+)
+def test_no_float_value_changes_the_exit_code_of_certify(
+    demo_file, tmp_path, monkeypatch, capsys, fake, named
+):
+    import pstab.stabilize
+
+    monkeypatch.setattr(pstab.stabilize.spectra, "eigenvalues", fake)
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify", demo_file, "--json", cert_path]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "certified: positively stable" in captured.out
+    assert captured.err.startswith("advisory: ") and named in captured.err
+    with open(cert_path) as handle:
+        spectrum = json.load(handle)["spectrum"]
+    if fake is _failed_cross_check:
+        assert spectrum == {"computed": False, "reason": CROSS_CHECK_FAILURE}
+        assert f"eigenvalues: not computed ({CROSS_CHECK_FAILURE})" in captured.out
+    else:
+        assert named in spectrum["disagreement"]
+    assert main(["verify", cert_path, demo_file]) == EXIT_OK
+    assert "re-verifies" in capsys.readouterr().out
+
+
+def test_certify_of_an_agreeing_spectrum_prints_no_advisory(demo_file, capsys):
+    assert main(["certify", demo_file, "--json", "-"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "disagreement" not in captured.out
+
+
 def test_demo_command_all_pass(capsys):
     assert main(["demo"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -713,3 +792,49 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == EXIT_OK
     assert "det A: 5491" in proc.stdout and "FAIL" not in proc.stdout
+
+
+# Reports, on its last line, which of numpy and scipy a command loaded.
+IMPORT_PROBE = """
+import sys
+from pstab.cli import main
+rc = main(sys.argv[1:])
+print(rc, "numpy" in sys.modules, "scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["classify", "--require", "P"], "0 False False"),
+        (["certify"], "0 True False"),
+    ],
+    ids=["classify", "certify"],
+)
+def test_only_eigenvalues_load_numpy_and_nothing_loads_scipy(
+    demo_file, argv, loaded
+):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *argv, demo_file],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout.splitlines()[-1] == loaded
+
+
+def test_no_source_or_test_file_imports_scipy():
+    import ast
+
+    root = Path(__file__).resolve().parent.parent
+    files = sorted((root / "src").rglob("*.py")) + sorted((root / "tests").rglob("*.py"))
+    assert files
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "scipy" for name in names), path

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_matrix
 from pstab import ExactMatrix
@@ -15,6 +17,7 @@ from pstab.spectra import (
     multiset_match,
     wedge_check,
 )
+from reference import permutation_multiset_match
 
 
 def test_eigenvalues_of_diagonal_matrix():
@@ -79,3 +82,36 @@ def test_multiset_match():
     assert not multiset_match([1.0], [1.0, 2.0])
     assert not multiset_match([1.0, 2.0], [1.0, 2.1])
     assert multiset_match([1.0, 2.0], [1.0, 2.0 + 1e-10])
+
+
+# Values on a grid of quarters, near a line; tolerances about one grid
+# step.  Each value is within tolerance of several others, some exactly on
+# the boundary, so a pairing that is greedy in list order can miss one that
+# exists.
+_values = st.builds(
+    complex,
+    st.integers(-4, 4).map(lambda k: k / 4),
+    st.integers(-1, 1).map(lambda k: k / 4),
+)
+_nudges = st.builds(
+    complex,
+    st.integers(-2, 2).map(lambda k: k / 8),
+    st.integers(-1, 1).map(lambda k: k / 8),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from([(0.25, 0.0), (0.2, 0.1), (0.0, 0.3), (1e-8, 1e-8)]),
+)
+def test_multiset_match_agrees_with_a_search_over_every_pairing(data, tols):
+    abs_tol, rel_tol = tols
+    a = data.draw(st.lists(_values, max_size=6), label="a")
+    if data.draw(st.integers(0, 9), label="kind") < 3:
+        b = data.draw(st.lists(_values, max_size=6), label="b")
+    else:
+        b = [x + data.draw(_nudges) for x in data.draw(st.permutations(a))]
+    assert multiset_match(a, b, abs_tol, rel_tol) == permutation_multiset_match(
+        a, b, abs_tol, rel_tol
+    )
