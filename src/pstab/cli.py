@@ -411,9 +411,7 @@ def _verify_fields(doc, a, problems):
         problems.append("transformed matrix B does not re-verify")
         return
 
-    recomputed = {
-        f"{j},{m}": frac_str(v) for (j, m), v in block_traces(evidence).items()
-    }
+    recomputed = {f"{j},{m}": v for (j, m), v in block_traces(evidence).items()}
     problems.extend(
         _exact_section_problems(doc, "block_traces", "block trace", recomputed)
     )
@@ -432,13 +430,10 @@ def _verify_fields(doc, a, problems):
         ("cross_terms", "cross term", ledger.cross_terms),
     ]
     for section, label, values in sections:
-        recomputed = {
-            f"{j},{k},{m}": frac_str(v) for (j, k, m), v in values.items()
-        }
+        recomputed = {f"{j},{k},{m}": v for (j, k, m), v in values.items()}
         problems.extend(_exact_section_problems(doc, section, label, recomputed))
     recomputed = {
-        str(k): frac_str(v)
-        for k, v in enumerate(hurwitz_minors(b.scale_rows(eps)), start=1)
+        str(k): v for k, v in enumerate(hurwitz_minors(b.scale_rows(eps)), start=1)
     }
     problems.extend(
         _exact_section_problems(
@@ -450,9 +445,9 @@ def _verify_fields(doc, a, problems):
 
 
 def _exact_section_problems(doc, section, label, recomputed):
-    """Compare one exact section with its re-derived values, in key order;
-    each value must match and be positive.  A list section is keyed
-    "1", "2", ... ."""
+    """Compare one exact section with its re-derived exact values, in key
+    order; each value must match its fraction string and be positive.  A
+    list section is keyed "1", "2", ... ."""
     values = doc.get(section)
     if isinstance(values, list):
         values = {str(k): v for k, v in enumerate(values, start=1)}
@@ -464,9 +459,10 @@ def _exact_section_problems(doc, section, label, recomputed):
     for key in sorted(recomputed, key=lambda k: tuple(map(int, k.split(",")))):
         if key not in values:
             continue
-        if values[key] != recomputed[key]:
+        value = recomputed[key]
+        if values[key] != frac_str(value):
             problems.append(f"{label} ({key}) does not re-verify")
-        elif _fraction(recomputed[key]) <= 0:
+        elif value <= 0:
             problems.append(f"{label} ({key}) is not positive")
     return problems
 

@@ -3,7 +3,7 @@
 Entries are ``fractions.Fraction`` at the API boundary only.  Every exact
 kernel first clears denominators, A' = cA with c the lcm of the entries'
 denominators, and runs on Python ints: the product, the Bareiss
-determinant, the fraction-free Gauss-Jordan inverse and the char-poly
+determinant, the fraction-free Gauss-Jordan adjugate and the char-poly
 kernel (power traces and Newton's identities, with a root-squaring step
 for the square).  A Fraction is built once per result entry.  Floating
 point enters the system only in :mod:`pstab.spectra`.  Index sets at the
@@ -298,17 +298,19 @@ def principal_submatrix(m: ExactMatrix, s) -> ExactMatrix:
     return submatrix(m, s, s)
 
 
-def inverse(m: ExactMatrix) -> ExactMatrix:
-    """Exact inverse by fraction-free Gauss-Jordan elimination on [A' | I].
+def integer_adjugate(a):
+    """(+-adj A, +-det A), one sign for both, of an integer matrix given
+    as a list of int rows, by fraction-free Gauss-Jordan elimination on
+    [A | I].
 
-    A' = cA is the integer-cleared matrix.  Step k replaces every row but
-    the pivot row by (p_k row - a_ik pivot row) / p_(k-1), an exact integer
-    division (Bareiss), with p_k the k-th pivot and p_0 = 1; the last step
-    leaves [p I | p A'^(-1)] with p = +-det A', so A^(-1) = c (p A'^(-1)) / p.
+    Step k replaces every row but the pivot row by (p_k row - a_ik pivot
+    row) / p_(k-1), an exact integer division (Bareiss), with p_k the k-th
+    pivot and p_0 = 1; row swaps flip the sign of the pivots.  The last
+    step leaves [p I | p A^(-1)] with p = +-det A, and p A^(-1) = +-adj A.
+    Raises SingularMatrixError when A is singular.
     """
-    n = m.n
-    a, c = cleared(m)
-    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    n = len(a)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     prev = 1
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
@@ -324,7 +326,15 @@ def inverse(m: ExactMatrix) -> ExactMatrix:
                     (pivot * x - factor * y) // prev for x, y in zip(row, pivot_line)
                 ]
         prev = pivot
-    return ExactMatrix([[Fraction(c * x, prev) for x in row[n:]] for row in rows])
+    return [row[n:] for row in rows], prev
+
+
+def inverse(m: ExactMatrix) -> ExactMatrix:
+    """Exact inverse, A^(-1) = c adj(A') / det(A') on the integer-cleared
+    A' = cA (see :func:`integer_adjugate`)."""
+    a, c = cleared(m)
+    adj, p = integer_adjugate(a)
+    return ExactMatrix([[Fraction(c * x, p) for x in row] for row in adj])
 
 
 def trace(m: ExactMatrix) -> Fraction:

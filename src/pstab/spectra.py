@@ -97,7 +97,8 @@ def wedge_check(spectrum: Spectrum, n, kind="kellogg"):
     kind='sharpened': |arg(v)| < pi/2 - pi/(2n)  (certified-stable spectrum)
 
     Returns (verdict, min slack); slack is bound - |arg(v)| minimized over
-    the spectrum.
+    the spectrum.  At n = 1 both bounds are 0: the wedge degenerates to the
+    closed positive real axis, so slack 0 passes there.
     """
     if kind == "kellogg":
         bound = math.pi - math.pi / n
@@ -106,7 +107,7 @@ def wedge_check(spectrum: Spectrum, n, kind="kellogg"):
     else:
         raise MatrixArgumentError(f"unknown wedge kind {kind!r}")
     slack = min(bound - abs(cmath.phase(v)) for v in spectrum.eigenvalues)
-    return slack > 0, slack
+    return (slack >= 0 if bound == 0 else slack > 0), slack
 
 
 def multiset_match(values_a, values_b, abs_tol=1e-8, rel_tol=1e-8):

@@ -31,12 +31,14 @@ evidence, Tr((B^(j)[1..m])^2) = E_(n-j)(A[S_(n-m)]^2) / det(A)^2 (see
 :func:`block_traces`); the ledger is read off the generating function
 E_j((I + sD) B (I + tD) B) = sum s^k t^m L(j,k,m), whose nodes are
 E_j(N_s W_t) with N_s = B^2 + s B D B and the diagonal W_t = I + t D (up
-to integer scales), and whose top order is closed,
-L(n,k,m) = e_k(eps) e_m(eps) det(B)^2; the Hurwitz minors are the pivots
-of one fraction-free elimination of the Hurwitz matrix of E_k(D B).
+to integer scales), and whose top two orders are closed,
+L(n,k,m) = e_k(eps) e_m(eps) det(B)^2 and, by Jacobi's adjugate identity,
+L(n-1,k,m) from adj(B), so a complete ledger takes n(n-1)/2 char-polys;
+the Hurwitz minors are the pivots of one fraction-free elimination of the
+Hurwitz matrix of E_k(D B).
 
 Each exact value is computed once per certification: the search screens
-every diagonal on the ledger's orders j <= 2 (three nodes, no matrix
+every diagonal on the ledger's orders j <= 2 (six nodes, no matrix
 power), computes the complete ledger and the Hurwitz minors only for a
 diagonal that passes the screen, and returns those of the diagonal it
 accepts; :func:`certify_stability` writes them.
@@ -68,7 +70,7 @@ from .exactmat import (
     as_rational,
     cleared,
     det,
-    integer_det,
+    integer_adjugate,
     integer_leading_minors,
     integer_minor_sums,
     integer_product,
@@ -306,6 +308,14 @@ def _lagrange_operator(n) -> list:
     return w
 
 
+def _diagonal_poly(delta, d_values) -> list:
+    """Coefficients, lowest power first, of prod_i (delta + x d_i)."""
+    poly = [1]
+    for d in d_values:
+        poly = [delta * x + d * y for x, y in zip(poly + [0], [0] + poly)]
+    return poly
+
+
 def _trace_ledger(b: ExactMatrix, eps, top=None) -> TraceLedger:
     """The ledger of diag(eps) over B for orders j <= top (default n), from
     one generating function.
@@ -319,43 +329,66 @@ def _trace_ledger(b: ExactMatrix, eps, top=None) -> TraceLedger:
     E_j(UV) = E_j(VU), E_j(X_s X_t) = E_j(N_s W_t) with
     N_s = delta B'^2 + s B'D'B' and the diagonal W_t = delta I + t D', so
     every node is a column scaling of a combination of two fixed products.
-    Order j has degree j in s and in t, so orders j <= q = min(top, n-1)
-    are evaluated for s <= t in {0..q} (E_j(X_s X_t) = E_j(X_t X_s)) with
-    the char-poly cut off at order q, and the coefficients are recovered
-    by two exact Vandermonde passes, W P W^T / (q!)^2 with the integer
-    Lagrange operator W = q! V^(-1) of :func:`_lagrange_operator`.  The top
-    order needs no node: B^(n) = det B and D_k^(n) = e_k(eps), so
-    L(n,k,m) = e_k(eps) e_m(eps) det(B)^2, with delta^n e_k(eps) the
-    coefficients of det(delta I + x D') = prod_i (delta + x d'_i).
+    Order j has degree j in s and in t, so orders j <= q are evaluated for
+    s <= t in {0..q} (E_j(X_s X_t) = E_j(X_t X_s)) with the char-poly cut
+    off at order q, and the coefficients are recovered by two exact
+    Vandermonde passes, W P W^T / (q!)^2 with the integer Lagrange
+    operator W = q! V^(-1) of :func:`_lagrange_operator`.
+
+    The top two orders need no node.  With pi_i(x) = prod_(r != i)
+    (delta + x d'_r) = sum_k c_k(i) x^k:
+
+    * B^(n) = det B and D_k^(n) = e_k(eps), so L(n,k,m) = e_k(eps) e_m(eps)
+      det(B)^2, with delta^n e_k(eps) the coefficients of
+      det(delta I + x D') = prod_i (delta + x d'_i);
+    * E_(n-1)(M) = Tr adj(M), adj(X_s X_t) = adj(X_t) adj(X_s) and
+      adj(X_s) = adj(B') diag(pi_i(s)), so
+      L(n-1,k,m) (delta beta)^(2(n-1)) = sum_(i,l) G_il c_k(i) c_m(l) with
+      G_il = adj(B')_il adj(B')_li, which the sign of +-adj(B') leaves
+      unchanged.
+
+    So q = min(top, n - 2) when B is invertible.  A singular B, on which
+    the elimination that yields +-adj(B') finds no pivot, keeps the nodes
+    through q = min(top, n - 1).  Below top = n - 1 no order is closed, so
+    a screen at n >= 4 takes no elimination.
     """
     n = b.n
     top = n if top is None else min(top, n)
-    q = min(top, n - 1)
     b_int, beta = cleared(b)
     delta = math.lcm(*(e.denominator for e in eps))
     d_int = [e.numerator * (delta // e.denominator) for e in eps]
-    square = integer_product(b_int, b_int)
-    sandwich = integer_product(
-        b_int, [[d * x for x in row] for d, row in zip(d_int, b_int)]
-    )
-    nodes = range(q + 1)
-    grid = {}
-    for s in nodes:
-        n_s = [
-            [delta * x + s * y for x, y in zip(row, line)]
-            for row, line in zip(square, sandwich)
-        ]
-        for t in range(s, q + 1):
-            w_t = [delta + t * d for d in d_int]
-            node = [list(map(operator.mul, row, w_t)) for row in n_s]
-            grid[s, t] = grid[t, s] = integer_minor_sums(node, q)
-    w_rows, w = _lagrange_operator(q), math.factorial(q)
-    w_cols = [list(col) for col in zip(*w_rows)]
-    if top == n:
-        det_sq = integer_det(b_int) ** 2
-        poly = [1]
-        for d in d_int:
-            poly = [delta * x + d * y for x, y in zip(poly + [0], [0] + poly)]
+    q, closed = min(top, n - 1), {}
+    if top >= n - 1:
+        try:
+            adj, det_b = integer_adjugate(b_int)
+        except SingularMatrixError:
+            det_b = 0
+        else:
+            q = min(top, n - 2)
+            g = [list(map(operator.mul, row, col)) for row, col in zip(adj, zip(*adj))]
+            c = [_diagonal_poly(delta, d_int[:i] + d_int[i + 1 :]) for i in range(n)]
+            closed[n - 1] = integer_product(integer_product(list(zip(*c)), g), c)
+        if top == n:
+            poly = _diagonal_poly(delta, d_int)
+            closed[n] = [[det_b**2 * x * y for y in poly] for x in poly]
+    if q > 0:
+        square = integer_product(b_int, b_int)
+        sandwich = integer_product(
+            b_int, [[d * x for x in row] for d, row in zip(d_int, b_int)]
+        )
+        nodes = range(q + 1)
+        grid = {}
+        for s in nodes:
+            n_s = [
+                [delta * x + s * y for x, y in zip(row, line)]
+                for row, line in zip(square, sandwich)
+            ]
+            for t in range(s, q + 1):
+                w_t = [delta + t * d for d in d_int]
+                node = [list(map(operator.mul, row, w_t)) for row in n_s]
+                grid[s, t] = grid[t, s] = integer_minor_sums(node, q)
+        w_rows, w = _lagrange_operator(q), math.factorial(q)
+        w_cols = [list(col) for col in zip(*w_rows)]
 
     entries, cross_terms = {}, {}
     for j in range(1, top + 1):
@@ -364,7 +397,7 @@ def _trace_ledger(b: ExactMatrix, eps, top=None) -> TraceLedger:
             coeffs = integer_product(integer_product(w_rows, values), w_cols)
             scale = w * w * (delta * beta) ** (2 * j)
         else:
-            coeffs = [[det_sq * x * y for y in poly] for x in poly]
+            coeffs = closed[j]
             scale = (delta * beta) ** (2 * j)
         for k in range(j + 1):
             target = entries if k else cross_terms
@@ -442,7 +475,7 @@ def build_stabilizer(b: ExactMatrix, max_shrink: int = DEFAULT_MAX_SHRINK):
     StabilizerInconclusiveError.
 
     Each D is first screened on the ledger's orders j <= SCREEN_ORDER,
-    which need three nodes and no matrix power (see :func:`_trace_ledger`);
+    which need six nodes and no matrix power (see :func:`_trace_ledger`);
     only a D that passes the screen gets the complete ledger and the
     Hurwitz minors.  Ledger keys sort by j first, so a screen's violation
     is the one the complete ledger would report first.

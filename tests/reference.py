@@ -4,8 +4,9 @@ as references for the property tests.
 Each is the former body of its :mod:`pstab` counterpart: P by one Bareiss
 determinant per principal minor, E(A) by the Faddeev-LeVerrier recurrence
 (n integer products), the inverse by Gauss-Jordan elimination over Q, and
-the product by the naive Fraction double sum, and the Hurwitz minors
-by one Bareiss determinant per leading block.  The spectrum matcher is
+the product by the naive Fraction double sum, the Hurwitz minors
+by one Bareiss determinant per leading block, and the trace ledger by
+char-poly nodes through order n - 1.  The spectrum matcher is
 the search over every pairing that :func:`pstab.spectra.multiset_match`
 decides by augmenting paths.  The package does not import this module.
 """
@@ -14,19 +15,24 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from pstab.classify import MinorWitness
 from pstab.errors import SingularMatrixError
 from pstab.exactmat import (
     ExactMatrix,
+    cleared,
     det,
     index_sets,
+    integer_det,
+    integer_minor_sums,
     integer_product,
     minor,
     principal_minor_sums,
     principal_submatrix,
 )
+from pstab.stabilize import TraceLedger, _lagrange_operator
 
 
 def per_minor_is_p(m: ExactMatrix):
@@ -128,3 +134,52 @@ def permutation_multiset_match(values_a, values_b, abs_tol=1e-8, rel_tol=1e-8):
         )
         for pairing in itertools.permutations(b)
     )
+
+
+def node_trace_ledger(b: ExactMatrix, eps, top=None) -> TraceLedger:
+    """The ledger of diag(eps) over B for orders j <= top (default n),
+    interpolated from nodes through order n - 1, with only the top order
+    L(n,k,m) = e_k(eps) e_m(eps) det(B)^2 in closed form."""
+    n = b.n
+    top = n if top is None else min(top, n)
+    q = min(top, n - 1)
+    b_int, beta = cleared(b)
+    delta = math.lcm(*(e.denominator for e in eps))
+    d_int = [e.numerator * (delta // e.denominator) for e in eps]
+    square = integer_product(b_int, b_int)
+    sandwich = integer_product(
+        b_int, [[d * x for x in row] for d, row in zip(d_int, b_int)]
+    )
+    nodes = range(q + 1)
+    grid = {}
+    for s in nodes:
+        n_s = [
+            [delta * x + s * y for x, y in zip(row, line)]
+            for row, line in zip(square, sandwich)
+        ]
+        for t in range(s, q + 1):
+            w_t = [delta + t * d for d in d_int]
+            node = [list(map(operator.mul, row, w_t)) for row in n_s]
+            grid[s, t] = grid[t, s] = integer_minor_sums(node, q)
+    w_rows, w = _lagrange_operator(q), math.factorial(q)
+    w_cols = [list(col) for col in zip(*w_rows)]
+    if top == n:
+        det_sq = integer_det(b_int) ** 2
+        poly = [1]
+        for d in d_int:
+            poly = [delta * x + d * y for x, y in zip(poly + [0], [0] + poly)]
+
+    entries, cross_terms = {}, {}
+    for j in range(1, top + 1):
+        if j <= q:
+            values = [[grid[s, t][j] for t in nodes] for s in nodes]
+            coeffs = integer_product(integer_product(w_rows, values), w_cols)
+            scale = w * w * (delta * beta) ** (2 * j)
+        else:
+            coeffs = [[det_sq * x * y for y in poly] for x in poly]
+            scale = (delta * beta) ** (2 * j)
+        for k in range(j + 1):
+            target = entries if k else cross_terms
+            for m_pos in range(1, j + 1):
+                target[(j, k, m_pos)] = Fraction(coeffs[k][m_pos], scale)
+    return TraceLedger(entries=entries, cross_terms=cross_terms)

@@ -500,13 +500,17 @@ def test_certify_identity(identity_file):
 
 @pytest.mark.parametrize("entry", ["5", "1/3", "1e-300"])
 def test_certify_certifies_every_one_by_one_p_matrix(tmp_path, capsys, entry):
-    # the sharpened wedge bound pi/2 - pi/(2n) is 0 at n = 1, so a real
-    # positive eigenvalue has slack 0: an advisory, not an exit code
+    # the sharpened wedge bound pi/2 - pi/(2n) is 0 at n = 1: the wedge is
+    # the closed positive real axis, and a positive eigenvalue on it, with
+    # slack 0, is no disagreement
     path = tmp_path / "m.txt"
     path.write_text(f"1\n{entry}\n")
     cert_path = str(tmp_path / "cert.json")
     assert main(["certify", str(path), "--json", cert_path]) == EXIT_OK
-    assert "certified" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert "certified" in out and err == ""
+    with open(cert_path, encoding="utf-8") as handle:
+        assert "disagreement" not in json.load(handle)["spectrum"]
     assert main(["verify", cert_path, str(path)]) == EXIT_OK
     assert "re-verifies" in capsys.readouterr().out
 

@@ -26,6 +26,10 @@ CASES = {
         lambda: DEMO_A * 10**150,
         "6ef63e2b7df7c57ae574f4363a741d9c47b8afa90255767d36080a5d895b9c96",
     ),
+    "spd1": (
+        lambda: random_spd_matrix(random.Random(1), 1),
+        "d175768fed557345827a68051cfdf57cdf95f2c2b9fc2eb2b5162d2b7876ff0e",
+    ),
     "spd2": (
         lambda: random_spd_matrix(random.Random(1), 2),
         "c64c4164692e55283957b5623f53a40ee5cf059c7e02b6e3d4dbbbeae6f4610f",
@@ -37,6 +41,14 @@ CASES = {
     "spd5": (
         lambda: random_spd_matrix(random.Random(2), 5),
         "e4aaed0d74efc13e841caf85ec84b8835999dd34b9aca955fe21bc11623424b8",
+    ),
+    "spd6": (
+        lambda: random_spd_matrix(random.Random(1), 6),
+        "388421b451cfec5cf356487ee3e751b46c04cf5db1c3e95f13812baf2ebdaaa4",
+    ),
+    "spd7": (
+        lambda: random_spd_matrix(random.Random(1), 7),
+        "0205faed16937a47ebfb2fd98daa145de4c970e7efe89e13520ab441e2c3ab02",
     ),
     "spd4-sevenths": (
         lambda: random_spd_matrix(random.Random(3), 4) * Fraction(1, 7),

@@ -68,6 +68,14 @@ def test_wedge_check_kellogg_boundary():
     assert abs(slack) < 1e-12
 
 
+def test_wedge_check_one_by_one_is_the_closed_positive_axis():
+    # both bounds are 0 at n = 1: a positive entry has slack 0 and passes
+    for kind in ("kellogg", "sharpened"):
+        assert wedge_check(eigenvalues(ExactMatrix([[5]])), 1, kind=kind) == (True, 0.0)
+        verdict, slack = wedge_check(eigenvalues(ExactMatrix([[-5]])), 1, kind=kind)
+        assert not verdict and slack < 0
+
+
 def test_wedge_check_sharpened():
     spectrum = eigenvalues(ExactMatrix.diagonal([1, 2, 3]))
     verdict, slack = wedge_check(spectrum, 3, kind="sharpened")

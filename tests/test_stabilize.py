@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -15,7 +15,7 @@ from conftest import (
     random_p_matrix,
     random_spd_matrix,
 )
-from reference import per_minor_hurwitz_minors
+from reference import node_trace_ledger, per_minor_hurwitz_minors
 from pstab import ExactMatrix, det, inverse, minor, principal_submatrix, trace
 from pstab.compound import compound, diag_generalized_compound
 from pstab.classify import is_p, is_q2, order_sum_traces
@@ -301,6 +301,49 @@ def test_screen_is_the_ledger_cut_off_at_order_two(case):
     assert screen.cross_terms == {
         k: v for k, v in full.cross_terms.items() if k[0] <= 2
     }
+
+
+SINGULAR_CASE = (
+    ExactMatrix([[1, 2, 0], [2, 4, 0], [0, 1, 3]]),
+    [Fraction(1), Fraction(1, 2), Fraction(1, 3)],
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    ledger_cases(
+        max_n=6, entries=st.one_of(FRACTIONS, st.integers(-1, 1).map(Fraction))
+    ),
+    st.one_of(st.none(), st.integers(1, 6)),
+)
+@example(SINGULAR_CASE, None)
+@example(SINGULAR_CASE, 2)
+def test_ledger_matches_the_node_ledger(case, top):
+    # orders n - 1 and n in closed form when det B' != 0, nodes through
+    # order n - 1 when B is singular: the same exact values either way
+    b, eps = case
+    ledger = _trace_ledger(b, eps, top)
+    reference = node_trace_ledger(b, eps, top)
+    assert ledger.entries == reference.entries
+    assert ledger.cross_terms == reference.cross_terms
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_complete_ledger_takes_n_choose_two_char_polys(monkeypatch, n):
+    # nodes s <= t in {0..n-2} for an invertible B, none at n <= 2
+    import pstab.stabilize
+
+    calls = []
+    kernel = pstab.stabilize.integer_minor_sums
+
+    def counted(a, top=None):
+        calls.append(top)
+        return kernel(a, top)
+
+    monkeypatch.setattr(pstab.stabilize, "integer_minor_sums", counted)
+    b = random_spd_matrix(random.Random(n), n)
+    homotopy_certificate(b, [Fraction(1, 2**i) for i in range(n)])
+    assert len(calls) == (n * (n - 1) // 2 if n >= 3 else 0)
 
 
 def test_top_order_of_a_one_by_one_ledger():
