@@ -5,14 +5,20 @@ sum of principal minors positive; the squared variants require the same of
 the matrix square.  Sign-symmetry and square diagonal dominance are the two
 classical sufficient conditions the stability theorem subsumes.
 
-Every check runs on the integer-cleared matrix A' = cA.  P is decided by
-one Sylvester sweep over the subset lattice, which reaches each principal
-minor with one exact integer division per bordered minor and stops at the
-first nonpositive one (:func:`is_p`); Q and Q^2 come from one char-poly
-of A' and its root-squaring step.  Sign-symmetry and both sides of square
-dominance read every minor A(a;b), principal or not; they share one table
-of all minors, built one order at a time by Laplace expansion on A' and
-only up to the order at which the checks stop.
+Every check runs on the integer-cleared matrix A' = cA.  A Sylvester
+sweep over the subset lattice yields the principal minors one order at a
+time, each from one exact integer division per bordered minor, and forms
+an order only when its consumer asks for it.  P reads the sweep of A' and
+stops at the first nonpositive minor (:func:`is_p`); Q and Q^2 come from
+one char-poly of A' and its root-squaring step.  Square dominance needs
+the minors A(a;b) off the diagonal only through their sum of squares,
+which by Cauchy-Binet is a principal minor of the Gram matrix A'A'^T
+(A'^T A' for the column side), so it reads the sweeps of A' and of the
+Gram matrix side by side and stops at the first violation.  A symmetric
+matrix is sign-symmetric, since A(a;b) = A(b;a); only a non-symmetric one
+reads every minor A(a;b), from a table built one order at a time by
+Laplace expansion on A' and only up to the order at which the check
+stops.  That table is the one part capped in n (SIGN_SYMMETRY_MAX_N).
 
 All verdicts are exact.  Every negative verdict carries a witness that
 re-evaluates to a violation; witness ordering is deterministic (smallest
@@ -21,6 +27,8 @@ minor order first, then lexicographic rank).
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,9 +42,10 @@ from .exactmat import (
     squared_minor_sums,
 )
 
-# Sign-symmetry compares all C(n,k)^2 minors of each order, C(2n,n) - 1 in
-# all (3431 at n = 7), each from k integer products in the minor table;
-# keep n small.
+# The sign-symmetry check of a non-symmetric matrix compares all C(n,k)^2
+# minors of each order, C(2n,n) - 1 in all (3431 at n = 7), each from k
+# integer products in the minor table; keep n small.  Symmetric input
+# never reaches the table, and no other check is capped.
 SIGN_SYMMETRY_MAX_N = 7
 
 
@@ -98,47 +107,69 @@ class ClassReport:
         }
 
 
+def _principal_minors(a):
+    """Yield the principal minors of an integer matrix given as a list of
+    int rows, one order at a time: for k = 1..n, the list of det a[S] over
+    the k-subsets S in lexicographic order (the order of
+    :func:`~pstab.exactmat.index_sets`).
+
+    One Sylvester sweep over the subset lattice.  A subset S with largest
+    index s carries its bordered minors b_ij = det a[S + i; S + j] for
+    i, j > s; S = {} carries a itself.  Then det a[S + p] = b_pp, and
+    Sylvester's identity gives the bordered minors of S + p,
+
+        (b_pp b_ij - b_ip b_pj) / det a[S],   i, j > p,
+
+    an exact integer division.  Extending the subsets of one order in lex
+    order, each by increasing p, lists the next order in lex order again.
+    The bordered minors of order k + 1 are formed only when the caller asks
+    for that order, dividing by every minor of order k, so a caller must
+    stop at an order that holds a zero minor; every caller here stops at
+    its first violation, and a zero minor is one.
+    """
+    level = [(1, a)]  # (det a[S], bordered minors of S), lex order of S
+    while level:
+        yield [line[p] for _, bordered in level for p, line in enumerate(bordered)]
+        grown = []
+        for minor_s, bordered in level:
+            for p, pivot_line in enumerate(bordered[:-1]):
+                pivot, tail = pivot_line[p], pivot_line[p + 1 :]
+                grown.append((pivot, [
+                    [(pivot * x - row[p] * y) // minor_s
+                     for x, y in zip(row[p + 1 :], tail)]
+                    for row in bordered[p + 1 :]
+                ]))
+        level = grown
+
+
+def _first_nonpositive_minor(orders, n, scale):
+    """The first nonpositive value, in (order, lex rank) order, of an
+    iterator over lists of values indexed like the principal minors by
+    order, as a principal MinorWitness with value / scale^k; or None.
+    No further order is asked for once one holds a nonpositive value."""
+    for k, values in enumerate(orders, start=1):
+        if min(values) <= 0:
+            i = next(i for i, v in enumerate(values) if v <= 0)
+            subset = next(itertools.islice(index_sets(n, k), i, None))
+            return MinorWitness(
+                order=k, rows=subset, cols=subset, value=Fraction(values[i], scale**k)
+            )
+    return None
+
+
 def is_p(m: ExactMatrix):
     """P-matrix test: every principal minor positive.
 
     Returns (verdict, witness); the witness is the first nonpositive
     principal minor in (order, lex rank) order, or None.
 
-    One Sylvester sweep over the subset lattice of A' = cA on integers, c
-    the lcm of the denominators.  A subset S with largest index s carries
-    its bordered minors b_ij = det A'[S + i; S + j] for i, j > s; S = {}
-    carries A' itself.  Then det A'[S + p] = b_pp, and Sylvester's identity
-    gives the bordered minors of S + p,
-
-        (b_pp b_ij - b_ip b_pj) / det A'[S],   i, j > p,
-
-    an exact integer division.  Subsets are visited level by level in lex
-    order and the sweep stops at the first b_pp <= 0, so it never divides
-    by zero; that minor of A is b_pp / c^k.
+    One Sylvester sweep (:func:`_principal_minors`) over A' = cA on
+    integers, c the lcm of the denominators, stopped at the first
+    nonpositive minor; that minor of A is its value over c^k.
     """
     a, c = cleared(m)
-    level = [((), 1, a)]  # (S, det A'[S], bordered minors of S), lex order
-    for k in range(1, m.n + 1):
-        grown = []
-        for subset, minor_s, bordered in level:
-            last = subset[-1] if subset else 0
-            for p, pivot_line in enumerate(bordered):
-                value = pivot_line[p]
-                grown_subset = subset + (last + p + 1,)
-                if value <= 0:
-                    return False, MinorWitness(
-                        order=k, rows=grown_subset, cols=grown_subset,
-                        value=Fraction(value, c**k),
-                    )
-                if p + 1 < len(bordered):
-                    tail = pivot_line[p + 1 :]
-                    grown.append((grown_subset, value, [
-                        [(value * x - row[p] * y) // minor_s
-                         for x, y in zip(row[p + 1 :], tail)]
-                        for row in bordered[p + 1 :]
-                    ]))
-        level = grown
-    return True, None
+    witness = _first_nonpositive_minor(_principal_minors(a), m.n, c)
+    return witness is None, witness
 
 
 def order_sum_traces(m: ExactMatrix):
@@ -195,15 +226,15 @@ class _MinorTable:
         A'(R; C) = sum_i (-1)^(k-1+i) a'[r][c_i] A'(R - r; C - c_i),
 
     k integer products per minor in place of a Bareiss elimination.  An
-    order is built only when a check first reaches it, so checks that stop
-    at order 1 cost the n^2 cleared entries and nothing more.  A witness
-    value is a table value over c^(2k): signs and comparisons are the same
-    on A' as on A.
+    order is built only when the sign-symmetry check first reaches it, so a
+    check that stops at order 1 costs the n^2 cleared entries and nothing
+    more.  A witness value is a product of two table values over c^(2k):
+    signs are the same on A' as on A.
     """
 
-    def __init__(self, m: ExactMatrix):
-        self.n = m.n
-        self._a, self._c = cleared(m)
+    def __init__(self, a, c):
+        self.n = len(a)
+        self._a, self._c = a, c
         self.subsets = [[()]]  # per order, the k-subsets in lex order
         self._minors = [[[1]]]  # per order, [row set][column set]
 
@@ -215,9 +246,13 @@ class _MinorTable:
 
     def _grow(self):
         k = len(self._minors)
+        subsets = list(index_sets(self.n, k))
+        self.subsets.append(subsets)
+        if k == 1:
+            self._minors.append(self._a)
+            return
         position = {s: i for i, s in enumerate(self.subsets[k - 1])}
         prev = self._minors[k - 1]
-        subsets = list(index_sets(self.n, k))
         expansions = [  # per column set C: (sign, c_i, position of C - c_i)
             [
                 ((-1) ** (k - 1 + i), c - 1, position[cols[:i] + cols[i + 1 :]])
@@ -235,52 +270,71 @@ class _MinorTable:
                     for terms in expansions
                 ]
             )
-        self.subsets.append(subsets)
         self._minors.append(minors)
 
 
-def _check_sign_symmetry_size(n):
-    if n > SIGN_SYMMETRY_MAX_N:
+def _sign_symmetry_witness(a, c):
+    """The first pair A(r;s) * A(s;r) < 0, r before s in lex order, or None,
+    for the integer-cleared A' = cA given by its rows ``a``.
+
+    A symmetric matrix has A(s;r) = A(r;s), so it is sign-symmetric after
+    n^2 comparisons; any other matrix reads the minor table, and raises
+    past SIGN_SYMMETRY_MAX_N.
+    """
+    if list(map(tuple, a)) == list(zip(*a)):
+        return None
+    if len(a) > SIGN_SYMMETRY_MAX_N:
         raise MatrixArgumentError(
             f"sign-symmetry check is capped at n <= {SIGN_SYMMETRY_MAX_N}"
         )
-
-
-def _sign_symmetry_witness(table: _MinorTable):
-    """The first pair A(a;b) * A(b;a) < 0, a before b in lex order, or None."""
+    table = _MinorTable(a, c)
     for k in range(1, table.n + 1):
         subsets, minors, scale = table.order(k)
-        for i, a in enumerate(subsets):
+        for i, rows in enumerate(subsets):
             for j in range(i + 1, len(subsets)):
                 product = minors[i][j] * minors[j][i]
                 if product < 0:
                     return MinorWitness(
-                        order=k, rows=a, cols=subsets[j],
+                        order=k, rows=rows, cols=subsets[j],
                         value=Fraction(product, scale),
                     )
     return None
 
 
-def _square_dominance_witness(table: _MinorTable, side):
+def _square_dominance_witness(minors, lines, c):
     """The first principal set a with A(a;a)^2 <= sum over b != a of
-    A(a;b)^2 (row side) or A(b;a)^2 (column side), or None."""
-    for k in range(1, table.n + 1):
-        subsets, minors, scale = table.order(k)
-        for i, a in enumerate(subsets):
-            line = minors[i] if side == "row" else [row[i] for row in minors]
-            diag = line[i] * line[i]
-            off = sum(x * x for x in line) - diag
-            if diag <= off:
-                return MinorWitness(
-                    order=k, rows=a, cols=a, value=Fraction(diag - off, scale)
-                )
-    return None
+    A(a;b)^2, or None, for the integer-cleared A' = cA given by its rows
+    ``lines`` (the column side passes the columns) and an iterator over
+    the principal minors of A' by order.
+
+    By Cauchy-Binet the sum over every b, b = a included, is
+    sum_b A'(a;b)^2 = det G[a] with G = A'A'^T, so the test is
+    2 det A'[a]^2 <= det G[a], and the witness value is
+    (2 det A'[a]^2 - det G[a]) / c^(2k), as a sum over all the minors
+    gives it.  Order 1, G_ii = sum_j a'_ij^2, is read off the lines, and G
+    and its sweep are formed only when order 1 passes.  Both sweeps stop
+    at the first violation; an order that passes has
+    det G[a] >= det A'[a]^2 > 0, so neither divides by zero.
+    """
+
+    def gram_minors():
+        yield [sum(map(operator.mul, line, line)) for line in lines]
+        sweep = _principal_minors(
+            [[sum(map(operator.mul, u, v)) for v in lines] for u in lines]
+        )
+        next(sweep)
+        yield from sweep
+
+    excesses = (
+        [2 * d * d - g for d, g in zip(order, grams)]
+        for order, grams in zip(minors, gram_minors())
+    )
+    return _first_nonpositive_minor(excesses, len(lines), c * c)
 
 
 def is_sign_symmetric(m: ExactMatrix):
     """Sign-symmetry: A(a;b) * A(b;a) >= 0 for all same-size index sets."""
-    _check_sign_symmetry_size(m.n)
-    witness = _sign_symmetry_witness(_MinorTable(m))
+    witness = _sign_symmetry_witness(*cleared(m))
     return witness is None, witness
 
 
@@ -293,7 +347,9 @@ def is_square_diag_dominant(m: ExactMatrix, side="row"):
     """
     if side not in ("row", "col"):
         raise MatrixArgumentError(f"side must be 'row' or 'col', got {side!r}")
-    witness = _square_dominance_witness(_MinorTable(m), side)
+    a, c = cleared(m)
+    lines = a if side == "row" else list(zip(*a))
+    witness = _square_dominance_witness(_principal_minors(a), lines, c)
     return witness is None, witness
 
 
@@ -324,12 +380,14 @@ def classify_full(m: ExactMatrix) -> ClassReport:
         p2_ok = False
         witnesses.setdefault("P2", p_witness)
 
-    _check_sign_symmetry_size(m.n)
-    table = _MinorTable(m)
+    # A' and its transpose have the same principal minors: one sweep
+    # serves both sides, advanced only as far as the further side reaches.
+    a, c = cleared(m)
+    row_minors, col_minors = itertools.tee(_principal_minors(a))
     checks = (
-        ("sign_symmetric", _sign_symmetry_witness(table)),
-        ("row_sqdd", _square_dominance_witness(table, "row")),
-        ("col_sqdd", _square_dominance_witness(table, "col")),
+        ("sign_symmetric", _sign_symmetry_witness(a, c)),
+        ("row_sqdd", _square_dominance_witness(row_minors, a, c)),
+        ("col_sqdd", _square_dominance_witness(col_minors, list(zip(*a)), c)),
     )
     for key, witness in checks:
         if witness is not None:

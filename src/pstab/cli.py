@@ -194,8 +194,11 @@ def matrix_hash(m: ExactMatrix) -> str:
 def frac_str(x) -> str:
     """Lossless fraction string, denominator always explicit ("5491/1"),
     at any length (see :func:`pstab.exactmat.rational_str`)."""
-    x = Fraction(x)
-    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # past the int-to-str digit limit
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 def _matrix_doc(m: ExactMatrix):
@@ -313,7 +316,10 @@ def _fraction(value):
     match = _RATIO.fullmatch(text)
     if match is None:
         return Fraction(text)
-    return Fraction(int(Decimal(match[1])), int(Decimal(match[2])))
+    try:
+        return Fraction(int(match[1]), int(match[2]))
+    except ValueError:  # past the str-to-int digit limit
+        return Fraction(int(Decimal(match[1])), int(Decimal(match[2])))
 
 
 def _matrix(value):

@@ -48,14 +48,17 @@ def as_rational(x) -> Fraction:
 def rational_str(x) -> str:
     """str(Fraction(x)), "p" or "p/q", for values of any length.
 
-    str() of an int refuses more digits than the interpreter's
-    int-to-str limit (4300 by default); the decimal module's conversion of
-    an int is exact and has no such limit.
+    str() of an int raises ValueError past the interpreter's int-to-str
+    limit (4300 digits by default); only then is the value written by the
+    decimal module, whose conversion of an int is exact and has no limit.
     """
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(Decimal(x.numerator))
-    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    try:
+        return str(x)
+    except ValueError:
+        if x.denominator == 1:
+            return str(Decimal(x.numerator))
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 class ExactMatrix:

@@ -118,9 +118,19 @@ def test_sign_symmetry_witness():
     assert witness.value == DEMO_A.entry(1, 2) * DEMO_A.entry(2, 1)
 
 
+def upper_bidiagonal(n):
+    """2 on the diagonal, 1 above it: not symmetric, and every minor is
+    nonnegative, so sign-symmetric at every order."""
+    return ExactMatrix(
+        [[2 if j == i else 1 if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+    )
+
+
 def test_sign_symmetry_cap():
+    # only the minor table, which a non-symmetric matrix needs, is capped
     with pytest.raises(MatrixArgumentError):
-        is_sign_symmetric(ExactMatrix.identity(8))
+        is_sign_symmetric(upper_bidiagonal(8))
+    assert is_sign_symmetric(ExactMatrix.identity(8)) == (True, None)
 
 
 def test_square_diag_dominance_sides():
@@ -243,8 +253,79 @@ def test_minor_table_grows_only_to_the_order_the_checks_reach(monkeypatch):
     checks = ("sign_symmetric", "row_sqdd", "col_sqdd")
     assert {report.witnesses[key].order for key in checks} == {1}
     built.clear()
-    assert is_sign_symmetric(ExactMatrix.identity(4))[0]
+    assert is_sign_symmetric(upper_bidiagonal(4))[0]
     assert built == [1, 2, 3, 4]
+    built.clear()
+    assert is_sign_symmetric(ExactMatrix.identity(4))[0]
+    assert built == []
+
+
+@st.composite
+def dominance_test_matrices(draw):
+    """n = 1..7, small off-diagonal entries over a diagonal that is often
+    large enough for square dominance to hold to a deep order.  A "tight"
+    diagonal entry exceeds the root of its row's off-diagonal squares by
+    at most 1, so order 1 passes on the row side and a later order often
+    fails; "zero-diagonal", "zero-row" and "repeated-row" ones are singular
+    or have a zero diagonal entry, so that the sweeps meet zero minors."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(
+        ["integer", "tight", "fraction", "zero-diagonal", "zero-row", "repeated-row"]
+    ))
+    if kind == "fraction":
+        entry = st.fractions(min_value=-2, max_value=2, max_denominator=5)
+    else:
+        entry = st.integers(-2, 2)
+    row = st.lists(entry, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    for i in range(n):
+        if kind == "tight":
+            off = sum(x * x for j, x in enumerate(rows[i]) if j != i)
+            rows[i][i] = (math.isqrt(off) + 1) * draw(st.sampled_from([1, -1]))
+        else:
+            rows[i][i] = draw(st.sampled_from([0, 2, 5, 9, 25, 25, -9, -25]))
+    i = draw(st.integers(0, n - 1))
+    if kind == "zero-diagonal":
+        rows[i][i] = 0
+    elif kind == "zero-row":
+        rows[i] = [0] * n
+    elif kind == "repeated-row" and n > 1:
+        j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
+        rows[j] = [draw(st.sampled_from([-1, 1, 2])) * x for x in rows[i]]
+    return ExactMatrix(rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dominance_test_matrices())
+def test_square_dominance_sweeps_match_per_minor_reference(m):
+    report = classify_full(m)
+    for side in ("row", "col"):
+        verdict, witness = reference_square_dominance(m, side)
+        assert is_square_diag_dominant(m, side) == (verdict, witness)
+        assert report.flags()[f"{side}_sqdd"] == verdict
+        assert report.witnesses.get(f"{side}_sqdd") == witness
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_symmetric_input_never_builds_the_minor_table(n, monkeypatch):
+    built = []
+    grow = classify._MinorTable._grow
+
+    def recording_grow(table):
+        grow(table)
+        built.append(len(table.subsets) - 1)
+
+    monkeypatch.setattr(classify._MinorTable, "_grow", recording_grow)
+    rng = random.Random(n)
+    spd = random_spd_matrix(rng, n)
+    g = random_matrix(rng, n, -4, 4)
+    symmetric = g + g.transpose()  # neither P nor dominant, as a rule
+    for m in (spd, symmetric):
+        report = classify_full(m)
+        assert report.is_sign_symmetric
+        assert "sign_symmetric" not in report.witnesses
+    assert report.is_p is False
+    assert built == []
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LEVEL_SEARCH_FAULT
+from conftest import LEVEL_SEARCH_FAULT, random_spd_matrix
 from pstab import ExactMatrix
 from pstab.cli import (
     EXIT_INCONCLUSIVE,
@@ -206,6 +207,40 @@ def test_classify_json_prints_values_beyond_the_int_str_limit(tmp_path, capsys):
     assert main(["classify", "--json", str(path)]) == EXIT_REFUTED
     doc = json.loads(capsys.readouterr().out)
     assert doc["witnesses"]["P"] == "A(1; 1) = -1" + "0" * 5000
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_symmetric_input_past_the_sign_symmetry_cap_certifies(n, tmp_path, capsys):
+    # a symmetric matrix is sign-symmetric without the capped minor table
+    path = tmp_path / "spd.txt"
+    path.write_text(format_matrix(random_spd_matrix(random.Random(n), n)))
+    assert main(["classify", "--json", str(path)]) in (EXIT_OK, EXIT_REFUTED)
+    flags = json.loads(capsys.readouterr().out)["flags"]
+    assert list(flags) == [
+        "P", "Q", "P2", "Q2", "sign_symmetric", "row_sqdd", "col_sqdd"
+    ]
+    assert all(type(v) is bool for v in flags.values())
+    assert flags["P"] and flags["P2"] and flags["sign_symmetric"]
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify", str(path), "--json", cert_path]) == EXIT_OK
+    assert main(["verify", cert_path, str(path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["classify", "certify"])
+def test_non_symmetric_input_past_the_sign_symmetry_cap_exits_3(
+    command, tmp_path, capsys
+):
+    # upper bidiagonal, one negative diagonal entry: not P, not symmetric
+    rows = [
+        [(-1 if i == 7 else 8) if i == j else (3 if j == i + 1 else 0) for j in range(8)]
+        for i in range(8)
+    ]
+    path = tmp_path / "n8.txt"
+    path.write_text(format_matrix(ExactMatrix(rows)))
+    assert main([command, str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: sign-symmetry check is capped at n <= 7\n"
+    )
 
 
 def test_certify_scaled_demo_beyond_the_double_determinant(tmp_path, capsys):

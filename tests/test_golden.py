@@ -50,6 +50,10 @@ CASES = {
         lambda: random_spd_matrix(random.Random(1), 7),
         "0205faed16937a47ebfb2fd98daa145de4c970e7efe89e13520ab441e2c3ab02",
     ),
+    "spd8": (
+        lambda: random_spd_matrix(random.Random(1), 8),
+        "1ef481050198c981424a4e8ca51b9bfc3ad803769849e67c8323c921a56b354f",
+    ),
     "spd4-sevenths": (
         lambda: random_spd_matrix(random.Random(3), 4) * Fraction(1, 7),
         "fbc55859ef7f22285ab52a187bf45c84552cd9bb60c5a1943d7df7f94ff048cf",
