@@ -9,8 +9,11 @@ Every check runs on the integer-cleared matrix A' = cA.  A Sylvester
 sweep over the subset lattice yields the principal minors one order at a
 time, each from one exact integer division per bordered minor, and forms
 an order only when its consumer asks for it.  P reads the sweep of A' and
-stops at the first nonpositive minor (:func:`is_p`); Q and Q^2 come from
-one char-poly of A' and its root-squaring step.  Square dominance needs
+stops at the first nonpositive minor (:func:`is_p`).  Q and Q^2 are the
+order sums of A' and their root-squaring step: in :func:`classify_full`,
+the sums of the sweep's orders when A is P, which then also answer Q^2
+for every principal submatrix (:func:`_table_q2`, the nest levels), and
+one char-poly of A' otherwise.  Square dominance needs
 the minors A(a;b) off the diagonal only through their sum of squares,
 which by Cauchy-Binet is a principal minor of the Gram matrix A'A'^T
 (A'^T A' for the column side), so it reads the sweeps of A' and of the
@@ -38,6 +41,7 @@ from .exactmat import (
     cleared,
     index_sets,
     integer_minor_sums,
+    integer_product,
     rational_str,
     squared_minor_sums,
 )
@@ -94,6 +98,8 @@ class ClassReport:
     order_sums: list  # per order 1..n, sums for M
     order_sums_square: list  # per order 1..n, sums for M*M
     witnesses: dict = field(default_factory=dict)
+    # is_q2 by index set from the P sweep's table (P-matrices only)
+    _subset_q2: object = field(default=None, repr=False, compare=False)
 
     def flags(self):
         return {
@@ -181,7 +187,11 @@ def order_sum_traces(m: ExactMatrix):
     E_k(M'^2) / c^(2k) by the root-squaring step :func:`squared_minor_sums`.
     """
     a, c = cleared(m)
-    sums = integer_minor_sums(a)
+    return _order_sums(integer_minor_sums(a), c)
+
+
+def _order_sums(sums, c):
+    """(E(M), E(M^2)), orders 1..n, from (E_0, ..., E_n) of M' = cM."""
     return (
         [Fraction(e, c**k) for k, e in enumerate(sums) if k],
         [Fraction(e, c ** (2 * k)) for k, e in enumerate(squared_minor_sums(sums)) if k],
@@ -193,6 +203,11 @@ def _first_nonpositive(sums):
         if value <= 0:
             return OrderSumWitness(order=k, value=value)
     return None
+
+
+def _q2_verdict(sums_m, sums_m2):
+    witness = _first_nonpositive(sums_m) or _first_nonpositive(sums_m2)
+    return witness is None, sums_m, sums_m2, witness
 
 
 def is_q(m: ExactMatrix):
@@ -208,11 +223,26 @@ def is_q2(m: ExactMatrix):
     Returns (verdict, sums_m, sums_m2, witness); a witness from the square
     is tagged by its being drawn from sums_m2.
     """
-    sums_m, sums_m2 = order_sum_traces(m)
-    witness = _first_nonpositive(sums_m)
-    if witness is None:
-        witness = _first_nonpositive(sums_m2)
-    return witness is None, sums_m, sums_m2, witness
+    return _q2_verdict(*order_sum_traces(m))
+
+
+def _table_q2(table, c):
+    """:func:`is_q2` of each principal submatrix A[S], by index set S, read
+    off the principal minors of A' = cA that one complete sweep lists by
+    order (``table``): E_k(A'[S]) is the sum of the minors on the
+    k-subsets of S.  No submatrix and no char-poly is formed."""
+    n = len(table)
+    subsets = itertools.chain.from_iterable(index_sets(n, k) for k in range(n + 1))
+    minors = dict(zip(subsets, itertools.chain([1], *table)))
+
+    def test(subset):
+        sums = [
+            sum(minors[s] for s in itertools.combinations(subset, k))
+            for k in range(len(subset) + 1)
+        ]
+        return _q2_verdict(*_order_sums(sums, c))
+
+    return test
 
 
 class _MinorTable:
@@ -354,55 +384,47 @@ def is_square_diag_dominant(m: ExactMatrix, side="row"):
 
 
 def classify_full(m: ExactMatrix) -> ClassReport:
-    """Run every class test and aggregate the verdicts."""
-    witnesses = {}
+    """Run every class test and aggregate the verdicts.
 
-    p_ok, p_witness = is_p(m)
-    if p_witness is not None:
-        witnesses["P"] = p_witness
-
-    sums_m, sums_m2 = order_sum_traces(m)
-    q_witness = _first_nonpositive(sums_m)
-    q_ok = q_witness is None
-    if q_witness is not None:
-        witnesses["Q"] = q_witness
-
-    q2_witness = q_witness or _first_nonpositive(sums_m2)
-    q2_ok = q2_witness is None
-    if not q2_ok:
-        witnesses["Q2"] = q2_witness
-
-    if p_ok:
-        p2_ok, p2_witness = is_p(m.square())
-        if p2_witness is not None:
-            witnesses["P2"] = p2_witness
-    else:
-        p2_ok = False
-        witnesses.setdefault("P2", p_witness)
-
-    # A' and its transpose have the same principal minors: one sweep
-    # serves both sides, advanced only as far as the further side reaches.
+    P and both dominance sides read one sweep of A' (A'^T has the same
+    principal minors), each only as far as it goes; none reads past an
+    order holding a zero minor, which the next order would divide by.  A
+    P-matrix reads it to the end: its order sums are the sums of the
+    orders, and the report keeps ``_subset_q2`` for the nest levels.
+    """
     a, c = cleared(m)
-    row_minors, col_minors = itertools.tee(_principal_minors(a))
+    p_minors, table, row_minors, col_minors = itertools.tee(_principal_minors(a), 4)
+    p_witness = _first_nonpositive_minor(p_minors, m.n, c)
+    if p_witness is None:
+        table = list(table)
+        sums, subset_q2 = [1, *map(sum, table)], _table_q2(table, c)
+    else:
+        sums, subset_q2 = integer_minor_sums(a), None
+    sums_m, sums_m2 = _order_sums(sums, c)
+    q_witness = _first_nonpositive(sums_m)
     checks = (
+        ("P", p_witness),
+        ("Q", q_witness),
+        ("Q2", q_witness or _first_nonpositive(sums_m2)),
+        ("P2", p_witness or _first_nonpositive_minor(
+            _principal_minors(integer_product(a, a)), m.n, c * c
+        )),
         ("sign_symmetric", _sign_symmetry_witness(a, c)),
         ("row_sqdd", _square_dominance_witness(row_minors, a, c)),
         ("col_sqdd", _square_dominance_witness(col_minors, list(zip(*a)), c)),
     )
-    for key, witness in checks:
-        if witness is not None:
-            witnesses[key] = witness
-
+    witnesses = {key: witness for key, witness in checks if witness is not None}
     return ClassReport(
         n=m.n,
-        is_p=p_ok,
-        is_q=q_ok,
-        is_p2=p2_ok,
-        is_q2=q2_ok,
+        is_p="P" not in witnesses,
+        is_q="Q" not in witnesses,
+        is_p2="P2" not in witnesses,
+        is_q2="Q2" not in witnesses,
         is_sign_symmetric="sign_symmetric" not in witnesses,
         is_row_sqdd="row_sqdd" not in witnesses,
         is_col_sqdd="col_sqdd" not in witnesses,
         order_sums=sums_m,
         order_sums_square=sums_m2,
         witnesses=witnesses,
+        _subset_q2=subset_q2,
     )

@@ -398,7 +398,7 @@ def _verify_fields(doc, a, problems):
     ]
     tau = tuple(_field(doc, "nest", "tau", _list_of(_typed(int))))
     try:
-        evidence = verify_nest(a, chain)
+        evidence = verify_nest(a, chain, report._subset_q2)
     except MatrixArgumentError as exc:
         problems.append(f"nest fails re-verification: {exc}")
         return

@@ -407,9 +407,8 @@ def principal_minor_sums(m: ExactMatrix) -> tuple:
     These are the coefficients of det(xI + A) = sum_k E_k x^(n-k), the
     rational face of the char-poly kernel :func:`integer_minor_sums`: with
     c the lcm of the denominators, E_k(A) = E_k(cA) / c^k, and the kernel
-    runs on cA in about n/2 integer matrix products.  The Hurwitz minors
-    read it; the order sums of A and A^2 in :mod:`pstab.classify` and the
-    trace ledger call the integer kernel directly.
+    runs on cA in about n/2 integer matrix products.  The pipeline calls
+    the integer kernel directly.
     """
     a, c = cleared(m)
     return tuple(

@@ -4,11 +4,15 @@ The stability theorem needs a maximal chain S_1 in S_2 in ... in S_n of
 index sets whose principal submatrices are all Q^2-matrices.  Because the
 Q^2 property of a principal submatrix depends only on its index set, the
 search walks the subset lattice (at most 2^n verdicts, memoized) rather
-than the n! orderings.
+than the n! orderings.  Given the table-backed test that
+:func:`pstab.classify.classify_full` leaves on the report of a P-matrix, a
+verdict is a sum over principal minors already swept; without it, it is a
+char-poly of the principal submatrix.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .classify import is_q2
@@ -89,24 +93,23 @@ def _validate_chain(chain, n):
     return chain
 
 
-def _q2_verdict(m, subset, memo):
-    subset = tuple(subset)
-    if subset not in memo:
-        sub = principal_submatrix(m, subset)
-        memo[subset] = is_q2(sub)
-    return memo[subset]
+def _q2_test(m, subset_q2):
+    """The memoized Q^2 test of A[S] by index set S: ``subset_q2`` when
+    given, else a char-poly of each principal submatrix."""
+    return functools.cache(subset_q2 or (lambda s: is_q2(principal_submatrix(m, s))))
 
 
-def find_q2_nest(m: ExactMatrix):
+def find_q2_nest(m: ExactMatrix, _subset_q2=None):
     """Depth-first search for a maximal Q^2 chain; None if none exists.
 
     Descends from the full index set, trying removable indices in
     increasing order, so the returned chain is deterministic.
+    ``_subset_q2`` is the ``ClassReport._subset_q2`` of ``m``, if any.
     """
     n = m.n
-    memo = {}
+    q2 = _q2_test(m, _subset_q2)
     full = tuple(range(1, n + 1))
-    ok, *_ = _q2_verdict(m, full, memo)
+    ok, *_ = q2(full)
     if not ok:
         return None
 
@@ -115,7 +118,7 @@ def find_q2_nest(m: ExactMatrix):
             return [subset]
         for e in subset:
             smaller = tuple(i for i in subset if i != e)
-            ok, *_ = _q2_verdict(m, smaller, memo)
+            ok, *_ = q2(smaller)
             if ok:
                 tail = descend(smaller)
                 if tail is not None:
@@ -125,19 +128,18 @@ def find_q2_nest(m: ExactMatrix):
     chain = descend(full)
     if chain is None:
         return None
-    evidence = _chain_evidence(m, chain, memo)
+    evidence = _chain_evidence(chain, q2)
     assert isinstance(evidence, NestEvidence)
     return NestCertificate(
         chain=tuple(chain), tau=chain_tau(chain), evidence=evidence
     )
 
 
-def _chain_evidence(m, chain, memo=None):
+def _chain_evidence(chain, q2):
     """Evidence for a validated chain, or the first violation."""
-    memo = memo if memo is not None else {}
     levels = []
     for level, subset in enumerate(chain, start=1):
-        ok, sums_m, sums_m2, witness = _q2_verdict(m, subset, memo)
+        ok, sums_m, sums_m2, witness = q2(tuple(subset))
         if not ok:
             return NestViolation(
                 level=level,
@@ -156,11 +158,12 @@ def _chain_evidence(m, chain, memo=None):
     return NestEvidence(levels=tuple(levels))
 
 
-def verify_nest(m: ExactMatrix, chain):
+def verify_nest(m: ExactMatrix, chain, _subset_q2=None):
     """Re-verify an externally supplied chain.
 
     Returns NestEvidence when every level is Q^2, otherwise the
-    NestViolation for the first failing level.
+    NestViolation for the first failing level.  ``_subset_q2`` is as in
+    :func:`find_q2_nest`.
     """
     chain = _validate_chain(chain, m.n)
-    return _chain_evidence(m, chain)
+    return _chain_evidence(chain, _q2_test(m, _subset_q2))

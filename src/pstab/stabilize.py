@@ -50,6 +50,7 @@ tolerance-carrying floats, recorded as advisory cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -77,7 +78,6 @@ from .exactmat import (
     minor,
     principal_submatrix,
     inverse,
-    principal_minor_sums,
 )
 from .nests import NestCertificate, NestEvidence, chain_tau
 
@@ -289,13 +289,15 @@ class TraceLedger:
         return None
 
 
-def _lagrange_operator(n) -> list:
+@functools.cache
+def _lagrange_operator(n) -> tuple:
     """W = n! V^(-1) on integers, V = (s^k) the Vandermonde matrix of the
     nodes s = 0..n (rows) and powers k = 0..n (columns).
 
     Column s of W holds the coefficients, lowest power first, of
     n! L_s(x) = (-1)^(n-s) C(n,s) prod_{r != s} (x - r), L_s the Lagrange
     basis polynomial of node s, so W V = n! I with no rational inverse.
+    Memoized per n, so it is returned as tuples.
     """
     w = [[0] * (n + 1) for _ in range(n + 1)]
     for s in range(n + 1):
@@ -305,7 +307,7 @@ def _lagrange_operator(n) -> list:
                 poly = [a - r * b for a, b in zip([0] + poly, poly + [0])]
         for k, coeff in enumerate(poly):
             w[k][s] = coeff
-    return w
+    return tuple(map(tuple, w))
 
 
 def _diagonal_poly(delta, d_values) -> list:
@@ -428,20 +430,21 @@ def hurwitz_minors(m: ExactMatrix) -> tuple:
     With a_k = E_k(M), the Hurwitz matrix has entry (i, j) = a_(2j-i).  By
     the Routh-Hurwitz criterion all n minors are positive iff every root of
     det(xI + M) lies in the open left half-plane, that is iff M is
-    positively stable.  The matrix is cleared, H = H'/c, and the minors
-    det H[1..k] = det H'[1..k] / c^k are the pivots of one fraction-free
-    elimination of H' (see :func:`pstab.exactmat.integer_leading_minors`).
+    positively stable.  With M = M'/c on integers, H' holds the integer
+    E_(2j-i)(M') and entry (i, j) of H is H'_ij / c^(2j-i), so
+    det H[1..k] = det H'[1..k] / c^(k(k+1)/2): the minors are the pivots
+    of one fraction-free elimination of H' (see
+    :func:`pstab.exactmat.integer_leading_minors`).
     """
-    coeffs = principal_minor_sums(m)
-    n = m.n
+    a, c = cleared(m)
+    coeffs, n = integer_minor_sums(a), m.n
     rows = [
         [coeffs[2 * j - i] if 0 <= 2 * j - i <= n else 0 for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
-    hurwitz, c = cleared(ExactMatrix(rows))
     return tuple(
-        Fraction(value, c**k)
-        for k, value in enumerate(integer_leading_minors(hurwitz), start=1)
+        Fraction(value, c ** (k * (k + 1) // 2))
+        for k, value in enumerate(integer_leading_minors(rows), start=1)
     )
 
 
@@ -570,7 +573,7 @@ def certify_stability(
             f"input is not a Q^2-matrix: {witness.describe()}",
             witness=witness,
         )
-    nest = find_q2_nest(a)
+    nest = find_q2_nest(a, report._subset_q2)
     if nest is None:
         raise HypothesisError(
             "no-nest", "no maximal Q^2 chain of principal submatrices exists"

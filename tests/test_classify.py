@@ -376,3 +376,40 @@ def test_order_sums_match_faddeev_leverrier_of_the_square(m):
     assert order_sum_traces(m) == (
         fraction_minor_sums(m), fraction_minor_sums(naive_product(m, m))
     )
+
+
+@st.composite
+def non_p_matrices(draw):
+    """p_test_matrices with the least whole shift of the diagonal down that
+    leaves them not P: the first nonpositive principal minor is then often
+    of order 2 or more, and zero where the shift meets an integer root."""
+    m = draw(p_test_matrices())
+    shift = 0
+    while is_p(m - ExactMatrix.identity(m.n) * shift)[0]:
+        shift += 1
+    return m - ExactMatrix.identity(m.n) * shift
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(non_p_matrices())
+def test_classify_full_without_p_matches_per_minor_reference(m):
+    # P, Q and Q^2 from one char-poly; P^2 takes P's witness; the opt-in
+    # checks read the sweep past a negative minor but never past a zero one
+    report = classify_full(m)
+    verdict, witness = per_minor_is_p(m)
+    assert not verdict and report.witnesses["P"] == report.witnesses["P2"] == witness
+    assert not report.is_p and not report.is_p2 and report._subset_q2 is None
+    assert (report.order_sums, report.order_sums_square) == (
+        fraction_minor_sums(m), fraction_minor_sums(naive_product(m, m))
+    )
+    q_ok, _, q_witness = is_q(m)
+    assert (report.is_q, report.witnesses.get("Q")) == (q_ok, q_witness)
+    q2_ok, *_, q2_witness = is_q2(m)
+    assert (report.is_q2, report.witnesses.get("Q2")) == (q2_ok, q2_witness)
+    for key, (verdict, witness) in (
+        ("sign_symmetric", reference_sign_symmetry(m)),
+        ("row_sqdd", reference_square_dominance(m, "row")),
+        ("col_sqdd", reference_square_dominance(m, "col")),
+    ):
+        assert report.flags()[key] == verdict
+        assert report.witnesses.get(key) == witness

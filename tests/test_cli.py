@@ -688,12 +688,15 @@ def test_certify_and_verify_form_no_schur_complement(tmp_path, monkeypatch, caps
 def test_certify_and_verify_decide_each_exact_fact_once(
     tmp_path, monkeypatch, capsys, a
 ):
-    # P is tested on A and on A^2 (the P^2 flag), never on B; certify
-    # screens each diagonal on ledger orders j <= 2, computes the complete
-    # ledger and the Hurwitz minors only for the one it accepts and writes
-    # those; verify re-derives each once and tests Q^2 only on the chain's
-    # n levels
+    # P is decided once per command, by classify_full on A (and on A^2 for
+    # the P^2 flag), never on B; certify screens each diagonal on ledger
+    # orders j <= 2, computes the complete ledger and the Hurwitz minors
+    # only for the one it accepts and writes those; verify re-derives each
+    # once.  Neither command forms a submatrix or a char-poly for Q, Q^2
+    # or any nest level: those order sums are read off A's P sweep
     import pstab.classify
+    import pstab.exactmat
+    import pstab.nests
     import pstab.stabilize
 
     matrix_path = tmp_path / "a.txt"
@@ -709,21 +712,41 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     monkeypatch.setattr(pstab.stabilize, "_trace_ledger", screened)
     counts = _count_calls(
         monkeypatch,
+        pstab.classify.classify_full,
         pstab.classify.is_p,
         pstab.classify.is_q2,
+        pstab.exactmat.principal_submatrix,
         pstab.stabilize.hurwitz_minors,
     )
+    kernel = pstab.classify.integer_minor_sums
+    char_polys = []  # through the binding that Q, Q^2 and nest levels use
+    monkeypatch.setattr(
+        pstab.classify,
+        "integer_minor_sums",
+        lambda *args: char_polys.append(len(args[0])) or kernel(*args),
+    )
+    expected = {
+        "classify_full": 1,
+        "is_p": 0,
+        "is_q2": 0,
+        "principal_submatrix": 0,
+        "hurwitz_minors": 1,
+    }
     assert main(["certify", str(matrix_path), "--json", cert_path]) == EXIT_OK
     with open(cert_path) as handle:
         steps = json.load(handle)["stabilizer"]["identity_steps"]
-    assert counts["is_p"] == 2
+    assert counts == expected and char_polys == []
     assert screens.count(pstab.stabilize.SCREEN_ORDER) == steps + 1
-    assert screens.count(None) == counts["hurwitz_minors"] == 1
+    assert screens.count(None) == 1
     counts.update(dict.fromkeys(counts, 0))
     screens.clear()
     assert main(["verify", cert_path, str(matrix_path)]) == EXIT_OK
     assert screens == [None]
-    assert counts == {"is_p": 2, "is_q2": a.n, "hurwitz_minors": 1}
+    assert counts == expected and char_polys == []
+    # the public nest search, with no table, takes one char-poly per
+    # principal submatrix it tries
+    assert pstab.nests.find_q2_nest(a) is not None
+    assert counts["is_q2"] == len(char_polys) >= a.n
 
 
 def test_verify_refuses_a_matrix_that_is_not_p(tmp_path, capsys):

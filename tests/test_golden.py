@@ -1,6 +1,7 @@
-"""Golden certificates: the exact part of ``certify --json -`` is pinned by
-its sha256, so a rewrite of any exact kernel must reproduce every
-certificate byte for byte."""
+"""Golden outputs: the exact part of ``certify --json -`` is pinned by its
+sha256, and so is ``classify --json`` over a seeded corpus, so a rewrite
+of any exact kernel must reproduce every certificate and every
+classification byte for byte."""
 
 import hashlib
 import json
@@ -9,7 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import LEVEL_SEARCH_FAULT, random_p_matrix, random_spd_matrix
+from conftest import (
+    LEVEL_SEARCH_FAULT,
+    random_fraction_matrix,
+    random_matrix,
+    random_p_matrix,
+    random_spd_matrix,
+)
+from pstab import ExactMatrix
 from pstab.cli import EXIT_OK, format_matrix, main
 from pstab.fixtures import DEMO_A
 
@@ -68,6 +76,8 @@ CASES = {
     ),
 }
 
+CLASSIFY_JSON_SHA256 = "8995e3c6fa0bc8ccd097bebf10895fd345f80a45e7cdd35626414c8dd71181be"
+
 
 def exact_part_sha256(a, tmp_path, capsys):
     """sha256 of the certificate document of ``a`` less its spectrum."""
@@ -84,3 +94,35 @@ def exact_part_sha256(a, tmp_path, capsys):
 def test_certificate_exact_part_is_pinned(name, tmp_path, capsys):
     make, digest = CASES[name]
     assert exact_part_sha256(make(), tmp_path, capsys) == digest
+
+
+def classify_corpus():
+    """42 seeded matrices, six kinds for each n = 1..7: a P-matrix, a
+    P-matrix with fraction entries, an integer and a fraction matrix
+    (mostly not P), a symmetric positive definite matrix, and one with a
+    zero principal minor (row 2 a copy of row 1; a zero entry at n = 1)."""
+    rng = random.Random(14)
+    for n in range(1, 8):
+        yield random_p_matrix(rng, n)
+        yield random_p_matrix(rng, n) * Fraction(rng.randint(1, 9), rng.randint(2, 9))
+        yield random_matrix(rng, n)
+        yield random_fraction_matrix(rng, n)
+        yield random_spd_matrix(rng, n)
+        rows = [list(row) for row in random_matrix(rng, n).rows]
+        if n == 1:
+            rows[0][0] = 0
+        else:
+            rows[1] = list(rows[0])
+        yield ExactMatrix(rows)
+
+
+def test_classify_json_is_pinned(tmp_path, capsys):
+    # stdout and exit code of ``classify --json`` on the whole corpus
+    path = tmp_path / "a.txt"
+    digest = hashlib.sha256()
+    for a in classify_corpus():
+        path.write_text(format_matrix(a))
+        capsys.readouterr()
+        code = main(["classify", str(path), "--json"])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode("utf-8"))
+    assert digest.hexdigest() == CLASSIFY_JSON_SHA256

@@ -1,9 +1,15 @@
 """Search and verification of Q^2 chains of principal submatrices."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pstab import ExactMatrix
+from pstab.classify import classify_full, is_p, is_q2, order_sum_traces
 from pstab.errors import MatrixArgumentError
+from pstab.exactmat import index_sets, principal_submatrix
 from pstab.fixtures import (
     DEMO_A,
     DEMO_CHAIN,
@@ -76,3 +82,61 @@ def test_find_q2_nest_none_when_full_set_fails():
 
 def test_find_q2_nest_is_deterministic():
     assert find_q2_nest(DEMO_A) == find_q2_nest(DEMO_A)
+
+
+# -- the level verdicts read off the P sweep against one char-poly each -----
+
+
+@st.composite
+def p_matrices(draw):
+    """Integer or fraction P-matrices, n = 1..7: the diagonal is raised by
+    whole steps until the matrix is P, then by a drawn margin, so that Q^2
+    nests are found at some margins and not at others."""
+    n = draw(st.sampled_from(range(1, 8)))
+    entry = draw(
+        st.sampled_from(
+            [
+                st.integers(-9, 9),
+                st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6)),
+            ]
+        )
+    )
+    row = st.lists(entry, min_size=n, max_size=n)
+    m = ExactMatrix(draw(st.lists(row, min_size=n, max_size=n)))
+    while not is_p(m)[0]:
+        m = m + ExactMatrix.identity(n)
+    return m + ExactMatrix.identity(n) * draw(st.sampled_from([0, 0, 2, 6, 20]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p_matrices())
+def test_level_sums_from_the_p_sweep_match_a_char_poly_per_submatrix(m):
+    subset_q2 = classify_full(m)._subset_q2
+    for k in range(1, m.n + 1):
+        for s in index_sets(m.n, k):
+            sub = principal_submatrix(m, s)
+            assert subset_q2(s) == is_q2(sub)
+            assert subset_q2(s)[1:3] == order_sum_traces(sub)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p_matrices())
+def test_nest_search_and_check_agree_with_and_without_the_table(m):
+    subset_q2 = classify_full(m)._subset_q2
+    nest = find_q2_nest(m)
+    assert find_q2_nest(m, subset_q2) == nest
+    n = m.n
+    chains = [
+        [tuple(range(1, k + 1)) for k in range(1, n + 1)],
+        [tuple(range(n - k + 1, n + 1)) for k in range(1, n + 1)],
+    ]
+    if nest is not None:
+        chains.append(nest.chain)
+    for chain in chains:
+        assert verify_nest(m, chain, subset_q2) == verify_nest(m, chain)
+
+
+def test_a_matrix_that_is_not_p_leaves_no_table():
+    report = classify_full(ExactMatrix([[2, -1, -2], [-2, 3, -3], [-2, 2, 2]]))
+    assert report.is_q2 and not report.is_p
+    assert report._subset_q2 is None

@@ -603,7 +603,7 @@ def test_certify_stability_hypothesis_failures():
 def test_certify_stability_no_nest(monkeypatch):
     import pstab.nests
 
-    monkeypatch.setattr(pstab.nests, "find_q2_nest", lambda a: None)
+    monkeypatch.setattr(pstab.nests, "find_q2_nest", lambda a, *_: None)
     with pytest.raises(HypothesisError) as exc:
         certify_stability(DEMO_A)
     assert exc.value.kind == "no-nest"
