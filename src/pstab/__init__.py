@@ -1,9 +1,11 @@
 """Exact minor-positivity classification and positive-stability certificates.
 
 The public surface: exact matrices and minors (:mod:`pstab.exactmat`),
-compound and exterior products (:mod:`pstab.compound`), matrix-class tests
+compound matrices and the exterior products and generalized compounds
+read off them (:mod:`pstab.compound`), matrix-class tests
 (:mod:`pstab.classify`), Q^2 chain search (:mod:`pstab.nests`), the
-certification pipeline (:mod:`pstab.stabilize`) and numeric spectra
+certification pipeline, from the B transform to the trace ledger and the
+stabilizer (:mod:`pstab.stabilize`), and numeric spectra
 (:mod:`pstab.spectra`).
 """
 
@@ -34,8 +36,6 @@ from .stabilize import (
     build_stabilizer,
     certify_stability,
     homotopy_certificate,
-    schur_complement,
-    sylvester_check,
 )
 from .spectra import Spectrum, eigenvalues, is_positively_stable, wedge_check
 
@@ -70,8 +70,6 @@ __all__ = [
     "build_stabilizer",
     "certify_stability",
     "homotopy_certificate",
-    "schur_complement",
-    "sylvester_check",
     "Spectrum",
     "eigenvalues",
     "is_positively_stable",

@@ -299,6 +299,13 @@ def _typed(kind):
     return convert
 
 
+def _count(value):
+    """A JSON int >= 0."""
+    if _typed(int)(value) < 0:
+        raise ValueError("expected an int >= 0")
+    return value
+
+
 def _list_of(convert):
     def convert_list(value):
         return [convert(x) for x in _typed(list)(value)]
@@ -423,6 +430,7 @@ def _verify_fields(doc, a, problems):
     )
 
     eps = _field(doc, "stabilizer", "eps", _list_of(_fraction))
+    _field(doc, "stabilizer", "identity_steps", _count)
     if len(eps) != a.n:
         problems.append(f"stabilizer diagonal has {len(eps)} entries, not {a.n}")
         return

@@ -5,25 +5,29 @@ lexicographic ordering of the j-subsets of [n].  The exterior product of j
 matrices symmetrizes "mixed" minors over which factor supplies each column;
 with m copies of A and j-m copies of the identity it specializes to the
 generalized compound, whose diagonal-input case has a closed form in
-elementary symmetric polynomials.
+elementary symmetric polynomials.  Both are read off compounds alone: the
+exterior product by polarization, the generalized compound by
+interpolation in x of (I + xA)^(j).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import MatrixArgumentError
 from .exactmat import (
     ExactMatrix,
     as_rational,
-    det,
     index_sets,
+    lagrange_operator,
     minor,
 )
 
-# Full permutation sums get expensive fast: j! * C(n,j)^2 minors.
+# The polarization sum takes 2^j - 1 compounds of C(n,j)^2 minors each.
 EXTERIOR_MAX_N = 6
 EXTERIOR_MAX_J = 4
 
@@ -42,21 +46,18 @@ def compound(m: ExactMatrix, j: int) -> ExactMatrix:
     )
 
 
-def _mixed_minor(matrices, rows, cols, assignment):
-    """Determinant with column cols[p] drawn from matrices[assignment[p]]."""
-    block = [
-        [matrices[assignment[p]].rows[i - 1][cols[p] - 1] for p in range(len(cols))]
-        for i in rows
-    ]
-    return det(ExactMatrix(block))
-
-
 def exterior_product(matrices) -> ExactMatrix:
-    """Exterior product of j matrices via the symmetrized mixed-minor formula.
+    """Exterior product of j matrices, the symmetrized mixed minors.
 
     Entry (alpha, beta) averages, over all permutations of the factor list,
     the minor whose p-th column is column beta_p of the permuted p-th factor.
-    Capped at n <= 6, j <= 4 because the sum costs j! * C(n,j)^2 minors.
+    That average is the symmetric multilinear form whose value at
+    M, ..., M is M^(j), so polarization gives it from compounds alone:
+
+        M_1 ^ ... ^ M_j = sum over nonempty T in [j] of
+                          (-1)^(j-|T|) (sum_{i in T} M_i)^(j) / j!.
+
+    Capped at n <= 6, j <= 4 because the sum takes 2^j - 1 compounds.
     """
     matrices = list(matrices)
     j = len(matrices)
@@ -69,33 +70,31 @@ def exterior_product(matrices) -> ExactMatrix:
     if n > EXTERIOR_MAX_N or j > EXTERIOR_MAX_J:
         raise MatrixArgumentError(
             f"exterior_product is capped at n <= {EXTERIOR_MAX_N}, "
-            f"j <= {EXTERIOR_MAX_J} (cost is j! * C(n,j)^2 minors)"
+            f"j <= {EXTERIOR_MAX_J} (cost is 2^j - 1 compounds)"
         )
-    subsets = list(index_sets(n, j))
-    perms = list(itertools.permutations(range(j)))
-    scale = Fraction(1, len(perms))
-    out = []
-    for rows in subsets:
-        out_row = []
-        for cols in subsets:
-            acc = Fraction(0)
-            for perm in perms:
-                acc += _mixed_minor(matrices, rows, cols, perm)
-            out_row.append(acc * scale)
-        out.append(out_row)
-    return ExactMatrix(out)
+    terms = (
+        (-1) ** (j - size) * compound(functools.reduce(operator.add, subset), j)
+        for size in range(1, j + 1)
+        for subset in itertools.combinations(matrices, size)
+    )
+    return Fraction(1, math.factorial(j)) * functools.reduce(operator.add, terms)
 
 
 def generalized_compound(m: ExactMatrix, j: int, wedge_m: int) -> ExactMatrix:
     """The generalized compound A_m^(j): wedge_m copies of A against
     j - wedge_m identities.
 
-    Computed as the sum over the C(j, m) choices of which column slots take
+    It is the sum over the C(j, m) choices of which column slots take
     A-columns (repeated factors commute, so the j! permutation sum collapses
-    onto these).  Note the normalization: this is C(j, m) times the averaged
-    exterior product of the same factor list, which is what makes the
-    diagonal case come out as plain elementary symmetric polynomials and
-    makes det(tI + A) expand through these coefficients.
+    onto these).  Expanding each column of (I + xA)[alpha; beta] as an
+    identity column plus x times an A-column makes that sum the coefficient
+    of x^m in (I + xA)^(j), a polynomial of degree j in x; it is read off
+    the compounds at x = 0..j with the integer Lagrange operator
+    W = j! V^(-1) of :func:`pstab.exactmat.lagrange_operator`.  Note the
+    normalization: this is C(j, m) times the averaged exterior product of
+    the same factor list, which is what makes the diagonal case come out as
+    plain elementary symmetric polynomials and makes det(tI + A) expand
+    through these coefficients.
     """
     n = m.n
     if not (1 <= wedge_m <= j <= n):
@@ -103,26 +102,11 @@ def generalized_compound(m: ExactMatrix, j: int, wedge_m: int) -> ExactMatrix:
             f"need 1 <= m <= j <= n, got m={wedge_m}, j={j}, n={n}"
         )
     ident = ExactMatrix.identity(n)
-    subsets = list(index_sets(n, j))
-    slot_choices = list(itertools.combinations(range(j), wedge_m))
-    out = []
-    for rows in subsets:
-        out_row = []
-        for cols in subsets:
-            acc = Fraction(0)
-            for chosen in slot_choices:
-                chosen = set(chosen)
-                block = [
-                    [
-                        (m if p in chosen else ident).rows[i - 1][cols[p] - 1]
-                        for p in range(j)
-                    ]
-                    for i in rows
-                ]
-                acc += det(ExactMatrix(block))
-            out_row.append(acc)
-        out.append(out_row)
-    return ExactMatrix(out)
+    terms = (
+        w * compound(ident + x * m, j)
+        for x, w in enumerate(lagrange_operator(j)[wedge_m])
+    )
+    return Fraction(1, math.factorial(j)) * functools.reduce(operator.add, terms)
 
 
 def diag_generalized_compound(d, j: int, wedge_m: int) -> ExactMatrix:

@@ -13,6 +13,7 @@ minor notation A(i1...ik; j1...jk).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -401,16 +402,23 @@ def squared_minor_sums(sums) -> list:
     ]
 
 
-def principal_minor_sums(m: ExactMatrix) -> tuple:
-    """(E_0, ..., E_n): E_k is the sum of the principal minors of order k.
+@functools.cache
+def lagrange_operator(n) -> tuple:
+    """W = n! V^(-1) on integers, V = (s^k) the Vandermonde matrix of the
+    nodes s = 0..n (rows) and powers k = 0..n (columns).
 
-    These are the coefficients of det(xI + A) = sum_k E_k x^(n-k), the
-    rational face of the char-poly kernel :func:`integer_minor_sums`: with
-    c the lcm of the denominators, E_k(A) = E_k(cA) / c^k, and the kernel
-    runs on cA in about n/2 integer matrix products.  The pipeline calls
-    the integer kernel directly.
+    Column s of W holds the coefficients, lowest power first, of
+    n! L_s(x) = (-1)^(n-s) C(n,s) prod_{r != s} (x - r), L_s the Lagrange
+    basis polynomial of node s, so W V = n! I with no rational inverse:
+    a polynomial of degree <= n with values f(0..n) has the coefficients
+    W f / n!.  Memoized per n, so it is returned as tuples.
     """
-    a, c = cleared(m)
-    return tuple(
-        Fraction(e, c**k) for k, e in enumerate(integer_minor_sums(a))
-    )
+    w = [[0] * (n + 1) for _ in range(n + 1)]
+    for s in range(n + 1):
+        poly = [(-1) ** (n - s) * math.comb(n, s)]
+        for r in range(n + 1):
+            if r != s:
+                poly = [a - r * b for a, b in zip([0] + poly, poly + [0])]
+        for k, coeff in enumerate(poly):
+            w[k][s] = coeff
+    return tuple(map(tuple, w))

@@ -1,5 +1,5 @@
-"""Schur complements, the inverse-permutation transform, the constructive
-diagonal stabilizer, and the top-level positive-stability certification.
+"""The inverse-permutation transform, the constructive diagonal stabilizer,
+and the top-level positive-stability certification.
 
 The pipeline: a P-matrix that is Q^2 and carries a maximal Q^2 chain is
 transformed (via the chain's permutation and exact inversion) into a matrix
@@ -50,7 +50,6 @@ tolerance-carrying floats, recorded as advisory cross-checks.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -70,114 +69,18 @@ from .exactmat import (
     ExactMatrix,
     as_rational,
     cleared,
-    det,
     integer_adjugate,
     integer_leading_minors,
     integer_minor_sums,
     integer_product,
-    minor,
-    principal_submatrix,
     inverse,
+    lagrange_operator,
 )
 from .nests import NestCertificate, NestEvidence, chain_tau
 
 DEFAULT_MAX_SHRINK = 64
 # ledger orders each diagonal of the stabilizer search is screened on
 SCREEN_ORDER = 2
-
-
-# -- Schur complements and Sylvester's identity -----------------------------
-
-
-def schur_complement(m: ExactMatrix, k: int) -> ExactMatrix:
-    """Schur complement of the leading k-by-k block:
-    A22 - A21 * A11^{-1} * A12, computed exactly."""
-    n = m.n
-    if not (1 <= k < n):
-        raise MatrixArgumentError(f"block size k={k} out of range [1, {n - 1}]")
-    head = tuple(range(1, k + 1))
-    tail = tuple(range(k + 1, n + 1))
-    a11 = principal_submatrix(m, head)
-    if det(a11) == 0:
-        raise SingularMatrixError(f"leading {k}x{k} block is singular")
-    a11_inv = inverse(a11)
-    rows12 = [[m.rows[i - 1][j - 1] for j in tail] for i in head]
-    rows21 = [[m.rows[i - 1][j - 1] for j in head] for i in tail]
-    a22 = [[m.rows[i - 1][j - 1] for j in tail] for i in tail]
-    # a21 (n-k x k) * a11_inv (k x k) * a12 (k x n-k), done with plain lists
-    # since the blocks are rectangular.
-    left = [
-        [
-            sum(rows21[r][t] * a11_inv.rows[t][c] for t in range(k))
-            for c in range(k)
-        ]
-        for r in range(n - k)
-    ]
-    correction = [
-        [
-            sum(left[r][t] * rows12[t][c] for t in range(k))
-            for c in range(n - k)
-        ]
-        for r in range(n - k)
-    ]
-    return ExactMatrix(
-        [
-            [a22[r][c] - correction[r][c] for c in range(n - k)]
-            for r in range(n - k)
-        ]
-    )
-
-
-def sylvester_check(m: ExactMatrix, pivot_rows, pivot_cols, p: int):
-    """Verify Sylvester's determinant identity for the given pivot sets.
-
-    Builds the matrix of bordered minors b_lr = A(pivot_rows, l; pivot_cols, r)
-    over the complement indices and checks, for every pair of p-subsets,
-
-        B(l_1..l_p; r_1..r_p) = A(pr; pc)^(p-1) * A(pr, l_1..l_p; pc, r_1..r_p)
-
-    with every index set taken in increasing order.  Returns None when the
-    identity holds everywhere, otherwise the first violating
-    (row subset, col subset, lhs, rhs) tuple.
-    """
-    import itertools
-
-    n = m.n
-    pivot_rows = tuple(sorted(pivot_rows))
-    pivot_cols = tuple(sorted(pivot_cols))
-    k = len(pivot_rows)
-    if len(pivot_cols) != k:
-        raise MatrixArgumentError("pivot row and column sets must have equal size")
-    if not (0 <= p <= n - k):
-        raise MatrixArgumentError(f"subset size p={p} out of range [0, {n - k}]")
-    free_rows = [i for i in range(1, n + 1) if i not in pivot_rows]
-    free_cols = [j for j in range(1, n + 1) if j not in pivot_cols]
-
-    def bordered(extra_rows, extra_cols):
-        rows = tuple(sorted(pivot_rows + tuple(extra_rows)))
-        cols = tuple(sorted(pivot_cols + tuple(extra_cols)))
-        return minor(m, rows, cols)
-
-    b = ExactMatrix(
-        [[bordered((l,), (r,)) for r in free_cols] for l in free_rows]
-    ) if free_rows else None
-    pivot_minor = minor(m, pivot_rows, pivot_cols) if k else Fraction(1)
-
-    if p == 0:
-        return None
-    row_pos = {v: i + 1 for i, v in enumerate(free_rows)}
-    col_pos = {v: i + 1 for i, v in enumerate(free_cols)}
-    for lset in itertools.combinations(free_rows, p):
-        for rset in itertools.combinations(free_cols, p):
-            lhs = minor(
-                b,
-                tuple(row_pos[v] for v in lset),
-                tuple(col_pos[v] for v in rset),
-            )
-            rhs = pivot_minor ** (p - 1) * bordered(lset, rset)
-            if lhs != rhs:
-                return (lset, rset, lhs, rhs)
-    return None
 
 
 # -- the permutation transform ---------------------------------------------
@@ -289,27 +192,6 @@ class TraceLedger:
         return None
 
 
-@functools.cache
-def _lagrange_operator(n) -> tuple:
-    """W = n! V^(-1) on integers, V = (s^k) the Vandermonde matrix of the
-    nodes s = 0..n (rows) and powers k = 0..n (columns).
-
-    Column s of W holds the coefficients, lowest power first, of
-    n! L_s(x) = (-1)^(n-s) C(n,s) prod_{r != s} (x - r), L_s the Lagrange
-    basis polynomial of node s, so W V = n! I with no rational inverse.
-    Memoized per n, so it is returned as tuples.
-    """
-    w = [[0] * (n + 1) for _ in range(n + 1)]
-    for s in range(n + 1):
-        poly = [(-1) ** (n - s) * math.comb(n, s)]
-        for r in range(n + 1):
-            if r != s:
-                poly = [a - r * b for a, b in zip([0] + poly, poly + [0])]
-        for k, coeff in enumerate(poly):
-            w[k][s] = coeff
-    return tuple(map(tuple, w))
-
-
 def _diagonal_poly(delta, d_values) -> list:
     """Coefficients, lowest power first, of prod_i (delta + x d_i)."""
     poly = [1]
@@ -335,7 +217,7 @@ def _trace_ledger(b: ExactMatrix, eps, top=None) -> TraceLedger:
     s <= t in {0..q} (E_j(X_s X_t) = E_j(X_t X_s)) with the char-poly cut
     off at order q, and the coefficients are recovered by two exact
     Vandermonde passes, W P W^T / (q!)^2 with the integer Lagrange
-    operator W = q! V^(-1) of :func:`_lagrange_operator`.
+    operator W = q! V^(-1) of :func:`pstab.exactmat.lagrange_operator`.
 
     The top two orders need no node.  With pi_i(x) = prod_(r != i)
     (delta + x d'_r) = sum_k c_k(i) x^k:
@@ -389,7 +271,7 @@ def _trace_ledger(b: ExactMatrix, eps, top=None) -> TraceLedger:
                 w_t = [delta + t * d for d in d_int]
                 node = [list(map(operator.mul, row, w_t)) for row in n_s]
                 grid[s, t] = grid[t, s] = integer_minor_sums(node, q)
-        w_rows, w = _lagrange_operator(q), math.factorial(q)
+        w_rows, w = lagrange_operator(q), math.factorial(q)
         w_cols = [list(col) for col in zip(*w_rows)]
 
     entries, cross_terms = {}, {}

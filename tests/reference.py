@@ -28,11 +28,11 @@ from pstab.exactmat import (
     integer_det,
     integer_minor_sums,
     integer_product,
+    lagrange_operator,
     minor,
-    principal_minor_sums,
     principal_submatrix,
 )
-from pstab.stabilize import TraceLedger, _lagrange_operator
+from pstab.stabilize import TraceLedger
 
 
 def per_minor_is_p(m: ExactMatrix):
@@ -106,8 +106,9 @@ def naive_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 def per_minor_hurwitz_minors(m: ExactMatrix) -> tuple:
     """Leading principal minors of the Hurwitz matrix of det(xI + M), one
-    determinant each."""
-    coeffs = principal_minor_sums(m)
+    determinant each; E_k(M) = E_k(cM) / c^k on the cleared cM."""
+    a, c = cleared(m)
+    coeffs = [Fraction(e, c**k) for k, e in enumerate(integer_minor_sums(a))]
     n = m.n
     rows = [
         [coeffs[2 * j - i] if 0 <= 2 * j - i <= n else 0 for j in range(1, n + 1)]
@@ -161,7 +162,7 @@ def node_trace_ledger(b: ExactMatrix, eps, top=None) -> TraceLedger:
             w_t = [delta + t * d for d in d_int]
             node = [list(map(operator.mul, row, w_t)) for row in n_s]
             grid[s, t] = grid[t, s] = integer_minor_sums(node, q)
-    w_rows, w = _lagrange_operator(q), math.factorial(q)
+    w_rows, w = lagrange_operator(q), math.factorial(q)
     w_cols = [list(col) for col in zip(*w_rows)]
     if top == n:
         det_sq = integer_det(b_int) ** 2

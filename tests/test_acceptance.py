@@ -20,7 +20,13 @@ from conftest import (
     random_q_matrix,
     random_spd_matrix,
 )
-from oracle import naive_compound, naive_det, naive_exterior
+from oracle import (
+    naive_compound,
+    naive_det,
+    naive_exterior,
+    schur_complement,
+    sylvester_check,
+)
 from pstab import ExactMatrix, det, inverse, minor, principal_submatrix, trace
 from pstab.classify import classify_full, is_p, is_q, is_q2, is_square_diag_dominant
 from pstab.cli import format_matrix, main, matrix_hash
@@ -49,7 +55,7 @@ from pstab.fixtures import (
 )
 from pstab.nests import find_q2_nest, verify_nest
 from pstab.spectra import eigenvalues, multiset_match, wedge_check
-from pstab.stabilize import certify_stability, schur_complement, sylvester_check
+from pstab.stabilize import certify_stability
 
 
 def report(number, description):

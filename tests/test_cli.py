@@ -1,5 +1,7 @@
 """The command-line front end: parsing, subcommands, exit codes."""
 
+import ast
+import copy
 import json
 import os
 import random
@@ -10,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import LEVEL_SEARCH_FAULT, random_spd_matrix
@@ -24,6 +26,7 @@ from pstab.cli import (
     MAX_LITERAL_EXPONENT,
     MatrixParseError,
     entry_str,
+    frac_str,
     format_matrix,
     main,
     matrix_hash,
@@ -487,6 +490,137 @@ def test_verify_rejects_a_document_that_is_not_an_object(
     assert "not a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [{}, "x", -5, None], ids=["object", "str", "negative", "missing"])
+def test_verify_names_a_malformed_identity_steps(
+    demo_file, demo_certificate, value, capsys
+):
+    # the halving count is provenance, not re-derived, but it must be an int >= 0
+    cert_path, doc = demo_certificate
+    if value is None:
+        del doc["stabilizer"]["identity_steps"]
+    else:
+        doc["stabilizer"]["identity_steps"] = value
+    _rewrite(cert_path, doc)
+    assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
+    assert "field stabilizer.identity_steps is missing" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def demo_files(tmp_path_factory):
+    """Directory, matrix path and certificate document of the demo."""
+    folder = tmp_path_factory.mktemp("demo")
+    matrix_path = folder / "demoA.txt"
+    matrix_path.write_text(format_matrix(DEMO_A))
+    cert_path = folder / "cert.json"
+    assert main(["certify", str(matrix_path), "--json", str(cert_path)]) == EXIT_OK
+    return folder, str(matrix_path), json.loads(cert_path.read_text())
+
+
+# the exact values a certificate claims, as key paths into the document
+EXACT_ROOTS = [
+    ("classification", "order_sums"),
+    ("classification", "order_sums_square"),
+    ("transform",),
+    ("block_traces",),
+    ("stabilizer", "eps"),
+    ("trace_ledger",),
+    ("cross_terms",),
+    ("endpoint_hurwitz_minors",),
+]
+
+
+def _leaf_paths(value, path):
+    if isinstance(value, dict):
+        value = value.items()
+    elif isinstance(value, list):
+        value = enumerate(value)
+    else:
+        return [path]
+    return [leaf for key, item in value for leaf in _leaf_paths(item, (*path, key))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.fractions())
+def test_verify_rejects_any_one_exact_value_changed(demo_files, data, new):
+    folder, matrix_path, doc = demo_files
+    doc = copy.deepcopy(doc)
+    paths = []
+    for root in EXACT_ROOTS:
+        value = doc
+        for key in root:
+            value = value[key]
+        paths.extend(_leaf_paths(value, root))
+    path = data.draw(st.sampled_from(paths))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    old = parent[path[-1]]
+    if isinstance(old, int):  # an entry of the permutation theta
+        assume(new.denominator == 1 and new != old)
+        parent[path[-1]] = int(new)
+    else:
+        assume(new != Fraction(old))
+        parent[path[-1]] = frac_str(new)
+    cert_path = folder / "edited.json"
+    cert_path.write_text(json.dumps(doc))
+    assert main(["verify", str(cert_path), matrix_path]) == EXIT_REFUTED
+
+
+ENTRY_TEXTS = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds("{}.{}e{}".format, st.integers(-9, 9), st.integers(0, 99), st.integers(-3, 3)),
+)
+MALFORMED_TEXTS = st.sampled_from(
+    [
+        "x", "1/0", "1/", "/2", "1//2", "--1", "1e", "1.2.3", "nan", "inf",
+        "0x10", "1_0", "9" * (MAX_LITERAL_DIGITS + 1), f"1e{MAX_LITERAL_EXPONENT + 1}",
+    ]
+)
+
+
+@st.composite
+def matrix_texts(draw):
+    """Matrix files of dimension n <= 4, well formed or with one defect: the
+    dimension line, a row too many or too few, an entry too many or too
+    few, or a malformed literal.  Half have a dominant positive diagonal,
+    so that some reach certification."""
+    n = draw(st.integers(1, 4))
+    rows = [draw(st.lists(ENTRY_TEXTS, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        for i, row in enumerate(rows):
+            row[i] = str(draw(st.integers(40, 90)))
+    head = str(n)
+    defect = draw(st.sampled_from([None] * 3 + ["dimension", "row", "entry", "literal"]))
+    if defect == "dimension":
+        head = draw(st.sampled_from(["0", "-1", f"{n} {n}", "x", str(n + 1)]))
+    elif defect == "row":
+        rows = rows[:-1] if draw(st.booleans()) else rows + [rows[-1]]
+    elif defect == "entry":
+        i = draw(st.integers(0, n - 1))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["1"]
+    elif defect == "literal":
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(MALFORMED_TEXTS)
+    return "\n".join([head] + [" ".join(row) for row in rows]) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(matrix_texts(), st.integers(1, 4), st.integers(0, 4))
+def test_commands_exit_with_a_status_on_any_matrix_text(
+    demo_files, text, order, wedge
+):
+    folder, _, _ = demo_files
+    path = folder / "generated.txt"
+    path.write_text(text)
+    compound_args = ["--order", str(order)] + (["--wedge", str(wedge)] if wedge else [])
+    for argv in (
+        ["classify", str(path)],
+        ["certify", str(path)],
+        ["compound", str(path), *compound_args, "--json"],
+    ):
+        assert main(argv) in (EXIT_OK, EXIT_REFUTED, EXIT_INCONCLUSIVE, EXIT_INPUT)
+
+
 def test_verify_undecodable_certificate_exits_3(demo_file, tmp_path, capsys):
     path = tmp_path / "cert.json"
     path.write_bytes(b"\xff\xfe{}")
@@ -667,21 +801,29 @@ def test_classify_takes_no_determinant(tmp_path, monkeypatch, capsys, a):
 
 @pytest.mark.parametrize("a", [DEMO_A, LEVEL_SEARCH_FAULT], ids=["demo", "fault"])
 def test_certify_and_verify_form_no_schur_complement(tmp_path, monkeypatch, capsys, a):
-    # the block traces come from the nest's evidence, and each command
-    # checks the chain once: certify found it, verify re-verifies it
+    # the block traces come from the nest's evidence, so no module of the
+    # package defines or imports the Schur and Sylvester routines (they
+    # live in the test oracle), and each command checks the chain once:
+    # certify found it, verify re-verifies it
     import pstab.nests
-    import pstab.stabilize
+
+    for path in Path(pstab.nests.__file__).parent.glob("*.py"):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        assert not names & {"schur_complement", "sylvester_check"}, path.name
 
     matrix_path = tmp_path / "a.txt"
     matrix_path.write_text(format_matrix(a))
     cert_path = str(tmp_path / "cert.json")
-    counts = _count_calls(
-        monkeypatch, pstab.stabilize.schur_complement, pstab.nests.verify_nest
-    )
+    counts = _count_calls(monkeypatch, pstab.nests.verify_nest)
     assert main(["certify", str(matrix_path), "--json", cert_path]) == EXIT_OK
-    assert counts == {"schur_complement": 0, "verify_nest": 0}
+    assert counts == {"verify_nest": 0}
     assert main(["verify", cert_path, str(matrix_path)]) == EXIT_OK
-    assert counts == {"schur_complement": 0, "verify_nest": 1}
+    assert counts == {"verify_nest": 1}
 
 
 @pytest.mark.parametrize("a", [DEMO_A, LEVEL_SEARCH_FAULT], ids=["demo", "fault"])

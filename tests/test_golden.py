@@ -126,3 +126,32 @@ def test_classify_json_is_pinned(tmp_path, capsys):
         code = main(["classify", str(path), "--json"])
         digest.update(f"{code}\n{capsys.readouterr().out}".encode("utf-8"))
     assert digest.hexdigest() == CLASSIFY_JSON_SHA256
+
+
+COMPOUND_JSON_SHA256 = "7b078994a1b60e874f68c306ebbee9576cd488ef4f4504e005884a2db98f6188"
+
+
+def compound_corpus():
+    """A seeded integer and fraction matrix for each n = 1..6, with every
+    order j and, for each j, no ``--wedge`` and every ``--wedge m <= j``."""
+    rng = random.Random(15)
+    for n in range(1, 7):
+        for a in (random_matrix(rng, n), random_fraction_matrix(rng, n)):
+            for j in range(1, n + 1):
+                for wedge in (None, *range(1, j + 1)):
+                    yield a, j, wedge
+
+
+def test_compound_json_is_pinned(tmp_path, capsys):
+    # stdout and exit code of ``compound --json`` on the whole corpus
+    path = tmp_path / "a.txt"
+    digest = hashlib.sha256()
+    for a, j, wedge in compound_corpus():
+        path.write_text(format_matrix(a))
+        args = ["compound", str(path), "--order", str(j), "--json"]
+        if wedge is not None:
+            args += ["--wedge", str(wedge)]
+        capsys.readouterr()
+        code = main(args)
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode("utf-8"))
+    assert digest.hexdigest() == COMPOUND_JSON_SHA256

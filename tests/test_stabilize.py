@@ -15,6 +15,7 @@ from conftest import (
     random_p_matrix,
     random_spd_matrix,
 )
+from oracle import schur_complement, sylvester_check
 from reference import node_trace_ledger, per_minor_hurwitz_minors
 from pstab import ExactMatrix, det, inverse, minor, principal_submatrix, trace
 from pstab.compound import compound, diag_generalized_compound
@@ -25,13 +26,13 @@ from pstab.errors import (
     SingularMatrixError,
     StabilizerInconclusiveError,
 )
+from pstab.exactmat import lagrange_operator
 from pstab.fixtures import DEMO_A, DEMO_CHAIN
 from pstab.nests import find_q2_nest
 from pstab.stabilize import (
     SCREEN_ORDER,
     Stabilizer,
     TraceLedger,
-    _lagrange_operator,
     _trace_ledger,
     block_traces,
     build_B,
@@ -40,8 +41,6 @@ from pstab.stabilize import (
     first_exact_violation,
     homotopy_certificate,
     hurwitz_minors,
-    schur_complement,
-    sylvester_check,
 )
 
 
@@ -612,7 +611,7 @@ def test_certify_stability_no_nest(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_lagrange_operator_inverts_the_vandermonde_matrix(n):
     vandermonde = [[s**k for k in range(n + 1)] for s in range(n + 1)]
-    w = _lagrange_operator(n)
+    w = lagrange_operator(n)
     product = [
         [sum(w[i][s] * vandermonde[s][j] for s in range(n + 1)) for j in range(n + 1)]
         for i in range(n + 1)
