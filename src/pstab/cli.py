@@ -7,6 +7,9 @@ An entry may have at most MAX_LITERAL_DIGITS digits and a decimal exponent
 of at most MAX_LITERAL_EXPONENT in magnitude.
 Certificates are JSON with every exact value stored as a fraction string;
 the only floats are eigenvalues, which carry their tolerances.
+:func:`certificate_document` is the format's one definition: `verify`
+rebuilds a certificate from its chain and diagonal with the constructors
+of `certify`, writes it again and diffs the two documents.
 
 Exit codes are uniform across subcommands: 0 success/certified, 1 refuted
 (with a witness), 2 inconclusive, 3 input error; a usage error (bad or
@@ -33,6 +36,8 @@ from .nests import NestCertificate, NestEvidence, verify_nest
 from .spectra import DEFAULT_TOL_IMAG, DEFAULT_TOL_POS, DEFAULT_TOL_SEP
 from .stabilize import (
     DEFAULT_MAX_SHRINK,
+    StabilityCertificate,
+    Stabilizer,
     block_traces,
     build_B,
     certify_stability,
@@ -76,7 +81,7 @@ def parse_matrix(text) -> ExactMatrix:
         raise MatrixParseError("empty matrix file", 1, 1)
 
     head_line, head = rows_of_tokens[0]
-    if len(head) != 1 or not head[0].isdigit():
+    if len(head) != 1 or not head[0].isdecimal():
         raise MatrixParseError(
             f"expected a single dimension, got {' '.join(head)!r}", head_line, 1
         )
@@ -285,7 +290,7 @@ def _spectrum_doc(cert):
 
 
 class _MalformedField(Exception):
-    """A certificate section or field that is missing or of the wrong type."""
+    """A claimed certificate field that is missing or of the wrong type."""
 
 
 def _typed(kind):
@@ -306,178 +311,166 @@ def _count(value):
     return value
 
 
-def _list_of(convert):
-    def convert_list(value):
-        return [convert(x) for x in _typed(list)(value)]
-
-    return convert_list
+def _tuple_of(convert):
+    return lambda value: tuple(map(convert, _typed(list)(value)))
 
 
-_RATIO = re.compile(r"([+-]?[0-9]+)/([0-9]+)")
+_RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def _fraction(value):
-    """A certificate's exact value; the "p/q" form that :func:`frac_str`
-    writes is read at any length."""
-    text = _typed(str)(value)
-    match = _RATIO.fullmatch(text)
+    """An exact value in the "p/q" form that :func:`frac_str` writes, read
+    at any length.  No other form is read: "1e10000000" would be 11
+    characters standing for a 10^7-digit integer."""
+    match = _RATIO.fullmatch(_typed(str)(value))
     if match is None:
-        return Fraction(text)
+        raise ValueError("expected a fraction p/q")
     try:
         return Fraction(int(match[1]), int(match[2]))
     except ValueError:  # past the str-to-int digit limit
         return Fraction(int(Decimal(match[1])), int(Decimal(match[2])))
 
 
-def _matrix(value):
-    return ExactMatrix(_list_of(_list_of(_fraction))(value))
-
-
-def _field(doc, section, key=None, convert=_typed(dict)):
-    """doc[section] or doc[section][key], passed through ``convert``;
-    raises _MalformedField naming the field when it is missing or the
-    conversion fails."""
+def _field(doc, section, key, convert):
+    """doc[section][key] passed through ``convert``; raises _MalformedField
+    naming the field when it is missing or the conversion fails."""
     value = doc.get(section)
-    if key is not None:
-        value = value.get(key) if isinstance(value, dict) else None
+    value = value.get(key) if isinstance(value, dict) else None
     try:
         return convert(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        name = section if key is None else f"{section}.{key}"
-        raise _MalformedField(name) from exc
+        raise _MalformedField(f"{section}.{key}") from exc
+
+
+def _malformed(name):
+    return f"certificate field {name} is missing or malformed"
+
+
+# the sections keyed by index, with the name of one of their values
+_INDEXED = {
+    "block_traces": "block trace",
+    "trace_ledger": "trace ledger entry",
+    "cross_terms": "cross term",
+    "endpoint_hurwitz_minors": "endpoint Hurwitz minor",
+}
 
 
 def verify_document(doc: dict, a: ExactMatrix):
-    """Re-derive every exact claim of a certificate from the matrix alone.
+    """Re-derive a certificate from the matrix and the document's claims;
+    returns every difference found, an empty list when it re-verifies.
 
-    Returns a list of discrepancy strings; an empty list means the document
-    re-verifies.  A missing or mistyped section or field is a discrepancy
-    that names it.  Floating-point sections are not re-checked here: they
-    are advisory.  The certificate is the exact part: the trace ledger and
-    its cross terms (the homotopy stays Q^2) and the endpoint Hurwitz
-    minors (diag(eps) * B is positively stable), each re-derived and
-    required positive.  The matrix must be a P-matrix, and the nest's full
-    level makes it Q^2; B inherits both (see :func:`pstab.stabilize.build_B`).
+    The claims are ``nest.chain``, ``nest.tau``, ``stabilizer.eps`` and
+    ``stabilizer.identity_steps``.  The constructors of ``certify`` rebuild
+    the certificate from them and :func:`certificate_document` writes it
+    again, so the format has one definition: each exact field must equal
+    the rewritten one, text for text.  The block traces, the trace ledger
+    and its cross terms (the homotopy stays Q^2) and the endpoint Hurwitz
+    minors (diag(eps) * B is positively stable) must be positive, decided
+    on the re-derived values.  The matrix must be a P-matrix, and the
+    nest's full level makes it Q^2; B inherits both (see
+    :func:`pstab.stabilize.build_B`).  The float sections are advisory.
     """
-    problems = []
     try:
-        _verify_fields(doc, a, problems)
+        cert = _rederive(doc, a)
     except _MalformedField as exc:
-        problems.append(f"certificate field {exc} is missing or malformed")
-    return problems
+        return [_malformed(exc)]
+    if isinstance(cert, str):
+        return [cert]
+    problems = []
+    for section, want in certificate_document(cert).items():
+        got = doc.get(section)
+        if section in _INDEXED:
+            problems += _indexed_problems(section, got, want)
+        elif section in ("tool", "spectrum"):  # advisory: only the type is read
+            problems.append(None if isinstance(got, dict) else _malformed(section))
+        elif isinstance(want, dict):
+            got = got if isinstance(got, dict) else {}
+            for key, value in want.items():
+                problems.append(_difference(f"{section}.{key}", got.get(key), value))
+        else:
+            problems.append(_difference(section, got, want))
+    values = (
+        cert.block_trace_values,
+        cert.trace_ledger.entries,
+        cert.trace_ledger.cross_terms,
+        {(k,): v for k, v in enumerate(cert.endpoint_hurwitz, start=1)},
+    )
+    for label, by_key in zip(_INDEXED.values(), values):
+        problems += [
+            f"{label} ({','.join(map(str, key))}) is not positive"
+            for key, value in sorted(by_key.items())
+            if value <= 0
+        ]
+    return [p for p in problems if p]
 
 
-def _verify_fields(doc, a, problems):
-    if doc.get("verdict") != "certified":
-        problems.append(f"unexpected verdict {doc.get('verdict')!r}")
-        return
-
-    n = _field(doc, "input", "n", _typed(int))
-    if n != a.n:
-        problems.append(f"dimension mismatch: document says {n}, matrix is {a.n}")
-        return
+def _rederive(doc, a):
+    """The StabilityCertificate, without spectra, that the document's
+    claims make of ``a``, or why a claim does not hold."""
     if _field(doc, "input", "sha256", _typed(str)) != matrix_hash(a):
-        problems.append("matrix hash mismatch")
-        return
-    if _field(doc, "input", "matrix", _matrix) != a:
-        problems.append("matrix entries do not match the document")
-        return
-
+        return "matrix hash mismatch"
     report = classify_full(a)
-    if _field(doc, "classification", "flags") != report.flags():
-        problems.append("classification flags do not re-verify")
-    for key, sums, label in (
-        ("order_sums", report.order_sums, "order sums"),
-        ("order_sums_square", report.order_sums_square, "order sums of the square"),
-    ):
-        claimed = _field(doc, "classification", key, _typed(list))
-        if [frac_str(v) for v in sums] != claimed:
-            problems.append(f"{label} do not re-verify")
     if not report.is_p:
-        problems.append(
-            f"matrix is not a P-matrix: {report.witnesses['P'].describe()}"
-        )
-        return
-
-    chain = [
-        tuple(s)
-        for s in _field(doc, "nest", "chain", _list_of(_list_of(_typed(int))))
-    ]
-    tau = tuple(_field(doc, "nest", "tau", _list_of(_typed(int))))
+        return f"matrix is not a P-matrix: {report.witnesses['P'].describe()}"
+    chain = _field(doc, "nest", "chain", _tuple_of(_tuple_of(_typed(int))))
+    tau = _field(doc, "nest", "tau", _tuple_of(_typed(int)))
     try:
         evidence = verify_nest(a, chain, report._subset_q2)
+        if not isinstance(evidence, NestEvidence):
+            raise MatrixArgumentError(evidence.describe())
+        nest = NestCertificate(chain=chain, tau=tau, evidence=evidence)
+        theta, b = build_B(a, nest)
     except MatrixArgumentError as exc:
-        problems.append(f"nest fails re-verification: {exc}")
-        return
-    if not isinstance(evidence, NestEvidence):
-        problems.append(f"nest fails re-verification: {evidence.describe()}")
-        return
-
-    try:
-        theta, b = build_B(a, NestCertificate(chain=tuple(chain), tau=tau, evidence=evidence))
-    except MatrixArgumentError as exc:
-        problems.append(f"transform fails re-verification: {exc}")
-        return
-    if list(theta) != _field(doc, "transform", "theta", _typed(list)):
-        problems.append("permutation theta does not re-verify")
-    if _field(doc, "transform", "b_matrix", _matrix) != b:
-        problems.append("transformed matrix B does not re-verify")
-        return
-
-    recomputed = {f"{j},{m}": v for (j, m), v in block_traces(evidence).items()}
-    problems.extend(
-        _exact_section_problems(doc, "block_traces", "block trace", recomputed)
-    )
-
-    eps = _field(doc, "stabilizer", "eps", _list_of(_fraction))
-    _field(doc, "stabilizer", "identity_steps", _count)
+        return f"nest fails re-verification: {exc}"
+    eps = _field(doc, "stabilizer", "eps", _tuple_of(_fraction))
+    steps = _field(doc, "stabilizer", "identity_steps", _count)
     if len(eps) != a.n:
-        problems.append(f"stabilizer diagonal has {len(eps)} entries, not {a.n}")
-        return
-    if eps[0] != 1 or any(not (0 < b_ < a_) for a_, b_ in zip(eps, eps[1:])):
-        problems.append("stabilizer diagonal is not strictly decreasing from 1")
-        return
-
-    ledger = homotopy_certificate(b, eps)
-    sections = [
-        ("trace_ledger", "trace ledger entry", ledger.entries),
-        ("cross_terms", "cross term", ledger.cross_terms),
-    ]
-    for section, label, values in sections:
-        recomputed = {f"{j},{k},{m}": v for (j, k, m), v in values.items()}
-        problems.extend(_exact_section_problems(doc, section, label, recomputed))
-    recomputed = {
-        str(k): v for k, v in enumerate(hurwitz_minors(b.scale_rows(eps)), start=1)
-    }
-    problems.extend(
-        _exact_section_problems(
-            doc, "endpoint_hurwitz_minors", "endpoint Hurwitz minor", recomputed
-        )
+        return f"stabilizer diagonal has {len(eps)} entries, not {a.n}"
+    try:
+        stabilizer = Stabilizer(eps=eps, identity_steps=steps)
+    except MatrixArgumentError as exc:
+        return f"stabilizer fails re-verification: {exc}"
+    return StabilityCertificate(
+        matrix=a, report=report, nest=nest, theta=theta, b_matrix=b,
+        block_trace_values=block_traces(evidence), stabilizer=stabilizer,
+        trace_ledger=homotopy_certificate(b, stabilizer),
+        endpoint_hurwitz=hurwitz_minors(b.scale_rows(stabilizer.eps)),
     )
-    for section in ("tool", "spectrum"):  # advisory, but part of the format
-        _field(doc, section)
 
 
-def _exact_section_problems(doc, section, label, recomputed):
-    """Compare one exact section with its re-derived exact values, in key
-    order; each value must match its fraction string and be positive.  A
-    list section is keyed "1", "2", ... ."""
-    values = doc.get(section)
-    if isinstance(values, list):
-        values = {str(k): v for k, v in enumerate(values, start=1)}
-    if not isinstance(values, dict):
+def _shape(value):
+    """A JSON value with each leaf replaced by its type."""
+    if isinstance(value, dict):
+        return {key: _shape(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_shape(v) for v in value]
+    return type(value)
+
+
+def _difference(name, got, want):
+    """How a claimed field differs from the rewritten one, or None."""
+    if _shape(got) != _shape(want):
+        return _malformed(name)
+    return None if got == want else f"{name} does not re-verify"
+
+
+def _keyed(section):
+    """A section as a dict; a list section is keyed "1", "2", ... ."""
+    if isinstance(section, list):
+        return {str(k): v for k, v in enumerate(section, start=1)}
+    return section
+
+
+def _indexed_problems(section, got, want):
+    got, want = _keyed(got), _keyed(want)
+    if not isinstance(got, dict):
         return [f"certificate has no valid {section} section"]
     problems = []
-    if set(values) != set(recomputed):
+    if set(got) != set(want):
         problems.append(f"{section.replace('_', ' ')} key set does not match")
-    for key in sorted(recomputed, key=lambda k: tuple(map(int, k.split(",")))):
-        if key not in values:
-            continue
-        value = recomputed[key]
-        if values[key] != frac_str(value):
-            problems.append(f"{label} ({key}) does not re-verify")
-        elif value <= 0:
-            problems.append(f"{label} ({key}) is not positive")
+    for key, value in want.items():
+        if key in got and got[key] != value:
+            problems.append(f"{_INDEXED[section]} ({key}) does not re-verify")
     return problems
 
 
@@ -587,6 +580,9 @@ def cmd_verify(args) -> int:
             doc = json.load(handle)
         except RecursionError:
             print("input error: certificate is nested too deeply", file=sys.stderr)
+            return EXIT_INPUT
+        except ValueError as exc:  # not UTF-8, not JSON, or an int past the digit limit
+            print(f"input error: {exc}", file=sys.stderr)
             return EXIT_INPUT
     if not isinstance(doc, dict):
         print("input error: certificate is not a JSON object", file=sys.stderr)
@@ -736,13 +732,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except MatrixParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (MatrixArgumentError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (MatrixParseError, MatrixArgumentError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

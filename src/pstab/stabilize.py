@@ -412,9 +412,9 @@ class StabilityCertificate:
     stabilizer: Stabilizer
     trace_ledger: TraceLedger
     endpoint_hurwitz: tuple  # Hurwitz minors of det(xI + diag(eps) * B)
-    spectrum: spectra.Spectrum | None  # of the input matrix
-    stabilized_spectrum: spectra.Spectrum | None  # of diag(eps) * B
-    wedge_margin: float | None
+    spectrum: spectra.Spectrum | None = None  # of the input matrix
+    stabilized_spectrum: spectra.Spectrum | None = None  # of diag(eps) * B
+    wedge_margin: float | None = None
     spectrum_reason: str | None = None
     disagreement: str | None = None
 

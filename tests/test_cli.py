@@ -180,6 +180,14 @@ def test_classify_malformed_file_exits_3(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_classify_superscript_dimension_exits_3(tmp_path, capsys):
+    # "²" is a digit to str.isdigit but no integer to int()
+    path = tmp_path / "bad.txt"
+    path.write_text("²\n1 0\n0 1\n")
+    assert main(["classify", str(path)]) == EXIT_INPUT
+    assert "input error: line 1, entry 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "token", ["1e100000000", "1E-100000000", "1e1_0000_0000", "1" * 1001]
 )
@@ -505,6 +513,144 @@ def test_verify_names_a_malformed_identity_steps(
     assert "field stabilizer.identity_steps is missing" in capsys.readouterr().out
 
 
+# (path into the certificate, a value that stands for the right number in a
+# form the writer does not emit, the field named)
+NON_CANONICAL = [
+    (("stabilizer", "eps", 1), "0.998046875", "stabilizer.eps"),  # 511/512
+    (("stabilizer", "eps", 1), "1022/1024", "stabilizer.eps"),
+    (("input", "matrix", 0, 0), "12/2", "input.matrix"),  # 6/1
+    (("transform", "b_matrix", 0, 0), "490/10982", "transform.b_matrix"),  # 245/5491
+    (("classification", "order_sums", 0), "+28/1", "classification.order_sums"),
+]
+
+
+@pytest.mark.parametrize(
+    "path,text,name", NON_CANONICAL, ids=[text for _, text, _ in NON_CANONICAL]
+)
+def test_verify_reads_exact_values_only_in_the_writers_form(
+    demo_file, demo_certificate, path, text, name, capsys
+):
+    cert_path, doc = demo_certificate
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    assert Fraction(parent[path[-1]]) == Fraction(text.lstrip("+"))
+    parent[path[-1]] = text
+    _rewrite(cert_path, doc)
+    assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
+    assert name in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "path,name",
+    [
+        (("stabilizer", "eps", 1), "stabilizer.eps"),
+        (("input", "matrix", 0, 0), "input.matrix"),
+    ],
+    ids=["eps", "matrix"],
+)
+def test_verify_builds_no_integer_from_an_exponent(
+    demo_file, demo_certificate, path, name, capsys
+):
+    # 11 characters that would stand for a 10^7-digit integer
+    cert_path, doc = demo_certificate
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "1e10000000"
+    _rewrite(cert_path, doc)
+    start = time.perf_counter()
+    assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
+    assert time.perf_counter() - start < 5
+    assert name in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "value", [[0, 0, 1], [0, 0], [], None], ids=["one", "short", "empty", "missing"]
+)
+def test_verify_requires_the_shrink_log_the_writer_emits(
+    demo_file, demo_certificate, value, capsys
+):
+    cert_path, doc = demo_certificate
+    assert doc["stabilizer"]["shrink_log"] == [0, 0, 0]
+    if value is None:
+        del doc["stabilizer"]["shrink_log"]
+    else:
+        doc["stabilizer"]["shrink_log"] = value
+    _rewrite(cert_path, doc)
+    assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
+    assert "stabilizer.shrink_log" in capsys.readouterr().out
+
+
+DECREASING = "stabilizer entries must decrease strictly and stay positive"
+
+
+@pytest.mark.parametrize(
+    "eps,message",
+    [
+        (["1/2", "1/4", "1/8", "1/16"], "stabilizer must start with eps_1 = 1"),
+        (["1/1", "1/2", "1/2", "1/4"], DECREASING),
+        (["1/1", "1/2", "1/4", "0/1"], DECREASING),
+    ],
+    ids=["start", "flat", "zero"],
+)
+def test_verify_refuses_a_diagonal_that_is_not_a_stabilizer(
+    demo_file, demo_certificate, eps, message, capsys
+):
+    cert_path, doc = demo_certificate
+    doc["stabilizer"]["eps"] = eps
+    _rewrite(cert_path, doc)
+    assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
+    out = capsys.readouterr().out
+    assert out == f"FAIL: stabilizer fails re-verification: {message}\n"
+
+
+def test_verify_decides_positivity_on_the_rederived_values(
+    demo_file, demo_certificate, capsys
+):
+    # a document written honestly for the former demo diagonal, whose only
+    # nonpositive exact value is L(1,0,1): every text matches, the sign fails
+    from pstab import classify_full, find_q2_nest
+    from pstab.cli import certificate_document
+    from pstab.stabilize import (
+        StabilityCertificate,
+        Stabilizer,
+        block_traces,
+        build_B,
+        homotopy_certificate,
+        hurwitz_minors,
+    )
+
+    cert_path, _ = demo_certificate
+    nest = find_q2_nest(DEMO_A)
+    theta, b = build_B(DEMO_A, nest)
+    former = Stabilizer(
+        eps=(Fraction(1), Fraction(1, 64), Fraction(1, 128), Fraction(1, 256))
+    )
+    cert = StabilityCertificate(
+        matrix=DEMO_A,
+        report=classify_full(DEMO_A),
+        nest=nest,
+        theta=theta,
+        b_matrix=b,
+        block_trace_values=block_traces(nest.evidence),
+        stabilizer=former,
+        trace_ledger=homotopy_certificate(b, former),
+        endpoint_hurwitz=hurwitz_minors(b.scale_rows(former.eps)),
+    )
+    _rewrite(cert_path, certificate_document(cert))
+    assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
+    assert capsys.readouterr().out == "FAIL: cross term (1,0,1) is not positive\n"
+
+
+def test_verify_oversized_json_integer_exits_3(demo_file, tmp_path, capsys):
+    # past Python's int digit limit json raises a plain ValueError
+    path = tmp_path / "cert.json"
+    path.write_text('{"verdict": ' + "1" * 5000 + "}")
+    assert main(["verify", str(path), demo_file]) == EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def demo_files(tmp_path_factory):
     """Directory, matrix path and certificate document of the demo."""
@@ -593,7 +739,7 @@ def matrix_texts(draw):
     head = str(n)
     defect = draw(st.sampled_from([None] * 3 + ["dimension", "row", "entry", "literal"]))
     if defect == "dimension":
-        head = draw(st.sampled_from(["0", "-1", f"{n} {n}", "x", str(n + 1)]))
+        head = draw(st.sampled_from(["0", "-1", f"{n} {n}", "x", str(n + 1), "²"]))
     elif defect == "row":
         rows = rows[:-1] if draw(st.booleans()) else rows + [rows[-1]]
     elif defect == "entry":
@@ -867,6 +1013,9 @@ def test_certify_and_verify_decide_each_exact_fact_once(
         "integer_minor_sums",
         lambda *args: char_polys.append(len(args[0])) or kernel(*args),
     )
+    searches = _count_calls(
+        monkeypatch, pstab.nests.find_q2_nest, pstab.stabilize.build_stabilizer
+    )
     expected = {
         "classify_full": 1,
         "is_p": 0,
@@ -875,16 +1024,20 @@ def test_certify_and_verify_decide_each_exact_fact_once(
         "hurwitz_minors": 1,
     }
     assert main(["certify", str(matrix_path), "--json", cert_path]) == EXIT_OK
+    assert searches == {"find_q2_nest": 1, "build_stabilizer": 1}
     with open(cert_path) as handle:
         steps = json.load(handle)["stabilizer"]["identity_steps"]
     assert counts == expected and char_polys == []
     assert screens.count(pstab.stabilize.SCREEN_ORDER) == steps + 1
     assert screens.count(None) == 1
     counts.update(dict.fromkeys(counts, 0))
+    searches.update(dict.fromkeys(searches, 0))
     screens.clear()
     assert main(["verify", cert_path, str(matrix_path)]) == EXIT_OK
     assert screens == [None]
     assert counts == expected and char_polys == []
+    # verify re-derives from the claimed chain and diagonal: it searches for neither
+    assert searches == {"find_q2_nest": 0, "build_stabilizer": 0}
     # the public nest search, with no table, takes one char-poly per
     # principal submatrix it tries
     assert pstab.nests.find_q2_nest(a) is not None
