@@ -4,8 +4,9 @@ The public surface: exact matrices and minors (:mod:`pstab.exactmat`),
 compound matrices and the exterior products and generalized compounds
 read off them (:mod:`pstab.compound`), matrix-class tests
 (:mod:`pstab.classify`), Q^2 chain search (:mod:`pstab.nests`), the
-certification pipeline, from the B transform to the trace ledger and the
-stabilizer (:mod:`pstab.stabilize`), and numeric spectra
+certification pipeline, from the B transform to the trace ledger, the
+stabilizer and the one positivity rule that ``certify`` and ``verify``
+share (:mod:`pstab.stabilize`), and advisory numeric spectra
 (:mod:`pstab.spectra`).
 """
 
@@ -30,12 +31,10 @@ from .nests import NestCertificate, find_q2_nest, verify_nest
 from .stabilize import (
     StabilityCertificate,
     Stabilizer,
-    TraceLedger,
     block_traces,
     build_B,
     build_stabilizer,
     certify_stability,
-    homotopy_certificate,
 )
 from .spectra import Spectrum, eigenvalues, is_positively_stable, wedge_check
 
@@ -64,12 +63,10 @@ __all__ = [
     "verify_nest",
     "StabilityCertificate",
     "Stabilizer",
-    "TraceLedger",
     "block_traces",
     "build_B",
     "build_stabilizer",
     "certify_stability",
-    "homotopy_certificate",
     "Spectrum",
     "eigenvalues",
     "is_positively_stable",

@@ -6,7 +6,7 @@ Matrix files are plain text: a dimension line, then n rows of n entries
 An entry may have at most MAX_LITERAL_DIGITS digits and a decimal exponent
 of at most MAX_LITERAL_EXPONENT in magnitude.
 Certificates are JSON with every exact value stored as a fraction string;
-the only floats are eigenvalues, which carry their tolerances.
+the only floats are the advisory eigenvalues and wedge margin.
 :func:`certificate_document` is the format's one definition: `verify`
 rebuilds a certificate from its chain and diagonal with the constructors
 of `certify`, writes it again and diffs the two documents.
@@ -27,13 +27,12 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, stabilize
 from .classify import classify_full
 from .compound import compound, generalized_compound
 from .errors import HypothesisError, MatrixArgumentError, StabilizerInconclusiveError
 from .exactmat import ExactMatrix, rational_str as entry_str
 from .nests import NestCertificate, NestEvidence, verify_nest
-from .spectra import DEFAULT_TOL_IMAG, DEFAULT_TOL_POS, DEFAULT_TOL_SEP
 from .stabilize import (
     DEFAULT_MAX_SHRINK,
     StabilityCertificate,
@@ -41,8 +40,8 @@ from .stabilize import (
     block_traces,
     build_B,
     certify_stability,
-    homotopy_certificate,
     hurwitz_minors,
+    nonpositive_values,
 )
 
 EXIT_OK = 0
@@ -257,11 +256,13 @@ def certificate_document(cert) -> dict:
         },
         "trace_ledger": {
             f"{j},{k},{m}": frac_str(v)
-            for (j, k, m), v in sorted(cert.trace_ledger.entries.items())
+            for (j, k, m), v in sorted(cert.trace_ledger.items())
+            if k
         },
         "cross_terms": {
             f"{j},{k},{m}": frac_str(v)
-            for (j, k, m), v in sorted(cert.trace_ledger.cross_terms.items())
+            for (j, k, m), v in sorted(cert.trace_ledger.items())
+            if not k
         },
         "endpoint_hurwitz_minors": [frac_str(v) for v in cert.endpoint_hurwitz],
         "spectrum": _spectrum_doc(cert),
@@ -278,11 +279,6 @@ def _spectrum_doc(cert):
         ],
         "wedge_margin": cert.wedge_margin,
         "method": cert.spectrum.method,
-        "tolerances": {
-            "tol_imag": DEFAULT_TOL_IMAG,
-            "tol_pos": DEFAULT_TOL_POS,
-            "tol_sep": DEFAULT_TOL_SEP,
-        },
     }
     if cert.disagreement is not None:
         doc["disagreement"] = cert.disagreement
@@ -366,9 +362,10 @@ def verify_document(doc: dict, a: ExactMatrix):
     the rewritten one, text for text.  The block traces, the trace ledger
     and its cross terms (the homotopy stays Q^2) and the endpoint Hurwitz
     minors (diag(eps) * B is positively stable) must be positive, decided
-    on the re-derived values.  The matrix must be a P-matrix, and the
-    nest's full level makes it Q^2; B inherits both (see
-    :func:`pstab.stabilize.build_B`).  The float sections are advisory.
+    on the re-derived values by :func:`pstab.stabilize.nonpositive_values`.
+    The matrix must be a P-matrix, and the nest's full level makes it Q^2;
+    B inherits both (see :func:`pstab.stabilize.build_B`).  The float
+    sections are advisory.
     """
     try:
         cert = _rederive(doc, a)
@@ -389,19 +386,25 @@ def verify_document(doc: dict, a: ExactMatrix):
                 problems.append(_difference(f"{section}.{key}", got.get(key), value))
         else:
             problems.append(_difference(section, got, want))
-    values = (
-        cert.block_trace_values,
-        cert.trace_ledger.entries,
-        cert.trace_ledger.cross_terms,
-        {(k,): v for k, v in enumerate(cert.endpoint_hurwitz, start=1)},
-    )
-    for label, by_key in zip(_INDEXED.values(), values):
-        problems += [
-            f"{label} ({','.join(map(str, key))}) is not positive"
-            for key, value in sorted(by_key.items())
-            if value <= 0
-        ]
+    problems += [
+        f"{_value_name(key)} is not positive"
+        for key, _ in nonpositive_values(
+            cert.trace_ledger, cert.endpoint_hurwitz, cert.block_trace_values
+        )
+    ]
     return [p for p in problems if p]
+
+
+def _value_name(key):
+    """A value keyed as by :func:`pstab.stabilize.nonpositive_values`,
+    named by its section's label and its index there."""
+    if key[0] == "block":
+        section, key = "block_traces", key[1:]
+    elif key[0] == "hurwitz":
+        section, key = "endpoint_hurwitz_minors", key[1:]
+    else:
+        section = "trace_ledger" if key[1] else "cross_terms"
+    return f"{_INDEXED[section]} ({','.join(map(str, key))})"
 
 
 def _rederive(doc, a):
@@ -433,7 +436,7 @@ def _rederive(doc, a):
     return StabilityCertificate(
         matrix=a, report=report, nest=nest, theta=theta, b_matrix=b,
         block_trace_values=block_traces(evidence), stabilizer=stabilizer,
-        trace_ledger=homotopy_certificate(b, stabilizer),
+        trace_ledger=stabilize._trace_ledger(b, stabilizer.eps),
         endpoint_hurwitz=hurwitz_minors(b.scale_rows(stabilizer.eps)),
     )
 

@@ -2,8 +2,8 @@
 
 The conversion Rational -> double in :func:`eigenvalues` is the single
 sanctioned precision loss in the system; every Spectrum records the method
-and tolerance used, and its sum/product are cross-checked against the exact
-trace and determinant.  No verdict reads these values: they are advisory.
+used, and its sum/product are cross-checked against the exact trace and
+determinant.  No verdict reads these values: they are advisory.
 numpy is imported on the first :func:`eigenvalues` call, so a command
 that takes no eigenvalues never loads it.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import DoubleRangeError, MatrixArgumentError, NumericToleranceError
@@ -20,17 +19,11 @@ from .exactmat import ExactMatrix, det, trace
 
 MAX_DIMENSION = 64
 
-# Recorded in the certificate's advisory spectrum block; no verdict reads them.
-DEFAULT_TOL_IMAG = 1e-8
-DEFAULT_TOL_POS = 1e-9
-DEFAULT_TOL_SEP = 1e-9
-
 
 @dataclass(frozen=True)
 class Spectrum:
     eigenvalues: tuple  # n complex values
     method: str
-    tol_backward: float
 
 
 def eigenvalues(m: ExactMatrix) -> Spectrum:
@@ -55,9 +48,7 @@ def eigenvalues(m: ExactMatrix) -> Spectrum:
 
     values = np.linalg.eigvals(np.array(dense, dtype=float))
     spectrum = Spectrum(
-        eigenvalues=tuple(complex(v) for v in values),
-        method="lapack-geev",
-        tol_backward=sys.float_info.epsilon,
+        eigenvalues=tuple(complex(v) for v in values), method="lapack-geev"
     )
 
     e = max(

@@ -15,8 +15,8 @@ diag(1, 1/2, ..., 2^(1-n)) and halves I - D until both do:
   along the homotopy M_t = (tI + (1-t)D) B, so M_t^2 is a Q-matrix for
   every t in [0,1] with no sampling; M_t itself is a Q-matrix because B
   is a P-matrix.  The k = m = 0 terms are E_j(B^2), positive because B
-  is Q^2; the k = 0 cross terms are stored apart from the 1 <= k, m
-  entries.
+  is Q^2, so the ledger holds 0 <= k <= j and 1 <= m <= j (L(j,m,0) =
+  L(j,0,m)), the k = 0 cross terms with the rest.
 * the endpoint D B is positively stable, proved by the positive leading
   Hurwitz minors of det(xI + D B) = sum_k E_k(D B) x^(n-k).
 
@@ -41,7 +41,11 @@ Each exact value is computed once per certification: the search screens
 every diagonal on the ledger's orders j <= 2 (six nodes, no matrix
 power), computes the complete ledger and the Hurwitz minors only for a
 diagonal that passes the screen, and returns those of the diagonal it
-accepts; :func:`certify_stability` writes them.
+accepts; :func:`certify_stability` writes them.  One rule,
+:func:`nonpositive_values`, decides the sign of every exact value: in the
+screen, in the search's acceptance test, in the check that
+:func:`certify_stability` makes last on the block traces, ledger and
+Hurwitz minors it writes, and in ``verify``.
 
 Exact and numeric content are kept separate: the ledger, Hurwitz minors,
 block traces and class verdicts are rational arithmetic; eigenvalues are
@@ -52,7 +56,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import spectra
@@ -61,13 +65,11 @@ from .errors import (
     DoubleRangeError,
     HypothesisError,
     MatrixArgumentError,
-    SingularMatrixError,
     StabilizerInconclusiveError,
     NumericToleranceError,
 )
 from .exactmat import (
     ExactMatrix,
-    as_rational,
     cleared,
     integer_adjugate,
     integer_leading_minors,
@@ -169,29 +171,6 @@ class Stabilizer:
                 )
 
 
-@dataclass(frozen=True)
-class TraceLedger:
-    """Exact values L(j,k,m) = Tr(D_k^(j) B^(j) D_m^(j) B^(j)), D_0^(j) = I.
-
-    ``entries`` holds 1 <= k,m <= j <= n.  ``cross_terms`` holds the k = 0
-    terms L(j,0,m) = L(j,m,0), 1 <= m <= j <= n, keyed (j, 0, m).  The
-    remaining terms L(j,0,0) = E_j(B^2) are positive because B is Q^2.
-    """
-
-    entries: dict  # (j, k, m) -> Fraction
-    cross_terms: dict = field(default_factory=dict)  # (j, 0, m) -> Fraction
-
-    def all_positive(self):
-        return self.first_violation() is None
-
-    def first_violation(self):
-        values = {**self.entries, **self.cross_terms}
-        for key in sorted(values):
-            if values[key] <= 0:
-                return key, values[key]
-        return None
-
-
 def _diagonal_poly(delta, d_values) -> list:
     """Coefficients, lowest power first, of prod_i (delta + x d_i)."""
     poly = [1]
@@ -200,9 +179,10 @@ def _diagonal_poly(delta, d_values) -> list:
     return poly
 
 
-def _trace_ledger(b: ExactMatrix, eps, top=None) -> TraceLedger:
-    """The ledger of diag(eps) over B for orders j <= top (default n), from
-    one generating function.
+def _trace_ledger(b: ExactMatrix, eps, top=None) -> dict:
+    """The ledger {(j, k, m): L(j,k,m)} of diag(eps) over an invertible B,
+    0 <= k <= j and 1 <= m <= j for orders j <= top (default n), from one
+    generating function; the k = 0 keys are the cross terms.
 
     By Cauchy-Binet and (I + sD)^(j) = sum_k s^k D_k^(j),
 
@@ -231,27 +211,23 @@ def _trace_ledger(b: ExactMatrix, eps, top=None) -> TraceLedger:
       G_il = adj(B')_il adj(B')_li, which the sign of +-adj(B') leaves
       unchanged.
 
-    So q = min(top, n - 2) when B is invertible.  A singular B, on which
-    the elimination that yields +-adj(B') finds no pivot, keeps the nodes
-    through q = min(top, n - 1).  Below top = n - 1 no order is closed, so
-    a screen at n >= 4 takes no elimination.
+    So q = n - 2 when top >= n - 1, and q = top below it, where no order
+    is closed and a screen at n >= 4 takes no elimination.  Every B that
+    :func:`build_B` returns is the inverse of a P-matrix; on a singular B
+    the elimination that yields +-adj(B') raises SingularMatrixError.
     """
     n = b.n
     top = n if top is None else min(top, n)
     b_int, beta = cleared(b)
     delta = math.lcm(*(e.denominator for e in eps))
     d_int = [e.numerator * (delta // e.denominator) for e in eps]
-    q, closed = min(top, n - 1), {}
+    q, closed = top, {}
     if top >= n - 1:
-        try:
-            adj, det_b = integer_adjugate(b_int)
-        except SingularMatrixError:
-            det_b = 0
-        else:
-            q = min(top, n - 2)
-            g = [list(map(operator.mul, row, col)) for row, col in zip(adj, zip(*adj))]
-            c = [_diagonal_poly(delta, d_int[:i] + d_int[i + 1 :]) for i in range(n)]
-            closed[n - 1] = integer_product(integer_product(list(zip(*c)), g), c)
+        q = n - 2
+        adj, det_b = integer_adjugate(b_int)
+        g = [list(map(operator.mul, row, col)) for row, col in zip(adj, zip(*adj))]
+        c = [_diagonal_poly(delta, d_int[:i] + d_int[i + 1 :]) for i in range(n)]
+        closed[n - 1] = integer_product(integer_product(list(zip(*c)), g), c)
         if top == n:
             poly = _diagonal_poly(delta, d_int)
             closed[n] = [[det_b**2 * x * y for y in poly] for x in poly]
@@ -274,7 +250,7 @@ def _trace_ledger(b: ExactMatrix, eps, top=None) -> TraceLedger:
         w_rows, w = lagrange_operator(q), math.factorial(q)
         w_cols = [list(col) for col in zip(*w_rows)]
 
-    entries, cross_terms = {}, {}
+    ledger = {}
     for j in range(1, top + 1):
         if j <= q:
             values = [[grid[s, t][j] for t in nodes] for s in nodes]
@@ -284,26 +260,9 @@ def _trace_ledger(b: ExactMatrix, eps, top=None) -> TraceLedger:
             coeffs = closed[j]
             scale = (delta * beta) ** (2 * j)
         for k in range(j + 1):
-            target = entries if k else cross_terms
             for m_pos in range(1, j + 1):
-                target[(j, k, m_pos)] = Fraction(coeffs[k][m_pos], scale)
-    return TraceLedger(entries=entries, cross_terms=cross_terms)
-
-
-def homotopy_certificate(b: ExactMatrix, d) -> TraceLedger:
-    """Complete exact trace ledger for a positive diagonal over B.
-
-    ``d`` may be a Stabilizer or any sequence of positive rationals.  With
-    B a Q^2-matrix, an all-positive ledger (entries and cross terms)
-    certifies that (tI + (1-t)diag(d)) * B is a Q^2-matrix for every t in
-    [0,1]; nonpositive values are reported in the ledger, not raised.
-    """
-    eps = list(d.eps) if isinstance(d, Stabilizer) else [as_rational(x) for x in d]
-    if len(eps) != b.n:
-        raise MatrixArgumentError("diagonal length must equal matrix dimension")
-    if any(e <= 0 for e in eps):
-        raise MatrixArgumentError("diagonal entries must be positive")
-    return _trace_ledger(b, eps)
+                ledger[(j, k, m_pos)] = Fraction(coeffs[k][m_pos], scale)
+    return ledger
 
 
 def hurwitz_minors(m: ExactMatrix) -> tuple:
@@ -330,16 +289,19 @@ def hurwitz_minors(m: ExactMatrix) -> tuple:
     )
 
 
-def first_exact_violation(ledger: TraceLedger, minors):
-    """First nonpositive ledger value, else first nonpositive Hurwitz minor
-    as (("hurwitz", k), value); None when both exact checks pass."""
-    violation = ledger.first_violation()
-    if violation is not None:
-        return violation
-    for k, value in enumerate(minors, start=1):
-        if value <= 0:
-            return ("hurwitz", k), value
-    return None
+def nonpositive_values(ledger, minors=(), traces=None) -> list:
+    """Every nonpositive value among the exact values the stability claim
+    rests on, as (key, value) pairs in order: the block traces keyed
+    ("block", j, m), the ledger keyed (j, k, m) in key order, and the
+    Hurwitz minors keyed ("hurwitz", k).  Empty when all are positive.
+
+    Ledger keys sort by j first, so a ledger cut off at an order j reports
+    first what the complete ledger would.
+    """
+    values = [(("block", *key), v) for key, v in sorted((traces or {}).items())]
+    values += sorted(ledger.items())
+    values += [(("hurwitz", k), v) for k, v in enumerate(minors, start=1)]
+    return [(key, v) for key, v in values if v <= 0]
 
 
 # -- the stabilizer search --------------------------------------------------
@@ -347,23 +309,23 @@ def first_exact_violation(ledger: TraceLedger, minors):
 
 def build_stabilizer(b: ExactMatrix, max_shrink: int = DEFAULT_MAX_SHRINK):
     """Search for a diagonal that passes both exact checks; returns the
-    accepted (Stabilizer, TraceLedger, endpoint Hurwitz minors).
+    accepted (Stabilizer, trace ledger, endpoint Hurwitz minors).
 
     The search starts at the geometric diagonal D_0 = diag(1, 1/2, ...,
     2^(1-n)) and tries D = I - (I - D_0) / 2^s for s = 0, 1, ...: each
     halving of I - D moves D along its own homotopy path toward I.  The
-    first D whose complete ledger (entries and cross terms) and Hurwitz
-    minors of diag(eps) * B are all positive is returned.  As D -> I every
-    L(j,k,m) tends to C(j,k) C(j,m) E_j(B^2) > 0 and diag(eps) * B tends
-    to B, so when B is positively stable the search ends after finitely
-    many halvings; after ``max_shrink`` of them it raises
-    StabilizerInconclusiveError.
+    first D whose complete ledger and Hurwitz minors of diag(eps) * B are
+    all positive (:func:`nonpositive_values` lists none) is returned.  As
+    D -> I every L(j,k,m) tends to C(j,k) C(j,m) E_j(B^2) > 0 and
+    diag(eps) * B tends to B, so when B is positively stable the search
+    ends after finitely many halvings; after ``max_shrink`` of them it
+    raises StabilizerInconclusiveError.
 
     Each D is first screened on the ledger's orders j <= SCREEN_ORDER,
     which need six nodes and no matrix power (see :func:`_trace_ledger`);
     only a D that passes the screen gets the complete ledger and the
-    Hurwitz minors.  Ledger keys sort by j first, so a screen's violation
-    is the one the complete ledger would report first.
+    Hurwitz minors.  A screen's first violation is the one the complete
+    ledger would report first.
 
     The search never tests B: that B is a P- and Q^2-matrix is the
     theorem's hypothesis, which the caller establishes on A (see
@@ -373,14 +335,14 @@ def build_stabilizer(b: ExactMatrix, max_shrink: int = DEFAULT_MAX_SHRINK):
     last_violation = None
     for steps in range(max_shrink + 1):
         eps = [1 - gap / 2**steps for gap in gaps]
-        violation = _trace_ledger(b, eps, SCREEN_ORDER).first_violation()
-        if violation is None:
+        violations = nonpositive_values(_trace_ledger(b, eps, SCREEN_ORDER))
+        if not violations:
             ledger = _trace_ledger(b, eps)
             minors = hurwitz_minors(b.scale_rows(eps))
-            violation = first_exact_violation(ledger, minors)
-            if violation is None:
+            violations = nonpositive_values(ledger, minors)
+            if not violations:
                 return Stabilizer(eps=tuple(eps), identity_steps=steps), ledger, minors
-        last_violation = violation
+        last_violation = violations[0]
     raise StabilizerInconclusiveError(max_shrink, last_violation)
 
 
@@ -392,10 +354,12 @@ class StabilityCertificate:
     """Everything needed to re-check a positive-stability claim.
 
     All fields up to ``endpoint_hurwitz`` are exact rationals re-derivable
-    from the input matrix alone.  The claim rests on them: a positive
-    ``trace_ledger`` (entries and cross terms) keeps the homotopy Q^2, and
-    positive ``endpoint_hurwitz`` minors prove diag(eps) * B positively
-    stable.  The two spectra and the wedge margin are the only
+    from the input matrix alone.  The claim rests on their signs, which
+    :func:`nonpositive_values` decides: the ``block_trace_values`` are
+    positive, a positive ``trace_ledger`` (the flat dict of
+    :func:`_trace_ledger`, cross terms included) keeps the homotopy Q^2,
+    and positive ``endpoint_hurwitz`` minors prove diag(eps) * B
+    positively stable.  The two spectra and the wedge margin are the only
     floating-point content; they are advisory cross-checks, and all three
     are None when the spectra were not computed, with ``spectrum_reason``
     saying why.  ``disagreement`` says how the float evidence contradicts
@@ -410,7 +374,7 @@ class StabilityCertificate:
     b_matrix: ExactMatrix
     block_trace_values: dict  # (j, m) -> Fraction
     stabilizer: Stabilizer
-    trace_ledger: TraceLedger
+    trace_ledger: dict  # (j, k, m) -> Fraction, 0 <= k <= j, 1 <= m <= j
     endpoint_hurwitz: tuple  # Hurwitz minors of det(xI + diag(eps) * B)
     spectrum: spectra.Spectrum | None = None  # of the input matrix
     stabilized_spectrum: spectra.Spectrum | None = None  # of diag(eps) * B
@@ -425,19 +389,20 @@ def certify_stability(
     """Run the whole certification pipeline on an exact matrix.
 
     Raises HypothesisError (not-P, not-Q2, no-nest) or
-    StabilizerInconclusiveError (including a stabilizer whose ledger or
-    endpoint Hurwitz minors fail the exact re-check); on success every
-    exact field of the returned certificate is positive where the claim
-    needs it and independently re-verifiable.  The verdict rests on those
-    fields alone: no float value raises.  Spectra that cannot be computed,
-    because an entry is beyond the double range or their sum/product
-    cross-check fails, are left out (None); an advisory spectrum that
-    contradicts the exact claim is recorded as the certificate's
-    ``disagreement``.
+    StabilizerInconclusiveError (including a certificate whose block
+    traces, ledger or endpoint Hurwitz minors fail the exact re-check); on
+    success every exact field of the returned certificate is positive
+    where the claim needs it and independently re-verifiable.  The verdict
+    rests on those fields alone: no float value raises.  Spectra that
+    cannot be computed, because an entry is beyond the double range or
+    their sum/product cross-check fails, are left out (None); an advisory
+    spectrum that contradicts the exact claim is recorded as the
+    certificate's ``disagreement``.
 
     P and Q^2 are decided once, on A by :func:`classify_full`.  The ledger
     and endpoint Hurwitz minors written are the ones the search accepted,
-    re-checked for positivity here on exactly those values, not recomputed.
+    not recomputed; the last exact step is :func:`nonpositive_values` on
+    exactly the block traces, ledger and minors written.
     """
     from .nests import find_q2_nest
 
@@ -463,12 +428,14 @@ def certify_stability(
 
     theta, b = build_B(a, nest)
     stabilizer, ledger, minors = build_stabilizer(b, max_shrink=max_shrink)
-    violation = first_exact_violation(ledger, minors)
-    if violation is not None:
+    traces = block_traces(nest.evidence)
+    violations = nonpositive_values(ledger, minors, traces)
+    if violations:
+        key, value = violations[0]
         raise StabilizerInconclusiveError(
             stabilizer.identity_steps,
-            violation,
-            message=f"stabilizer fails the exact re-check at {violation}",
+            violations[0],
+            message=f"certificate fails the exact re-check at {key} = {value}",
         )
 
     spectrum = margin = reason = disagreement = None
@@ -498,7 +465,7 @@ def certify_stability(
         nest=nest,
         theta=theta,
         b_matrix=b,
-        block_trace_values=block_traces(nest.evidence),
+        block_trace_values=traces,
         stabilizer=stabilizer,
         trace_ledger=ledger,
         endpoint_hurwitz=minors,

@@ -32,7 +32,6 @@ from pstab.exactmat import (
     minor,
     principal_submatrix,
 )
-from pstab.stabilize import TraceLedger
 
 
 def per_minor_is_p(m: ExactMatrix):
@@ -137,10 +136,11 @@ def permutation_multiset_match(values_a, values_b, abs_tol=1e-8, rel_tol=1e-8):
     )
 
 
-def node_trace_ledger(b: ExactMatrix, eps, top=None) -> TraceLedger:
-    """The ledger of diag(eps) over B for orders j <= top (default n),
-    interpolated from nodes through order n - 1, with only the top order
-    L(n,k,m) = e_k(eps) e_m(eps) det(B)^2 in closed form."""
+def node_trace_ledger(b: ExactMatrix, eps, top=None) -> dict:
+    """The ledger {(j, k, m): L(j,k,m)} of diag(eps) over B for orders
+    j <= top (default n), interpolated from nodes through order n - 1,
+    with only the top order L(n,k,m) = e_k(eps) e_m(eps) det(B)^2 in
+    closed form."""
     n = b.n
     top = n if top is None else min(top, n)
     q = min(top, n - 1)
@@ -170,7 +170,7 @@ def node_trace_ledger(b: ExactMatrix, eps, top=None) -> TraceLedger:
         for d in d_int:
             poly = [delta * x + d * y for x, y in zip(poly + [0], [0] + poly)]
 
-    entries, cross_terms = {}, {}
+    ledger = {}
     for j in range(1, top + 1):
         if j <= q:
             values = [[grid[s, t][j] for t in nodes] for s in nodes]
@@ -180,7 +180,6 @@ def node_trace_ledger(b: ExactMatrix, eps, top=None) -> TraceLedger:
             coeffs = [[det_sq * x * y for y in poly] for x in poly]
             scale = (delta * beta) ** (2 * j)
         for k in range(j + 1):
-            target = entries if k else cross_terms
             for m_pos in range(1, j + 1):
-                target[(j, k, m_pos)] = Fraction(coeffs[k][m_pos], scale)
-    return TraceLedger(entries=entries, cross_terms=cross_terms)
+                ledger[(j, k, m_pos)] = Fraction(coeffs[k][m_pos], scale)
+    return ledger

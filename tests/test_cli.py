@@ -582,6 +582,19 @@ def test_verify_requires_the_shrink_log_the_writer_emits(
     assert "stabilizer.shrink_log" in capsys.readouterr().out
 
 
+def test_verify_refuses_a_diagonal_of_the_wrong_length(
+    demo_file, demo_certificate, capsys
+):
+    cert_path, doc = demo_certificate
+    for eps in (["1/1", "1/2", "1/4"], ["1/1", "1/2", "1/4", "1/8", "1/16"]):
+        doc["stabilizer"]["eps"] = eps
+        _rewrite(cert_path, doc)
+        assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
+        assert capsys.readouterr().out == (
+            f"FAIL: stabilizer diagonal has {len(eps)} entries, not 4\n"
+        )
+
+
 DECREASING = "stabilizer entries must decrease strictly and stay positive"
 
 
@@ -616,8 +629,8 @@ def test_verify_decides_positivity_on_the_rederived_values(
         StabilityCertificate,
         Stabilizer,
         block_traces,
+        _trace_ledger,
         build_B,
-        homotopy_certificate,
         hurwitz_minors,
     )
 
@@ -635,7 +648,7 @@ def test_verify_decides_positivity_on_the_rederived_values(
         b_matrix=b,
         block_trace_values=block_traces(nest.evidence),
         stabilizer=former,
-        trace_ledger=homotopy_certificate(b, former),
+        trace_ledger=_trace_ledger(b, former.eps),
         endpoint_hurwitz=hurwitz_minors(b.scale_rows(former.eps)),
     )
     _rewrite(cert_path, certificate_document(cert))
@@ -776,7 +789,7 @@ def test_verify_undecodable_certificate_exits_3(demo_file, tmp_path, capsys):
 
 def test_certify_exits_2_when_the_exact_recheck_fails(demo_file, monkeypatch, capsys):
     import pstab.stabilize
-    from pstab.stabilize import Stabilizer, homotopy_certificate, hurwitz_minors
+    from pstab.stabilize import Stabilizer, _trace_ledger, hurwitz_minors
 
     former = Stabilizer(
         eps=(Fraction(1), Fraction(1, 64), Fraction(1, 128), Fraction(1, 256))
@@ -786,12 +799,35 @@ def test_certify_exits_2_when_the_exact_recheck_fails(demo_file, monkeypatch, ca
         "build_stabilizer",
         lambda b, max_shrink: (
             former,
-            homotopy_certificate(b, former),
+            _trace_ledger(b, former.eps),
             hurwitz_minors(b.scale_rows(former.eps)),
         ),
     )
     assert main(["certify", demo_file]) == EXIT_INCONCLUSIVE
     assert "inconclusive" in capsys.readouterr().out
+
+
+def test_certify_exits_2_on_a_nonpositive_block_trace(demo_file, monkeypatch, capsys):
+    # the block traces are positive whenever the chain is Q^2; certify
+    # still checks the ones it writes, with the rule verify applies
+    import pstab.stabilize
+    from pstab import find_q2_nest
+
+    block_traces = pstab.stabilize.block_traces
+
+    def one_nonpositive(evidence):
+        values = block_traces(evidence)
+        values[(3, 2)] = -values[(3, 2)]
+        return values
+
+    monkeypatch.setattr(pstab.stabilize, "block_traces", one_nonpositive)
+    assert main(["certify", demo_file, "--json", "-"]) == EXIT_INCONCLUSIVE
+    out = capsys.readouterr().out
+    value = -block_traces(find_q2_nest(DEMO_A).evidence)[(3, 2)]
+    assert out == (
+        "inconclusive: certificate fails the exact re-check at "
+        f"('block', 3, 2) = {value}\n"
+    )
 
 
 def test_verify_detects_wrong_matrix(demo_file, identity_file, tmp_path, capsys):
@@ -845,12 +881,12 @@ CROSS_CHECK_FAILURE = (
 
 
 def _negative_spectrum(m):
-    return Spectrum((-1 + 0j,) + (2 + 0j,) * (m.n - 1), "lapack-geev", 0.0)
+    return Spectrum((-1 + 0j,) + (2 + 0j,) * (m.n - 1), "lapack-geev")
 
 
 def _spectrum_outside_the_wedge(m):
     # |arg(1 +- 5i)| = 1.37 > pi/2 - pi/8, though both real parts are positive
-    return Spectrum((1 + 5j, 1 - 5j) + (2 + 0j,) * (m.n - 2), "lapack-geev", 0.0)
+    return Spectrum((1 + 5j, 1 - 5j) + (2 + 0j,) * (m.n - 2), "lapack-geev")
 
 
 def _failed_cross_check(m):

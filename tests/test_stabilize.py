@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -32,15 +32,13 @@ from pstab.nests import find_q2_nest
 from pstab.stabilize import (
     SCREEN_ORDER,
     Stabilizer,
-    TraceLedger,
     _trace_ledger,
     block_traces,
     build_B,
     build_stabilizer,
     certify_stability,
-    first_exact_violation,
-    homotopy_certificate,
     hurwitz_minors,
+    nonpositive_values,
 )
 
 
@@ -182,11 +180,9 @@ def test_stabilizer_validation():
 
 
 def test_trace_ledger_violation_reporting():
-    good = TraceLedger(entries={(1, 1, 1): Fraction(2)})
-    assert good.all_positive() and good.first_violation() is None
-    bad = TraceLedger(entries={(2, 1, 1): Fraction(1), (1, 1, 1): Fraction(0)})
-    assert not bad.all_positive()
-    assert bad.first_violation() == ((1, 1, 1), Fraction(0))
+    assert nonpositive_values({(1, 1, 1): Fraction(2)}) == []
+    bad = {(2, 1, 1): Fraction(1), (1, 1, 1): Fraction(0)}
+    assert nonpositive_values(bad) == [((1, 1, 1), Fraction(0))]
 
 
 def _ledger_cases(seed):
@@ -207,13 +203,14 @@ def _ledger_cases(seed):
 def test_homotopy_certificate_matches_direct_products():
     for b, eps in _ledger_cases(44):
         n = b.n
-        ledger = homotopy_certificate(b, eps)
-        for (j, k, m), value in ledger.entries.items():
+        ledger = _trace_ledger(b, eps)
+        entries = {key: v for key, v in ledger.items() if key[1]}
+        for (j, k, m), value in entries.items():
             cj = compound(b, j)
             dk = diag_generalized_compound(eps, j, k)
             dm = diag_generalized_compound(eps, j, m)
             assert value == trace(dk * cj * dm * cj)
-        assert set(ledger.entries) == {
+        assert set(entries) == {
             (j, k, m)
             for j in range(1, n + 1)
             for k in range(1, j + 1)
@@ -224,11 +221,11 @@ def test_homotopy_certificate_matches_direct_products():
 def test_cross_terms_match_direct_products():
     for b, eps in _ledger_cases(45):
         n = b.n
-        ledger = homotopy_certificate(b, eps)
-        assert set(ledger.cross_terms) == {
+        cross_terms = {key: v for key, v in _trace_ledger(b, eps).items() if not key[1]}
+        assert set(cross_terms) == {
             (j, 0, m) for j in range(1, n + 1) for m in range(1, j + 1)
         }
-        for (j, _, m), value in ledger.cross_terms.items():
+        for (j, _, m), value in cross_terms.items():
             cj = compound(b, j)
             dm = diag_generalized_compound(eps, j, m)
             assert value == trace(cj * dm * cj)
@@ -241,15 +238,15 @@ def test_ledger_is_the_expansion_of_the_homotopy_square():
     rng = random.Random(46)
     b = random_matrix(rng, 4, -5, 5)
     eps = [Fraction(1), Fraction(2, 3), Fraction(1, 5), Fraction(1, 9)]
-    ledger = homotopy_certificate(b, eps)
+    ledger = _trace_ledger(b, eps)
     _, square_sums = order_sum_traces(b)
 
     def value(j, k, m):
         if k == m == 0:
             return square_sums[j - 1]
         if k == 0 or m == 0:
-            return ledger.cross_terms[(j, 0, max(k, m))]
-        return ledger.entries[(j, k, m)]
+            return ledger[(j, 0, max(k, m))]
+        return ledger[(j, k, m)]
 
     for t in (Fraction(0), Fraction(1, 3), Fraction(5, 7), Fraction(1)):
         m_t = b.scale_rows([t + (1 - t) * e for e in eps])
@@ -268,12 +265,11 @@ def test_demo_cross_term_refutes_the_former_stabilizer():
     # its 1 <= k, m ledger is positive, its k = 0 cross term is not
     _, b = build_B(DEMO_A, find_q2_nest(DEMO_A))
     eps = [Fraction(1), Fraction(1, 64), Fraction(1, 128), Fraction(1, 256)]
-    ledger = homotopy_certificate(b, eps)
-    assert all(v > 0 for v in ledger.entries.values())
-    bad = {key: v for key, v in ledger.cross_terms.items() if v <= 0}
-    assert bad == {(1, 0, 1): Fraction(-49683389, 3859338368)}
-    assert ledger.first_violation() == ((1, 0, 1), Fraction(-49683389, 3859338368))
-    assert not ledger.all_positive()
+    ledger = _trace_ledger(b, eps)
+    assert all(v > 0 for (_, k, _), v in ledger.items() if k)
+    assert nonpositive_values(ledger) == [
+        ((1, 0, 1), Fraction(-49683389, 3859338368))
+    ]
 
 
 FRACTIONS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
@@ -290,16 +286,18 @@ def ledger_cases(draw, max_n=5, entries=FRACTIONS):
     return ExactMatrix(rows), eps
 
 
+def _invertible(case):
+    """Whether B is invertible, as every B from build_B is."""
+    return det(case[0]) != 0
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(ledger_cases())
+@given(ledger_cases().filter(_invertible))
 def test_screen_is_the_ledger_cut_off_at_order_two(case):
     b, eps = case
-    full = homotopy_certificate(b, eps)
+    full = _trace_ledger(b, eps)
     screen = _trace_ledger(b, eps, SCREEN_ORDER)
-    assert screen.entries == {k: v for k, v in full.entries.items() if k[0] <= 2}
-    assert screen.cross_terms == {
-        k: v for k, v in full.cross_terms.items() if k[0] <= 2
-    }
+    assert screen == {k: v for k, v in full.items() if k[0] <= 2}
 
 
 SINGULAR_CASE = (
@@ -312,19 +310,23 @@ SINGULAR_CASE = (
 @given(
     ledger_cases(
         max_n=6, entries=st.one_of(FRACTIONS, st.integers(-1, 1).map(Fraction))
-    ),
+    ).filter(_invertible),
     st.one_of(st.none(), st.integers(1, 6)),
 )
-@example(SINGULAR_CASE, None)
-@example(SINGULAR_CASE, 2)
 def test_ledger_matches_the_node_ledger(case, top):
-    # orders n - 1 and n in closed form when det B' != 0, nodes through
-    # order n - 1 when B is singular: the same exact values either way
+    # orders n - 1 and n in closed form, the same exact values as nodes
+    # through order n - 1; every B that build_B returns is invertible
     b, eps = case
-    ledger = _trace_ledger(b, eps, top)
-    reference = node_trace_ledger(b, eps, top)
-    assert ledger.entries == reference.entries
-    assert ledger.cross_terms == reference.cross_terms
+    assert _trace_ledger(b, eps, top) == node_trace_ledger(b, eps, top)
+
+
+@pytest.mark.parametrize("top", [None, 2])
+def test_trace_ledger_raises_on_a_singular_b(top):
+    # orders n - 1 and n are closed through adj(B'), which a singular B
+    # lacks; the pipeline's B is the inverse of a P-matrix
+    b, eps = SINGULAR_CASE
+    with pytest.raises(SingularMatrixError):
+        _trace_ledger(b, eps, top)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -341,15 +343,17 @@ def test_complete_ledger_takes_n_choose_two_char_polys(monkeypatch, n):
 
     monkeypatch.setattr(pstab.stabilize, "integer_minor_sums", counted)
     b = random_spd_matrix(random.Random(n), n)
-    homotopy_certificate(b, [Fraction(1, 2**i) for i in range(n)])
+    _trace_ledger(b, [Fraction(1, 2**i) for i in range(n)])
     assert len(calls) == (n * (n - 1) // 2 if n >= 3 else 0)
 
 
 def test_top_order_of_a_one_by_one_ledger():
     # L(1,k,m) = e^(k+m) b^2, the closed form with no node at all
-    ledger = homotopy_certificate(ExactMatrix([[Fraction(-3, 2)]]), [Fraction(2, 5)])
-    assert ledger.entries == {(1, 1, 1): Fraction(4, 25) * Fraction(9, 4)}
-    assert ledger.cross_terms == {(1, 0, 1): Fraction(2, 5) * Fraction(9, 4)}
+    ledger = _trace_ledger(ExactMatrix([[Fraction(-3, 2)]]), [Fraction(2, 5)])
+    assert ledger == {
+        (1, 0, 1): Fraction(2, 5) * Fraction(9, 4),
+        (1, 1, 1): Fraction(4, 25) * Fraction(9, 4),
+    }
 
 
 @pytest.mark.parametrize("a", [DEMO_A, LEVEL_SEARCH_FAULT], ids=["demo", "fault"])
@@ -361,9 +365,9 @@ def test_screen_reports_the_violation_of_the_full_ledger(a):
     gaps = [1 - Fraction(1, 2**i) for i in range(b.n)]
     for steps in range(stab.identity_steps):
         eps = [1 - gap / 2**steps for gap in gaps]
-        violation = _trace_ledger(b, eps, SCREEN_ORDER).first_violation()
-        assert violation is not None
-        assert violation == homotopy_certificate(b, eps).first_violation()
+        violations = nonpositive_values(_trace_ledger(b, eps, SCREEN_ORDER))
+        assert violations
+        assert violations[0] == nonpositive_values(_trace_ledger(b, eps))[0]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -392,27 +396,21 @@ def test_hurwitz_minors_decide_positive_stability():
     assert all(v > 0 for v in hurwitz_minors(stable))
 
 
-def test_first_exact_violation_order():
-    good = TraceLedger(
-        entries={(1, 1, 1): Fraction(1)}, cross_terms={(1, 0, 1): Fraction(1)}
-    )
-    assert first_exact_violation(good, (Fraction(1), Fraction(2))) is None
-    assert first_exact_violation(good, (Fraction(1), Fraction(0))) == (
-        ("hurwitz", 2),
-        Fraction(0),
-    )
-    bad = TraceLedger(
-        entries={(1, 1, 1): Fraction(1)}, cross_terms={(1, 0, 1): Fraction(-1)}
-    )
-    assert first_exact_violation(bad, (Fraction(-1),)) == ((1, 0, 1), Fraction(-1))
-
-
-def test_homotopy_certificate_argument_errors():
-    b = ExactMatrix.identity(3)
-    with pytest.raises(MatrixArgumentError):
-        homotopy_certificate(b, [1, 1])
-    with pytest.raises(MatrixArgumentError):
-        homotopy_certificate(b, [1, 0, 1])
+def test_nonpositive_values_order():
+    # block traces, then the ledger in key order, then the Hurwitz minors
+    good = {(1, 1, 1): Fraction(1), (1, 0, 1): Fraction(1)}
+    assert nonpositive_values(good, (Fraction(1), Fraction(2))) == []
+    assert nonpositive_values(good, (Fraction(1), Fraction(0))) == [
+        (("hurwitz", 2), Fraction(0))
+    ]
+    bad = {(2, 1, 1): Fraction(-2), (1, 1, 1): Fraction(1), (1, 0, 1): Fraction(-1)}
+    traces = {(2, 1): Fraction(0), (1, 1): Fraction(1)}
+    assert nonpositive_values(bad, (Fraction(-1),), traces) == [
+        (("block", 2, 1), Fraction(0)),
+        ((1, 0, 1), Fraction(-1)),
+        ((2, 1, 1), Fraction(-2)),
+        (("hurwitz", 1), Fraction(-1)),
+    ]
 
 
 def test_build_stabilizer_demo():
@@ -420,14 +418,14 @@ def test_build_stabilizer_demo():
     stab, _, _ = build_stabilizer(b)
     assert stab.eps[0] == 1
     assert all(x > y for x, y in zip(stab.eps, stab.eps[1:]))
-    assert homotopy_certificate(b, stab).all_positive()
+    assert nonpositive_values(_trace_ledger(b, stab.eps)) == []
 
 
 def test_build_stabilizer_demo_passes_both_exact_checks():
     _, b = build_B(DEMO_A, find_q2_nest(DEMO_A))
     stab, _, _ = build_stabilizer(b)
-    ledger = homotopy_certificate(b, stab)
-    assert ledger.cross_terms and all(v > 0 for v in ledger.cross_terms.values())
+    cross_terms = [v for (_, k, _), v in _trace_ledger(b, stab.eps).items() if not k]
+    assert cross_terms and all(v > 0 for v in cross_terms)
     assert all(v > 0 for v in hurwitz_minors(b.scale_rows(stab.eps)))
     # the demo needs D close to I: the cross term (1,0,1) is negative for
     # the geometric start diag(1, 1/2, 1/4, 1/8)
@@ -494,7 +492,7 @@ def test_build_stabilizer_computes_one_ledger_per_diagonal(monkeypatch, a):
 def test_certify_stability_level_search_fault():
     cert = certify_stability(LEVEL_SEARCH_FAULT)
     assert cert.stabilizer.identity_steps == 3
-    assert cert.trace_ledger.all_positive()
+    assert nonpositive_values(cert.trace_ledger) == []
     assert all(v > 0 for v in cert.endpoint_hurwitz)
 
 
@@ -544,7 +542,7 @@ def test_certify_stability_nested_family(draw, count, seed):
     for _ in range(count):
         a = draw(rng)
         cert = certify_stability(a)
-        assert cert.trace_ledger.all_positive()
+        assert nonpositive_values(cert.trace_ledger) == []
 
 
 def test_certify_stability_demo_certificate():
@@ -552,7 +550,7 @@ def test_certify_stability_demo_certificate():
     assert cert.nest.chain == DEMO_CHAIN
     assert sorted(cert.theta) == [1, 2, 3, 4]
     assert cert.b_matrix == inverse(DEMO_A)
-    assert cert.trace_ledger.all_positive()
+    assert nonpositive_values(cert.trace_ledger) == []
     assert all(v > 0 for v in cert.block_trace_values.values())
     assert cert.wedge_margin > 0
     assert all(v.real > 0 for v in cert.spectrum.eigenvalues)
@@ -570,7 +568,7 @@ def test_certify_stability_refuses_a_failing_stabilizer(monkeypatch):
         "build_stabilizer",
         lambda b, max_shrink: (
             former,
-            homotopy_certificate(b, former),
+            _trace_ledger(b, former.eps),
             hurwitz_minors(b.scale_rows(former.eps)),
         ),
     )
@@ -581,12 +579,12 @@ def test_certify_stability_refuses_a_failing_stabilizer(monkeypatch):
 
 def test_certify_stability_demo_exact_fields_positive():
     cert = certify_stability(DEMO_A)
-    assert all(v > 0 for v in cert.trace_ledger.cross_terms.values())
+    assert all(v > 0 for (_, k, _), v in cert.trace_ledger.items() if not k)
     assert len(cert.endpoint_hurwitz) == 4
     assert all(v > 0 for v in cert.endpoint_hurwitz)
     endpoint = cert.b_matrix.scale_rows(cert.stabilizer.eps)
     assert cert.endpoint_hurwitz == hurwitz_minors(endpoint)
-    assert cert.trace_ledger == homotopy_certificate(cert.b_matrix, cert.stabilizer)
+    assert cert.trace_ledger == _trace_ledger(cert.b_matrix, cert.stabilizer.eps)
 
 
 def test_certify_stability_hypothesis_failures():
