@@ -9,7 +9,9 @@ Certificates are JSON with every exact value stored as a fraction string;
 the only floats are the advisory eigenvalues and wedge margin.
 :func:`certificate_document` is the format's one definition: `verify`
 rebuilds a certificate from its chain and diagonal with the constructors
-of `certify`, writes it again and diffs the two documents.
+of `certify`, writes it again and diffs the two documents.  Keys the
+writer does not emit, such as an older certificate's ``input.sha256``,
+are not read.
 
 Exit codes are uniform across subcommands: 0 success/certified, 1 refuted
 (with a witness), 2 inconclusive, 3 input error; a usage error (bad or
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import re
 import sys
@@ -134,79 +135,27 @@ def load_matrix(path) -> ExactMatrix:
         return parse_matrix(handle.read())
 
 
-def format_matrix(m: ExactMatrix) -> str:
-    """Canonical matrix file text, with parse(format(m)) == m for every
-    matrix that :func:`parse_matrix` returns.
-
-    An entry is written "p" or "p/q" when those digits are within
-    MAX_LITERAL_DIGITS, and otherwise, when it is a finite decimal, in the
-    exponent form of :func:`_decimal_literal`.
-    """
-    lines = [str(m.n)]
-    for row in m.rows:
-        lines.append(" ".join(_entry_literal(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def _entry_literal(x):
-    text = entry_str(x)
-    if len(text) <= MAX_LITERAL_DIGITS or _literal_size_problem(text) is None:
-        return text
-    literal = _decimal_literal(x)
-    if literal is None or _literal_size_problem(literal) is not None:
-        return text
-    return literal
-
-
-def _decimal_literal(x):
-    """x as "[-]digits[.digits][e<exponent>]", the exponent as near 0 as
-    the digits allow and within MAX_LITERAL_EXPONENT, or None when x is
-    not a finite decimal.
-
-    With x = s * 10^e, s a digit string without trailing zeros, the
-    decimal point may go anywhere in s, so the exponent can be any value
-    from e to e + len(s) - 1 without adding a digit; one beyond
-    MAX_LITERAL_EXPONENT moves into zeros of the mantissa.
-    """
-    shift = x.denominator.bit_length()  # 10^shift is a multiple of q = 2^a 5^b
-    scaled, rest = divmod(abs(x.numerator) * 10**shift, x.denominator)
-    if rest:
-        return None
-    digits = str(Decimal(scaled))
-    s = digits.rstrip("0")
-    e = len(digits) - len(s) - shift
-    exponent = min(max(e, 0), e + len(s) - 1)
-    exponent = max(-MAX_LITERAL_EXPONENT, min(exponent, MAX_LITERAL_EXPONENT))
-    places = e - exponent  # x / 10^exponent = s * 10^places
-    if places >= 0:
-        mantissa = s + "0" * places
-    elif -places < len(s):
-        mantissa = f"{s[:places]}.{s[places:]}"
-    else:
-        mantissa = "0." + "0" * (-places - len(s)) + s
-    sign = "-" if x < 0 else ""
-    return f"{sign}{mantissa}e{exponent}" if exponent else sign + mantissa
-
-
-def matrix_hash(m: ExactMatrix) -> str:
-    return hashlib.sha256(format_matrix(m).encode("utf-8")).hexdigest()
-
-
 # -- certificate documents --------------------------------------------------
 
 
 def frac_str(x) -> str:
-    """Lossless fraction string, denominator always explicit ("5491/1"),
-    at any length (see :func:`pstab.exactmat.rational_str`)."""
-    x = x if isinstance(x, Fraction) else Fraction(x)
-    try:
-        return f"{x.numerator}/{x.denominator}"
-    except ValueError:  # past the int-to-str digit limit
-        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+    """:func:`pstab.exactmat.rational_str` with the denominator always
+    explicit ("5491/1"): the "p/q" form of every exact certificate value."""
+    text = entry_str(x)
+    return text if "/" in text else f"{text}/1"
 
 
 def _matrix_doc(m: ExactMatrix):
     return [[frac_str(x) for x in row] for row in m.rows]
+
+
+def _classification_doc(report):
+    """The exact class verdicts and order sums, as in ``classify --json``."""
+    return {
+        "flags": report.flags(),
+        "order_sums": [frac_str(v) for v in report.order_sums],
+        "order_sums_square": [frac_str(v) for v in report.order_sums_square],
+    }
 
 
 def _complex_doc(v):
@@ -226,16 +175,8 @@ def certificate_document(cert) -> dict:
     return {
         "tool": {"name": "pstab", "version": __version__},
         "verdict": "certified",
-        "input": {
-            "n": cert.matrix.n,
-            "matrix": _matrix_doc(cert.matrix),
-            "sha256": matrix_hash(cert.matrix),
-        },
-        "classification": {
-            "flags": report.flags(),
-            "order_sums": [frac_str(v) for v in report.order_sums],
-            "order_sums_square": [frac_str(v) for v in report.order_sums_square],
-        },
+        "input": {"n": cert.matrix.n, "matrix": _matrix_doc(cert.matrix)},
+        "classification": _classification_doc(report),
         "nest": {
             "chain": [list(s) for s in cert.nest.chain],
             "tau": list(cert.nest.tau),
@@ -355,7 +296,9 @@ def verify_document(doc: dict, a: ExactMatrix):
     """Re-derive a certificate from the matrix and the document's claims;
     returns every difference found, an empty list when it re-verifies.
 
-    The claims are ``nest.chain``, ``nest.tau``, ``stabilizer.eps`` and
+    First ``input.matrix`` must be ``a`` as the writer states it, so a
+    certificate of another matrix stops the check.  The claims are
+    ``nest.chain``, ``nest.tau``, ``stabilizer.eps`` and
     ``stabilizer.identity_steps``.  The constructors of ``certify`` rebuild
     the certificate from them and :func:`certificate_document` writes it
     again, so the format has one definition: each exact field must equal
@@ -410,8 +353,9 @@ def _value_name(key):
 def _rederive(doc, a):
     """The StabilityCertificate, without spectra, that the document's
     claims make of ``a``, or why a claim does not hold."""
-    if _field(doc, "input", "sha256", _typed(str)) != matrix_hash(a):
-        return "matrix hash mismatch"
+    matrix = _field(doc, "input", "matrix", _tuple_of(_tuple_of(_typed(str))))
+    if matrix != tuple(map(tuple, _matrix_doc(a))):
+        return "input.matrix is not the matrix given"
     report = classify_full(a)
     if not report.is_p:
         return f"matrix is not a P-matrix: {report.witnesses['P'].describe()}"
@@ -498,9 +442,7 @@ def cmd_classify(args) -> int:
     if args.json:
         doc = {
             "n": report.n,
-            "flags": flags,
-            "order_sums": [frac_str(v) for v in report.order_sums],
-            "order_sums_square": [frac_str(v) for v in report.order_sums_square],
+            **_classification_doc(report),
             "witnesses": {
                 key: w.describe() for key, w in sorted(report.witnesses.items())
             },

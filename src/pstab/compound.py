@@ -22,6 +22,7 @@ from .errors import MatrixArgumentError
 from .exactmat import (
     ExactMatrix,
     as_rational,
+    diagonal_poly,
     index_sets,
     lagrange_operator,
     minor,
@@ -111,19 +112,13 @@ def generalized_compound(m: ExactMatrix, j: int, wedge_m: int) -> ExactMatrix:
 
 def diag_generalized_compound(d, j: int, wedge_m: int) -> ExactMatrix:
     """Fast path for diagonal input: entry alpha is the m-th elementary
-    symmetric polynomial of the j diagonal values selected by alpha."""
+    symmetric polynomial of the j diagonal values selected by alpha, read
+    off :func:`pstab.exactmat.diagonal_poly`."""
     d = [as_rational(x) for x in d]
     n = len(d)
     if not (1 <= wedge_m <= j <= n):
         raise MatrixArgumentError(
             f"need 1 <= m <= j <= n, got m={wedge_m}, j={j}, n={n}"
         )
-    diag = []
-    for idx in index_sets(n, j):
-        values = [d[i - 1] for i in idx]
-        e_m = sum(
-            (math.prod(c) for c in itertools.combinations(values, wedge_m)),
-            Fraction(0),
-        )
-        diag.append(e_m)
-    return ExactMatrix.diagonal(diag)
+    polys = (diagonal_poly(1, [d[i - 1] for i in idx]) for idx in index_sets(n, j))
+    return ExactMatrix.diagonal([poly[wedge_m] for poly in polys])

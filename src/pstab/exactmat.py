@@ -222,57 +222,54 @@ def det(m: ExactMatrix) -> Fraction:
     return Fraction(integer_det(a), c**m.n)
 
 
-def integer_det(a) -> int:
-    """Determinant of an integer matrix given as a list of int rows, by
-    fraction-free (Bareiss) elimination with row swaps: every division is
-    exact and intermediate swell stays polynomial."""
+def _bareiss_pivots(a):
+    """Yield (pivot, row swaps so far) per step of fraction-free (Bareiss)
+    elimination of an integer matrix given as a list of int rows: every
+    division is exact.  Until the first swap the k-th pivot is det A[1..k]
+    (Sylvester's identity); a column with no nonzero candidate yields 0
+    and ends it."""
     a = [list(row) for row in a]
     n = len(a)
-    sign = 1
-    prev_pivot = 1
-    for col in range(n - 1):
+    swaps, prev = 0, 1
+    for col in range(n):
         if a[col][col] == 0:
-            for r in range(col + 1, n):
-                if a[r][col] != 0:
-                    a[col], a[r] = a[r], a[col]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[col][col]
-        for r in range(col + 1, n):
+            r = next((r for r in range(col + 1, n) if a[r][col]), None)
+            if r is None:
+                yield 0, swaps
+                return
+            a[col], a[r] = a[r], a[col]
+            swaps += 1
+        pivot_line = a[col]
+        pivot = pivot_line[col]
+        yield pivot, swaps
+        for row in a[col + 1 :]:
+            factor = row[col]
             for c in range(col + 1, n):
-                a[r][c] = (a[r][c] * pivot - a[r][col] * a[col][c]) // prev_pivot
-            a[r][col] = 0
-        prev_pivot = pivot
-    return sign * a[n - 1][n - 1]
+                row[c] = (row[c] * pivot - factor * pivot_line[c]) // prev
+        prev = pivot
+
+
+def integer_det(a) -> int:
+    """Determinant of an integer matrix given as a list of int rows: the
+    last pivot of :func:`_bareiss_pivots`, signed by its row swaps."""
+    *_, (pivot, swaps) = _bareiss_pivots(a)
+    return -pivot if swaps % 2 else pivot
 
 
 def integer_leading_minors(a) -> list:
     """[det A[1..1], ..., det A[1..n]] of an integer matrix given as a
     list of int rows.
 
-    One fraction-free elimination without row swaps: after step k - 1
-    the k-th pivot is det A[1..k] (Sylvester's identity), so every pivot
-    is a leading minor.  From the first zero pivot on, elimination cannot
-    go on without a swap, and each remaining minor is an
-    :func:`integer_det` of its own block.
+    The pivots of one elimination (:func:`_bareiss_pivots`) up to its first
+    row swap are leading minors.  From the first zero pivot on, each
+    remaining minor is an :func:`integer_det` of its own block.
     """
-    n = len(a)
-    rows = [list(row) for row in a]
-    minors, prev = [], 1
-    for k in range(n):
-        pivot_line = rows[k]
-        pivot = pivot_line[k]
-        if pivot == 0:
+    minors = []
+    for pivot, swaps in _bareiss_pivots(a):
+        if swaps or not pivot:
             break
         minors.append(pivot)
-        for row in rows[k + 1 :]:
-            factor = row[k]
-            for c in range(k + 1, n):
-                row[c] = (row[c] * pivot - factor * pivot_line[c]) // prev
-        prev = pivot
-    for k in range(len(minors) + 1, n + 1):
+    for k in range(len(minors) + 1, len(a) + 1):
         minors.append(integer_det([row[:k] for row in a[:k]]))
     return minors
 
@@ -382,6 +379,16 @@ def integer_minor_sums(a, top=None) -> list:
         )
         sums.append(total // k)
     return sums
+
+
+def diagonal_poly(delta, d_values) -> list:
+    """Coefficients, lowest power first, of prod_i (delta + x d_i); with
+    delta = 1, coefficient m is the m-th elementary symmetric polynomial
+    e_m of the d_i."""
+    poly = [1]
+    for d in d_values:
+        poly = [delta * x + d * y for x, y in zip(poly + [0], [0] + poly)]
+    return poly
 
 
 def squared_minor_sums(sums) -> list:

@@ -71,6 +71,7 @@ from .errors import (
 from .exactmat import (
     ExactMatrix,
     cleared,
+    diagonal_poly,
     integer_adjugate,
     integer_leading_minors,
     integer_minor_sums,
@@ -171,14 +172,6 @@ class Stabilizer:
                 )
 
 
-def _diagonal_poly(delta, d_values) -> list:
-    """Coefficients, lowest power first, of prod_i (delta + x d_i)."""
-    poly = [1]
-    for d in d_values:
-        poly = [delta * x + d * y for x, y in zip(poly + [0], [0] + poly)]
-    return poly
-
-
 def _trace_ledger(b: ExactMatrix, eps, top=None) -> dict:
     """The ledger {(j, k, m): L(j,k,m)} of diag(eps) over an invertible B,
     0 <= k <= j and 1 <= m <= j for orders j <= top (default n), from one
@@ -226,10 +219,10 @@ def _trace_ledger(b: ExactMatrix, eps, top=None) -> dict:
         q = n - 2
         adj, det_b = integer_adjugate(b_int)
         g = [list(map(operator.mul, row, col)) for row, col in zip(adj, zip(*adj))]
-        c = [_diagonal_poly(delta, d_int[:i] + d_int[i + 1 :]) for i in range(n)]
+        c = [diagonal_poly(delta, d_int[:i] + d_int[i + 1 :]) for i in range(n)]
         closed[n - 1] = integer_product(integer_product(list(zip(*c)), g), c)
         if top == n:
-            poly = _diagonal_poly(delta, d_int)
+            poly = diagonal_poly(delta, d_int)
             closed[n] = [[det_b**2 * x * y for y in poly] for x in poly]
     if q > 0:
         square = integer_product(b_int, b_int)

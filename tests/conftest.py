@@ -4,10 +4,12 @@ Every generator takes an explicit random.Random so each test pins its own
 seed; nothing here touches the global RNG state.
 """
 
+import hashlib
 from fractions import Fraction
 
 from pstab import ExactMatrix, det
 from pstab.classify import is_p, is_q
+from pstab.exactmat import rational_str
 
 # P and Q^2 with a Q^2 nest, spectrum real parts >= 4.7.  A greedy search
 # that fixes the stabilizer's entries one level at a time gives up on it
@@ -70,3 +72,15 @@ def random_spd_matrix(rng, n, lo=-3, hi=3):
     g = random_matrix(rng, n, lo, hi)
     d = ExactMatrix.diagonal([rng.randint(1, 4) for _ in range(n)])
     return g * g.transpose() + d
+
+
+def matrix_text(m):
+    """The matrix file of ``m``: a dimension line, then one line per row
+    with each entry written "p" or "p/q"."""
+    rows = (" ".join(map(rational_str, row)) for row in m.rows)
+    return f"{m.n}\n" + "".join(f"{row}\n" for row in rows)
+
+
+def matrix_hash(m):
+    """A short name of ``m`` for failure messages."""
+    return hashlib.sha256(matrix_text(m).encode("utf-8")).hexdigest()

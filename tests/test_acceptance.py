@@ -14,6 +14,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    matrix_hash,
+    matrix_text,
     random_invertible,
     random_matrix,
     random_p_matrix,
@@ -29,7 +31,7 @@ from oracle import (
 )
 from pstab import ExactMatrix, det, inverse, minor, principal_submatrix, trace
 from pstab.classify import classify_full, is_p, is_q, is_q2, is_square_diag_dominant
-from pstab.cli import format_matrix, main, matrix_hash
+from pstab.cli import main
 from pstab.compound import (
     compound,
     diag_generalized_compound,
@@ -118,7 +120,7 @@ def test_criterion_5_end_to_end_certify(tmp_path, capsys):
     with report(5, "CLI certify on the demo matrix: exit 0, spectrum, wedge"):
         start = time.perf_counter()
         matrix_path = tmp_path / "demoA.txt"
-        matrix_path.write_text(format_matrix(DEMO_A))
+        matrix_path.write_text(matrix_text(DEMO_A))
         cert_path = tmp_path / "cert.json"
         rc = main(["certify", str(matrix_path), "--json", str(cert_path)])
         capsys.readouterr()

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import LEVEL_SEARCH_FAULT, random_spd_matrix
+from conftest import LEVEL_SEARCH_FAULT, matrix_hash, matrix_text, random_spd_matrix
 from pstab import ExactMatrix
 from pstab.cli import (
     EXIT_INCONCLUSIVE,
@@ -27,9 +27,7 @@ from pstab.cli import (
     MatrixParseError,
     entry_str,
     frac_str,
-    format_matrix,
     main,
-    matrix_hash,
     parse_matrix,
 )
 from pstab.errors import NumericToleranceError
@@ -40,14 +38,14 @@ from pstab.spectra import Spectrum, multiset_match
 @pytest.fixture
 def demo_file(tmp_path):
     path = tmp_path / "demoA.txt"
-    path.write_text(format_matrix(DEMO_A))
+    path.write_text(matrix_text(DEMO_A))
     return str(path)
 
 
 @pytest.fixture
 def identity_file(tmp_path):
     path = tmp_path / "identity4.txt"
-    path.write_text(format_matrix(ExactMatrix.identity(4)))
+    path.write_text(matrix_text(ExactMatrix.identity(4)))
     return str(path)
 
 
@@ -81,19 +79,11 @@ def test_parse_matrix_errors_carry_position(text, line):
 
 def test_format_parse_round_trip():
     m = ExactMatrix([[1, Fraction(-7, 5)], [Fraction(1, 10), 3]])
-    text = format_matrix(m)
+    text = matrix_text(m)
     assert parse_matrix(text) == m
-    assert format_matrix(parse_matrix(text)) == text
+    assert matrix_text(parse_matrix(text)) == text
     assert entry_str(Fraction(4, 2)) == "2"
     assert entry_str(Fraction(-1, 3)) == "-1/3"
-
-
-def test_format_matrix_writes_long_decimals_in_exponent_form():
-    assert format_matrix(parse_matrix("1\n1e5000\n")) == "1\n1e5000\n"
-    assert format_matrix(parse_matrix("2\n1 -25e-5001\n0 1\n")) == (
-        "2\n1 -2.5e-5000\n0 1\n"
-    )
-    assert format_matrix(parse_matrix("1\n0.1e-10000\n")) == "1\n0.1e-10000\n"
 
 
 DIGITS = st.integers(0, 10**40).map(str) | st.integers(10**899, 10**995).map(str)
@@ -119,22 +109,20 @@ def literals(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(literals())
-def test_format_parse_round_trip_of_every_parsed_entry(token):
-    try:
-        m = parse_matrix(f"1\n{token}\n")
-    except MatrixParseError:
-        return  # over a cap or a zero denominator: not a matrix to write
-    text = format_matrix(m)
-    assert parse_matrix(text) == m
-    assert format_matrix(parse_matrix(text)) == text
-    plain = entry_str(m.entry(1, 1))
-    if sum(ch.isdigit() for ch in plain) <= MAX_LITERAL_DIGITS:
-        assert text == f"1\n{plain}\n"  # in-range entries, and hashes, unchanged
-
-
-def test_matrix_hash_distinguishes_matrices():
-    assert matrix_hash(DEMO_A) == matrix_hash(DEMO_A)
-    assert matrix_hash(DEMO_A) != matrix_hash(ExactMatrix.identity(4))
+def test_parse_reads_every_literal_exactly_or_names_a_cap(token):
+    # an entry within both caps is exactly its literal; one past a cap is
+    # an input error naming its line and entry
+    text = f"1\n{token}\n"
+    exponent = int(token.partition("e")[2] or 0)
+    if (
+        sum(ch.isdigit() for ch in token) > MAX_LITERAL_DIGITS
+        or abs(exponent) > MAX_LITERAL_EXPONENT
+    ):
+        with pytest.raises(MatrixParseError) as exc:
+            parse_matrix(text)
+        assert (exc.value.line, exc.value.column) == (2, 1)
+    else:
+        assert parse_matrix(text).entry(1, 1) == Fraction(token)
 
 
 def test_classify_identity_all_yes(identity_file, capsys):
@@ -224,7 +212,7 @@ def test_classify_json_prints_values_beyond_the_int_str_limit(tmp_path, capsys):
 def test_symmetric_input_past_the_sign_symmetry_cap_certifies(n, tmp_path, capsys):
     # a symmetric matrix is sign-symmetric without the capped minor table
     path = tmp_path / "spd.txt"
-    path.write_text(format_matrix(random_spd_matrix(random.Random(n), n)))
+    path.write_text(matrix_text(random_spd_matrix(random.Random(n), n)))
     assert main(["classify", "--json", str(path)]) in (EXIT_OK, EXIT_REFUTED)
     flags = json.loads(capsys.readouterr().out)["flags"]
     assert list(flags) == [
@@ -247,7 +235,7 @@ def test_non_symmetric_input_past_the_sign_symmetry_cap_exits_3(
         for i in range(8)
     ]
     path = tmp_path / "n8.txt"
-    path.write_text(format_matrix(ExactMatrix(rows)))
+    path.write_text(matrix_text(ExactMatrix(rows)))
     assert main([command, str(path)]) == EXIT_INPUT
     assert capsys.readouterr().err == (
         "input error: sign-symmetry check is capped at n <= 7\n"
@@ -257,7 +245,7 @@ def test_non_symmetric_input_past_the_sign_symmetry_cap_exits_3(
 def test_certify_scaled_demo_beyond_the_double_determinant(tmp_path, capsys):
     # every entry times 10^150: det A is about 10^603, past the double range
     path = tmp_path / "scaled.txt"
-    path.write_text(format_matrix(DEMO_A * 10**150))
+    path.write_text(matrix_text(DEMO_A * 10**150))
     cert_path = str(tmp_path / "cert.json")
     assert main(["certify", str(path), "--json", cert_path]) == EXIT_OK
     assert main(["verify", cert_path, str(path)]) == EXIT_OK
@@ -332,7 +320,11 @@ def test_certify_demo_and_verify_round_trip(demo_file, tmp_path, capsys):
     with open(cert_path) as handle:
         doc = json.load(handle)
     assert doc["verdict"] == "certified"
-    assert doc["input"]["sha256"] == matrix_hash(DEMO_A)
+    # the matrix is stated once, with no digest beside it
+    assert doc["input"] == {
+        "n": 4,
+        "matrix": [[frac_str(x) for x in row] for row in DEMO_A.rows],
+    }
     assert all(Fraction(v) > 0 for v in doc["trace_ledger"].values())
     spectrum = [complex(v["re"], v["im"]) for v in doc["spectrum"]["input_eigenvalues"]]
     assert multiset_match(spectrum, DEMO_EIGENVALUES, abs_tol=1e-3, rel_tol=0.0)
@@ -343,7 +335,7 @@ def test_certify_demo_and_verify_round_trip(demo_file, tmp_path, capsys):
 
 def test_certify_and_verify_level_search_fault(tmp_path, capsys):
     matrix_path = tmp_path / "fault.txt"
-    matrix_path.write_text(format_matrix(LEVEL_SEARCH_FAULT))
+    matrix_path.write_text(matrix_text(LEVEL_SEARCH_FAULT))
     cert_path = str(tmp_path / "cert.json")
     assert main(["certify", str(matrix_path), "--json", cert_path]) == EXIT_OK
     with open(cert_path) as handle:
@@ -456,7 +448,7 @@ def test_verify_names_each_missing_section(
 
 
 MALFORMED_FIELDS = [
-    ("input", None, {"n": 4}, "field input.sha256 is missing"),
+    ("input", None, {"n": 4}, "field input.matrix is missing"),
     ("input", "n", "4", "field input.n is missing"),
     ("input", "matrix", "1 2 3 4", "field input.matrix is missing"),
     ("classification", "flags", None, "field classification.flags is missing"),
@@ -669,7 +661,7 @@ def demo_files(tmp_path_factory):
     """Directory, matrix path and certificate document of the demo."""
     folder = tmp_path_factory.mktemp("demo")
     matrix_path = folder / "demoA.txt"
-    matrix_path.write_text(format_matrix(DEMO_A))
+    matrix_path.write_text(matrix_text(DEMO_A))
     cert_path = folder / "cert.json"
     assert main(["certify", str(matrix_path), "--json", str(cert_path)]) == EXIT_OK
     return folder, str(matrix_path), json.loads(cert_path.read_text())
@@ -830,12 +822,32 @@ def test_certify_exits_2_on_a_nonpositive_block_trace(demo_file, monkeypatch, ca
     )
 
 
-def test_verify_detects_wrong_matrix(demo_file, identity_file, tmp_path, capsys):
+def test_verify_detects_wrong_matrix(
+    demo_file, identity_file, tmp_path, monkeypatch, capsys
+):
+    # the stated matrix is compared first: no class is decided for another one
+    import pstab.classify
+
     cert_path = str(tmp_path / "cert.json")
     main(["certify", demo_file, "--json", cert_path])
     capsys.readouterr()
+    counts = _count_calls(monkeypatch, pstab.classify.classify_full)
     assert main(["verify", cert_path, identity_file]) == EXIT_REFUTED
-    assert "hash mismatch" in capsys.readouterr().out
+    assert capsys.readouterr().out == "FAIL: input.matrix is not the matrix given\n"
+    assert counts == {"classify_full": 0}
+
+
+def test_verify_accepts_a_certificate_with_the_former_matrix_hash(
+    demo_file, demo_certificate, capsys
+):
+    # certificates written before the format dropped input.sha256 carry it
+    # after the matrix; verify reads only the keys the writer emits
+    cert_path, doc = demo_certificate
+    doc["input"]["sha256"] = matrix_hash(DEMO_A)
+    assert list(doc["input"]) == ["n", "matrix", "sha256"]
+    _rewrite(cert_path, doc)
+    assert main(["verify", cert_path, demo_file]) == EXIT_OK
+    assert capsys.readouterr().out == "certificate re-verifies\n"
 
 
 def test_certify_not_p_exits_1(tmp_path, capsys):
@@ -970,7 +982,7 @@ def test_classify_takes_no_determinant(tmp_path, monkeypatch, capsys, a):
     import pstab.exactmat
 
     matrix_path = tmp_path / "a.txt"
-    matrix_path.write_text(format_matrix(a))
+    matrix_path.write_text(matrix_text(a))
     counts = _count_calls(
         monkeypatch,
         pstab.exactmat.det,
@@ -999,7 +1011,7 @@ def test_certify_and_verify_form_no_schur_complement(tmp_path, monkeypatch, caps
         assert not names & {"schur_complement", "sylvester_check"}, path.name
 
     matrix_path = tmp_path / "a.txt"
-    matrix_path.write_text(format_matrix(a))
+    matrix_path.write_text(matrix_text(a))
     cert_path = str(tmp_path / "cert.json")
     counts = _count_calls(monkeypatch, pstab.nests.verify_nest)
     assert main(["certify", str(matrix_path), "--json", cert_path]) == EXIT_OK
@@ -1024,7 +1036,7 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     import pstab.stabilize
 
     matrix_path = tmp_path / "a.txt"
-    matrix_path.write_text(format_matrix(a))
+    matrix_path.write_text(matrix_text(a))
     cert_path = str(tmp_path / "cert.json")
     ledger = pstab.stabilize._trace_ledger
     screens = []
@@ -1115,7 +1127,7 @@ def test_verify_refuses_a_matrix_that_is_not_p(tmp_path, capsys):
         wedge_margin=spectra.wedge_check(spectrum, a.n, kind="sharpened")[1],
     )
     matrix_path = tmp_path / "a.txt"
-    matrix_path.write_text(format_matrix(a))
+    matrix_path.write_text(matrix_text(a))
     cert_path = str(tmp_path / "cert.json")
     _rewrite(cert_path, certificate_document(cert))
     assert main(["verify", cert_path, str(matrix_path)]) == EXIT_REFUTED
@@ -1131,7 +1143,7 @@ def test_certify_rejects_a_negative_max_shrink_before_any_work(
     tmp_path, capsys, matrix
 ):
     path = tmp_path / "m.txt"
-    path.write_text(format_matrix(matrix))
+    path.write_text(matrix_text(matrix))
     with pytest.raises(SystemExit) as exc:
         main(["certify", str(path), "--max-shrink", "-1"])
     assert exc.value.code == EXIT_INPUT

@@ -1,7 +1,10 @@
-"""The documentation against the code: README's Python example runs, and
-every public name ``pstab`` exports resolves."""
+"""The documentation against the code: README's Python example runs,
+every public name ``pstab`` exports resolves, and README's size-cap table
+holds every cap with its value."""
 
 import contextlib
+import functools
+import importlib
 import io
 import re
 from pathlib import Path
@@ -28,3 +31,34 @@ def test_every_public_name_resolves_once():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(pstab, name) is not None, name
+
+
+def _size_caps():
+    """{name: value} of the README's size-cap table, each name resolved
+    in the module its row names and compared with the value there."""
+    section = README.read_text(encoding="utf-8").split("### Size caps\n", 1)[1]
+    caps = {}
+    for line in section.split("\n## ", 1)[0].splitlines():
+        if not line.startswith("| `"):
+            continue
+        names, where, values, past = line.strip("|").split(" | ")
+        names = re.findall(r"`([\w.]+)`", names)
+        values = [int(v) for v in values.split(" / ")]
+        assert len(names) == len(values) and past, line
+        module = importlib.import_module(where.strip("`"))
+        for name, value in zip(names, values):
+            assert functools.reduce(getattr, name.split("."), module) == value, name
+            caps[name] = value
+    return caps
+
+
+def test_readme_lists_every_size_cap_with_its_value():
+    # every module-level *MAX* constant of the package has a row, and so
+    # does the interpreter's JSON integer limit that verify runs into
+    source = Path(pstab.__file__).parent
+    constants = {
+        name
+        for path in source.glob("*.py")
+        for name in re.findall(r"^(\w*MAX\w*) = ", path.read_text("utf-8"), re.M)
+    }
+    assert set(_size_caps()) == constants | {"int_info.default_max_str_digits"}

@@ -12,67 +12,68 @@ import pytest
 
 from conftest import (
     LEVEL_SEARCH_FAULT,
+    matrix_text,
     random_fraction_matrix,
     random_matrix,
     random_p_matrix,
     random_spd_matrix,
 )
 from pstab import ExactMatrix
-from pstab.cli import EXIT_OK, format_matrix, main
+from pstab.cli import EXIT_OK, main
 from pstab.fixtures import DEMO_A
 
 CASES = {
     "demo": (
         lambda: DEMO_A,
-        "944be430fdd998cd1897a124c4c634d8b44b92422ae188fbc2e56380ab42c29b",
+        "132330ed51c6aead144b56e382b034332fb3183f722c4ba04fced7ec8898b11f",
     ),
     "fault": (
         lambda: LEVEL_SEARCH_FAULT,
-        "a3b72400ad6d4e48509fb78253f100796e1264f7f15cf1931052370b70e2d01d",
+        "0266c0b8149554af7f600f60d72fad9d2862d11f8d7e619f0d8d13e940aa10a6",
     ),
     "scaled-demo": (
         lambda: DEMO_A * 10**150,
-        "6ef63e2b7df7c57ae574f4363a741d9c47b8afa90255767d36080a5d895b9c96",
+        "65314a71359a51dfaefd7b69bd16b1390fe0baff52ab998669ed13d67bea573a",
     ),
     "spd1": (
         lambda: random_spd_matrix(random.Random(1), 1),
-        "d175768fed557345827a68051cfdf57cdf95f2c2b9fc2eb2b5162d2b7876ff0e",
+        "4351e886191e946ad59cbb3e955d27091190d57af9e54befbc7f08c658dd0603",
     ),
     "spd2": (
         lambda: random_spd_matrix(random.Random(1), 2),
-        "c64c4164692e55283957b5623f53a40ee5cf059c7e02b6e3d4dbbbeae6f4610f",
+        "5dd71b46ddd6e9b8fb0d577cc6a1d9e8aa0fe3a207178d33af5a5e5f937b3fd3",
     ),
     "spd3": (
         lambda: random_spd_matrix(random.Random(1), 3),
-        "c20fccb3018bd9580492b16f5df5d2b7dff2d106ac0a366b04db5c4993c55923",
+        "91ff72675b59f501cfe1a71a1ced86c996ba418d0321da724b1315915391402a",
     ),
     "spd5": (
         lambda: random_spd_matrix(random.Random(2), 5),
-        "e4aaed0d74efc13e841caf85ec84b8835999dd34b9aca955fe21bc11623424b8",
+        "329308d8c9f9a36572df862c6255d8872412d4c0cf3ee35a2e815b3ec52a32a1",
     ),
     "spd6": (
         lambda: random_spd_matrix(random.Random(1), 6),
-        "388421b451cfec5cf356487ee3e751b46c04cf5db1c3e95f13812baf2ebdaaa4",
+        "281b0af42c973a6e67fecf3136163ba2c67e289bc88e4c7eabe04d950c98e2f7",
     ),
     "spd7": (
         lambda: random_spd_matrix(random.Random(1), 7),
-        "0205faed16937a47ebfb2fd98daa145de4c970e7efe89e13520ab441e2c3ab02",
+        "032158f1bbee6b7ebe420468941d739265aff489e78aaa559df8a1f6e42df149",
     ),
     "spd8": (
         lambda: random_spd_matrix(random.Random(1), 8),
-        "1ef481050198c981424a4e8ca51b9bfc3ad803769849e67c8323c921a56b354f",
+        "036c704fb8eced36957018b1765d92c5f8ef4091ab4d0a1aba988c958db7ceb3",
     ),
     "spd4-sevenths": (
         lambda: random_spd_matrix(random.Random(3), 4) * Fraction(1, 7),
-        "fbc55859ef7f22285ab52a187bf45c84552cd9bb60c5a1943d7df7f94ff048cf",
+        "33c5caba86b899fc997ba673ec44bf485a952c63efd4eb94fa4b5a000cf9b290",
     ),
     "p4-three-halvings": (
         lambda: random_p_matrix(random.Random(17), 4),
-        "33b9bb9d6c9e2556626a44ebaebbe2fcf77c9e7d27b38718e46ef6b654edc8b5",
+        "cbc36f61bb84b7189846c84686a7ee02598389b13d1ba6d628bc26eb3219eeb4",
     ),
     "p5-one-halving": (
         lambda: random_p_matrix(random.Random(16), 5),
-        "997f32c01d88aa0ccd0f37beb9d2877b30dbc60d7646c375f9fc94c4e61a40d3",
+        "e8a7be846b9bb02580a1352d690c647e484326702f5b2c3cea3eb0229b96d52b",
     ),
 }
 
@@ -82,7 +83,7 @@ CLASSIFY_JSON_SHA256 = "8995e3c6fa0bc8ccd097bebf10895fd345f80a45e7cdd35626414c8d
 def exact_part_sha256(a, tmp_path, capsys):
     """sha256 of the certificate document of ``a`` less its spectrum."""
     path = tmp_path / "a.txt"
-    path.write_text(format_matrix(a))
+    path.write_text(matrix_text(a))
     capsys.readouterr()
     assert main(["certify", str(path), "--json", "-"]) == EXIT_OK
     doc, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
@@ -121,7 +122,7 @@ def test_classify_json_is_pinned(tmp_path, capsys):
     path = tmp_path / "a.txt"
     digest = hashlib.sha256()
     for a in classify_corpus():
-        path.write_text(format_matrix(a))
+        path.write_text(matrix_text(a))
         capsys.readouterr()
         code = main(["classify", str(path), "--json"])
         digest.update(f"{code}\n{capsys.readouterr().out}".encode("utf-8"))
@@ -147,7 +148,7 @@ def test_compound_json_is_pinned(tmp_path, capsys):
     path = tmp_path / "a.txt"
     digest = hashlib.sha256()
     for a, j, wedge in compound_corpus():
-        path.write_text(format_matrix(a))
+        path.write_text(matrix_text(a))
         args = ["compound", str(path), "--order", str(j), "--json"]
         if wedge is not None:
             args += ["--wedge", str(wedge)]
