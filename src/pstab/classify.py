@@ -19,9 +19,9 @@ which by Cauchy-Binet is a principal minor of the Gram matrix A'A'^T
 (A'^T A' for the column side), so it reads the sweeps of A' and of the
 Gram matrix side by side and stops at the first violation.  A symmetric
 matrix is sign-symmetric, since A(a;b) = A(b;a); only a non-symmetric one
-reads every minor A(a;b), from a table built one order at a time by
-Laplace expansion on A' and only up to the order at which the check
-stops.  That table is the one part capped in n (SIGN_SYMMETRY_MAX_N).
+reads every minor A(a;b), from a second generator that forms one order at
+a time by Laplace expansion on A' (:func:`_minors`).  Its order 2 and up
+are the one part capped in n (SIGN_SYMMETRY_MAX_N).
 
 All verdicts are exact.  Every negative verdict carries a witness that
 re-evaluates to a violation; witness ordering is deterministic (smallest
@@ -48,8 +48,8 @@ from .exactmat import (
 
 # The sign-symmetry check of a non-symmetric matrix compares all C(n,k)^2
 # minors of each order, C(2n,n) - 1 in all (3431 at n = 7), each from k
-# integer products in the minor table; keep n small.  Symmetric input
-# never reaches the table, and no other check is capped.
+# integer products; past this n it stops before order 2.  Symmetric input
+# reads no minor, and no other check is capped.
 SIGN_SYMMETRY_MAX_N = 7
 
 
@@ -245,44 +245,22 @@ def _table_q2(table, c):
     return test
 
 
-class _MinorTable:
-    """Every minor A(R; C) of one matrix, built one order at a time on demand.
+def _minors(a):
+    """Yield every minor of an integer matrix given as a list of int rows,
+    one order at a time: for k = 1..n, the k-subsets in lex order and the
+    minors a(R; C) over them, indexed [R][C].  Order 1 is a itself; order k
+    comes from order k - 1 by Laplace expansion along the last row r of R,
 
-    With c the lcm of the denominators and A' = cA on integers, order k
-    holds c^k A(R; C) = A'(R; C) for all k-subsets R, C in lexicographic
-    order.  Order 1 is A' itself; order k comes from order k-1 by Laplace
-    expansion along the last row r of R,
+        a(R; C) = sum_i (-1)^(k-1+i) a[r][c_i] a(R - r; C - c_i),
 
-        A'(R; C) = sum_i (-1)^(k-1+i) a'[r][c_i] A'(R - r; C - c_i),
-
-    k integer products per minor in place of a Bareiss elimination.  An
-    order is built only when the sign-symmetry check first reaches it, so a
-    check that stops at order 1 costs the n^2 cleared entries and nothing
-    more.  A witness value is a product of two table values over c^(2k):
-    signs are the same on A' as on A.
+    k integer products per minor, and only when the caller asks for it.
     """
-
-    def __init__(self, a, c):
-        self.n = len(a)
-        self._a, self._c = a, c
-        self.subsets = [[()]]  # per order, the k-subsets in lex order
-        self._minors = [[[1]]]  # per order, [row set][column set]
-
-    def order(self, k):
-        """(k-subsets, minors of A' of order k, c^(2k))."""
-        while len(self._minors) <= k:
-            self._grow()
-        return self.subsets[k], self._minors[k], self._c ** (2 * k)
-
-    def _grow(self):
-        k = len(self._minors)
-        subsets = list(index_sets(self.n, k))
-        self.subsets.append(subsets)
-        if k == 1:
-            self._minors.append(self._a)
-            return
-        position = {s: i for i, s in enumerate(self.subsets[k - 1])}
-        prev = self._minors[k - 1]
+    n = len(a)
+    subsets, minors = list(index_sets(n, 1)), a
+    yield subsets, minors
+    for k in range(2, n + 1):
+        position = {s: i for i, s in enumerate(subsets)}
+        subsets = list(index_sets(n, k))
         expansions = [  # per column set C: (sign, c_i, position of C - c_i)
             [
                 ((-1) ** (k - 1 + i), c - 1, position[cols[:i] + cols[i + 1 :]])
@@ -290,44 +268,37 @@ class _MinorTable:
             ]
             for cols in subsets
         ]
-        minors = []
+        prev, minors = minors, []
         for rows in subsets:
-            a_row = self._a[rows[-1] - 1]
-            prev_row = prev[position[rows[:-1]]]
-            minors.append(
-                [
-                    sum(sign * a_row[c] * prev_row[j] for sign, c, j in terms)
-                    for terms in expansions
-                ]
-            )
-        self._minors.append(minors)
+            a_row, prev_row = a[rows[-1] - 1], prev[position[rows[:-1]]]
+            minors.append([
+                sum(sign * a_row[c] * prev_row[j] for sign, c, j in terms)
+                for terms in expansions
+            ])
+        yield subsets, minors
 
 
 def _sign_symmetry_witness(a, c):
     """The first pair A(r;s) * A(s;r) < 0, r before s in lex order, or None,
-    for the integer-cleared A' = cA given by its rows ``a``.
-
-    A symmetric matrix has A(s;r) = A(r;s), so it is sign-symmetric after
-    n^2 comparisons; any other matrix reads the minor table, and raises
-    past SIGN_SYMMETRY_MAX_N.
+    for the integer-cleared A' = cA given by its rows ``a``; the witness
+    value is the product on A' over c^(2k).  A symmetric matrix is
+    sign-symmetric after n^2 comparisons.  Any other reads :func:`_minors`
+    by order, and past SIGN_SYMMETRY_MAX_N raises before order 2.
     """
     if list(map(tuple, a)) == list(zip(*a)):
         return None
-    if len(a) > SIGN_SYMMETRY_MAX_N:
-        raise MatrixArgumentError(
-            f"sign-symmetry check is capped at n <= {SIGN_SYMMETRY_MAX_N}"
-        )
-    table = _MinorTable(a, c)
-    for k in range(1, table.n + 1):
-        subsets, minors, scale = table.order(k)
-        for i, rows in enumerate(subsets):
-            for j in range(i + 1, len(subsets)):
-                product = minors[i][j] * minors[j][i]
-                if product < 0:
-                    return MinorWitness(
-                        order=k, rows=rows, cols=subsets[j],
-                        value=Fraction(product, scale),
-                    )
+    for k, (subsets, minors) in enumerate(_minors(a), start=1):
+        for i, j in itertools.combinations(range(len(subsets)), 2):
+            product = minors[i][j] * minors[j][i]
+            if product < 0:
+                return MinorWitness(
+                    order=k, rows=subsets[i], cols=subsets[j],
+                    value=Fraction(product, c ** (2 * k)),
+                )
+        if len(a) > SIGN_SYMMETRY_MAX_N:
+            raise MatrixArgumentError(
+                f"sign-symmetry check is capped at n <= {SIGN_SYMMETRY_MAX_N}"
+            )
     return None
 
 

@@ -3,8 +3,8 @@ stage, certificate serialization and the built-in demo.
 
 Matrix files are plain text: a dimension line, then n rows of n entries
 (integers, fractions like "-7/5", or finite decimals, all parsed exactly).
-An entry may have at most MAX_LITERAL_DIGITS digits and a decimal exponent
-of at most MAX_LITERAL_EXPONENT in magnitude.
+An entry, and the dimension, may have at most MAX_LITERAL_DIGITS digits;
+an entry's decimal exponent is at most MAX_LITERAL_EXPONENT in magnitude.
 Certificates are JSON with every exact value stored as a fraction string;
 the only floats are the advisory eigenvalues and wedge margin.
 :func:`certificate_document` is the format's one definition: `verify`
@@ -85,6 +85,9 @@ def parse_matrix(text) -> ExactMatrix:
         raise MatrixParseError(
             f"expected a single dimension, got {' '.join(head)!r}", head_line, 1
         )
+    problem = _literal_size_problem(head[0])
+    if problem:
+        raise MatrixParseError(problem, head_line, 1)
     n = int(head[0])
     if n < 1:
         raise MatrixParseError("dimension must be at least 1", head_line, 1)
@@ -117,7 +120,8 @@ def parse_matrix(text) -> ExactMatrix:
 
 
 def _literal_size_problem(token):
-    """Why a matrix entry's text is over the literal caps, or None."""
+    """Why the text of a matrix entry or dimension is over the literal caps,
+    or None."""
     digits = sum(ch.isdigit() for ch in token)
     if digits > MAX_LITERAL_DIGITS:
         return f"entry has {digits} digits; at most {MAX_LITERAL_DIGITS} are allowed"
@@ -226,8 +230,8 @@ def _spectrum_doc(cert):
     return doc
 
 
-class _MalformedField(Exception):
-    """A claimed certificate field that is missing or of the wrong type."""
+class _Discrepancy(Exception):
+    """A malformed claim, or one that does not hold of the matrix."""
 
 
 def _typed(kind):
@@ -269,14 +273,14 @@ def _fraction(value):
 
 
 def _field(doc, section, key, convert):
-    """doc[section][key] passed through ``convert``; raises _MalformedField
+    """doc[section][key] passed through ``convert``; raises _Discrepancy
     naming the field when it is missing or the conversion fails."""
     value = doc.get(section)
     value = value.get(key) if isinstance(value, dict) else None
     try:
         return convert(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise _MalformedField(f"{section}.{key}") from exc
+        raise _Discrepancy(_malformed(f"{section}.{key}")) from exc
 
 
 def _malformed(name):
@@ -312,23 +316,11 @@ def verify_document(doc: dict, a: ExactMatrix):
     """
     try:
         cert = _rederive(doc, a)
-    except _MalformedField as exc:
-        return [_malformed(exc)]
-    if isinstance(cert, str):
-        return [cert]
+    except _Discrepancy as exc:
+        return [str(exc)]
     problems = []
     for section, want in certificate_document(cert).items():
-        got = doc.get(section)
-        if section in _INDEXED:
-            problems += _indexed_problems(section, got, want)
-        elif section in ("tool", "spectrum"):  # advisory: only the type is read
-            problems.append(None if isinstance(got, dict) else _malformed(section))
-        elif isinstance(want, dict):
-            got = got if isinstance(got, dict) else {}
-            for key, value in want.items():
-                problems.append(_difference(f"{section}.{key}", got.get(key), value))
-        else:
-            problems.append(_difference(section, got, want))
+        problems += _section_problems(section, doc.get(section), want)
     problems += [
         f"{_value_name(key)} is not positive"
         for key, _ in nonpositive_values(
@@ -352,13 +344,15 @@ def _value_name(key):
 
 def _rederive(doc, a):
     """The StabilityCertificate, without spectra, that the document's
-    claims make of ``a``, or why a claim does not hold."""
+    claims make of ``a``; raises _Discrepancy saying why a claim does not
+    hold."""
     matrix = _field(doc, "input", "matrix", _tuple_of(_tuple_of(_typed(str))))
     if matrix != tuple(map(tuple, _matrix_doc(a))):
-        return "input.matrix is not the matrix given"
+        raise _Discrepancy("input.matrix is not the matrix given")
     report = classify_full(a)
     if not report.is_p:
-        return f"matrix is not a P-matrix: {report.witnesses['P'].describe()}"
+        witness = report.witnesses["P"].describe()
+        raise _Discrepancy(f"matrix is not a P-matrix: {witness}")
     chain = _field(doc, "nest", "chain", _tuple_of(_tuple_of(_typed(int))))
     tau = _field(doc, "nest", "tau", _tuple_of(_typed(int)))
     try:
@@ -368,15 +362,15 @@ def _rederive(doc, a):
         nest = NestCertificate(chain=chain, tau=tau, evidence=evidence)
         theta, b = build_B(a, nest)
     except MatrixArgumentError as exc:
-        return f"nest fails re-verification: {exc}"
+        raise _Discrepancy(f"nest fails re-verification: {exc}") from exc
     eps = _field(doc, "stabilizer", "eps", _tuple_of(_fraction))
     steps = _field(doc, "stabilizer", "identity_steps", _count)
     if len(eps) != a.n:
-        return f"stabilizer diagonal has {len(eps)} entries, not {a.n}"
+        raise _Discrepancy(f"stabilizer diagonal has {len(eps)} entries, not {a.n}")
     try:
         stabilizer = Stabilizer(eps=eps, identity_steps=steps)
     except MatrixArgumentError as exc:
-        return f"stabilizer fails re-verification: {exc}"
+        raise _Discrepancy(f"stabilizer fails re-verification: {exc}") from exc
     return StabilityCertificate(
         matrix=a, report=report, nest=nest, theta=theta, b_matrix=b,
         block_trace_values=block_traces(evidence), stabilizer=stabilizer,
@@ -401,24 +395,29 @@ def _difference(name, got, want):
     return None if got == want else f"{name} does not re-verify"
 
 
-def _keyed(section):
-    """A section as a dict; a list section is keyed "1", "2", ... ."""
-    if isinstance(section, list):
-        return {str(k): v for k, v in enumerate(section, start=1)}
-    return section
-
-
-def _indexed_problems(section, got, want):
-    got, want = _keyed(got), _keyed(want)
+def _section_problems(section, got, want):
+    """How a claimed top-level section differs from the rewritten one, None
+    for a field that matches: field by field, or value by value in a
+    section keyed by index (a list section is keyed "1", "2", ...)."""
+    if section in ("tool", "spectrum"):  # advisory: only the type is read
+        return [None if isinstance(got, dict) else _malformed(section)]
+    if section not in _INDEXED:
+        if not isinstance(want, dict):
+            return [_difference(section, got, want)]
+        got = got if isinstance(got, dict) else {}
+        return [_difference(f"{section}.{k}", got.get(k), v) for k, v in want.items()]
+    got, want = (
+        {str(k): v for k, v in enumerate(x, start=1)} if isinstance(x, list) else x
+        for x in (got, want)
+    )
     if not isinstance(got, dict):
         return [f"certificate has no valid {section} section"]
-    problems = []
-    if set(got) != set(want):
-        problems.append(f"{section.replace('_', ' ')} key set does not match")
-    for key, value in want.items():
-        if key in got and got[key] != value:
-            problems.append(f"{_INDEXED[section]} ({key}) does not re-verify")
-    return problems
+    keys = f"{section.replace('_', ' ')} key set does not match"
+    return [None if set(got) == set(want) else keys] + [
+        f"{_INDEXED[section]} ({key}) does not re-verify"
+        for key, value in want.items()
+        if key in got and got[key] != value
+    ]
 
 
 # -- subcommands ------------------------------------------------------------

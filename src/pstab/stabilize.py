@@ -107,19 +107,13 @@ def build_B(a: ExactMatrix, nest: NestCertificate):
     det(B[S]) = det(A~[S^c]) / det(A~) and
     E_k(B^2) = E_(n-k)(A~^2) / det(A~)^2, with det(A~) = det(A) > 0.
     """
-    n = a.n
-    if tuple(nest.tau) != chain_tau(nest.chain):
+    tau = tuple(nest.tau)
+    if tau != chain_tau(nest.chain):
         raise MatrixArgumentError("nest permutation does not match its chain")
-
-    theta = [0] * n  # theta[i-1] = image of index i
-    for m_pos, i_m in enumerate(nest.tau, start=1):
-        theta[i_m - 1] = n - m_pos + 1
-
-    conjugated = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            conjugated[theta[i - 1] - 1][theta[j - 1] - 1] = a.rows[i - 1][j - 1]
-    return tuple(theta), inverse(ExactMatrix(conjugated))
+    # A~ lists A's rows and columns in reversed tau order; theta inverts it
+    theta = tuple(a.n - tau.index(i) for i in range(1, a.n + 1))
+    order = [i - 1 for i in reversed(tau)]
+    return theta, inverse(ExactMatrix([[a.rows[i][j] for j in order] for i in order]))
 
 
 # -- block traces and the trace ledger -------------------------------------

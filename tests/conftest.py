@@ -74,6 +74,18 @@ def random_spd_matrix(rng, n, lo=-3, hi=3):
     return g * g.transpose() + d
 
 
+def row_dominant_matrix(n):
+    """4n on the diagonal, entries in -2..2 off it: strictly row dominant
+    with a positive diagonal, so P and positively stable; P and Q^2 with a
+    Q^2 nest at n = 8, 10 and 12.  Not sign-symmetric: a_12 a_21 = -2."""
+    return ExactMatrix(
+        [
+            [4 * n if i == j else (3 * i + 5 * j) % 5 - 2 for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
 def matrix_text(m):
     """The matrix file of ``m``: a dimension line, then one line per row
     with each entry written "p" or "p/q"."""

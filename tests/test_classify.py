@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_matrix, random_spd_matrix
+from conftest import random_matrix, random_spd_matrix, row_dominant_matrix
 from reference import fraction_minor_sums, naive_product, per_minor_is_p
 from pstab import ExactMatrix
 from pstab import classify
@@ -116,6 +116,14 @@ def test_sign_symmetry_witness():
     assert not verdict
     assert witness.order == 1
     assert witness.value == DEMO_A.entry(1, 2) * DEMO_A.entry(2, 1)
+
+
+def test_sign_symmetry_witness_at_order_1_past_the_cap():
+    # order 1 costs n^2 products, so the cap applies only from order 2
+    m = row_dominant_matrix(8)
+    assert is_sign_symmetric(m) == (
+        False, MinorWitness(order=1, rows=(1,), cols=(2,), value=Fraction(-2))
+    )
 
 
 def upper_bidiagonal(n):
@@ -239,15 +247,23 @@ def test_minor_table_checks_match_per_minor_reference(m):
         assert report.witnesses.get(key) == witness
 
 
-def test_minor_table_grows_only_to_the_order_the_checks_reach(monkeypatch):
+def record_minor_orders(monkeypatch):
+    """Wrap classify._minors; the list returned records each order it
+    yields, as the order is formed."""
     built = []
-    grow = classify._MinorTable._grow
+    minors = classify._minors
 
-    def recording_grow(table):
-        grow(table)
-        built.append(len(table.subsets) - 1)
+    def recording_minors(a):
+        for subsets, values in minors(a):
+            built.append(len(subsets[0]))
+            yield subsets, values
 
-    monkeypatch.setattr(classify._MinorTable, "_grow", recording_grow)
+    monkeypatch.setattr(classify, "_minors", recording_minors)
+    return built
+
+
+def test_minor_table_grows_only_to_the_order_the_checks_reach(monkeypatch):
+    built = record_minor_orders(monkeypatch)
     report = classify_full(DEMO_A)  # every check fails at order 1
     assert built == [1]
     checks = ("sign_symmetric", "row_sqdd", "col_sqdd")
@@ -308,14 +324,7 @@ def test_square_dominance_sweeps_match_per_minor_reference(m):
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_symmetric_input_never_builds_the_minor_table(n, monkeypatch):
-    built = []
-    grow = classify._MinorTable._grow
-
-    def recording_grow(table):
-        grow(table)
-        built.append(len(table.subsets) - 1)
-
-    monkeypatch.setattr(classify._MinorTable, "_grow", recording_grow)
+    built = record_minor_orders(monkeypatch)
     rng = random.Random(n)
     spd = random_spd_matrix(rng, n)
     g = random_matrix(rng, n, -4, 4)

@@ -15,7 +15,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import LEVEL_SEARCH_FAULT, matrix_hash, matrix_text, random_spd_matrix
+from conftest import (
+    LEVEL_SEARCH_FAULT,
+    matrix_hash,
+    matrix_text,
+    random_spd_matrix,
+    row_dominant_matrix,
+)
 from pstab import ExactMatrix
 from pstab.cli import (
     EXIT_INCONCLUSIVE,
@@ -69,6 +75,7 @@ def test_parse_matrix_ignores_blank_lines_and_comments():
         ("2\n1 2 3\n4 5\n", 2),  # wrong entry count
         ("2\n1 x\n3 4\n", 2),  # bad token
         ("2\n1 1/0\n3 4\n", 2),  # zero denominator
+        pytest.param("9" * 5000 + "\n", 1, id="dimension-past-the-digit-cap"),
     ],
 )
 def test_parse_matrix_errors_carry_position(text, line):
@@ -176,6 +183,24 @@ def test_classify_superscript_dimension_exits_3(tmp_path, capsys):
     assert "input error: line 1, entry 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["classify", "certify", "compound", "verify"])
+def test_dimension_past_the_digit_cap_exits_3(command, tmp_path, capsys):
+    # int() refuses more than 4300 digits; the entries' digit cap comes first
+    path = tmp_path / "big.txt"
+    path.write_text("9" * 5000 + "\n")
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text("{}")
+    argv = {
+        "compound": ["compound", str(path), "--order", "1"],
+        "verify": ["verify", str(cert_path), str(path)],
+    }.get(command, [command, str(path)])
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: line 1, entry 1: entry has 5000 digits; "
+        f"at most {MAX_LITERAL_DIGITS} are allowed\n"
+    )
+
+
 @pytest.mark.parametrize(
     "token", ["1e100000000", "1E-100000000", "1e1_0000_0000", "1" * 1001]
 )
@@ -220,6 +245,23 @@ def test_symmetric_input_past_the_sign_symmetry_cap_certifies(n, tmp_path, capsy
     ]
     assert all(type(v) is bool for v in flags.values())
     assert flags["P"] and flags["P2"] and flags["sign_symmetric"]
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify", str(path), "--json", cert_path]) == EXIT_OK
+    assert main(["verify", cert_path, str(path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_non_symmetric_input_past_the_cap_with_an_order_1_witness_certifies(
+    n, tmp_path, capsys
+):
+    # a_12 a_21 < 0 refutes sign-symmetry at order 1, before the cap applies
+    path = tmp_path / "dominant.txt"
+    path.write_text(matrix_text(row_dominant_matrix(n)))
+    assert main(["classify", "--json", str(path)]) == EXIT_REFUTED
+    doc = json.loads(capsys.readouterr().out)
+    assert all(type(v) is bool for v in doc["flags"].values())
+    assert doc["flags"]["P"] and doc["flags"]["Q2"]
+    assert doc["witnesses"] == {"sign_symmetric": "A(1; 2) = -2"}
     cert_path = str(tmp_path / "cert.json")
     assert main(["certify", str(path), "--json", cert_path]) == EXIT_OK
     assert main(["verify", cert_path, str(path)]) == EXIT_OK
@@ -744,7 +786,9 @@ def matrix_texts(draw):
     head = str(n)
     defect = draw(st.sampled_from([None] * 3 + ["dimension", "row", "entry", "literal"]))
     if defect == "dimension":
-        head = draw(st.sampled_from(["0", "-1", f"{n} {n}", "x", str(n + 1), "²"]))
+        head = draw(st.sampled_from(
+            ["0", "-1", f"{n} {n}", "x", str(n + 1), "²", "9" * 5000]
+        ))
     elif defect == "row":
         rows = rows[:-1] if draw(st.booleans()) else rows + [rows[-1]]
     elif defect == "entry":
