@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import MatrixArgumentError
@@ -53,14 +53,10 @@ from .exactmat import (
 SIGN_SYMMETRY_MAX_N = 7
 
 
-@dataclass(frozen=True)
-class MinorWitness:
+class MinorWitness(namedtuple("MinorWitness", "order rows cols value")):
     """A single offending minor (or pair of opposite minors)."""
 
-    order: int
-    rows: tuple
-    cols: tuple
-    value: Fraction
+    __slots__ = ()
 
     def describe(self):
         return (
@@ -69,12 +65,10 @@ class MinorWitness:
         )
 
 
-@dataclass(frozen=True)
-class OrderSumWitness:
+class OrderSumWitness(namedtuple("OrderSumWitness", "order value")):
     """An order whose sum of principal minors is nonpositive."""
 
-    order: int
-    value: Fraction
+    __slots__ = ()
 
     def describe(self):
         return (
@@ -83,23 +77,22 @@ class OrderSumWitness:
         )
 
 
-@dataclass
-class ClassReport:
-    """Aggregated class verdicts with witnesses for every failure."""
+class ClassReport(namedtuple(
+    "ClassReport",
+    "n is_p is_q is_p2 is_q2 is_sign_symmetric is_row_sqdd is_col_sqdd"
+    " order_sums order_sums_square witnesses minor_table",
+)):
+    """Aggregated class verdicts with witnesses for every failure.
 
-    n: int
-    is_p: bool
-    is_q: bool
-    is_p2: bool
-    is_q2: bool
-    is_sign_symmetric: bool
-    is_row_sqdd: bool
-    is_col_sqdd: bool
-    order_sums: list  # per order 1..n, sums for M
-    order_sums_square: list  # per order 1..n, sums for M*M
-    witnesses: dict = field(default_factory=dict)
-    # is_q2 by index set from the P sweep's table (P-matrices only)
-    _subset_q2: object = field(default=None, repr=False, compare=False)
+    ``order_sums`` and ``order_sums_square`` hold, per order 1..n, the sums
+    of principal minors of M and of M*M.  ``minor_table`` is the P sweep's
+    complete table of the principal minors of A' = cA, a list of int lists
+    by order as :func:`_principal_minors` yields them, when A is a
+    P-matrix, and None otherwise; the nest levels read it (see
+    :func:`_table_q2`).
+    """
+
+    __slots__ = ()
 
     def flags(self):
         return {
@@ -361,16 +354,17 @@ def classify_full(m: ExactMatrix) -> ClassReport:
     principal minors), each only as far as it goes; none reads past an
     order holding a zero minor, which the next order would divide by.  A
     P-matrix reads it to the end: its order sums are the sums of the
-    orders, and the report keeps ``_subset_q2`` for the nest levels.
+    orders, and the report keeps them as its ``minor_table`` for the nest
+    levels.
     """
     a, c = cleared(m)
     p_minors, table, row_minors, col_minors = itertools.tee(_principal_minors(a), 4)
     p_witness = _first_nonpositive_minor(p_minors, m.n, c)
     if p_witness is None:
         table = list(table)
-        sums, subset_q2 = [1, *map(sum, table)], _table_q2(table, c)
+        sums = [1, *map(sum, table)]
     else:
-        sums, subset_q2 = integer_minor_sums(a), None
+        table, sums = None, integer_minor_sums(a)
     sums_m, sums_m2 = _order_sums(sums, c)
     q_witness = _first_nonpositive(sums_m)
     checks = (
@@ -397,5 +391,5 @@ def classify_full(m: ExactMatrix) -> ClassReport:
         order_sums=sums_m,
         order_sums_square=sums_m2,
         witnesses=witnesses,
-        _subset_q2=subset_q2,
+        minor_table=table,
     )

@@ -356,7 +356,7 @@ def _rederive(doc, a):
     chain = _field(doc, "nest", "chain", _tuple_of(_tuple_of(_typed(int))))
     tau = _field(doc, "nest", "tau", _tuple_of(_typed(int)))
     try:
-        evidence = verify_nest(a, chain, report._subset_q2)
+        evidence = verify_nest(a, chain, report.minor_table)
         if not isinstance(evidence, NestEvidence):
             raise MatrixArgumentError(evidence.describe())
         nest = NestCertificate(chain=chain, tau=tau, evidence=evidence)
@@ -398,7 +398,8 @@ def _difference(name, got, want):
 def _section_problems(section, got, want):
     """How a claimed top-level section differs from the rewritten one, None
     for a field that matches: field by field, or value by value in a
-    section keyed by index (a list section is keyed "1", "2", ...)."""
+    section keyed by index (a list section is keyed "1", "2", ...).  Only a
+    section the writer emits as an object may be claimed as one."""
     if section in ("tool", "spectrum"):  # advisory: only the type is read
         return [None if isinstance(got, dict) else _malformed(section)]
     if section not in _INDEXED:
@@ -406,12 +407,12 @@ def _section_problems(section, got, want):
             return [_difference(section, got, want)]
         got = got if isinstance(got, dict) else {}
         return [_difference(f"{section}.{k}", got.get(k), v) for k, v in want.items()]
+    if not isinstance(got, (list, type(want))):
+        return [f"certificate has no valid {section} section"]
     got, want = (
         {str(k): v for k, v in enumerate(x, start=1)} if isinstance(x, list) else x
         for x in (got, want)
     )
-    if not isinstance(got, dict):
-        return [f"certificate has no valid {section} section"]
     keys = f"{section.replace('_', ' ')} key set does not match"
     return [None if set(got) == set(want) else keys] + [
         f"{_INDEXED[section]} ({key}) does not re-verify"

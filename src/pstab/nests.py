@@ -4,45 +4,41 @@ The stability theorem needs a maximal chain S_1 in S_2 in ... in S_n of
 index sets whose principal submatrices are all Q^2-matrices.  Because the
 Q^2 property of a principal submatrix depends only on its index set, the
 search walks the subset lattice (at most 2^n verdicts, memoized) rather
-than the n! orderings.  Given the table-backed test that
-:func:`pstab.classify.classify_full` leaves on the report of a P-matrix, a
-verdict is a sum over principal minors already swept; without it, it is a
-char-poly of the principal submatrix.
+than the n! orderings.  Given the table of principal minors that
+:func:`pstab.classify.classify_full` leaves on the report of a P-matrix
+(``ClassReport.minor_table``), a verdict is a sum over principal minors
+already swept; without it, it is a char-poly of the principal submatrix.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .classify import is_q2
+from .classify import _table_q2, is_q2
 from .errors import MatrixArgumentError
-from .exactmat import ExactMatrix, principal_submatrix, rational_str
+from .exactmat import ExactMatrix, cleared, principal_submatrix, rational_str
 
 
-@dataclass(frozen=True)
-class LevelEvidence:
+class LevelEvidence(namedtuple("LevelEvidence", "subset order_sums order_sums_square")):
     """Order sums for one principal submatrix and its square."""
 
-    subset: tuple
-    order_sums: tuple
-    order_sums_square: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NestEvidence:
-    levels: tuple  # LevelEvidence per chain level, smallest first
+class NestEvidence(namedtuple("NestEvidence", "levels")):
+    """The LevelEvidence of each chain level, smallest first."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NestViolation:
-    """First failing level of a candidate chain."""
+class NestViolation(
+    namedtuple("NestViolation", "level subset order value from_square")
+):
+    """First failing level of a candidate chain; ``level`` is its 1-based
+    position in the chain."""
 
-    level: int  # 1-based position in the chain
-    subset: tuple
-    order: int
-    value: object
-    from_square: bool
+    __slots__ = ()
 
     def describe(self):
         src = "square" if self.from_square else "matrix"
@@ -52,18 +48,16 @@ class NestViolation:
         )
 
 
-@dataclass(frozen=True)
-class NestCertificate:
+class NestCertificate(namedtuple("NestCertificate", "chain tau evidence")):
     """A maximal Q^2 chain together with its defining permutation.
 
-    ``tau`` lists the chain inner-to-outer: tau[0] is the single element of
-    S_1 and tau[k-1] is the element added when growing S_{k-1} to S_k, so
+    ``chain`` holds the index sets, sizes 1..n.  ``tau`` lists the chain
+    inner-to-outer: tau[0] is the single element of S_1 and tau[k-1] is
+    the element added when growing S_{k-1} to S_k, so
     S_k = {tau[0], ..., tau[k-1]}.
     """
 
-    chain: tuple  # index sets, sizes 1..n
-    tau: tuple
-    evidence: NestEvidence
+    __slots__ = ()
 
 
 def chain_tau(chain):
@@ -93,21 +87,24 @@ def _validate_chain(chain, n):
     return chain
 
 
-def _q2_test(m, subset_q2):
-    """The memoized Q^2 test of A[S] by index set S: ``subset_q2`` when
-    given, else a char-poly of each principal submatrix."""
-    return functools.cache(subset_q2 or (lambda s: is_q2(principal_submatrix(m, s))))
+def _q2_test(m, minor_table):
+    """The memoized Q^2 test of A[S] by index set S: read off
+    ``minor_table`` (:func:`pstab.classify._table_q2`) when given, else a
+    char-poly of each principal submatrix."""
+    if minor_table is None:
+        return functools.cache(lambda s: is_q2(principal_submatrix(m, s)))
+    return functools.cache(_table_q2(minor_table, cleared(m)[1]))
 
 
-def find_q2_nest(m: ExactMatrix, _subset_q2=None):
+def find_q2_nest(m: ExactMatrix, minor_table=None):
     """Depth-first search for a maximal Q^2 chain; None if none exists.
 
     Descends from the full index set, trying removable indices in
     increasing order, so the returned chain is deterministic.
-    ``_subset_q2`` is the ``ClassReport._subset_q2`` of ``m``, if any.
+    ``minor_table`` is the ``ClassReport.minor_table`` of ``m``, if any.
     """
     n = m.n
-    q2 = _q2_test(m, _subset_q2)
+    q2 = _q2_test(m, minor_table)
     full = tuple(range(1, n + 1))
     ok, *_ = q2(full)
     if not ok:
@@ -158,12 +155,12 @@ def _chain_evidence(chain, q2):
     return NestEvidence(levels=tuple(levels))
 
 
-def verify_nest(m: ExactMatrix, chain, _subset_q2=None):
+def verify_nest(m: ExactMatrix, chain, minor_table=None):
     """Re-verify an externally supplied chain.
 
     Returns NestEvidence when every level is Q^2, otherwise the
-    NestViolation for the first failing level.  ``_subset_q2`` is as in
+    NestViolation for the first failing level.  ``minor_table`` is as in
     :func:`find_q2_nest`.
     """
     chain = _validate_chain(chain, m.n)
-    return _chain_evidence(chain, _q2_test(m, _subset_q2))
+    return _chain_evidence(chain, _q2_test(m, minor_table))

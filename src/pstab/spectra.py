@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DoubleRangeError, MatrixArgumentError, NumericToleranceError
 from .exactmat import ExactMatrix, det, trace
@@ -20,10 +20,11 @@ from .exactmat import ExactMatrix, det, trace
 MAX_DIMENSION = 64
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    eigenvalues: tuple  # n complex values
-    method: str
+class Spectrum(namedtuple("Spectrum", "eigenvalues method")):
+    """The n complex ``eigenvalues`` of a matrix and the ``method`` that
+    computed them."""
+
+    __slots__ = ()
 
 
 def eigenvalues(m: ExactMatrix) -> Spectrum:

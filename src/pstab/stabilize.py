@@ -56,11 +56,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import spectra
-from .classify import ClassReport, classify_full
+from .classify import classify_full
 from .errors import (
     DoubleRangeError,
     HypothesisError,
@@ -149,21 +149,24 @@ def block_traces(evidence: NestEvidence):
     return values
 
 
-@dataclass(frozen=True)
-class Stabilizer:
-    """Strictly decreasing positive diagonal, e_1 = 1 > e_2 > ... > e_n > 0."""
+class Stabilizer(namedtuple("Stabilizer", "eps identity_steps")):
+    """Strictly decreasing positive diagonal, e_1 = 1 > e_2 > ... > e_n > 0.
 
-    eps: tuple  # Fractions
-    identity_steps: int = 0  # halvings of I - D from the geometric start
+    ``eps`` holds the Fractions e_i; ``identity_steps`` counts the halvings
+    of I - D from the geometric start.
+    """
 
-    def __post_init__(self):
-        if self.eps[0] != 1:
+    __slots__ = ()
+
+    def __new__(cls, eps, identity_steps=0):
+        if eps[0] != 1:
             raise MatrixArgumentError("stabilizer must start with eps_1 = 1")
-        for a, b in zip(self.eps, self.eps[1:]):
+        for a, b in zip(eps, eps[1:]):
             if not (0 < b < a):
                 raise MatrixArgumentError(
                     "stabilizer entries must decrease strictly and stay positive"
                 )
+        return super().__new__(cls, eps, identity_steps)
 
 
 def _trace_ledger(b: ExactMatrix, eps, top=None) -> dict:
@@ -182,9 +185,10 @@ def _trace_ledger(b: ExactMatrix, eps, top=None) -> dict:
     every node is a column scaling of a combination of two fixed products.
     Order j has degree j in s and in t, so orders j <= q are evaluated for
     s <= t in {0..q} (E_j(X_s X_t) = E_j(X_t X_s)) with the char-poly cut
-    off at order q, and the coefficients are recovered by two exact
-    Vandermonde passes, W P W^T / (q!)^2 with the integer Lagrange
-    operator W = q! V^(-1) of :func:`pstab.exactmat.lagrange_operator`.
+    off at order q, and the coefficients of order j are recovered from its
+    values P on the nodes 0..j by two exact Vandermonde passes,
+    W P W^T / (j!)^2 with the integer Lagrange operator W = j! V^(-1) of
+    :func:`pstab.exactmat.lagrange_operator`.
 
     The top two orders need no node.  With pi_i(x) = prod_(r != i)
     (delta + x d'_r) = sum_k c_k(i) x^k:
@@ -223,9 +227,8 @@ def _trace_ledger(b: ExactMatrix, eps, top=None) -> dict:
         sandwich = integer_product(
             b_int, [[d * x for x in row] for d, row in zip(d_int, b_int)]
         )
-        nodes = range(q + 1)
         grid = {}
-        for s in nodes:
+        for s in range(q + 1):
             n_s = [
                 [delta * x + s * y for x, y in zip(row, line)]
                 for row, line in zip(square, sandwich)
@@ -234,15 +237,14 @@ def _trace_ledger(b: ExactMatrix, eps, top=None) -> dict:
                 w_t = [delta + t * d for d in d_int]
                 node = [list(map(operator.mul, row, w_t)) for row in n_s]
                 grid[s, t] = grid[t, s] = integer_minor_sums(node, q)
-        w_rows, w = lagrange_operator(q), math.factorial(q)
-        w_cols = [list(col) for col in zip(*w_rows)]
 
     ledger = {}
     for j in range(1, top + 1):
         if j <= q:
-            values = [[grid[s, t][j] for t in nodes] for s in nodes]
-            coeffs = integer_product(integer_product(w_rows, values), w_cols)
-            scale = w * w * (delta * beta) ** (2 * j)
+            w = lagrange_operator(j)
+            values = [[grid[s, t][j] for t in range(j + 1)] for s in range(j + 1)]
+            coeffs = integer_product(integer_product(w, values), list(zip(*w)))
+            scale = math.factorial(j) ** 2 * (delta * beta) ** (2 * j)
         else:
             coeffs = closed[j]
             scale = (delta * beta) ** (2 * j)
@@ -336,38 +338,34 @@ def build_stabilizer(b: ExactMatrix, max_shrink: int = DEFAULT_MAX_SHRINK):
 # -- the top-level certificate ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilityCertificate:
+class StabilityCertificate(namedtuple(
+    "StabilityCertificate",
+    "matrix report nest theta b_matrix block_trace_values stabilizer"
+    " trace_ledger endpoint_hurwitz spectrum stabilized_spectrum"
+    " wedge_margin spectrum_reason disagreement",
+    defaults=(None,) * 5,
+)):
     """Everything needed to re-check a positive-stability claim.
 
     All fields up to ``endpoint_hurwitz`` are exact rationals re-derivable
-    from the input matrix alone.  The claim rests on their signs, which
-    :func:`nonpositive_values` decides: the ``block_trace_values`` are
-    positive, a positive ``trace_ledger`` (the flat dict of
-    :func:`_trace_ledger`, cross terms included) keeps the homotopy Q^2,
-    and positive ``endpoint_hurwitz`` minors prove diag(eps) * B
-    positively stable.  The two spectra and the wedge margin are the only
-    floating-point content; they are advisory cross-checks, and all three
-    are None when the spectra were not computed, with ``spectrum_reason``
-    saying why.  ``disagreement`` says how the float evidence contradicts
-    the exact claim (a nonpositive eigenvalue, a wedge margin <= 0, or a
-    failed sum/product cross-check), and is None when it does not.
+    from the input matrix alone: ``block_trace_values`` maps (j, m) to
+    Tr((B^(j)[1..m])^2), ``trace_ledger`` is the flat dict
+    {(j, k, m): L(j,k,m)}, 0 <= k <= j and 1 <= m <= j, of
+    :func:`_trace_ledger`, cross terms included, and ``endpoint_hurwitz``
+    holds the Hurwitz minors of det(xI + diag(eps) * B).  The claim rests
+    on their signs, which :func:`nonpositive_values` decides: the block
+    traces are positive, a positive ledger keeps the homotopy Q^2, and
+    positive endpoint minors prove diag(eps) * B positively stable.  The
+    ``spectrum`` of the input matrix, the ``stabilized_spectrum`` of
+    diag(eps) * B and the ``wedge_margin`` are the only floating-point
+    content; they are advisory cross-checks, and all three are None when
+    the spectra were not computed, with ``spectrum_reason`` saying why.
+    ``disagreement`` says how the float evidence contradicts the exact
+    claim (a nonpositive eigenvalue, a wedge margin <= 0, or a failed
+    sum/product cross-check), and is None when it does not.
     """
 
-    matrix: ExactMatrix
-    report: ClassReport
-    nest: NestCertificate
-    theta: tuple
-    b_matrix: ExactMatrix
-    block_trace_values: dict  # (j, m) -> Fraction
-    stabilizer: Stabilizer
-    trace_ledger: dict  # (j, k, m) -> Fraction, 0 <= k <= j, 1 <= m <= j
-    endpoint_hurwitz: tuple  # Hurwitz minors of det(xI + diag(eps) * B)
-    spectrum: spectra.Spectrum | None = None  # of the input matrix
-    stabilized_spectrum: spectra.Spectrum | None = None  # of diag(eps) * B
-    wedge_margin: float | None = None
-    spectrum_reason: str | None = None
-    disagreement: str | None = None
+    __slots__ = ()
 
 
 def certify_stability(
@@ -407,7 +405,7 @@ def certify_stability(
             f"input is not a Q^2-matrix: {witness.describe()}",
             witness=witness,
         )
-    nest = find_q2_nest(a, report._subset_q2)
+    nest = find_q2_nest(a, report.minor_table)
     if nest is None:
         raise HypothesisError(
             "no-nest", "no maximal Q^2 chain of principal submatrices exists"

@@ -407,7 +407,7 @@ def test_classify_full_without_p_matches_per_minor_reference(m):
     report = classify_full(m)
     verdict, witness = per_minor_is_p(m)
     assert not verdict and report.witnesses["P"] == report.witnesses["P2"] == witness
-    assert not report.is_p and not report.is_p2 and report._subset_q2 is None
+    assert not report.is_p and not report.is_p2 and report.minor_table is None
     assert (report.order_sums, report.order_sums_square) == (
         fraction_minor_sums(m), fraction_minor_sums(naive_product(m, m))
     )
@@ -422,3 +422,21 @@ def test_classify_full_without_p_matches_per_minor_reference(m):
     ):
         assert report.flags()[key] == verdict
         assert report.witnesses.get(key) == witness
+
+
+@pytest.mark.parametrize(
+    "a",
+    [DEMO_A, ExactMatrix([[2, -1, -2], [-2, 3, -3], [-2, 2, 2]])],
+    ids=["p", "not-p"],
+)
+def test_class_reports_compare_by_value_and_hold_plain_data(a):
+    report = classify_full(a)
+    assert report == classify_full(a)
+    assert report.minor_table is None or all(
+        type(v) is int for order in report.minor_table for v in order
+    )
+    text = repr(report)
+    assert text.startswith("ClassReport(n=")
+    assert "<function" not in text and "lambda" not in text
+    with pytest.raises(AttributeError):
+        report.is_p = not report.is_p

@@ -523,6 +523,23 @@ def test_verify_names_malformed_fields(
     assert message in capsys.readouterr().out
 
 
+def test_verify_rejects_a_list_section_written_as_an_object(
+    demo_file, demo_certificate, capsys
+):
+    # the writer emits the endpoint minors as a list; the same values keyed
+    # "1", "2", ... are not that section
+    cert_path, doc = demo_certificate
+    minors = doc["endpoint_hurwitz_minors"]
+    doc["endpoint_hurwitz_minors"] = {
+        str(k): v for k, v in enumerate(minors, start=1)
+    }
+    _rewrite(cert_path, doc)
+    assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
+    assert capsys.readouterr().out == (
+        "FAIL: certificate has no valid endpoint_hurwitz_minors section\n"
+    )
+
+
 def test_verify_rejects_a_document_that_is_not_an_object(
     demo_file, demo_certificate, capsys
 ):
@@ -1246,10 +1263,23 @@ def test_python_dash_m_runs_the_cli():
 # Reports, on its last line, which of numpy and scipy a command loaded.
 IMPORT_PROBE = """
 import sys
+before = set(sys.modules)
 from pstab.cli import main
 rc = main(sys.argv[1:])
+print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
 print(rc, "numpy" in sys.modules, "scipy" in sys.modules)
 """
+
+
+def _run_import_probe(*argv):
+    """The stdout lines of a fresh interpreter running IMPORT_PROBE."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return proc.stdout.splitlines()
 
 
 @pytest.mark.parametrize(
@@ -1263,13 +1293,22 @@ print(rc, "numpy" in sys.modules, "scipy" in sys.modules)
 def test_only_eigenvalues_load_numpy_and_nothing_loads_scipy(
     demo_file, argv, loaded
 ):
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, *argv, demo_file],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.stdout.splitlines()[-1] == loaded
+    assert _run_import_probe(*argv, demo_file)[-1] == loaded
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_start_up_loads_neither_dataclasses_nor_inspect(
+    demo_file, demo_certificate, command
+):
+    # counted against the modules loaded before pstab, so that what site
+    # imports does not count; certify's numpy may load either
+    cert_path, _ = demo_certificate
+    argv = {
+        "classify": ["classify", "--require", "P"],
+        "verify": ["verify", cert_path],
+    }
+    lines = _run_import_probe(*argv[command], demo_file)
+    assert lines[-2:] == ["[]", "0 False False"]
 
 
 def test_no_source_or_test_file_imports_scipy():

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pstab import ExactMatrix
-from pstab.classify import classify_full, is_p, is_q2, order_sum_traces
+from pstab.classify import _table_q2, classify_full, is_p, is_q2, order_sum_traces
 from pstab.errors import MatrixArgumentError
-from pstab.exactmat import index_sets, principal_submatrix
+from pstab.exactmat import cleared, index_sets, principal_submatrix
 from pstab.fixtures import (
     DEMO_A,
     DEMO_CHAIN,
@@ -111,7 +111,7 @@ def p_matrices(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(p_matrices())
 def test_level_sums_from_the_p_sweep_match_a_char_poly_per_submatrix(m):
-    subset_q2 = classify_full(m)._subset_q2
+    subset_q2 = _table_q2(classify_full(m).minor_table, cleared(m)[1])
     for k in range(1, m.n + 1):
         for s in index_sets(m.n, k):
             sub = principal_submatrix(m, s)
@@ -122,9 +122,9 @@ def test_level_sums_from_the_p_sweep_match_a_char_poly_per_submatrix(m):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(p_matrices())
 def test_nest_search_and_check_agree_with_and_without_the_table(m):
-    subset_q2 = classify_full(m)._subset_q2
+    table = classify_full(m).minor_table
     nest = find_q2_nest(m)
-    assert find_q2_nest(m, subset_q2) == nest
+    assert find_q2_nest(m, table) == nest
     n = m.n
     chains = [
         [tuple(range(1, k + 1)) for k in range(1, n + 1)],
@@ -133,10 +133,10 @@ def test_nest_search_and_check_agree_with_and_without_the_table(m):
     if nest is not None:
         chains.append(nest.chain)
     for chain in chains:
-        assert verify_nest(m, chain, subset_q2) == verify_nest(m, chain)
+        assert verify_nest(m, chain, table) == verify_nest(m, chain)
 
 
 def test_a_matrix_that_is_not_p_leaves_no_table():
     report = classify_full(ExactMatrix([[2, -1, -2], [-2, 3, -3], [-2, 2, 2]]))
     assert report.is_q2 and not report.is_p
-    assert report._subset_q2 is None
+    assert report.minor_table is None

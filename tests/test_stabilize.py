@@ -19,7 +19,13 @@ from oracle import schur_complement, sylvester_check
 from reference import node_trace_ledger, per_minor_hurwitz_minors
 from pstab import ExactMatrix, det, inverse, minor, principal_submatrix, trace
 from pstab.compound import compound, diag_generalized_compound
-from pstab.classify import is_p, is_q2, order_sum_traces
+from pstab.classify import (
+    MinorWitness,
+    OrderSumWitness,
+    is_p,
+    is_q2,
+    order_sum_traces,
+)
 from pstab.errors import (
     HypothesisError,
     MatrixArgumentError,
@@ -28,7 +34,8 @@ from pstab.errors import (
 )
 from pstab.exactmat import lagrange_operator
 from pstab.fixtures import DEMO_A, DEMO_CHAIN
-from pstab.nests import find_q2_nest
+from pstab.nests import NestViolation, find_q2_nest, verify_nest
+from pstab.spectra import Spectrum
 from pstab.stabilize import (
     SCREEN_ORDER,
     Stabilizer,
@@ -177,6 +184,54 @@ def test_stabilizer_validation():
         Stabilizer(eps=(Fraction(1), Fraction(1)))
     with pytest.raises(MatrixArgumentError):
         Stabilizer(eps=(Fraction(1), Fraction(-1, 2)))
+
+
+def test_records_are_immutable_values():
+    cert = certify_stability(DEMO_A)
+    violation = verify_nest(DEMO_A, [(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4)])
+    assert isinstance(violation, NestViolation)
+    records = [
+        (MinorWitness(order=1, rows=(1,), cols=(2,), value=Fraction(-2)), "value"),
+        (OrderSumWitness(order=2, value=Fraction(-1)), "order"),
+        (cert.report, "is_p"),
+        (cert.nest.evidence.levels[0], "subset"),
+        (cert.nest.evidence, "levels"),
+        (violation, "level"),
+        (cert.nest, "chain"),
+        (cert.spectrum, "method"),
+        (cert.stabilizer, "eps"),
+        (cert, "matrix"),
+    ]
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.unknown_field = None
+        assert repr(record).startswith(f"{type(record).__name__}({record._fields[0]}=")
+    for record, _ in records:
+        copy = type(record)(*record)
+        assert copy == record
+        if type(record).__name__ not in ("ClassReport", "StabilityCertificate"):
+            assert hash(copy) == hash(record)  # the other two hold dicts
+
+
+def test_records_keep_positional_construction_and_defaults():
+    spectrum = Spectrum((1 + 0j, 2 + 0j), "lapack-geev")
+    assert spectrum.eigenvalues == (1 + 0j, 2 + 0j)
+    assert spectrum.method == "lapack-geev"
+    stabilizer = Stabilizer((Fraction(1), Fraction(1, 2)))
+    assert stabilizer.identity_steps == 0
+    assert stabilizer == Stabilizer(
+        eps=(Fraction(1), Fraction(1, 2)), identity_steps=0
+    )
+    cert = certify_stability(DEMO_A)
+    exact = cert[:9]
+    bare = type(cert)(*exact)
+    assert bare[:9] == exact
+    assert (
+        bare.spectrum, bare.stabilized_spectrum, bare.wedge_margin,
+        bare.spectrum_reason, bare.disagreement,
+    ) == (None,) * 5
 
 
 def test_trace_ledger_violation_reporting():
