@@ -19,9 +19,10 @@ which by Cauchy-Binet is a principal minor of the Gram matrix A'A'^T
 (A'^T A' for the column side), so it reads the sweeps of A' and of the
 Gram matrix side by side and stops at the first violation.  A symmetric
 matrix is sign-symmetric, since A(a;b) = A(b;a); only a non-symmetric one
-reads every minor A(a;b), from a second generator that forms one order at
-a time by Laplace expansion on A' (:func:`_minors`).  Its order 2 and up
-are the one part capped in n (SIGN_SYMMETRY_MAX_N).
+reads every minor A(a;b), from the all-minor generator of
+:mod:`pstab.exactmat`, which forms one order at a time by Laplace
+expansion on A' (:func:`~pstab.exactmat.integer_compounds`).  Its order 2
+and up are the one part capped in n (SIGN_SYMMETRY_MAX_N).
 
 All verdicts are exact.  Every negative verdict carries a witness that
 re-evaluates to a violation; witness ordering is deterministic (smallest
@@ -40,6 +41,7 @@ from .exactmat import (
     ExactMatrix,
     cleared,
     index_sets,
+    integer_compounds,
     integer_minor_sums,
     integer_product,
     rational_str,
@@ -238,49 +240,17 @@ def _table_q2(table, c):
     return test
 
 
-def _minors(a):
-    """Yield every minor of an integer matrix given as a list of int rows,
-    one order at a time: for k = 1..n, the k-subsets in lex order and the
-    minors a(R; C) over them, indexed [R][C].  Order 1 is a itself; order k
-    comes from order k - 1 by Laplace expansion along the last row r of R,
-
-        a(R; C) = sum_i (-1)^(k-1+i) a[r][c_i] a(R - r; C - c_i),
-
-    k integer products per minor, and only when the caller asks for it.
-    """
-    n = len(a)
-    subsets, minors = list(index_sets(n, 1)), a
-    yield subsets, minors
-    for k in range(2, n + 1):
-        position = {s: i for i, s in enumerate(subsets)}
-        subsets = list(index_sets(n, k))
-        expansions = [  # per column set C: (sign, c_i, position of C - c_i)
-            [
-                ((-1) ** (k - 1 + i), c - 1, position[cols[:i] + cols[i + 1 :]])
-                for i, c in enumerate(cols)
-            ]
-            for cols in subsets
-        ]
-        prev, minors = minors, []
-        for rows in subsets:
-            a_row, prev_row = a[rows[-1] - 1], prev[position[rows[:-1]]]
-            minors.append([
-                sum(sign * a_row[c] * prev_row[j] for sign, c, j in terms)
-                for terms in expansions
-            ])
-        yield subsets, minors
-
-
 def _sign_symmetry_witness(a, c):
     """The first pair A(r;s) * A(s;r) < 0, r before s in lex order, or None,
     for the integer-cleared A' = cA given by its rows ``a``; the witness
     value is the product on A' over c^(2k).  A symmetric matrix is
-    sign-symmetric after n^2 comparisons.  Any other reads :func:`_minors`
-    by order, and past SIGN_SYMMETRY_MAX_N raises before order 2.
+    sign-symmetric after n^2 comparisons.  Any other reads
+    :func:`~pstab.exactmat.integer_compounds` by order, and past
+    SIGN_SYMMETRY_MAX_N raises before order 2.
     """
     if list(map(tuple, a)) == list(zip(*a)):
         return None
-    for k, (subsets, minors) in enumerate(_minors(a), start=1):
+    for k, (subsets, minors) in enumerate(integer_compounds(a), start=1):
         for i, j in itertools.combinations(range(len(subsets)), 2):
             product = minors[i][j] * minors[j][i]
             if product < 0:

@@ -301,12 +301,12 @@ def verify_document(doc: dict, a: ExactMatrix):
     returns every difference found, an empty list when it re-verifies.
 
     First ``input.matrix`` must be ``a`` as the writer states it, so a
-    certificate of another matrix stops the check.  The claims are
-    ``nest.chain``, ``nest.tau``, ``stabilizer.eps`` and
-    ``stabilizer.identity_steps``.  The constructors of ``certify`` rebuild
-    the certificate from them and :func:`certificate_document` writes it
-    again, so the format has one definition: each exact field must equal
-    the rewritten one, text for text.  The block traces, the trace ledger
+    certificate of another matrix stops the check.  The three claims are
+    ``nest.chain``, ``stabilizer.eps`` and ``stabilizer.identity_steps``.
+    The constructors of ``certify`` rebuild the certificate from them and
+    :func:`certificate_document` writes it again, so the format has one
+    definition: each exact field, ``nest.tau`` among them, must equal the
+    rewritten one, text for text.  The block traces, the trace ledger
     and its cross terms (the homotopy stays Q^2) and the endpoint Hurwitz
     minors (diag(eps) * B is positively stable) must be positive, decided
     on the re-derived values by :func:`pstab.stabilize.nonpositive_values`.
@@ -354,12 +354,11 @@ def _rederive(doc, a):
         witness = report.witnesses["P"].describe()
         raise _Discrepancy(f"matrix is not a P-matrix: {witness}")
     chain = _field(doc, "nest", "chain", _tuple_of(_tuple_of(_typed(int))))
-    tau = _field(doc, "nest", "tau", _tuple_of(_typed(int)))
     try:
         evidence = verify_nest(a, chain, report.minor_table)
         if not isinstance(evidence, NestEvidence):
             raise MatrixArgumentError(evidence.describe())
-        nest = NestCertificate(chain=chain, tau=tau, evidence=evidence)
+        nest = NestCertificate(chain=chain, evidence=evidence)
         theta, b = build_B(a, nest)
     except MatrixArgumentError as exc:
         raise _Discrepancy(f"nest fails re-verification: {exc}") from exc
@@ -570,19 +569,15 @@ def cmd_demo(args) -> int:
     scaled = a.scale_rows(fx.DEMO_D)
     check("Tr((D A)^2) with D = diag(1,1,1/10,1/10)", trace(scaled.square()),
           fx.DEMO_SCALED_SQUARE_TRACE)
-    nest = find_q2_nest(a)
+    nest = find_q2_nest(a, report.minor_table)
     check("Q^2 chain", nest.chain if nest else None, fx.DEMO_CHAIN)
-    a1 = fx.DEMO_SUB_234
-    a12 = fx.DEMO_SUB_34
-    check("det(A1^2)", det(a1.square()), fx.DEMO_SUB_234_SQUARE_DET)
-    check("Tr(A1^2)", trace(a1.square()), fx.DEMO_SUB_234_SQUARE_TRACE)
-    check(
-        "order-2 minor sum of A1^2",
-        classify_full(a1).order_sums_square[1],
-        fx.DEMO_SUB_234_SQUARE_ORDER2_SUM,
-    )
-    check("det(A12^2)", det(a12.square()), fx.DEMO_SUB_34_SQUARE_DET)
-    check("Tr(A12^2)", trace(a12.square()), fx.DEMO_SUB_34_SQUARE_TRACE)
+    # A1 and A12 are the chain levels of size n-1 and n-2
+    *_, a12, a1, _ = (level.order_sums_square for level in nest.evidence.levels)
+    check("det(A1^2)", a1[-1], fx.DEMO_SUB_234_SQUARE_DET)
+    check("Tr(A1^2)", a1[0], fx.DEMO_SUB_234_SQUARE_TRACE)
+    check("order-2 minor sum of A1^2", a1[1], fx.DEMO_SUB_234_SQUARE_ORDER2_SUM)
+    check("det(A12^2)", a12[-1], fx.DEMO_SUB_34_SQUARE_DET)
+    check("Tr(A12^2)", a12[0], fx.DEMO_SUB_34_SQUARE_TRACE)
 
     spectrum = eigenvalues(a)
     ok = multiset_match(

@@ -1,7 +1,9 @@
 """Compound matrices, exterior products and generalized compounds.
 
 A j-th compound holds every j-by-j minor, rows and columns indexed by the
-lexicographic ordering of the j-subsets of [n].  The exterior product of j
+lexicographic ordering of the j-subsets of [n]: order j of the all-minor
+generator that the sign-symmetry check reads too
+(:func:`pstab.exactmat.integer_compounds`).  The exterior product of j
 matrices symmetrizes "mixed" minors over which factor supplies each column;
 with m copies of A and j-m copies of the identity it specializes to the
 generalized compound, whose diagonal-input case has a closed form in
@@ -22,10 +24,11 @@ from .errors import MatrixArgumentError
 from .exactmat import (
     ExactMatrix,
     as_rational,
+    cleared,
     diagonal_poly,
     index_sets,
+    integer_compounds,
     lagrange_operator,
-    minor,
 )
 
 # The polarization sum takes 2^j - 1 compounds of C(n,j)^2 minors each.
@@ -38,13 +41,22 @@ def _check_order(n, j):
         raise MatrixArgumentError(f"compound order j={j} out of range [1, {n}]")
 
 
+def _check_wedge(n, j, wedge_m):
+    if not (1 <= wedge_m <= j <= n):
+        raise MatrixArgumentError(
+            f"need 1 <= m <= j <= n, got m={wedge_m}, j={j}, n={n}"
+        )
+
+
 def compound(m: ExactMatrix, j: int) -> ExactMatrix:
-    """The j-th compound matrix: entry (alpha, beta) = A(alpha; beta)."""
+    """The j-th compound matrix: entry (alpha, beta) = A(alpha; beta), the
+    minor A'(alpha; beta) / c^j of A' = cA on integers, read off order j of
+    :func:`pstab.exactmat.integer_compounds`."""
     _check_order(m.n, j)
-    subsets = list(index_sets(m.n, j))
-    return ExactMatrix(
-        [[minor(m, rows, cols) for cols in subsets] for rows in subsets]
-    )
+    a, c = cleared(m)
+    _, minors = next(itertools.islice(integer_compounds(a), j - 1, None))
+    scale = c**j
+    return ExactMatrix([[Fraction(x, scale) for x in row] for row in minors])
 
 
 def exterior_product(matrices) -> ExactMatrix:
@@ -98,10 +110,7 @@ def generalized_compound(m: ExactMatrix, j: int, wedge_m: int) -> ExactMatrix:
     through these coefficients.
     """
     n = m.n
-    if not (1 <= wedge_m <= j <= n):
-        raise MatrixArgumentError(
-            f"need 1 <= m <= j <= n, got m={wedge_m}, j={j}, n={n}"
-        )
+    _check_wedge(n, j, wedge_m)
     ident = ExactMatrix.identity(n)
     terms = (
         w * compound(ident + x * m, j)
@@ -116,9 +125,6 @@ def diag_generalized_compound(d, j: int, wedge_m: int) -> ExactMatrix:
     off :func:`pstab.exactmat.diagonal_poly`."""
     d = [as_rational(x) for x in d]
     n = len(d)
-    if not (1 <= wedge_m <= j <= n):
-        raise MatrixArgumentError(
-            f"need 1 <= m <= j <= n, got m={wedge_m}, j={j}, n={n}"
-        )
+    _check_wedge(n, j, wedge_m)
     polys = (diagonal_poly(1, [d[i - 1] for i in idx]) for idx in index_sets(n, j))
     return ExactMatrix.diagonal([poly[wedge_m] for poly in polys])

@@ -3,7 +3,8 @@
 Entries are ``fractions.Fraction`` at the API boundary only.  Every exact
 kernel first clears denominators, A' = cA with c the lcm of the entries'
 denominators, and runs on Python ints: the product, the Bareiss
-determinant, the fraction-free Gauss-Jordan adjugate and the char-poly
+determinant, every minor of each order by Laplace expansion (the
+compounds), the fraction-free Gauss-Jordan adjugate and the char-poly
 kernel (power traces and Newton's identities, with a root-squaring step
 for the square).  A Fraction is built once per result entry.  Floating
 point enters the system only in :mod:`pstab.spectra`.  Index sets at the
@@ -272,6 +273,39 @@ def integer_leading_minors(a) -> list:
     for k in range(len(minors) + 1, len(a) + 1):
         minors.append(integer_det([row[:k] for row in a[:k]]))
     return minors
+
+
+def integer_compounds(a):
+    """Yield every minor of an integer matrix given as a list of int rows,
+    one order at a time: for k = 1..n, the k-subsets in lex order and the
+    minors a(R; C) over them, indexed [R][C].  Order 1 is a itself; order k
+    comes from order k - 1 by Laplace expansion along the last row r of R,
+
+        a(R; C) = sum_i (-1)^(k-1+i) a[r][c_i] a(R - r; C - c_i),
+
+    k integer products per minor, and only when the caller asks for it.
+    """
+    n = len(a)
+    subsets, minors = list(index_sets(n, 1)), a
+    yield subsets, minors
+    for k in range(2, n + 1):
+        position = {s: i for i, s in enumerate(subsets)}
+        subsets = list(index_sets(n, k))
+        expansions = [  # per column set C: (sign, c_i, position of C - c_i)
+            [
+                ((-1) ** (k - 1 + i), c - 1, position[cols[:i] + cols[i + 1 :]])
+                for i, c in enumerate(cols)
+            ]
+            for cols in subsets
+        ]
+        prev, minors = minors, []
+        for rows in subsets:
+            a_row, prev_row = a[rows[-1] - 1], prev[position[rows[:-1]]]
+            minors.append([
+                sum(sign * a_row[c] * prev_row[j] for sign, c, j in terms)
+                for terms in expansions
+            ])
+        yield subsets, minors
 
 
 def submatrix(m: ExactMatrix, rows, cols) -> ExactMatrix:

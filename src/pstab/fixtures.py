@@ -68,9 +68,7 @@ DEMO_SCALED_SQUARE_TRACE = Fraction(-93, 5)
 # The maximal Q^2 chain found by deleting rows/columns 1, 2, 3 in turn.
 DEMO_CHAIN = ((4,), (3, 4), (2, 3, 4), (1, 2, 3, 4))
 
-DEMO_SUB_234 = ExactMatrix([[2, 1, -5], [1, 10, -10], [1, 1, 10]])
-DEMO_SUB_34 = ExactMatrix([[10, -10], [1, 10]])
-
+# Order sums of the squares of the chain levels A1 = A[2,3,4], A12 = A[3,4].
 DEMO_SUB_234_SQUARE_DET = Fraction(60025)
 DEMO_SUB_234_SQUARE_TRACE = Fraction(176)
 DEMO_SUB_234_SQUARE_ORDER2_SUM = Fraction(12936)

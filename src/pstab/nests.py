@@ -48,16 +48,21 @@ class NestViolation(
         )
 
 
-class NestCertificate(namedtuple("NestCertificate", "chain tau evidence")):
-    """A maximal Q^2 chain together with its defining permutation.
+class NestCertificate(namedtuple("NestCertificate", "chain evidence")):
+    """A maximal Q^2 chain and the NestEvidence of its levels.
 
-    ``chain`` holds the index sets, sizes 1..n.  ``tau`` lists the chain
-    inner-to-outer: tau[0] is the single element of S_1 and tau[k-1] is
-    the element added when growing S_{k-1} to S_k, so
-    S_k = {tau[0], ..., tau[k-1]}.
+    ``chain`` holds the index sets, sizes 1..n.  Its permutation ``tau`` is
+    read off the chain, not stored: it lists the chain inner-to-outer,
+    tau[0] the single element of S_1 and tau[k-1] the element added when
+    growing S_{k-1} to S_k, so S_k = {tau[0], ..., tau[k-1]}.
     """
 
     __slots__ = ()
+
+    @property
+    def tau(self):
+        """:func:`chain_tau` of the chain."""
+        return chain_tau(self.chain)
 
 
 def chain_tau(chain):
@@ -127,9 +132,7 @@ def find_q2_nest(m: ExactMatrix, minor_table=None):
         return None
     evidence = _chain_evidence(chain, q2)
     assert isinstance(evidence, NestEvidence)
-    return NestCertificate(
-        chain=tuple(chain), tau=chain_tau(chain), evidence=evidence
-    )
+    return NestCertificate(chain=tuple(chain), evidence=evidence)
 
 
 def _chain_evidence(chain, q2):

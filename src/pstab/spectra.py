@@ -17,8 +17,6 @@ from collections import namedtuple
 from .errors import DoubleRangeError, MatrixArgumentError, NumericToleranceError
 from .exactmat import ExactMatrix, det, trace
 
-MAX_DIMENSION = 64
-
 
 class Spectrum(namedtuple("Spectrum", "eigenvalues method")):
     """The n complex ``eigenvalues`` of a matrix and the ``method`` that
@@ -39,8 +37,6 @@ def eigenvalues(m: ExactMatrix) -> Spectrum:
     floating point, so wherever the unscaled values are normal doubles the
     comparison is the same as on them.
     """
-    if m.n > MAX_DIMENSION:
-        raise MatrixArgumentError(f"eigenvalues capped at n <= {MAX_DIMENSION}")
     try:
         dense = [[float(x) for x in row] for row in m.rows]
     except OverflowError as exc:

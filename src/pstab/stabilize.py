@@ -79,7 +79,7 @@ from .exactmat import (
     inverse,
     lagrange_operator,
 )
-from .nests import NestCertificate, NestEvidence, chain_tau
+from .nests import NestCertificate, NestEvidence
 
 DEFAULT_MAX_SHRINK = 64
 # ledger orders each diagonal of the stabilizer search is screened on
@@ -98,8 +98,7 @@ def build_B(a: ExactMatrix, nest: NestCertificate):
     the Schur complement of B's leading m-block is the inverse of A~'s
     trailing (n-m)-block, a permutation of A[S_(n-m)]^(-1).  The nest is
     taken as verified (it comes from :func:`pstab.nests.find_q2_nest` or
-    :func:`pstab.nests.verify_nest`); tau must be the permutation of its
-    chain.
+    :func:`pstab.nests.verify_nest`), and tau is read off its chain.
 
     B is not tested: it is a P- and Q^2-matrix whenever A is, which both
     callers have established.  Conjugation by a permutation keeps both
@@ -107,9 +106,7 @@ def build_B(a: ExactMatrix, nest: NestCertificate):
     det(B[S]) = det(A~[S^c]) / det(A~) and
     E_k(B^2) = E_(n-k)(A~^2) / det(A~)^2, with det(A~) = det(A) > 0.
     """
-    tau = tuple(nest.tau)
-    if tau != chain_tau(nest.chain):
-        raise MatrixArgumentError("nest permutation does not match its chain")
+    tau = nest.tau
     # A~ lists A's rows and columns in reversed tau order; theta inverts it
     theta = tuple(a.n - tau.index(i) for i in range(1, a.n + 1))
     order = [i - 1 for i in reversed(tau)]
@@ -399,7 +396,7 @@ def certify_stability(
             witness=report.witnesses["P"],
         )
     if not report.is_q2:
-        witness = report.witnesses.get("Q") or report.witnesses.get("Q2")
+        witness = report.witnesses["Q2"]
         raise HypothesisError(
             "not-Q2",
             f"input is not a Q^2-matrix: {witness.describe()}",

@@ -55,7 +55,7 @@ def _subset_det(cells, rows, cols):
 
 def naive_compound(m: ExactMatrix, j: int) -> ExactMatrix:
     """j-th compound by direct double loop over lex-ordered subsets."""
-    assert 1 <= j <= m.n <= 6
+    assert 1 <= j <= m.n <= 7
     cells = _cells(m)
     subsets = list(itertools.combinations(range(1, m.n + 1), j))
     return ExactMatrix(

@@ -248,17 +248,17 @@ def test_minor_table_checks_match_per_minor_reference(m):
 
 
 def record_minor_orders(monkeypatch):
-    """Wrap classify._minors; the list returned records each order it
-    yields, as the order is formed."""
+    """Wrap the all-minor generator where classify binds it; the list
+    returned records each order it yields, as the order is formed."""
     built = []
-    minors = classify._minors
+    minors = classify.integer_compounds
 
     def recording_minors(a):
         for subsets, values in minors(a):
             built.append(len(subsets[0]))
             yield subsets, values
 
-    monkeypatch.setattr(classify, "_minors", recording_minors)
+    monkeypatch.setattr(classify, "integer_compounds", recording_minors)
     return built
 
 

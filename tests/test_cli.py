@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import hashlib
 import json
 import os
 import random
@@ -496,7 +497,7 @@ MALFORMED_FIELDS = [
     ("classification", "flags", None, "field classification.flags is missing"),
     ("nest", "chain", [[4], [3, "4"]], "field nest.chain is missing"),
     ("nest", "chain", [[4], [2, 3, 4]], "nest fails re-verification"),
-    ("nest", "tau", [9, 3, 2, 1], "does not match its chain"),
+    ("nest", "tau", [9, 3, 2, 1], "nest.tau does not re-verify"),
     ("transform", "b_matrix", [["1", "2"]], "field transform.b_matrix is missing"),
     ("block_traces", None, ["1/1"], "block traces key set does not match"),
     ("block_traces", None, {}, "block traces key set does not match"),
@@ -521,6 +522,20 @@ def test_verify_names_malformed_fields(
     _rewrite(cert_path, doc)
     assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
     assert message in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tau", [[1, 2, 3, 4], [3, 4, 2, 1]])
+def test_verify_reads_nest_tau_off_the_chain(
+    demo_file, demo_certificate, tau, capsys
+):
+    # tau is no claim: a permutation other than the chain's is one field
+    # that differs from the rewritten certificate
+    cert_path, doc = demo_certificate
+    assert doc["nest"]["tau"] == [4, 3, 2, 1]
+    doc["nest"]["tau"] = tau
+    _rewrite(cert_path, doc)
+    assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
+    assert capsys.readouterr().out == "FAIL: nest.tau does not re-verify\n"
 
 
 def test_verify_rejects_a_list_section_written_as_an_object(
@@ -1009,6 +1024,16 @@ def test_demo_command_all_pass(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "det A: 5491" in out
+
+
+def test_demo_command_prints_the_pinned_walkthrough(capsys):
+    # the whole walkthrough, byte for byte
+    assert main(["demo"]) == EXIT_OK
+    out = capsys.readouterr().out.encode()
+    assert len(out.splitlines()) == 16
+    assert hashlib.sha256(out).hexdigest() == (
+        "bbd5a73106005ad135f41fb0852cd6a9824306af73b54046fbffc98a76a1df98"
+    )
 
 
 def _count_calls(monkeypatch, *functions):

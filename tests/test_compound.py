@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_matrix
+from conftest import random_fraction_matrix, random_matrix
 import pstab
-from pstab import ExactMatrix, det
+from pstab import ExactMatrix, det, exactmat
 from pstab.compound import (
     compound,
     diag_generalized_compound,
@@ -20,6 +20,8 @@ from pstab.compound import (
 )
 from pstab.errors import MatrixArgumentError
 from pstab.fixtures import DEMO_A, DEMO_COMPOUND_2, DEMO_COMPOUND_3
+
+SRC = pathlib.Path(pstab.__file__).parent
 
 
 def test_compound_of_identity_is_identity():
@@ -39,6 +41,23 @@ def test_compound_extremes():
     m = random_matrix(rng, 4)
     assert compound(m, 1) == m
     assert compound(m, 4) == ExactMatrix([[det(m)]])
+
+
+def test_compounds_take_no_determinant(monkeypatch):
+    # every det and minor reaches integer_det; compounds, and all that is
+    # read off them, come from the all-minor generator instead
+    calls = []
+    integer_det = exactmat.integer_det
+    monkeypatch.setattr(
+        exactmat, "integer_det", lambda a: calls.append(a) or integer_det(a)
+    )
+    m = random_fraction_matrix(random.Random(27), 5)
+    compound(m, 3)
+    generalized_compound(m, 4, 2)
+    exterior_product([m, m.transpose(), ExactMatrix.identity(5)])
+    assert calls == []
+    det(m)  # the per-entry route is counted
+    assert len(calls) == 1
 
 
 def test_compound_order_out_of_range():
@@ -132,19 +151,37 @@ def test_diag_generalized_compound_identity_counts():
     assert g == Fraction(3) * ExactMatrix.identity(4)
 
 
+def _imports(module):
+    """(module imported from, names imported) of each import statement in
+    a pstab module, a relative import resolved against the package."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, ()) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "pstab." * (node.level > 0) + (node.module or "")
+            yield base.rstrip("."), tuple(alias.name for alias in node.names)
+
+
 def test_pipeline_modules_do_not_import_compound():
     # compound matrices stay behind the CLI's compound and demo commands
     # and serve the tests as oracles; the pipeline uses the char-poly kernel
-    src = pathlib.Path(pstab.__file__).parent
     for module in ("classify", "nests", "stabilize"):
-        tree = ast.parse((src / f"{module}.py").read_text())
         imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                base = "pstab." * (node.level > 0) + (node.module or "")
-                base = base.rstrip(".")
-                imported.add(base)
-                imported.update(f"{base}.{alias.name}" for alias in node.names)
+        for base, names in _imports(module):
+            imported.add(base)
+            imported.update(f"{base}.{name}" for name in names)
         assert "pstab.compound" not in imported, f"{module}.py imports pstab.compound"
+
+
+@pytest.mark.parametrize(
+    "module,allowed",
+    [("exactmat", {"errors"}), ("compound", {"exactmat", "errors"})],
+)
+def test_the_minor_kernel_layering(module, allowed):
+    # exactmat is the kernel, and compound reads the all-minor generator
+    # from it, never from classify
+    imported = {
+        base for base, _ in _imports(module) if base.split(".")[0] == "pstab"
+    }
+    assert imported <= {f"pstab.{name}" for name in allowed}, imported

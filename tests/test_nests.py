@@ -20,8 +20,10 @@ from pstab.fixtures import (
     DEMO_SUB_34_SQUARE_TRACE,
 )
 from pstab.nests import (
+    NestCertificate,
     NestEvidence,
     NestViolation,
+    chain_tau,
     find_q2_nest,
     verify_nest,
 )
@@ -32,6 +34,16 @@ def test_demo_nest_chain_and_tau():
     assert nest is not None
     assert nest.chain == DEMO_CHAIN
     assert nest.tau == (4, 3, 2, 1)
+
+
+def test_nest_tau_is_read_off_the_chain():
+    nest = find_q2_nest(DEMO_A)
+    assert NestCertificate._fields == ("chain", "evidence")
+    chain = ((2,), (2, 4), (1, 2, 4), (1, 2, 3, 4))
+    assert NestCertificate(chain, nest.evidence).tau == chain_tau(chain)
+    assert chain_tau(chain) == (2, 4, 1, 3)
+    with pytest.raises(MatrixArgumentError):
+        NestCertificate(((1,), (2, 3)), nest.evidence).tau
 
 
 def test_demo_nest_evidence_values():

@@ -43,6 +43,13 @@ def test_naive_compound_matches_main_path():
             assert naive_compound(m, j) == compound(m, j)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_naive_compound_matches_main_path_on_fraction_entries(n):
+    m = random_fraction_matrix(random.Random(40 + n), n)
+    for j in range(1, n + 1):
+        assert naive_compound(m, j) == compound(m, j)
+
+
 def test_naive_exterior_all_equal_is_compound():
     rng = random.Random(62)
     m = random_matrix(rng, 4, -3, 3)

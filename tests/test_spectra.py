@@ -11,7 +11,6 @@ from conftest import random_matrix
 from pstab import ExactMatrix
 from pstab.errors import MatrixArgumentError, NumericToleranceError
 from pstab.spectra import (
-    MAX_DIMENSION,
     eigenvalues,
     is_positively_stable,
     multiset_match,
@@ -32,10 +31,9 @@ def test_eigenvalues_of_rotation():
     assert not is_positively_stable(spectrum)
 
 
-def test_eigenvalues_dimension_cap():
-    big = ExactMatrix.identity(MAX_DIMENSION + 1)
-    with pytest.raises(MatrixArgumentError):
-        eigenvalues(big)
+def test_eigenvalues_have_no_dimension_cap():
+    spectrum = eigenvalues(ExactMatrix.identity(65))
+    assert spectrum.eigenvalues == (1,) * 65
 
 
 def test_eigenvalue_cross_checks_pass_on_random_input():
