@@ -26,7 +26,8 @@ and up are the one part capped in n (SIGN_SYMMETRY_MAX_N).
 
 All verdicts are exact.  Every negative verdict carries a witness that
 re-evaluates to a violation; witness ordering is deterministic (smallest
-minor order first, then lexicographic rank).
+minor order first, then lexicographic rank).  A report is its witnesses:
+:class:`ClassReport` reads every verdict off them.
 """
 
 from __future__ import annotations
@@ -79,13 +80,29 @@ class OrderSumWitness(namedtuple("OrderSumWitness", "order value")):
         )
 
 
-class ClassReport(namedtuple(
-    "ClassReport",
-    "n is_p is_q is_p2 is_q2 is_sign_symmetric is_row_sqdd is_col_sqdd"
-    " order_sums order_sums_square witnesses minor_table",
-)):
-    """Aggregated class verdicts with witnesses for every failure.
+# The seven classes a report decides, as (key, label) in report order.
+CLASSES = (
+    ("P", "P"),
+    ("Q", "Q"),
+    ("P2", "P^2"),
+    ("Q2", "Q^2"),
+    ("sign_symmetric", "sign-symmetric"),
+    ("row_sqdd", "row square diagonally dominant"),
+    ("col_sqdd", "column square diagonally dominant"),
+)
 
+
+def _holds(key):
+    return property(lambda report: key not in report.witnesses)
+
+
+class ClassReport(namedtuple(
+    "ClassReport", "n order_sums order_sums_square witnesses minor_table"
+)):
+    """The class verdicts, held as the witnesses that refute them.
+
+    ``witnesses`` maps the key (see CLASSES) of each class that fails to
+    its witness; the ``is_*`` verdicts and :meth:`flags` are read off it.
     ``order_sums`` and ``order_sums_square`` hold, per order 1..n, the sums
     of principal minors of M and of M*M.  ``minor_table`` is the P sweep's
     complete table of the principal minors of A' = cA, a list of int lists
@@ -96,16 +113,17 @@ class ClassReport(namedtuple(
 
     __slots__ = ()
 
+    is_p = _holds("P")
+    is_q = _holds("Q")
+    is_p2 = _holds("P2")
+    is_q2 = _holds("Q2")
+    is_sign_symmetric = _holds("sign_symmetric")
+    is_row_sqdd = _holds("row_sqdd")
+    is_col_sqdd = _holds("col_sqdd")
+
     def flags(self):
-        return {
-            "P": self.is_p,
-            "Q": self.is_q,
-            "P2": self.is_p2,
-            "Q2": self.is_q2,
-            "sign_symmetric": self.is_sign_symmetric,
-            "row_sqdd": self.is_row_sqdd,
-            "col_sqdd": self.is_col_sqdd,
-        }
+        """{key: verdict} over CLASSES, in report order."""
+        return {key: key not in self.witnesses for key, _ in CLASSES}
 
 
 def _principal_minors(a):
@@ -349,17 +367,4 @@ def classify_full(m: ExactMatrix) -> ClassReport:
         ("col_sqdd", _square_dominance_witness(col_minors, list(zip(*a)), c)),
     )
     witnesses = {key: witness for key, witness in checks if witness is not None}
-    return ClassReport(
-        n=m.n,
-        is_p="P" not in witnesses,
-        is_q="Q" not in witnesses,
-        is_p2="P2" not in witnesses,
-        is_q2="Q2" not in witnesses,
-        is_sign_symmetric="sign_symmetric" not in witnesses,
-        is_row_sqdd="row_sqdd" not in witnesses,
-        is_col_sqdd="col_sqdd" not in witnesses,
-        order_sums=sums_m,
-        order_sums_square=sums_m2,
-        witnesses=witnesses,
-        minor_table=table,
-    )
+    return ClassReport(m.n, sums_m, sums_m2, witnesses, table)

@@ -29,11 +29,11 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__, stabilize
-from .classify import classify_full
+from .classify import CLASSES, classify_full
 from .compound import compound, generalized_compound
 from .errors import HypothesisError, MatrixArgumentError, StabilizerInconclusiveError
 from .exactmat import ExactMatrix, rational_str as entry_str
-from .nests import NestCertificate, NestEvidence, verify_nest
+from .nests import NestViolation, verify_nest
 from .stabilize import (
     DEFAULT_MAX_SHRINK,
     StabilityCertificate,
@@ -170,7 +170,9 @@ def certificate_document(cert) -> dict:
     """Serialize a StabilityCertificate to a JSON-ready dict.
 
     Everything up to endpoint_hurwitz_minors is exact (fraction strings);
-    the spectrum section is the only floating-point content.  When the
+    the spectrum section is the only floating-point content.  The nest's
+    chain, ``tau`` and the transform's ``theta`` are read off the nest's
+    levels, so the chain written is the one its evidence is for.  When the
     spectra were not computed it is {"computed": false, "reason": ...};
     when they contradict the exact claim it names the contradiction under
     "disagreement".
@@ -186,7 +188,7 @@ def certificate_document(cert) -> dict:
             "tau": list(cert.nest.tau),
         },
         "transform": {
-            "theta": list(cert.theta),
+            "theta": list(cert.nest.theta),
             "b_matrix": _matrix_doc(cert.b_matrix),
         },
         "block_traces": {
@@ -195,7 +197,8 @@ def certificate_document(cert) -> dict:
         },
         "stabilizer": {
             "eps": [frac_str(e) for e in cert.stabilizer.eps],
-            # kept, all zeros, for readers of the certificate format
+            # all zeros; kept because readers of the format still read it,
+            # perfbench/run.py's halving count among them
             "shrink_log": [0] * (cert.matrix.n - 1),
             "identity_steps": cert.stabilizer.identity_steps,
         },
@@ -355,11 +358,10 @@ def _rederive(doc, a):
         raise _Discrepancy(f"matrix is not a P-matrix: {witness}")
     chain = _field(doc, "nest", "chain", _tuple_of(_tuple_of(_typed(int))))
     try:
-        evidence = verify_nest(a, chain, report.minor_table)
-        if not isinstance(evidence, NestEvidence):
-            raise MatrixArgumentError(evidence.describe())
-        nest = NestCertificate(chain=chain, evidence=evidence)
-        theta, b = build_B(a, nest)
+        nest = verify_nest(a, chain, report.minor_table)
+        if isinstance(nest, NestViolation):
+            raise MatrixArgumentError(nest.describe())
+        b = build_B(a, nest)
     except MatrixArgumentError as exc:
         raise _Discrepancy(f"nest fails re-verification: {exc}") from exc
     eps = _field(doc, "stabilizer", "eps", _tuple_of(_fraction))
@@ -371,8 +373,8 @@ def _rederive(doc, a):
     except MatrixArgumentError as exc:
         raise _Discrepancy(f"stabilizer fails re-verification: {exc}") from exc
     return StabilityCertificate(
-        matrix=a, report=report, nest=nest, theta=theta, b_matrix=b,
-        block_trace_values=block_traces(evidence), stabilizer=stabilizer,
+        matrix=a, report=report, nest=nest, b_matrix=b,
+        block_trace_values=block_traces(nest), stabilizer=stabilizer,
         trace_ledger=stabilize._trace_ledger(b, stabilizer.eps),
         endpoint_hurwitz=hurwitz_minors(b.scale_rows(stabilizer.eps)),
     )
@@ -422,39 +424,27 @@ def _section_problems(section, got, want):
 
 # -- subcommands ------------------------------------------------------------
 
-CLASS_LABELS = [
-    ("P", "P"),
-    ("Q", "Q"),
-    ("P2", "P^2"),
-    ("Q2", "Q^2"),
-    ("sign_symmetric", "sign-symmetric"),
-    ("row_sqdd", "row square diagonally dominant"),
-    ("col_sqdd", "column square diagonally dominant"),
-]
-
-
 def cmd_classify(args) -> int:
     a = load_matrix(args.matrix)
     report = classify_full(a)
-    flags = report.flags()
-    required = args.require or [key for key, _ in CLASS_LABELS]
+    witnesses = report.witnesses
+    required = args.require or [key for key, _ in CLASSES]
     if args.json:
         doc = {
             "n": report.n,
             **_classification_doc(report),
             "witnesses": {
-                key: w.describe() for key, w in sorted(report.witnesses.items())
+                key: w.describe() for key, w in sorted(witnesses.items())
             },
         }
         print(json.dumps(doc, indent=2))
     else:
-        for key, label in CLASS_LABELS:
-            verdict = "yes" if flags[key] else "no"
-            line = f"{label}: {verdict}"
-            if not flags[key] and key in report.witnesses:
-                line += f"  ({report.witnesses[key].describe()})"
-            print(line)
-    return EXIT_OK if all(flags[key] for key in required) else EXIT_REFUTED
+        for key, label in CLASSES:
+            if key in witnesses:
+                print(f"{label}: no  ({witnesses[key].describe()})")
+            else:
+                print(f"{label}: yes")
+    return EXIT_REFUTED if witnesses.keys() & required else EXIT_OK
 
 
 def _print_exact_matrix(m: ExactMatrix, as_json):
@@ -572,7 +562,7 @@ def cmd_demo(args) -> int:
     nest = find_q2_nest(a, report.minor_table)
     check("Q^2 chain", nest.chain if nest else None, fx.DEMO_CHAIN)
     # A1 and A12 are the chain levels of size n-1 and n-2
-    *_, a12, a1, _ = (level.order_sums_square for level in nest.evidence.levels)
+    *_, a12, a1, _ = (level.order_sums_square for level in nest.levels)
     check("det(A1^2)", a1[-1], fx.DEMO_SUB_234_SQUARE_DET)
     check("Tr(A1^2)", a1[0], fx.DEMO_SUB_234_SQUARE_TRACE)
     check("order-2 minor sum of A1^2", a1[1], fx.DEMO_SUB_234_SQUARE_ORDER2_SUM)
@@ -627,7 +617,7 @@ def build_parser():
     p.add_argument(
         "--require",
         action="append",
-        choices=[key for key, _ in CLASS_LABELS],
+        choices=[key for key, _ in CLASSES],
         help="class that must hold for exit 0 (repeatable; default: all)",
     )
     p.set_defaults(func=cmd_classify)

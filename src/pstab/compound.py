@@ -31,6 +31,9 @@ from .exactmat import (
     lagrange_operator,
 )
 
+# A j-th compound forms the C(n,k)^2 minors of every order k <= j; past this
+# many in all it forms none (every order at n = 11 is 705,431).
+COMPOUND_MAX_MINORS = 10**6
 # The polarization sum takes 2^j - 1 compounds of C(n,j)^2 minors each.
 EXTERIOR_MAX_N = 6
 EXTERIOR_MAX_J = 4
@@ -51,8 +54,15 @@ def _check_wedge(n, j, wedge_m):
 def compound(m: ExactMatrix, j: int) -> ExactMatrix:
     """The j-th compound matrix: entry (alpha, beta) = A(alpha; beta), the
     minor A'(alpha; beta) / c^j of A' = cA on integers, read off order j of
-    :func:`pstab.exactmat.integer_compounds`."""
+    :func:`pstab.exactmat.integer_compounds`, which forms the orders below
+    it first; past COMPOUND_MAX_MINORS minors it raises MatrixArgumentError."""
     _check_order(m.n, j)
+    count = sum(math.comb(m.n, k) ** 2 for k in range(1, j + 1))
+    if count > COMPOUND_MAX_MINORS:
+        raise MatrixArgumentError(
+            f"compound order j={j} at n={m.n} forms {count} minors; "
+            f"at most {COMPOUND_MAX_MINORS} are allowed"
+        )
     a, c = cleared(m)
     _, minors = next(itertools.islice(integer_compounds(a), j - 1, None))
     scale = c**j

@@ -8,6 +8,9 @@ than the n! orderings.  Given the table of principal minors that
 :func:`pstab.classify.classify_full` leaves on the report of a P-matrix
 (``ClassReport.minor_table``), a verdict is a sum over principal minors
 already swept; without it, it is a char-poly of the principal submatrix.
+
+A nest is its levels (:class:`NestCertificate`): the chain and its
+permutations are read off the levels' evidence, so the two cannot disagree.
 """
 
 from __future__ import annotations
@@ -22,12 +25,6 @@ from .exactmat import ExactMatrix, cleared, principal_submatrix, rational_str
 
 class LevelEvidence(namedtuple("LevelEvidence", "subset order_sums order_sums_square")):
     """Order sums for one principal submatrix and its square."""
-
-    __slots__ = ()
-
-
-class NestEvidence(namedtuple("NestEvidence", "levels")):
-    """The LevelEvidence of each chain level, smallest first."""
 
     __slots__ = ()
 
@@ -48,21 +45,33 @@ class NestViolation(
         )
 
 
-class NestCertificate(namedtuple("NestCertificate", "chain evidence")):
-    """A maximal Q^2 chain and the NestEvidence of its levels.
+class NestCertificate(namedtuple("NestCertificate", "levels")):
+    """A maximal Q^2 chain, held as the LevelEvidence of its levels,
+    smallest first; the chain, ``tau`` and ``theta`` are read off them.
 
-    ``chain`` holds the index sets, sizes 1..n.  Its permutation ``tau`` is
-    read off the chain, not stored: it lists the chain inner-to-outer,
-    tau[0] the single element of S_1 and tau[k-1] the element added when
-    growing S_{k-1} to S_k, so S_k = {tau[0], ..., tau[k-1]}.
+    ``chain`` holds the levels' index sets, sizes 1..n.  Its permutation
+    ``tau`` lists the chain inner-to-outer, tau[0] the single element of
+    S_1 and tau[k-1] the element added when growing S_{k-1} to S_k, so
+    S_k = {tau[0], ..., tau[k-1]}.  ``theta`` is the permutation
+    theta(tau[k-1]) = n - k + 1 by which :func:`pstab.stabilize.build_B`
+    conjugates A, listed as (theta(1), ..., theta(n)).
     """
 
     __slots__ = ()
 
     @property
+    def chain(self):
+        return tuple(level.subset for level in self.levels)
+
+    @property
     def tau(self):
         """:func:`chain_tau` of the chain."""
         return chain_tau(self.chain)
+
+    @property
+    def theta(self):
+        tau = self.tau
+        return tuple(len(tau) - tau.index(i) for i in range(1, len(tau) + 1))
 
 
 def chain_tau(chain):
@@ -102,7 +111,8 @@ def _q2_test(m, minor_table):
 
 
 def find_q2_nest(m: ExactMatrix, minor_table=None):
-    """Depth-first search for a maximal Q^2 chain; None if none exists.
+    """Depth-first search for a maximal Q^2 chain; its NestCertificate, or
+    None if none exists.
 
     Descends from the full index set, trying removable indices in
     increasing order, so the returned chain is deterministic.
@@ -128,41 +138,27 @@ def find_q2_nest(m: ExactMatrix, minor_table=None):
         return None
 
     chain = descend(full)
-    if chain is None:
-        return None
-    evidence = _chain_evidence(chain, q2)
-    assert isinstance(evidence, NestEvidence)
-    return NestCertificate(chain=tuple(chain), evidence=evidence)
+    return None if chain is None else _chain_evidence(chain, q2)
 
 
 def _chain_evidence(chain, q2):
-    """Evidence for a validated chain, or the first violation."""
+    """The NestCertificate of a validated chain, or its first violation."""
     levels = []
     for level, subset in enumerate(chain, start=1):
-        ok, sums_m, sums_m2, witness = q2(tuple(subset))
+        ok, sums_m, sums_m2, witness = q2(subset)
         if not ok:
-            return NestViolation(
-                level=level,
-                subset=tuple(subset),
-                order=witness.order,
-                value=witness.value,
-                from_square=all(s > 0 for s in sums_m),
-            )
-        levels.append(
-            LevelEvidence(
-                subset=tuple(subset),
-                order_sums=tuple(sums_m),
-                order_sums_square=tuple(sums_m2),
-            )
-        )
-    return NestEvidence(levels=tuple(levels))
+            square = all(s > 0 for s in sums_m)  # the matrix itself is Q
+            return NestViolation(level, subset, witness.order, witness.value, square)
+        levels.append(LevelEvidence(subset, tuple(sums_m), tuple(sums_m2)))
+    return NestCertificate(tuple(levels))
 
 
 def verify_nest(m: ExactMatrix, chain, minor_table=None):
     """Re-verify an externally supplied chain.
 
-    Returns NestEvidence when every level is Q^2, otherwise the
-    NestViolation for the first failing level.  ``minor_table`` is as in
+    Returns the NestCertificate of the validated chain, each level's index
+    set sorted, when every level is Q^2, otherwise the NestViolation for
+    the first failing level.  ``minor_table`` is as in
     :func:`find_q2_nest`.
     """
     chain = _validate_chain(chain, m.n)

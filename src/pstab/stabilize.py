@@ -26,8 +26,8 @@ does not cross the imaginary axis on the way to B.
 
 No compound matrix and no Schur complement is formed: every exact
 quantity is a sum of principal minors from the char-poly kernel
-(:mod:`pstab.exactmat`).  The block traces are read off the chain's own Q^2
-evidence, Tr((B^(j)[1..m])^2) = E_(n-j)(A[S_(n-m)]^2) / det(A)^2 (see
+(:mod:`pstab.exactmat`).  The block traces are read off the nest's levels,
+Tr((B^(j)[1..m])^2) = E_(n-j)(A[S_(n-m)]^2) / det(A)^2 (see
 :func:`block_traces`); the ledger is read off the generating function
 E_j((I + sD) B (I + tD) B) = sum s^k t^m L(j,k,m), whose nodes are
 E_j(N_s W_t) with N_s = B^2 + s B D B and the diagonal W_t = I + t D (up
@@ -79,7 +79,7 @@ from .exactmat import (
     inverse,
     lagrange_operator,
 )
-from .nests import NestCertificate, NestEvidence
+from .nests import NestCertificate
 
 DEFAULT_MAX_SHRINK = 64
 # ledger orders each diagonal of the stabilizer search is screened on
@@ -89,16 +89,17 @@ SCREEN_ORDER = 2
 # -- the permutation transform ---------------------------------------------
 
 
-def build_B(a: ExactMatrix, nest: NestCertificate):
-    """Transform A into B via the chain's permutation and exact inversion.
+def build_B(a: ExactMatrix, nest: NestCertificate) -> ExactMatrix:
+    """Transform A into B via the chain's permutation and exact inversion;
+    returns B.
 
     With tau = (i_1, ..., i_n) listing the chain inner-to-outer, the
-    permutation theta(i_m) = n - m + 1 sends the chain's submatrices to the
-    trailing blocks of the conjugated matrix A~; B is the inverse of A~, so
-    the Schur complement of B's leading m-block is the inverse of A~'s
-    trailing (n-m)-block, a permutation of A[S_(n-m)]^(-1).  The nest is
-    taken as verified (it comes from :func:`pstab.nests.find_q2_nest` or
-    :func:`pstab.nests.verify_nest`), and tau is read off its chain.
+    permutation theta(i_m) = n - m + 1 (``nest.theta``) sends the chain's
+    submatrices to the trailing blocks of the conjugated matrix A~; B is
+    the inverse of A~, so the Schur complement of B's leading m-block is
+    the inverse of A~'s trailing (n-m)-block, a permutation of
+    A[S_(n-m)]^(-1).  The nest is taken as verified (it comes from
+    :func:`pstab.nests.find_q2_nest` or :func:`pstab.nests.verify_nest`).
 
     B is not tested: it is a P- and Q^2-matrix whenever A is, which both
     callers have established.  Conjugation by a permutation keeps both
@@ -106,19 +107,17 @@ def build_B(a: ExactMatrix, nest: NestCertificate):
     det(B[S]) = det(A~[S^c]) / det(A~) and
     E_k(B^2) = E_(n-k)(A~^2) / det(A~)^2, with det(A~) = det(A) > 0.
     """
-    tau = nest.tau
-    # A~ lists A's rows and columns in reversed tau order; theta inverts it
-    theta = tuple(a.n - tau.index(i) for i in range(1, a.n + 1))
-    order = [i - 1 for i in reversed(tau)]
-    return theta, inverse(ExactMatrix([[a.rows[i][j] for j in order] for i in order]))
+    # A~ lists A's rows and columns in reversed tau order
+    order = [i - 1 for i in reversed(nest.tau)]
+    return inverse(ExactMatrix([[a.rows[i][j] for j in order] for i in order]))
 
 
 # -- block traces and the trace ledger -------------------------------------
 
 
-def block_traces(evidence: NestEvidence):
+def block_traces(nest: NestCertificate):
     """Tr((B^(j)[1..m])^2) for all 1 <= m <= j <= n, exactly, from the
-    evidence of the Q^2 chain that :func:`build_B` transforms by.
+    levels of the Q^2 nest that :func:`build_B` transforms by.
 
     The leading block of B^(j) on the index sets containing {1..m} is
     det(B[1..m]) times the (j-m)-th compound of the Schur complement S_m
@@ -134,7 +133,7 @@ def block_traces(evidence: NestEvidence):
     ``order_sums_square`` and det(A) = E_n(A) is the full level's last
     ``order_sums`` entry, so every value is positive when the chain is Q^2.
     """
-    levels = evidence.levels
+    levels = nest.levels
     n = len(levels)
     det_sq = Fraction(levels[-1].order_sums[-1]) ** 2
     values = {}
@@ -337,7 +336,7 @@ def build_stabilizer(b: ExactMatrix, max_shrink: int = DEFAULT_MAX_SHRINK):
 
 class StabilityCertificate(namedtuple(
     "StabilityCertificate",
-    "matrix report nest theta b_matrix block_trace_values stabilizer"
+    "matrix report nest b_matrix block_trace_values stabilizer"
     " trace_ledger endpoint_hurwitz spectrum stabilized_spectrum"
     " wedge_margin spectrum_reason disagreement",
     defaults=(None,) * 5,
@@ -345,7 +344,10 @@ class StabilityCertificate(namedtuple(
     """Everything needed to re-check a positive-stability claim.
 
     All fields up to ``endpoint_hurwitz`` are exact rationals re-derivable
-    from the input matrix alone: ``block_trace_values`` maps (j, m) to
+    from the input matrix alone.  Each fact is held once: the ``nest``
+    carries the chain and the permutations tau and theta of the transform
+    (see :class:`pstab.nests.NestCertificate`), ``b_matrix`` is B, and
+    ``block_trace_values`` maps (j, m) to
     Tr((B^(j)[1..m])^2), ``trace_ledger`` is the flat dict
     {(j, k, m): L(j,k,m)}, 0 <= k <= j and 1 <= m <= j, of
     :func:`_trace_ledger`, cross terms included, and ``endpoint_hurwitz``
@@ -389,28 +391,22 @@ def certify_stability(
     from .nests import find_q2_nest
 
     report = classify_full(a)
-    if not report.is_p:
-        raise HypothesisError(
-            "not-P",
-            f"input is not a P-matrix: {report.witnesses['P'].describe()}",
-            witness=report.witnesses["P"],
-        )
-    if not report.is_q2:
-        witness = report.witnesses["Q2"]
-        raise HypothesisError(
-            "not-Q2",
-            f"input is not a Q^2-matrix: {witness.describe()}",
-            witness=witness,
-        )
+    for key, label in (("P", "P"), ("Q2", "Q^2")):
+        witness = report.witnesses.get(key)
+        if witness is not None:
+            raise HypothesisError(
+                f"not-{key}", f"input is not a {label}-matrix: {witness.describe()}",
+                witness=witness,
+            )
     nest = find_q2_nest(a, report.minor_table)
     if nest is None:
         raise HypothesisError(
             "no-nest", "no maximal Q^2 chain of principal submatrices exists"
         )
 
-    theta, b = build_B(a, nest)
+    b = build_B(a, nest)
     stabilizer, ledger, minors = build_stabilizer(b, max_shrink=max_shrink)
-    traces = block_traces(nest.evidence)
+    traces = block_traces(nest)
     violations = nonpositive_values(ledger, minors, traces)
     if violations:
         key, value = violations[0]
@@ -445,7 +441,6 @@ def certify_stability(
         matrix=a,
         report=report,
         nest=nest,
-        theta=theta,
         b_matrix=b,
         block_trace_values=traces,
         stabilizer=stabilizer,

@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_matrix, random_spd_matrix, row_dominant_matrix
+from test_golden import classify_corpus
 from reference import fraction_minor_sums, naive_product, per_minor_is_p
 from pstab import ExactMatrix
 from pstab import classify
 from pstab.classify import (
+    CLASSES,
+    ClassReport,
     MinorWitness,
     classify_full,
     is_p,
@@ -440,3 +443,21 @@ def test_class_reports_compare_by_value_and_hold_plain_data(a):
     assert "<function" not in text and "lambda" not in text
     with pytest.raises(AttributeError):
         report.is_p = not report.is_p
+
+
+def test_a_class_report_is_its_witnesses():
+    assert ClassReport._fields == (
+        "n", "order_sums", "order_sums_square", "witnesses", "minor_table"
+    )
+    verdicts = {
+        "P": "is_p", "Q": "is_q", "P2": "is_p2", "Q2": "is_q2",
+        "sign_symmetric": "is_sign_symmetric",
+        "row_sqdd": "is_row_sqdd", "col_sqdd": "is_col_sqdd",
+    }
+    assert list(verdicts) == [key for key, _ in CLASSES]
+    for a in classify_corpus():
+        report = classify_full(a)
+        assert set(report.witnesses) <= set(verdicts)
+        for key, name in verdicts.items():
+            assert getattr(report, name) == (key not in report.witnesses)
+        assert list(report.flags()) == list(verdicts)

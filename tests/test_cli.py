@@ -161,6 +161,28 @@ def test_main_reuses_its_parser_without_leaking_values(demo_file, capsys):
     assert _parser() is _parser()
 
 
+def test_classify_labels_and_require_choices_come_from_classes(
+    identity_file, capsys
+):
+    import argparse
+
+    from pstab.classify import CLASSES
+    from pstab.cli import build_parser
+
+    assert main(["classify", identity_file]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{label}: yes" for _, label in CLASSES]
+    sub = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    require = next(
+        action for action in sub.choices["classify"]._actions
+        if action.dest == "require"
+    )
+    assert require.choices == [key for key, _ in CLASSES]
+
+
 def test_classify_json(demo_file, capsys):
     main(["classify", demo_file, "--json"])
     doc = json.loads(capsys.readouterr().out)
@@ -354,6 +376,18 @@ def test_compound_command_bad_order(demo_file, capsys):
     assert main(["compound", demo_file, "--order", "7"]) == EXIT_INPUT
 
 
+def test_compound_command_past_the_minor_cap_exits_3(tmp_path, capsys):
+    path = tmp_path / "identity20.txt"
+    path.write_text(matrix_text(ExactMatrix.identity(20)))
+    start = time.perf_counter()
+    assert main(["compound", str(path), "--order", "20", "--json"]) == EXIT_INPUT
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "input error: compound order j=20 at n=20 forms 137846528819 minors; "
+        "at most 1000000 are allowed\n"
+    )
+
+
 def test_certify_demo_and_verify_round_trip(demo_file, tmp_path, capsys):
     cert_path = str(tmp_path / "cert.json")
     assert main(["certify", demo_file, "--json", cert_path]) == EXIT_OK
@@ -538,6 +572,18 @@ def test_verify_reads_nest_tau_off_the_chain(
     assert capsys.readouterr().out == "FAIL: nest.tau does not re-verify\n"
 
 
+def test_verify_reads_the_chain_in_its_canonical_form(
+    demo_file, demo_certificate, capsys
+):
+    # the re-verified nest lists each level's indices in increasing order,
+    # so the same chain with its levels reversed is not what certify writes
+    cert_path, doc = demo_certificate
+    doc["nest"]["chain"] = [level[::-1] for level in doc["nest"]["chain"]]
+    _rewrite(cert_path, doc)
+    assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
+    assert capsys.readouterr().out == "FAIL: nest.chain does not re-verify\n"
+
+
 def test_verify_rejects_a_list_section_written_as_an_object(
     demo_file, demo_certificate, capsys
 ):
@@ -702,7 +748,7 @@ def test_verify_decides_positivity_on_the_rederived_values(
 
     cert_path, _ = demo_certificate
     nest = find_q2_nest(DEMO_A)
-    theta, b = build_B(DEMO_A, nest)
+    b = build_B(DEMO_A, nest)
     former = Stabilizer(
         eps=(Fraction(1), Fraction(1, 64), Fraction(1, 128), Fraction(1, 256))
     )
@@ -710,9 +756,8 @@ def test_verify_decides_positivity_on_the_rederived_values(
         matrix=DEMO_A,
         report=classify_full(DEMO_A),
         nest=nest,
-        theta=theta,
         b_matrix=b,
-        block_trace_values=block_traces(nest.evidence),
+        block_trace_values=block_traces(nest),
         stabilizer=former,
         trace_ledger=_trace_ledger(b, former.eps),
         endpoint_hurwitz=hurwitz_minors(b.scale_rows(former.eps)),
@@ -883,15 +928,15 @@ def test_certify_exits_2_on_a_nonpositive_block_trace(demo_file, monkeypatch, ca
 
     block_traces = pstab.stabilize.block_traces
 
-    def one_nonpositive(evidence):
-        values = block_traces(evidence)
+    def one_nonpositive(nest):
+        values = block_traces(nest)
         values[(3, 2)] = -values[(3, 2)]
         return values
 
     monkeypatch.setattr(pstab.stabilize, "block_traces", one_nonpositive)
     assert main(["certify", demo_file, "--json", "-"]) == EXIT_INCONCLUSIVE
     out = capsys.readouterr().out
-    value = -block_traces(find_q2_nest(DEMO_A).evidence)[(3, 2)]
+    value = -block_traces(find_q2_nest(DEMO_A))[(3, 2)]
     assert out == (
         "inconclusive: certificate fails the exact re-check at "
         f"('block', 3, 2) = {value}\n"
@@ -1195,16 +1240,15 @@ def test_verify_refuses_a_matrix_that_is_not_p(tmp_path, capsys):
     report = classify_full(a)
     assert report.is_q2 and not report.is_p
     nest = find_q2_nest(a)
-    theta, b = build_B(a, nest)
+    b = build_B(a, nest)
     stabilizer, ledger, minors = build_stabilizer(b)
     spectrum = spectra.eigenvalues(a)
     cert = StabilityCertificate(
         matrix=a,
         report=report,
         nest=nest,
-        theta=theta,
         b_matrix=b,
-        block_trace_values=block_traces(nest.evidence),
+        block_trace_values=block_traces(nest),
         stabilizer=stabilizer,
         trace_ledger=ledger,
         endpoint_hurwitz=minors,

@@ -1,10 +1,12 @@
 """Compound matrices, exterior products and generalized compounds."""
 
 import ast
+import importlib
 import itertools
 import math
 import pathlib
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from conftest import random_fraction_matrix, random_matrix
 import pstab
 from pstab import ExactMatrix, det, exactmat
 from pstab.compound import (
+    COMPOUND_MAX_MINORS,
     compound,
     diag_generalized_compound,
     exterior_product,
@@ -22,6 +25,8 @@ from pstab.errors import MatrixArgumentError
 from pstab.fixtures import DEMO_A, DEMO_COMPOUND_2, DEMO_COMPOUND_3
 
 SRC = pathlib.Path(pstab.__file__).parent
+# ``pstab.compound`` is the function the package exports, not the module
+compound_module = importlib.import_module("pstab.compound")
 
 
 def test_compound_of_identity_is_identity():
@@ -151,6 +156,27 @@ def test_diag_generalized_compound_identity_counts():
     assert g == Fraction(3) * ExactMatrix.identity(4)
 
 
+def test_compound_refuses_past_the_minor_cap_before_forming_any(monkeypatch):
+    formed = []
+    monkeypatch.setattr(
+        compound_module, "integer_compounds",
+        lambda a: formed.append(a) or exactmat.integer_compounds(a),
+    )
+    start = time.perf_counter()
+    with pytest.raises(MatrixArgumentError, match="j=20 at n=20 forms 137846528819"):
+        compound(ExactMatrix.identity(20), 20)
+    with pytest.raises(MatrixArgumentError, match="at most 1000000"):
+        generalized_compound(ExactMatrix.identity(20), 20, 1)
+    assert time.perf_counter() - start < 1 and formed == []
+    # the count is every order k <= j: 16 + 36 minors for j = 2 at n = 4
+    monkeypatch.setattr(compound_module, "COMPOUND_MAX_MINORS", 52)
+    assert compound(ExactMatrix.identity(4), 2) == ExactMatrix.identity(6)
+    monkeypatch.setattr(compound_module, "COMPOUND_MAX_MINORS", 51)
+    with pytest.raises(MatrixArgumentError):
+        compound(ExactMatrix.identity(4), 2)
+    assert COMPOUND_MAX_MINORS == 10**6
+
+
 def _imports(module):
     """(module imported from, names imported) of each import statement in
     a pstab module, a relative import resolved against the package."""
@@ -176,11 +202,16 @@ def test_pipeline_modules_do_not_import_compound():
 
 @pytest.mark.parametrize(
     "module,allowed",
-    [("exactmat", {"errors"}), ("compound", {"exactmat", "errors"})],
+    [
+        ("exactmat", {"errors"}),
+        ("compound", {"exactmat", "errors"}),
+        ("nests", {"classify", "errors", "exactmat"}),
+    ],
 )
 def test_the_minor_kernel_layering(module, allowed):
     # exactmat is the kernel, and compound reads the all-minor generator
-    # from it, never from classify
+    # from it, never from classify; nests reads the level verdicts from
+    # classify and is read by stabilize, never the other way round
     imported = {
         base for base, _ in _imports(module) if base.split(".")[0] == "pstab"
     }

@@ -1,5 +1,6 @@
 """Golden outputs: the exact part of ``certify --json -`` is pinned by its
-sha256, and so is ``classify --json`` over a seeded corpus, so a rewrite
+sha256, and so are ``classify``, text and ``--json``, over a seeded corpus
+and ``compound --json`` over another, so a rewrite
 of any exact kernel must reproduce every certificate and every
 classification byte for byte."""
 
@@ -127,6 +128,22 @@ def test_classify_json_is_pinned(tmp_path, capsys):
         code = main(["classify", str(path), "--json"])
         digest.update(f"{code}\n{capsys.readouterr().out}".encode("utf-8"))
     assert digest.hexdigest() == CLASSIFY_JSON_SHA256
+
+
+CLASSIFY_TEXT_SHA256 = "86d68be1b12841cb6e81f890a07066f845456966f5cf11e7809e42660c1d25b9"
+
+
+def test_classify_text_is_pinned(tmp_path, capsys):
+    # stdout and exit code of ``classify`` (the labelled text report) on
+    # the whole corpus
+    path = tmp_path / "a.txt"
+    digest = hashlib.sha256()
+    for a in classify_corpus():
+        path.write_text(matrix_text(a))
+        capsys.readouterr()
+        code = main(["classify", str(path)])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode("utf-8"))
+    assert digest.hexdigest() == CLASSIFY_TEXT_SHA256
 
 
 COMPOUND_JSON_SHA256 = "7b078994a1b60e874f68c306ebbee9576cd488ef4f4504e005884a2db98f6188"

@@ -20,8 +20,8 @@ from pstab.fixtures import (
     DEMO_SUB_34_SQUARE_TRACE,
 )
 from pstab.nests import (
+    LevelEvidence,
     NestCertificate,
-    NestEvidence,
     NestViolation,
     chain_tau,
     find_q2_nest,
@@ -36,19 +36,38 @@ def test_demo_nest_chain_and_tau():
     assert nest.tau == (4, 3, 2, 1)
 
 
+def nest_of(chain):
+    """A NestCertificate whose levels have the index sets of ``chain``."""
+    return NestCertificate(tuple(LevelEvidence(s, (), ()) for s in chain))
+
+
 def test_nest_tau_is_read_off_the_chain():
+    assert NestCertificate._fields == ("levels",)
     nest = find_q2_nest(DEMO_A)
-    assert NestCertificate._fields == ("chain", "evidence")
+    assert nest.chain == tuple(level.subset for level in nest.levels)
     chain = ((2,), (2, 4), (1, 2, 4), (1, 2, 3, 4))
-    assert NestCertificate(chain, nest.evidence).tau == chain_tau(chain)
-    assert chain_tau(chain) == (2, 4, 1, 3)
+    assert nest_of(chain).tau == chain_tau(chain) == (2, 4, 1, 3)
+    assert nest_of(chain).theta == (2, 4, 1, 3)
     with pytest.raises(MatrixArgumentError):
-        NestCertificate(((1,), (2, 3)), nest.evidence).tau
+        nest_of(((1,), (2, 3))).tau
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_chain_tau_and_theta_are_read_off_the_levels(order):
+    # the maximal chain that adds the indices in ``order``; tau and theta
+    # as the certificate writer and build_B computed them from a stored chain
+    n = len(order)
+    chain = tuple(tuple(sorted(order[:k])) for k in range(1, n + 1))
+    nest = nest_of(chain)
+    assert nest.chain == chain
+    assert nest.tau == chain_tau(chain) == tuple(order)
+    assert nest.theta == tuple(n - nest.tau.index(i) for i in range(1, n + 1))
 
 
 def test_demo_nest_evidence_values():
     nest = find_q2_nest(DEMO_A)
-    levels = {lv.subset: lv for lv in nest.evidence.levels}
+    levels = {lv.subset: lv for lv in nest.levels}
     a12 = levels[(3, 4)]
     assert a12.order_sums_square[-1] == DEMO_SUB_34_SQUARE_DET
     assert a12.order_sums_square[0] == DEMO_SUB_34_SQUARE_TRACE
@@ -60,9 +79,7 @@ def test_demo_nest_evidence_values():
 
 def test_verify_nest_round_trip():
     nest = find_q2_nest(DEMO_A)
-    evidence = verify_nest(DEMO_A, nest.chain)
-    assert isinstance(evidence, NestEvidence)
-    assert evidence == nest.evidence
+    assert verify_nest(DEMO_A, nest.chain) == nest
 
 
 def test_verify_nest_reports_first_violation():
@@ -146,6 +163,15 @@ def test_nest_search_and_check_agree_with_and_without_the_table(m):
         chains.append(nest.chain)
     for chain in chains:
         assert verify_nest(m, chain, table) == verify_nest(m, chain)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p_matrices())
+def test_verify_nest_returns_the_nest_it_re_verifies(m):
+    nest = find_q2_nest(m)
+    if nest is not None:
+        assert verify_nest(m, nest.chain) == nest
+        assert verify_nest(m, [s[::-1] for s in nest.chain]) == nest
 
 
 def test_a_matrix_that_is_not_p_leaves_no_table():

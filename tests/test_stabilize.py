@@ -115,9 +115,10 @@ def test_sylvester_check_argument_errors():
 
 def test_build_B_demo():
     nest = find_q2_nest(DEMO_A)
-    theta, b = build_B(DEMO_A, nest)
+    b = build_B(DEMO_A, nest)
+    assert isinstance(b, ExactMatrix)
     # tau = (4, 3, 2, 1) makes theta the identity permutation, so B = A^{-1}
-    assert theta == (1, 2, 3, 4)
+    assert nest.theta == (1, 2, 3, 4)
     assert b == inverse(DEMO_A)
 
 
@@ -127,7 +128,7 @@ def test_build_B_applies_the_permutation():
     rng = random.Random(43)
     a = random_spd_matrix(rng, 3)
     nest = find_q2_nest(a)
-    theta, b = build_B(a, nest)
+    theta, b = nest.theta, build_B(a, nest)
     bi = inverse(b)
     for i in range(1, 4):
         for j in range(1, 4):
@@ -136,8 +137,8 @@ def test_build_B_applies_the_permutation():
 
 def test_block_traces_demo_all_positive():
     nest = find_q2_nest(DEMO_A)
-    _, b = build_B(DEMO_A, nest)
-    values = block_traces(nest.evidence)
+    b = build_B(DEMO_A, nest)
+    values = block_traces(nest)
     assert set(values) == {(j, m) for j in range(1, 5) for m in range(1, j + 1)}
     assert all(v > 0 for v in values.values())
     # the (j, j) block trace is the squared leading j-minor
@@ -156,11 +157,11 @@ def test_block_traces_match_compound_blocks():
     for a in inputs:
         n = a.n
         nest = find_q2_nest(a)
-        theta, b = build_B(a, nest)
-        permuted += theta != tuple(range(1, n + 1))
+        b = build_B(a, nest)
+        permuted += nest.theta != tuple(range(1, n + 1))
         # B inherits P and Q^2 from A, so build_B does not test them
         assert is_p(b)[0] and is_q2(b)[0]
-        values = block_traces(nest.evidence)
+        values = block_traces(nest)
         for j in range(1, n + 1):
             cj = compound(b, j)
             for m in range(1, j + 1):
@@ -194,9 +195,9 @@ def test_records_are_immutable_values():
         (MinorWitness(order=1, rows=(1,), cols=(2,), value=Fraction(-2)), "value"),
         (OrderSumWitness(order=2, value=Fraction(-1)), "order"),
         (cert.report, "is_p"),
-        (cert.nest.evidence.levels[0], "subset"),
-        (cert.nest.evidence, "levels"),
+        (cert.nest.levels[0], "subset"),
         (violation, "level"),
+        (cert.nest, "levels"),
         (cert.nest, "chain"),
         (cert.spectrum, "method"),
         (cert.stabilizer, "eps"),
@@ -225,9 +226,9 @@ def test_records_keep_positional_construction_and_defaults():
         eps=(Fraction(1), Fraction(1, 2)), identity_steps=0
     )
     cert = certify_stability(DEMO_A)
-    exact = cert[:9]
+    exact = cert[:8]
     bare = type(cert)(*exact)
-    assert bare[:9] == exact
+    assert bare[:8] == exact
     assert (
         bare.spectrum, bare.stabilized_spectrum, bare.wedge_margin,
         bare.spectrum_reason, bare.disagreement,
@@ -243,7 +244,7 @@ def test_trace_ledger_violation_reporting():
 def _ledger_cases(seed):
     """(B, eps) pairs for the ledger's compound-product oracle tests."""
     rng = random.Random(seed)
-    _, demo_b = build_B(DEMO_A, find_q2_nest(DEMO_A))
+    demo_b = build_B(DEMO_A, find_q2_nest(DEMO_A))
     return [
         (random_spd_matrix(rng, 3), [Fraction(1), Fraction(1, 3), Fraction(1, 7)]),
         (random_matrix(rng, 5, -5, 5), [Fraction(1, 2**i) for i in range(5)]),
@@ -318,7 +319,7 @@ def test_ledger_is_the_expansion_of_the_homotopy_square():
 def test_demo_cross_term_refutes_the_former_stabilizer():
     # the stabilizer the float-spectrum search used to return for the demo:
     # its 1 <= k, m ledger is positive, its k = 0 cross term is not
-    _, b = build_B(DEMO_A, find_q2_nest(DEMO_A))
+    b = build_B(DEMO_A, find_q2_nest(DEMO_A))
     eps = [Fraction(1), Fraction(1, 64), Fraction(1, 128), Fraction(1, 256)]
     ledger = _trace_ledger(b, eps)
     assert all(v > 0 for (_, k, _), v in ledger.items() if k)
@@ -415,7 +416,7 @@ def test_top_order_of_a_one_by_one_ledger():
 def test_screen_reports_the_violation_of_the_full_ledger(a):
     # every diagonal the search rejects fails at order 1 or 2, and its
     # screen names the value the full ledger would name first
-    _, b = build_B(a, find_q2_nest(a))
+    b = build_B(a, find_q2_nest(a))
     stab, _, _ = build_stabilizer(b)
     gaps = [1 - Fraction(1, 2**i) for i in range(b.n)]
     for steps in range(stab.identity_steps):
@@ -469,7 +470,7 @@ def test_nonpositive_values_order():
 
 
 def test_build_stabilizer_demo():
-    _, b = build_B(DEMO_A, find_q2_nest(DEMO_A))
+    b = build_B(DEMO_A, find_q2_nest(DEMO_A))
     stab, _, _ = build_stabilizer(b)
     assert stab.eps[0] == 1
     assert all(x > y for x, y in zip(stab.eps, stab.eps[1:]))
@@ -477,7 +478,7 @@ def test_build_stabilizer_demo():
 
 
 def test_build_stabilizer_demo_passes_both_exact_checks():
-    _, b = build_B(DEMO_A, find_q2_nest(DEMO_A))
+    b = build_B(DEMO_A, find_q2_nest(DEMO_A))
     stab, _, _ = build_stabilizer(b)
     cross_terms = [v for (_, k, _), v in _trace_ledger(b, stab.eps).items() if not k]
     assert cross_terms and all(v > 0 for v in cross_terms)
@@ -489,13 +490,13 @@ def test_build_stabilizer_demo_passes_both_exact_checks():
 
 
 def test_build_stabilizer_shrink_cap():
-    _, b = build_B(DEMO_A, find_q2_nest(DEMO_A))
+    b = build_B(DEMO_A, find_q2_nest(DEMO_A))
     with pytest.raises(StabilizerInconclusiveError):
         build_stabilizer(b, max_shrink=1)
 
 
 def test_build_stabilizer_demo_halves_from_the_geometric_start():
-    _, b = build_B(DEMO_A, find_q2_nest(DEMO_A))
+    b = build_B(DEMO_A, find_q2_nest(DEMO_A))
     stab, _, _ = build_stabilizer(b)
     # eight halvings of I - diag(1, 1/2, 1/4, 1/8)
     assert stab.identity_steps == 8
@@ -505,7 +506,7 @@ def test_build_stabilizer_demo_halves_from_the_geometric_start():
 
 
 def test_shrink_cap_message_names_halvings_and_last_violation():
-    _, b = build_B(DEMO_A, find_q2_nest(DEMO_A))
+    b = build_B(DEMO_A, find_q2_nest(DEMO_A))
     with pytest.raises(StabilizerInconclusiveError) as exc:
         build_stabilizer(b, max_shrink=1)
     key, value = exc.value.last_violation
@@ -522,7 +523,7 @@ def test_build_stabilizer_computes_one_ledger_per_diagonal(monkeypatch, a):
     # one gets the complete ledger and the Hurwitz minors
     import pstab.stabilize
 
-    _, b = build_B(a, find_q2_nest(a))
+    b = build_B(a, find_q2_nest(a))
     ledger = pstab.stabilize._trace_ledger
     minors = pstab.stabilize.hurwitz_minors
     calls = []
@@ -603,7 +604,7 @@ def test_certify_stability_nested_family(draw, count, seed):
 def test_certify_stability_demo_certificate():
     cert = certify_stability(DEMO_A)
     assert cert.nest.chain == DEMO_CHAIN
-    assert sorted(cert.theta) == [1, 2, 3, 4]
+    assert sorted(cert.nest.theta) == [1, 2, 3, 4]
     assert cert.b_matrix == inverse(DEMO_A)
     assert nonpositive_values(cert.trace_ledger) == []
     assert all(v > 0 for v in cert.block_trace_values.values())
