@@ -8,10 +8,10 @@ an entry's decimal exponent is at most MAX_LITERAL_EXPONENT in magnitude.
 Certificates are JSON with every exact value stored as a fraction string;
 the only floats are the advisory eigenvalues and wedge margin.
 :func:`certificate_document` is the format's one definition: `verify`
-rebuilds a certificate from its chain and diagonal with the constructors
-of `certify`, writes it again and diffs the two documents.  Keys the
-writer does not emit, such as an older certificate's ``input.sha256``,
-are not read.
+rebuilds a certificate from its chain and diagonal with `certify`'s one
+derivation, :func:`pstab.stabilize.exact_certificate`, writes it again and
+diffs the two documents.  Keys the writer does not emit, such as an older
+certificate's ``input.sha256``, are not read.
 
 Exit codes are uniform across subcommands: 0 success/certified, 1 refuted
 (with a witness), 2 inconclusive, 3 input error; a usage error (bad or
@@ -28,7 +28,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 
-from . import __version__, stabilize
+from . import __version__
 from .classify import CLASSES, classify_full
 from .compound import compound, generalized_compound
 from .errors import HypothesisError, MatrixArgumentError, StabilizerInconclusiveError
@@ -36,12 +36,10 @@ from .exactmat import ExactMatrix, rational_str as entry_str
 from .nests import NestViolation, verify_nest
 from .stabilize import (
     DEFAULT_MAX_SHRINK,
-    StabilityCertificate,
     Stabilizer,
-    block_traces,
     build_B,
     certify_stability,
-    hurwitz_minors,
+    exact_certificate,
     nonpositive_values,
 )
 
@@ -306,7 +304,8 @@ def verify_document(doc: dict, a: ExactMatrix):
     First ``input.matrix`` must be ``a`` as the writer states it, so a
     certificate of another matrix stops the check.  The three claims are
     ``nest.chain``, ``stabilizer.eps`` and ``stabilizer.identity_steps``.
-    The constructors of ``certify`` rebuild the certificate from them and
+    :func:`pstab.stabilize.exact_certificate`, which builds every
+    certificate ``certify`` writes, rebuilds the certificate from them and
     :func:`certificate_document` writes it again, so the format has one
     definition: each exact field, ``nest.tau`` among them, must equal the
     rewritten one, text for text.  The block traces, the trace ledger
@@ -372,12 +371,7 @@ def _rederive(doc, a):
         stabilizer = Stabilizer(eps=eps, identity_steps=steps)
     except MatrixArgumentError as exc:
         raise _Discrepancy(f"stabilizer fails re-verification: {exc}") from exc
-    return StabilityCertificate(
-        matrix=a, report=report, nest=nest, b_matrix=b,
-        block_trace_values=block_traces(nest), stabilizer=stabilizer,
-        trace_ledger=stabilize._trace_ledger(b, stabilizer.eps),
-        endpoint_hurwitz=hurwitz_minors(b.scale_rows(stabilizer.eps)),
-    )
+    return exact_certificate(a, report, nest, b, stabilizer)
 
 
 def _shape(value):

@@ -37,8 +37,7 @@ class HypothesisError(CertificationError):
 
 
 class StabilizerInconclusiveError(CertificationError):
-    """The diagonal-stabilizer search hit its halving cap, or its result
-    failed the exact re-check.
+    """The diagonal-stabilizer search hit its halving cap.
 
     Not a refutation: when B is positively stable a diagonal close enough
     to I passes both exact checks, but the search gave up after
@@ -49,12 +48,11 @@ class StabilizerInconclusiveError(CertificationError):
 
     kind = "inconclusive"
 
-    def __init__(self, halvings, last_violation, message=None):
-        if message is None:
-            message = f"stabilizer search gave up after {halvings} halvings of I - D"
-            if last_violation is not None:
-                key, value = last_violation
-                message += f"; last violation {key} = {value}"
+    def __init__(self, halvings, last_violation):
+        message = f"stabilizer search gave up after {halvings} halvings of I - D"
+        if last_violation is not None:
+            key, value = last_violation
+            message += f"; last violation {key} = {value}"
         super().__init__(message)
         self.last_violation = last_violation
 

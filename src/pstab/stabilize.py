@@ -39,13 +39,11 @@ Hurwitz matrix of E_k(D B).
 
 Each exact value is computed once per certification: the search screens
 every diagonal on the ledger's orders j <= 2 (six nodes, no matrix
-power), computes the complete ledger and the Hurwitz minors only for a
-diagonal that passes the screen, and returns those of the diagonal it
-accepts; :func:`certify_stability` writes them.  One rule,
-:func:`nonpositive_values`, decides the sign of every exact value: in the
-screen, in the search's acceptance test, in the check that
-:func:`certify_stability` makes last on the block traces, ledger and
-Hurwitz minors it writes, and in ``verify``.
+power), and for one that passes derives the exact part of its certificate
+with :func:`exact_certificate`, the call ``verify`` rebuilds a certificate
+with.  One rule, :func:`nonpositive_values`, decides the sign of every
+exact value: in the screen, in the search's acceptance test and in
+``verify``.
 
 Exact and numeric content are kept separate: the ledger, Hurwitz minors,
 block traces and class verdicts are rational arithmetic; eigenvalues are
@@ -289,49 +287,7 @@ def nonpositive_values(ledger, minors=(), traces=None) -> list:
     return [(key, v) for key, v in values if v <= 0]
 
 
-# -- the stabilizer search --------------------------------------------------
-
-
-def build_stabilizer(b: ExactMatrix, max_shrink: int = DEFAULT_MAX_SHRINK):
-    """Search for a diagonal that passes both exact checks; returns the
-    accepted (Stabilizer, trace ledger, endpoint Hurwitz minors).
-
-    The search starts at the geometric diagonal D_0 = diag(1, 1/2, ...,
-    2^(1-n)) and tries D = I - (I - D_0) / 2^s for s = 0, 1, ...: each
-    halving of I - D moves D along its own homotopy path toward I.  The
-    first D whose complete ledger and Hurwitz minors of diag(eps) * B are
-    all positive (:func:`nonpositive_values` lists none) is returned.  As
-    D -> I every L(j,k,m) tends to C(j,k) C(j,m) E_j(B^2) > 0 and
-    diag(eps) * B tends to B, so when B is positively stable the search
-    ends after finitely many halvings; after ``max_shrink`` of them it
-    raises StabilizerInconclusiveError.
-
-    Each D is first screened on the ledger's orders j <= SCREEN_ORDER,
-    which need six nodes and no matrix power (see :func:`_trace_ledger`);
-    only a D that passes the screen gets the complete ledger and the
-    Hurwitz minors.  A screen's first violation is the one the complete
-    ledger would report first.
-
-    The search never tests B: that B is a P- and Q^2-matrix is the
-    theorem's hypothesis, which the caller establishes on A (see
-    :func:`build_B`).
-    """
-    gaps = [1 - Fraction(1, 2**i) for i in range(b.n)]
-    last_violation = None
-    for steps in range(max_shrink + 1):
-        eps = [1 - gap / 2**steps for gap in gaps]
-        violations = nonpositive_values(_trace_ledger(b, eps, SCREEN_ORDER))
-        if not violations:
-            ledger = _trace_ledger(b, eps)
-            minors = hurwitz_minors(b.scale_rows(eps))
-            violations = nonpositive_values(ledger, minors)
-            if not violations:
-                return Stabilizer(eps=tuple(eps), identity_steps=steps), ledger, minors
-        last_violation = violations[0]
-    raise StabilizerInconclusiveError(max_shrink, last_violation)
-
-
-# -- the top-level certificate ---------------------------------------------
+# -- the certificate and the stabilizer search -----------------------------
 
 
 class StabilityCertificate(namedtuple(
@@ -344,27 +300,91 @@ class StabilityCertificate(namedtuple(
     """Everything needed to re-check a positive-stability claim.
 
     All fields up to ``endpoint_hurwitz`` are exact rationals re-derivable
-    from the input matrix alone.  Each fact is held once: the ``nest``
-    carries the chain and the permutations tau and theta of the transform
-    (see :class:`pstab.nests.NestCertificate`), ``b_matrix`` is B, and
-    ``block_trace_values`` maps (j, m) to
-    Tr((B^(j)[1..m])^2), ``trace_ledger`` is the flat dict
-    {(j, k, m): L(j,k,m)}, 0 <= k <= j and 1 <= m <= j, of
-    :func:`_trace_ledger`, cross terms included, and ``endpoint_hurwitz``
-    holds the Hurwitz minors of det(xI + diag(eps) * B).  The claim rests
-    on their signs, which :func:`nonpositive_values` decides: the block
-    traces are positive, a positive ledger keeps the homotopy Q^2, and
-    positive endpoint minors prove diag(eps) * B positively stable.  The
-    ``spectrum`` of the input matrix, the ``stabilized_spectrum`` of
-    diag(eps) * B and the ``wedge_margin`` are the only floating-point
-    content; they are advisory cross-checks, and all three are None when
-    the spectra were not computed, with ``spectrum_reason`` saying why.
-    ``disagreement`` says how the float evidence contradicts the exact
-    claim (a nonpositive eigenvalue, a wedge margin <= 0, or a failed
-    sum/product cross-check), and is None when it does not.
+    from the input matrix alone, all made by :func:`exact_certificate`.
+    Each fact is held once: the ``nest`` carries the chain and the
+    permutations tau and theta of the transform (see
+    :class:`pstab.nests.NestCertificate`), ``b_matrix`` is B,
+    ``block_trace_values`` maps (j, m) to Tr((B^(j)[1..m])^2),
+    ``trace_ledger`` is the flat dict {(j, k, m): L(j,k,m)}, 0 <= k <= j
+    and 1 <= m <= j, of :func:`_trace_ledger`, cross terms included, and
+    ``endpoint_hurwitz`` holds the Hurwitz minors of
+    det(xI + diag(eps) * B).  The claim rests on their signs, which
+    :func:`nonpositive_values` decides once in the search that accepts
+    them and once in ``verify``: the block traces are positive, a positive
+    ledger keeps the homotopy Q^2, and positive endpoint minors prove
+    diag(eps) * B positively stable.  The ``spectrum`` of the input
+    matrix, the ``stabilized_spectrum`` of diag(eps) * B and the
+    ``wedge_margin`` are the only floating-point content; they are
+    advisory cross-checks, and all three are None when the spectra were
+    not computed, with ``spectrum_reason`` saying why.  ``disagreement``
+    says how the float evidence contradicts the exact claim (a nonpositive
+    eigenvalue, a wedge margin <= 0, or a failed sum/product cross-check),
+    and is None when it does not.
     """
 
     __slots__ = ()
+
+
+def exact_certificate(
+    a: ExactMatrix, report, nest: NestCertificate, b: ExactMatrix, stabilizer
+) -> StabilityCertificate:
+    """The certificate, without spectra, that a Q^2 nest and a stabilizer
+    make of A, given A's class report and B = build_B(a, nest): the one
+    code that derives the block traces, the complete ledger and the
+    endpoint Hurwitz minors.  Their signs are not checked here."""
+    eps = stabilizer.eps
+    return StabilityCertificate(
+        matrix=a, report=report, nest=nest, b_matrix=b,
+        block_trace_values=block_traces(nest), stabilizer=stabilizer,
+        trace_ledger=_trace_ledger(b, eps),
+        endpoint_hurwitz=hurwitz_minors(b.scale_rows(eps)),
+    )
+
+
+def build_stabilizer(
+    a: ExactMatrix, report, nest: NestCertificate, max_shrink: int = DEFAULT_MAX_SHRINK
+) -> StabilityCertificate:
+    """Search for a diagonal that passes both exact checks; returns the
+    :func:`exact_certificate` of the one accepted, without spectra.
+
+    B is build_B(a, nest).  The search starts at the geometric
+    diagonal D_0 = diag(1, 1/2, ..., 2^(1-n)) and tries
+    D = I - (I - D_0) / 2^s for s = 0, 1, ...: each halving of I - D moves
+    D along its own homotopy path toward I.  The first D whose certificate
+    has no nonpositive block trace, ledger value or Hurwitz minor of
+    diag(eps) * B (:func:`nonpositive_values` lists none) is accepted.  As
+    D -> I every L(j,k,m) tends to C(j,k) C(j,m) E_j(B^2) > 0 and
+    diag(eps) * B tends to B, so when B is positively stable the search
+    ends after finitely many halvings; after ``max_shrink`` of them it
+    raises StabilizerInconclusiveError.
+
+    Each D is first screened on the ledger's orders j <= SCREEN_ORDER,
+    which need six nodes and no matrix power (see :func:`_trace_ledger`);
+    only a D that passes the screen gets its certificate.  A screen's
+    first violation is the one the complete ledger would report first.
+
+    The search never tests B: that B is a P- and Q^2-matrix is the
+    theorem's hypothesis, which the caller establishes on A (see
+    :func:`build_B`).
+    """
+    b = build_B(a, nest)
+    gaps = [1 - Fraction(1, 2**i) for i in range(b.n)]
+    last_violation = None
+    for steps in range(max_shrink + 1):
+        eps = tuple(1 - gap / 2**steps for gap in gaps)
+        violations = nonpositive_values(_trace_ledger(b, eps, SCREEN_ORDER))
+        if not violations:
+            cert = exact_certificate(a, report, nest, b, Stabilizer(eps, steps))
+            violations = nonpositive_values(
+                cert.trace_ledger, cert.endpoint_hurwitz, cert.block_trace_values
+            )
+            if not violations:
+                return cert
+        last_violation = violations[0]
+    raise StabilizerInconclusiveError(max_shrink, last_violation)
+
+
+# -- the top-level certificate ---------------------------------------------
 
 
 def certify_stability(
@@ -373,20 +393,17 @@ def certify_stability(
     """Run the whole certification pipeline on an exact matrix.
 
     Raises HypothesisError (not-P, not-Q2, no-nest) or
-    StabilizerInconclusiveError (including a certificate whose block
-    traces, ledger or endpoint Hurwitz minors fail the exact re-check); on
-    success every exact field of the returned certificate is positive
-    where the claim needs it and independently re-verifiable.  The verdict
-    rests on those fields alone: no float value raises.  Spectra that
-    cannot be computed, because an entry is beyond the double range or
-    their sum/product cross-check fails, are left out (None); an advisory
-    spectrum that contradicts the exact claim is recorded as the
-    certificate's ``disagreement``.
+    StabilizerInconclusiveError; on success every exact field of the
+    returned certificate is positive where the claim needs it and
+    independently re-verifiable.  The verdict rests on those fields alone:
+    no float value raises.  Spectra that cannot be computed, because an
+    entry is beyond the double range or their sum/product cross-check
+    fails, are left out (None); an advisory spectrum that contradicts the
+    exact claim is recorded as the certificate's ``disagreement``.
 
-    P and Q^2 are decided once, on A by :func:`classify_full`.  The ledger
-    and endpoint Hurwitz minors written are the ones the search accepted,
-    not recomputed; the last exact step is :func:`nonpositive_values` on
-    exactly the block traces, ledger and minors written.
+    P and Q^2 are decided once, on A by :func:`classify_full`.  The exact
+    fields are the certificate :func:`build_stabilizer` accepted, derived
+    once and checked once; only the advisory spectra are added to it.
     """
     from .nests import find_q2_nest
 
@@ -404,21 +421,12 @@ def certify_stability(
             "no-nest", "no maximal Q^2 chain of principal submatrices exists"
         )
 
-    b = build_B(a, nest)
-    stabilizer, ledger, minors = build_stabilizer(b, max_shrink=max_shrink)
-    traces = block_traces(nest)
-    violations = nonpositive_values(ledger, minors, traces)
-    if violations:
-        key, value = violations[0]
-        raise StabilizerInconclusiveError(
-            stabilizer.identity_steps,
-            violations[0],
-            message=f"certificate fails the exact re-check at {key} = {value}",
-        )
-
+    cert = build_stabilizer(a, report, nest, max_shrink)
     spectrum = margin = reason = disagreement = None
     try:
-        stabilized = spectra.eigenvalues(b.scale_rows(stabilizer.eps))
+        stabilized = spectra.eigenvalues(
+            cert.b_matrix.scale_rows(cert.stabilizer.eps)
+        )
         spectrum = spectra.eigenvalues(a)
     except DoubleRangeError:
         stabilized = None
@@ -437,18 +445,7 @@ def certify_stability(
             disagreement = (
                 f"sharpened wedge bound violated numerically (slack {margin})"
             )
-    return StabilityCertificate(
-        matrix=a,
-        report=report,
-        nest=nest,
-        b_matrix=b,
-        block_trace_values=traces,
-        stabilizer=stabilizer,
-        trace_ledger=ledger,
-        endpoint_hurwitz=minors,
-        spectrum=spectrum,
-        stabilized_spectrum=stabilized,
-        wedge_margin=margin,
-        spectrum_reason=reason,
-        disagreement=disagreement,
+    return cert._replace(
+        spectrum=spectrum, stabilized_spectrum=stabilized, wedge_margin=margin,
+        spectrum_reason=reason, disagreement=disagreement,
     )

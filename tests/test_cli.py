@@ -737,30 +737,15 @@ def test_verify_decides_positivity_on_the_rederived_values(
     # nonpositive exact value is L(1,0,1): every text matches, the sign fails
     from pstab import classify_full, find_q2_nest
     from pstab.cli import certificate_document
-    from pstab.stabilize import (
-        StabilityCertificate,
-        Stabilizer,
-        block_traces,
-        _trace_ledger,
-        build_B,
-        hurwitz_minors,
-    )
+    from pstab.stabilize import Stabilizer, build_B, exact_certificate
 
     cert_path, _ = demo_certificate
     nest = find_q2_nest(DEMO_A)
-    b = build_B(DEMO_A, nest)
     former = Stabilizer(
         eps=(Fraction(1), Fraction(1, 64), Fraction(1, 128), Fraction(1, 256))
     )
-    cert = StabilityCertificate(
-        matrix=DEMO_A,
-        report=classify_full(DEMO_A),
-        nest=nest,
-        b_matrix=b,
-        block_trace_values=block_traces(nest),
-        stabilizer=former,
-        trace_ledger=_trace_ledger(b, former.eps),
-        endpoint_hurwitz=hurwitz_minors(b.scale_rows(former.eps)),
+    cert = exact_certificate(
+        DEMO_A, classify_full(DEMO_A), nest, build_B(DEMO_A, nest), former
     )
     _rewrite(cert_path, certificate_document(cert))
     assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
@@ -900,29 +885,28 @@ def test_verify_undecodable_certificate_exits_3(demo_file, tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def test_certify_exits_2_when_the_exact_recheck_fails(demo_file, monkeypatch, capsys):
+def test_certify_exits_2_when_no_screened_diagonal_passes_the_exact_checks(
+    demo_file, monkeypatch, capsys
+):
+    # every diagonal that passes the screen gets a last Hurwitz minor of
+    # -1: the search accepts none, and names that minor
     import pstab.stabilize
-    from pstab.stabilize import Stabilizer, _trace_ledger, hurwitz_minors
 
-    former = Stabilizer(
-        eps=(Fraction(1), Fraction(1, 64), Fraction(1, 128), Fraction(1, 256))
-    )
+    minors = pstab.stabilize.hurwitz_minors
     monkeypatch.setattr(
-        pstab.stabilize,
-        "build_stabilizer",
-        lambda b, max_shrink: (
-            former,
-            _trace_ledger(b, former.eps),
-            hurwitz_minors(b.scale_rows(former.eps)),
-        ),
+        pstab.stabilize, "hurwitz_minors", lambda m: (*minors(m)[:-1], Fraction(-1))
     )
-    assert main(["certify", demo_file]) == EXIT_INCONCLUSIVE
-    assert "inconclusive" in capsys.readouterr().out
+    assert main(["certify", demo_file, "--max-shrink", "10"]) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().out == (
+        "inconclusive: stabilizer search gave up after 10 halvings of I - D; "
+        "last violation ('hurwitz', 4) = -1\n"
+    )
 
 
 def test_certify_exits_2_on_a_nonpositive_block_trace(demo_file, monkeypatch, capsys):
-    # the block traces are positive whenever the chain is Q^2; certify
-    # still checks the ones it writes, with the rule verify applies
+    # the block traces are positive whenever the chain is Q^2; the search
+    # still accepts no certificate with one that is not, so it halves to
+    # its cap
     import pstab.stabilize
     from pstab import find_q2_nest
 
@@ -937,9 +921,10 @@ def test_certify_exits_2_on_a_nonpositive_block_trace(demo_file, monkeypatch, ca
     assert main(["certify", demo_file, "--json", "-"]) == EXIT_INCONCLUSIVE
     out = capsys.readouterr().out
     value = -block_traces(find_q2_nest(DEMO_A))[(3, 2)]
+    assert value == Fraction(-180, 30151081)
     assert out == (
-        "inconclusive: certificate fails the exact re-check at "
-        f"('block', 3, 2) = {value}\n"
+        "inconclusive: stabilizer search gave up after 64 halvings of I - D; "
+        f"last violation ('block', 3, 2) = {value}\n"
     )
 
 
@@ -1151,15 +1136,48 @@ def test_certify_and_verify_form_no_schur_complement(tmp_path, monkeypatch, caps
     assert counts == {"verify_nest": 1}
 
 
+def test_cli_uses_no_private_name_of_another_pstab_module():
+    # the front end reaches the package through public names alone: it
+    # imports no underscore-prefixed name from a pstab module and reads no
+    # such attribute of a pstab module it imports
+    import pstab.cli
+
+    tree = ast.parse(Path(pstab.cli.__file__).read_text(encoding="utf-8"))
+    modules, used = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").startswith("pstab")
+        ):
+            used += [alias.name for alias in node.names]
+            if node.module is None:  # from . import <module>
+                modules.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(
+                alias.asname or alias.name.split(".")[0]
+                for alias in node.names
+                if alias.name.split(".")[0] == "pstab"
+            )
+    used += [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    ]
+    assert {"exact_certificate", "DEMO_A"} <= set(used)
+    private = [n for n in used if n.startswith("_") and not n.endswith("__")]
+    assert private == []
+
+
 @pytest.mark.parametrize("a", [DEMO_A, LEVEL_SEARCH_FAULT], ids=["demo", "fault"])
 def test_certify_and_verify_decide_each_exact_fact_once(
     tmp_path, monkeypatch, capsys, a
 ):
     # P is decided once per command, by classify_full on A (and on A^2 for
     # the P^2 flag), never on B; certify screens each diagonal on ledger
-    # orders j <= 2, computes the complete ledger and the Hurwitz minors
-    # only for the one it accepts and writes those; verify re-derives each
-    # once.  Neither command forms a submatrix or a char-poly for Q, Q^2
+    # orders j <= 2 and derives the exact certificate, complete ledger and
+    # Hurwitz minors included, only for one that passes the screen (here
+    # the one it accepts) and writes that; verify derives it once.  Neither command forms a submatrix or a char-poly for Q, Q^2
     # or any nest level: those order sums are read off A's P sweep
     import pstab.classify
     import pstab.exactmat
@@ -1184,6 +1202,7 @@ def test_certify_and_verify_decide_each_exact_fact_once(
         pstab.classify.is_q2,
         pstab.exactmat.principal_submatrix,
         pstab.stabilize.hurwitz_minors,
+        pstab.stabilize.exact_certificate,
     )
     kernel = pstab.classify.integer_minor_sums
     char_polys = []  # through the binding that Q, Q^2 and nest levels use
@@ -1201,6 +1220,7 @@ def test_certify_and_verify_decide_each_exact_fact_once(
         "is_q2": 0,
         "principal_submatrix": 0,
         "hurwitz_minors": 1,
+        "exact_certificate": 1,
     }
     assert main(["certify", str(matrix_path), "--json", cert_path]) == EXIT_OK
     assert searches == {"find_q2_nest": 1, "build_stabilizer": 1}
@@ -1229,31 +1249,18 @@ def test_verify_refuses_a_matrix_that_is_not_p(tmp_path, capsys):
     # P hypothesis is the one discrepancy.
     from pstab import classify_full, find_q2_nest, spectra
     from pstab.cli import certificate_document
-    from pstab.stabilize import (
-        StabilityCertificate,
-        block_traces,
-        build_B,
-        build_stabilizer,
-    )
+    from pstab.stabilize import build_stabilizer
 
     a = ExactMatrix([[2, -1, -2], [-2, 3, -3], [-2, 2, 2]])
     report = classify_full(a)
     assert report.is_q2 and not report.is_p
-    nest = find_q2_nest(a)
-    b = build_B(a, nest)
-    stabilizer, ledger, minors = build_stabilizer(b)
+    # the search's certificate is exact_certificate's, with no spectra
+    exact = build_stabilizer(a, report, find_q2_nest(a))
+    endpoint = exact.b_matrix.scale_rows(exact.stabilizer.eps)
     spectrum = spectra.eigenvalues(a)
-    cert = StabilityCertificate(
-        matrix=a,
-        report=report,
-        nest=nest,
-        b_matrix=b,
-        block_trace_values=block_traces(nest),
-        stabilizer=stabilizer,
-        trace_ledger=ledger,
-        endpoint_hurwitz=minors,
+    cert = exact._replace(
         spectrum=spectrum,
-        stabilized_spectrum=spectra.eigenvalues(b.scale_rows(stabilizer.eps)),
+        stabilized_spectrum=spectra.eigenvalues(endpoint),
         wedge_margin=spectra.wedge_check(spectrum, a.n, kind="sharpened")[1],
     )
     matrix_path = tmp_path / "a.txt"

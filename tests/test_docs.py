@@ -23,6 +23,7 @@ def test_readme_python_example_runs():
         exec(compile(blocks[0], str(README), "exec"), {})
     lines = out.getvalue().splitlines()
     assert len(lines) == 5
+    assert lines[1] == "1 511/512 1021/1024 2041/2048"  # the stabilizer's eps
     assert lines[3] == "[]"  # no nonpositive exact value
 
 

@@ -14,6 +14,7 @@ from conftest import (
     random_matrix,
     random_p_matrix,
     random_spd_matrix,
+    row_dominant_matrix,
 )
 from oracle import schur_complement, sylvester_check
 from reference import node_trace_ledger, per_minor_hurwitz_minors
@@ -22,6 +23,7 @@ from pstab.compound import compound, diag_generalized_compound
 from pstab.classify import (
     MinorWitness,
     OrderSumWitness,
+    classify_full,
     is_p,
     is_q2,
     order_sum_traces,
@@ -44,9 +46,15 @@ from pstab.stabilize import (
     build_B,
     build_stabilizer,
     certify_stability,
+    exact_certificate,
     hurwitz_minors,
     nonpositive_values,
 )
+
+
+def _search(a, **kwargs):
+    """:func:`build_stabilizer` on A with its class report and Q^2 nest."""
+    return build_stabilizer(a, classify_full(a), find_q2_nest(a), **kwargs)
 
 
 def test_schur_complement_two_by_two():
@@ -416,8 +424,8 @@ def test_top_order_of_a_one_by_one_ledger():
 def test_screen_reports_the_violation_of_the_full_ledger(a):
     # every diagonal the search rejects fails at order 1 or 2, and its
     # screen names the value the full ledger would name first
-    b = build_B(a, find_q2_nest(a))
-    stab, _, _ = build_stabilizer(b)
+    cert = _search(a)
+    b, stab = cert.b_matrix, cert.stabilizer
     gaps = [1 - Fraction(1, 2**i) for i in range(b.n)]
     for steps in range(stab.identity_steps):
         eps = [1 - gap / 2**steps for gap in gaps]
@@ -470,16 +478,16 @@ def test_nonpositive_values_order():
 
 
 def test_build_stabilizer_demo():
-    b = build_B(DEMO_A, find_q2_nest(DEMO_A))
-    stab, _, _ = build_stabilizer(b)
+    cert = _search(DEMO_A)
+    b, stab = cert.b_matrix, cert.stabilizer
     assert stab.eps[0] == 1
     assert all(x > y for x, y in zip(stab.eps, stab.eps[1:]))
     assert nonpositive_values(_trace_ledger(b, stab.eps)) == []
 
 
 def test_build_stabilizer_demo_passes_both_exact_checks():
-    b = build_B(DEMO_A, find_q2_nest(DEMO_A))
-    stab, _, _ = build_stabilizer(b)
+    cert = _search(DEMO_A)
+    b, stab = cert.b_matrix, cert.stabilizer
     cross_terms = [v for (_, k, _), v in _trace_ledger(b, stab.eps).items() if not k]
     assert cross_terms and all(v > 0 for v in cross_terms)
     assert all(v > 0 for v in hurwitz_minors(b.scale_rows(stab.eps)))
@@ -490,14 +498,12 @@ def test_build_stabilizer_demo_passes_both_exact_checks():
 
 
 def test_build_stabilizer_shrink_cap():
-    b = build_B(DEMO_A, find_q2_nest(DEMO_A))
     with pytest.raises(StabilizerInconclusiveError):
-        build_stabilizer(b, max_shrink=1)
+        _search(DEMO_A, max_shrink=1)
 
 
 def test_build_stabilizer_demo_halves_from_the_geometric_start():
-    b = build_B(DEMO_A, find_q2_nest(DEMO_A))
-    stab, _, _ = build_stabilizer(b)
+    stab = _search(DEMO_A).stabilizer
     # eight halvings of I - diag(1, 1/2, 1/4, 1/8)
     assert stab.identity_steps == 8
     assert stab.eps == (
@@ -506,9 +512,8 @@ def test_build_stabilizer_demo_halves_from_the_geometric_start():
 
 
 def test_shrink_cap_message_names_halvings_and_last_violation():
-    b = build_B(DEMO_A, find_q2_nest(DEMO_A))
     with pytest.raises(StabilizerInconclusiveError) as exc:
-        build_stabilizer(b, max_shrink=1)
+        _search(DEMO_A, max_shrink=1)
     key, value = exc.value.last_violation
     assert value <= 0
     assert str(exc.value) == (
@@ -523,7 +528,6 @@ def test_build_stabilizer_computes_one_ledger_per_diagonal(monkeypatch, a):
     # one gets the complete ledger and the Hurwitz minors
     import pstab.stabilize
 
-    b = build_B(a, find_q2_nest(a))
     ledger = pstab.stabilize._trace_ledger
     minors = pstab.stabilize.hurwitz_minors
     calls = []
@@ -538,7 +542,7 @@ def test_build_stabilizer_computes_one_ledger_per_diagonal(monkeypatch, a):
 
     monkeypatch.setattr(pstab.stabilize, "_trace_ledger", counted)
     monkeypatch.setattr(pstab.stabilize, "hurwitz_minors", counted_minors)
-    stab, _, _ = build_stabilizer(b)
+    stab = _search(a).stabilizer
     assert stab.identity_steps > 0
     assert calls.count(SCREEN_ORDER) == stab.identity_steps + 1
     assert calls[-3:] == [SCREEN_ORDER, None, "hurwitz"]
@@ -613,24 +617,56 @@ def test_certify_stability_demo_certificate():
     assert det(cert.matrix) == 5491
 
 
-def test_certify_stability_refuses_a_failing_stabilizer(monkeypatch):
+def test_build_stabilizer_rejects_a_screened_diagonal_whose_certificate_fails(
+    monkeypatch,
+):
+    # the search accepts a diagonal on its whole exact certificate, not on
+    # the screen: the demo's first screened diagonal (8 halvings) is turned
+    # down when one of its Hurwitz minors is made nonpositive
     import pstab.stabilize
 
-    former = Stabilizer(
-        eps=(Fraction(1), Fraction(1, 64), Fraction(1, 128), Fraction(1, 256))
+    minors = pstab.stabilize.hurwitz_minors
+    calls = []
+
+    def first_fails(m):
+        calls.append(m)
+        values = minors(m)
+        return (-values[0], *values[1:]) if len(calls) == 1 else values
+
+    monkeypatch.setattr(pstab.stabilize, "hurwitz_minors", first_fails)
+    cert = _search(DEMO_A)
+    assert len(calls) == 2
+    assert cert.stabilizer.identity_steps == 9
+    assert cert.endpoint_hurwitz == minors(calls[-1])
+    assert nonpositive_values(
+        cert.trace_ledger, cert.endpoint_hurwitz, cert.block_trace_values
+    ) == []
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        DEMO_A,
+        LEVEL_SEARCH_FAULT,
+        *(random_spd_matrix(random.Random(n), n) for n in range(3, 7)),
+        *(row_dominant_matrix(n) for n in range(3, 7)),
+    ],
+    ids=["demo", "fault", *(f"{kind}{n}" for kind in ("spd", "dominant")
+                            for n in range(3, 7))],
+)
+def test_certify_stability_is_the_exact_certificate_of_its_witnesses(a):
+    # verify rebuilds a certificate from its nest and diagonal alone, so
+    # every exact field certify writes must be the one exact_certificate
+    # derives from them
+    cert = certify_stability(a)
+    exact = exact_certificate(
+        a, cert.report, cert.nest, cert.b_matrix, cert.stabilizer
     )
-    monkeypatch.setattr(
-        pstab.stabilize,
-        "build_stabilizer",
-        lambda b, max_shrink: (
-            former,
-            _trace_ledger(b, former.eps),
-            hurwitz_minors(b.scale_rows(former.eps)),
-        ),
+    assert exact == cert._replace(
+        spectrum=None, stabilized_spectrum=None, wedge_margin=None,
+        spectrum_reason=None, disagreement=None,
     )
-    with pytest.raises(StabilizerInconclusiveError) as exc:
-        certify_stability(DEMO_A)
-    assert exc.value.last_violation == ((1, 0, 1), Fraction(-49683389, 3859338368))
+    assert exact.b_matrix == build_B(a, cert.nest)
 
 
 def test_certify_stability_demo_exact_fields_positive():
