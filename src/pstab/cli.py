@@ -104,6 +104,12 @@ def parse_matrix(text) -> ExactMatrix:
             )
         row = []
         for col, token in enumerate(tokens, start=1):
+            try:  # an integer within the caps: no Fraction regex, no digit count
+                if len(token) <= MAX_LITERAL_DIGITS:
+                    row.append(Fraction(int(token)))
+                    continue
+            except ValueError:
+                pass
             problem = _literal_size_problem(token)
             if problem:
                 raise MatrixParseError(problem, lineno, col)

@@ -37,7 +37,7 @@ class HypothesisError(CertificationError):
 
 
 class StabilizerInconclusiveError(CertificationError):
-    """The diagonal-stabilizer search hit its halving cap.
+    """The diagonal-stabilizer search hit its halving cap or a nonpositive block trace.
 
     Not a refutation: when B is positively stable a diagonal close enough
     to I passes both exact checks, but the search gave up after

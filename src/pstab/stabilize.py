@@ -31,19 +31,18 @@ Tr((B^(j)[1..m])^2) = E_(n-j)(A[S_(n-m)]^2) / det(A)^2 (see
 :func:`block_traces`); the ledger is read off the generating function
 E_j((I + sD) B (I + tD) B) = sum s^k t^m L(j,k,m), whose nodes are
 E_j(N_s W_t) with N_s = B^2 + s B D B and the diagonal W_t = I + t D (up
-to integer scales), and whose top two orders are closed,
-L(n,k,m) = e_k(eps) e_m(eps) det(B)^2 and, by Jacobi's adjugate identity,
-L(n-1,k,m) from adj(B), so a complete ledger takes n(n-1)/2 char-polys;
-the Hurwitz minors are the pivots of one fraction-free elimination of the
-Hurwitz matrix of E_k(D B).
+to integer scales) and whose orders 1, n - 1 and n are closed (see
+:func:`_trace_ledger`), so a complete ledger takes n(n-1)/2 char-polys
+at n >= 4; the Hurwitz minors are the pivots of one fraction-free
+elimination of the Hurwitz matrix of E_k(D B).
 
 Each exact value is computed once per certification: the search screens
-every diagonal on the ledger's orders j <= 2 (six nodes, no matrix
-power), and for one that passes derives the exact part of its certificate
-with :func:`exact_certificate`, the call ``verify`` rebuilds a certificate
-with.  One rule, :func:`nonpositive_values`, decides the sign of every
-exact value: in the screen, in the search's acceptance test and in
-``verify``.
+every diagonal cheapest first, on the ledger's order 1 in O(n^2), then on
+its orders j <= 2 (six nodes, no matrix power), and for one that passes
+derives the exact part of its certificate with :func:`exact_certificate`,
+the call ``verify`` rebuilds a certificate with.  One rule,
+:func:`nonpositive_values`, decides the sign of every exact value: in the
+screens, in the search's acceptance test and in ``verify``.
 
 Exact and numeric content are kept separate: the ledger, Hurwitz minors,
 block traces and class verdicts are rational arithmetic; eigenvalues are
@@ -70,7 +69,6 @@ from .exactmat import (
     ExactMatrix,
     cleared,
     diagonal_poly,
-    integer_adjugate,
     integer_leading_minors,
     integer_minor_sums,
     integer_product,
@@ -80,7 +78,7 @@ from .exactmat import (
 from .nests import NestCertificate
 
 DEFAULT_MAX_SHRINK = 64
-# ledger orders each diagonal of the stabilizer search is screened on
+# ledger orders a diagonal that passes order 1 is screened on
 SCREEN_ORDER = 2
 
 
@@ -108,6 +106,24 @@ def build_B(a: ExactMatrix, nest: NestCertificate) -> ExactMatrix:
     # A~ lists A's rows and columns in reversed tau order
     order = [i - 1 for i in reversed(nest.tau)]
     return inverse(ExactMatrix([[a.rows[i][j] for j in order] for i in order]))
+
+
+_IntegerB = namedtuple("_IntegerB", "rows beta hadamard square adj det")
+
+
+def _integer_b(a: ExactMatrix, nest: NestCertificate, b: ExactMatrix) -> _IntegerB:
+    """B = build_B(a, nest) as B' = beta B on integers, with what no diagonal
+    changes: H = B' o B'^T, B'^2, and, for A~ = A'/c on integers and
+    det(A') = c^n det(A), adj(B') = (beta c)^(n-1) A' / det(A') and
+    det(B') = (beta c)^n / det(A'), exact divisions."""
+    (rows, beta), (a_int, c) = cleared(b), cleared(a)
+    order = [i - 1 for i in reversed(nest.tau)]
+    det_a = int(nest.levels[-1].order_sums[-1] * c**b.n)
+    scale = (beta * c) ** (b.n - 1)
+    hadamard = [list(map(operator.mul, row, col)) for row, col in zip(rows, zip(*rows))]
+    adj = [[scale * a_int[i][j] // det_a for j in order] for i in order]
+    square, det_b = integer_product(rows, rows), scale * beta * c // det_a
+    return _IntegerB(rows, beta, hadamard, square, adj, det_b)
 
 
 # -- block traces and the trace ledger -------------------------------------
@@ -163,16 +179,17 @@ class Stabilizer(namedtuple("Stabilizer", "eps identity_steps")):
         return super().__new__(cls, eps, identity_steps)
 
 
-def _trace_ledger(b: ExactMatrix, eps, top=None) -> dict:
-    """The ledger {(j, k, m): L(j,k,m)} of diag(eps) over an invertible B,
-    0 <= k <= j and 1 <= m <= j for orders j <= top (default n), from one
-    generating function; the k = 0 keys are the cross terms.
+def _trace_ledger(form, d_int, delta, top=None) -> dict:
+    """The ledger {(j, k, m): L(j,k,m)} of D = diag(d_int) / delta over B
+    of integer form ``form`` (:func:`_integer_b`), 0 <= k <= j and
+    1 <= m <= j for orders j <= top (default n), from one generating
+    function; the k = 0 keys are the cross terms.
 
     By Cauchy-Binet and (I + sD)^(j) = sum_k s^k D_k^(j),
 
         E_j((I + sD) B (I + tD) B) = sum_{0 <= k,m <= j} s^k t^m L(j,k,m).
 
-    With D = D'/delta and B = B'/beta on integers, the left side is
+    With D' = diag(d_int) and B = B'/beta on integers, the left side is
     E_j(X_s X_t) / (delta beta)^(2j), X_s = (delta I + s D') B'.  Since
     E_j(UV) = E_j(VU), E_j(X_s X_t) = E_j(N_s W_t) with
     N_s = delta B'^2 + s B'D'B' and the diagonal W_t = delta I + t D', so
@@ -184,7 +201,7 @@ def _trace_ledger(b: ExactMatrix, eps, top=None) -> dict:
     W P W^T / (j!)^2 with the integer Lagrange operator W = j! V^(-1) of
     :func:`pstab.exactmat.lagrange_operator`.
 
-    The top two orders need no node.  With pi_i(x) = prod_(r != i)
+    Three orders need no node.  With pi_i(x) = prod_(r != i)
     (delta + x d'_r) = sum_k c_k(i) x^k:
 
     * B^(n) = det B and D_k^(n) = e_k(eps), so L(n,k,m) = e_k(eps) e_m(eps)
@@ -193,31 +210,30 @@ def _trace_ledger(b: ExactMatrix, eps, top=None) -> dict:
     * E_(n-1)(M) = Tr adj(M), adj(X_s X_t) = adj(X_t) adj(X_s) and
       adj(X_s) = adj(B') diag(pi_i(s)), so
       L(n-1,k,m) (delta beta)^(2(n-1)) = sum_(i,l) G_il c_k(i) c_m(l) with
-      G_il = adj(B')_il adj(B')_li, which the sign of +-adj(B') leaves
-      unchanged.
+      G_il = adj(B')_il adj(B')_li;
+    * E_1 is a trace, so L(1,k,m) (delta beta)^2 = u_k^T H u_m with
+      u_0 = delta 1 and u_1 = d', read off the node diagonals H 1 and H d'.
 
-    So q = n - 2 when top >= n - 1, and q = top below it, where no order
-    is closed and a screen at n >= 4 takes no elimination.  Every B that
-    :func:`build_B` returns is the inverse of a P-matrix; on a singular B
-    the elimination that yields +-adj(B') raises SingularMatrixError.
+    So q = n - 2 when top >= n - 1, and q = top below it; order 1 is
+    closed unless q >= 2, so its screen takes no product or char-poly.
     """
-    n = b.n
+    b_int, beta, hadamard, square, adj, det_b = form
+    n = len(b_int)
     top = n if top is None else min(top, n)
-    b_int, beta = cleared(b)
-    delta = math.lcm(*(e.denominator for e in eps))
-    d_int = [e.numerator * (delta // e.denominator) for e in eps]
     q, closed = top, {}
     if top >= n - 1:
         q = n - 2
-        adj, det_b = integer_adjugate(b_int)
         g = [list(map(operator.mul, row, col)) for row, col in zip(adj, zip(*adj))]
         c = [diagonal_poly(delta, d_int[:i] + d_int[i + 1 :]) for i in range(n)]
         closed[n - 1] = integer_product(integer_product(list(zip(*c)), g), c)
         if top == n:
             poly = diagonal_poly(delta, d_int)
             closed[n] = [[det_b**2 * x * y for y in poly] for x in poly]
+    if q == 1:  # column m = 0 is never read
+        h_d = [sum(map(operator.mul, row, d_int)) for row in hadamard]
+        u_h_d = (delta * sum(h_d), sum(map(operator.mul, d_int, h_d)))
+        closed[1], q = [(None, x) for x in u_h_d], 0
     if q > 0:
-        square = integer_product(b_int, b_int)
         sandwich = integer_product(
             b_int, [[d * x for x in row] for d, row in zip(d_int, b_int)]
         )
@@ -248,20 +264,19 @@ def _trace_ledger(b: ExactMatrix, eps, top=None) -> dict:
     return ledger
 
 
-def hurwitz_minors(m: ExactMatrix) -> tuple:
-    """Leading principal minors of the Hurwitz matrix of det(xI + M).
+def hurwitz_minors(a, c) -> tuple:
+    """Leading principal minors of the Hurwitz matrix of det(xI + M), for
+    M = a / c with ``a`` an integer matrix given as a list of int rows.
 
     With a_k = E_k(M), the Hurwitz matrix has entry (i, j) = a_(2j-i).  By
     the Routh-Hurwitz criterion all n minors are positive iff every root of
     det(xI + M) lies in the open left half-plane, that is iff M is
-    positively stable.  With M = M'/c on integers, H' holds the integer
-    E_(2j-i)(M') and entry (i, j) of H is H'_ij / c^(2j-i), so
-    det H[1..k] = det H'[1..k] / c^(k(k+1)/2): the minors are the pivots
-    of one fraction-free elimination of H' (see
-    :func:`pstab.exactmat.integer_leading_minors`).
+    positively stable.  H' holds the integer E_(2j-i)(a) and entry (i, j)
+    of H is H'_ij / c^(2j-i), so det H[1..k] = det H'[1..k] /
+    c^(k(k+1)/2): the minors are the pivots of one fraction-free
+    elimination of H' (see :func:`pstab.exactmat.integer_leading_minors`).
     """
-    a, c = cleared(m)
-    coeffs, n = integer_minor_sums(a), m.n
+    coeffs, n = integer_minor_sums(a), len(a)
     rows = [
         [coeffs[2 * j - i] if 0 <= 2 * j - i <= n else 0 for j in range(1, n + 1)]
         for i in range(1, n + 1)
@@ -326,18 +341,20 @@ class StabilityCertificate(namedtuple(
 
 
 def exact_certificate(
-    a: ExactMatrix, report, nest: NestCertificate, b: ExactMatrix, stabilizer
+    a: ExactMatrix, report, nest: NestCertificate, b: ExactMatrix, stabilizer, traces=None
 ) -> StabilityCertificate:
     """The certificate, without spectra, that a Q^2 nest and a stabilizer
-    make of A, given A's class report and B = build_B(a, nest): the one
-    code that derives the block traces, the complete ledger and the
-    endpoint Hurwitz minors.  Their signs are not checked here."""
-    eps = stabilizer.eps
+    make of A, given A's class report, B = build_B(a, nest) and maybe
+    ``traces`` = block_traces(nest): the one code that derives the block
+    traces, the ledger and the endpoint Hurwitz minors, signs unchecked."""
+    delta = math.lcm(*(e.denominator for e in stabilizer.eps))
+    d_int, form = [int(e * delta) for e in stabilizer.eps], _integer_b(a, nest, b)
+    endpoint = [[d * x for x in row] for d, row in zip(d_int, form.rows)]
     return StabilityCertificate(
         matrix=a, report=report, nest=nest, b_matrix=b,
-        block_trace_values=block_traces(nest), stabilizer=stabilizer,
-        trace_ledger=_trace_ledger(b, eps),
-        endpoint_hurwitz=hurwitz_minors(b.scale_rows(eps)),
+        block_trace_values=block_traces(nest) if traces is None else traces,
+        stabilizer=stabilizer, trace_ledger=_trace_ledger(form, d_int, delta),
+        endpoint_hurwitz=hurwitz_minors(endpoint, delta * form.beta),
     )
 
 
@@ -347,41 +364,46 @@ def build_stabilizer(
     """Search for a diagonal that passes both exact checks; returns the
     :func:`exact_certificate` of the one accepted, without spectra.
 
-    B is build_B(a, nest).  The search starts at the geometric
-    diagonal D_0 = diag(1, 1/2, ..., 2^(1-n)) and tries
-    D = I - (I - D_0) / 2^s for s = 0, 1, ...: each halving of I - D moves
-    D along its own homotopy path toward I.  The first D whose certificate
-    has no nonpositive block trace, ledger value or Hurwitz minor of
-    diag(eps) * B (:func:`nonpositive_values` lists none) is accepted.  As
-    D -> I every L(j,k,m) tends to C(j,k) C(j,m) E_j(B^2) > 0 and
-    diag(eps) * B tends to B, so when B is positively stable the search
+    B is build_B(a, nest).  The search starts at the geometric diagonal
+    D_0 = diag(1, 1/2, ..., 2^(1-n)) and tries
+    D = I - (I - D_0) / 2^s = D' / 2^(n-1+s) for s = 0, 1, ...: each
+    halving of I - D moves D along its own homotopy path toward I.  The
+    first D whose certificate has no nonpositive ledger value or Hurwitz
+    minor of diag(eps) * B (:func:`nonpositive_values` lists none) is
+    accepted.  As D -> I every L(j,k,m) tends to C(j,k) C(j,m) E_j(B^2) > 0
+    and diag(eps) * B tends to B, so when B is positively stable the search
     ends after finitely many halvings; after ``max_shrink`` of them it
-    raises StabilizerInconclusiveError.
+    raises StabilizerInconclusiveError, and after 0 on a nonpositive block
+    trace, which no D changes.
 
-    Each D is first screened on the ledger's orders j <= SCREEN_ORDER,
-    which need six nodes and no matrix power (see :func:`_trace_ledger`);
-    only a D that passes the screen gets its certificate.  A screen's
-    first violation is the one the complete ledger would report first.
+    Each D is screened cheapest first on B's integer form, built once: on
+    the ledger's order 1 in O(n^2), then on its orders j <= SCREEN_ORDER
+    (see :func:`_trace_ledger`); only a D that passes both gets its
+    certificate.  A screen's first violation is the complete ledger's.
 
     The search never tests B: that B is a P- and Q^2-matrix is the
     theorem's hypothesis, which the caller establishes on A (see
     :func:`build_B`).
     """
+    traces = block_traces(nest)
+    violations = nonpositive_values({}, traces=traces)
+    if violations:
+        raise StabilizerInconclusiveError(0, violations[0])
     b = build_B(a, nest)
-    gaps = [1 - Fraction(1, 2**i) for i in range(b.n)]
-    last_violation = None
+    form, n = _integer_b(a, nest, b), b.n
     for steps in range(max_shrink + 1):
-        eps = tuple(1 - gap / 2**steps for gap in gaps)
-        violations = nonpositive_values(_trace_ledger(b, eps, SCREEN_ORDER))
+        delta = 2 ** (n - 1 + steps)
+        d_int = [delta - 2 ** (n - 1) + 2 ** (n - 1 - i) for i in range(n)]
+        violations = nonpositive_values(
+            _trace_ledger(form, d_int, delta, 1)
+        ) or nonpositive_values(_trace_ledger(form, d_int, delta, SCREEN_ORDER))
         if not violations:
-            cert = exact_certificate(a, report, nest, b, Stabilizer(eps, steps))
-            violations = nonpositive_values(
-                cert.trace_ledger, cert.endpoint_hurwitz, cert.block_trace_values
-            )
+            stabilizer = Stabilizer(tuple(Fraction(d, delta) for d in d_int), steps)
+            cert = exact_certificate(a, report, nest, b, stabilizer, traces)
+            violations = nonpositive_values(cert.trace_ledger, cert.endpoint_hurwitz)
             if not violations:
                 return cert
-        last_violation = violations[0]
-    raise StabilizerInconclusiveError(max_shrink, last_violation)
+    raise StabilizerInconclusiveError(max_shrink, (violations or [None])[0])
 
 
 # -- the top-level certificate ---------------------------------------------

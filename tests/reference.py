@@ -6,7 +6,8 @@ determinant per principal minor, E(A) by the Faddeev-LeVerrier recurrence
 (n integer products), the inverse by Gauss-Jordan elimination over Q, and
 the product by the naive Fraction double sum, the Hurwitz minors
 by one Bareiss determinant per leading block, and the trace ledger by
-char-poly nodes through order n - 1.  The spectrum matcher is
+char-poly nodes through order n - 1, and B's integer form by a
+fraction-free elimination of B' for adj(B').  The spectrum matcher is
 the search over every pairing that :func:`pstab.spectra.multiset_match`
 decides by augmenting paths.  The package does not import this module.
 """
@@ -21,6 +22,7 @@ from fractions import Fraction
 from pstab.classify import MinorWitness
 from pstab.errors import SingularMatrixError
 from pstab.exactmat import (
+    integer_adjugate,
     ExactMatrix,
     cleared,
     det,
@@ -183,3 +185,16 @@ def node_trace_ledger(b: ExactMatrix, eps, top=None) -> dict:
             for m_pos in range(1, j + 1):
                 ledger[(j, k, m_pos)] = Fraction(coeffs[k][m_pos], scale)
     return ledger
+
+
+def eliminated_integer_form(b: ExactMatrix):
+    """B's integer form as :func:`pstab.stabilize._integer_b` holds it, of
+    any invertible B, with +-adj(B') and +-det(B') (one sign for both)
+    from :func:`pstab.exactmat.integer_adjugate` of B'; the ledger reads
+    only adj(B')_il adj(B')_li and det(B')^2, which the sign leaves alone."""
+    from pstab.stabilize import _IntegerB
+
+    rows, beta = cleared(b)
+    adj, p = integer_adjugate(rows)
+    hadamard = [list(map(operator.mul, row, col)) for row, col in zip(rows, zip(*rows))]
+    return _IntegerB(rows, beta, hadamard, integer_product(rows, rows), adj, p)

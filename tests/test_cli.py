@@ -32,6 +32,7 @@ from pstab.cli import (
     MAX_LITERAL_DIGITS,
     MAX_LITERAL_EXPONENT,
     MatrixParseError,
+    _literal_size_problem,
     entry_str,
     frac_str,
     main,
@@ -131,6 +132,43 @@ def test_parse_reads_every_literal_exactly_or_names_a_cap(token):
         assert (exc.value.line, exc.value.column) == (2, 1)
     else:
         assert parse_matrix(text).entry(1, 1) == Fraction(token)
+
+
+def _fraction_path(token):
+    """What the Fraction path reads from ``token``, an entry of line 2: the
+    value, or the message of the MatrixParseError it raises."""
+    problem = _literal_size_problem(token)
+    if problem:
+        return f"line 2, entry 1: {problem}"
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"line 2, entry 1: bad entry {token!r}: {exc}"
+
+
+NUMERALS = "0123456789" + "١٢٩" + "１９" + "²"
+UNSIGNED = st.text(alphabet=NUMERALS + "_", min_size=1, max_size=8)
+SIGNS = st.sampled_from(["", "+", "-"])
+TOKENS = st.one_of(
+    st.tuples(SIGNS, UNSIGNED).map("".join),
+    st.tuples(SIGNS, UNSIGNED, st.sampled_from([".", "/", "e", "E-"]), UNSIGNED)
+    .map("".join),
+    st.integers(-10**30, 10**30).map(str),
+    st.sampled_from(["9" * 1000, "-" + "9" * 1000, "+" + "9" * 999, "1" * 1001]),
+    st.text(alphabet=NUMERALS + "_+-./eEx", min_size=1, max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(TOKENS)
+def test_integer_entries_parse_as_their_fraction(token):
+    # an integer within the caps skips the Fraction regex; every token,
+    # integer or not, reads as the Fraction path reads it, value or error
+    try:
+        got = parse_matrix(f"1\n{token}\n").entry(1, 1)
+    except MatrixParseError as exc:
+        got = str(exc)
+    assert got == _fraction_path(token)
 
 
 def test_classify_identity_all_yes(identity_file, capsys):
@@ -894,7 +932,7 @@ def test_certify_exits_2_when_no_screened_diagonal_passes_the_exact_checks(
 
     minors = pstab.stabilize.hurwitz_minors
     monkeypatch.setattr(
-        pstab.stabilize, "hurwitz_minors", lambda m: (*minors(m)[:-1], Fraction(-1))
+        pstab.stabilize, "hurwitz_minors", lambda m, c: (*minors(m, c)[:-1], Fraction(-1))
     )
     assert main(["certify", demo_file, "--max-shrink", "10"]) == EXIT_INCONCLUSIVE
     assert capsys.readouterr().out == (
@@ -904,9 +942,9 @@ def test_certify_exits_2_when_no_screened_diagonal_passes_the_exact_checks(
 
 
 def test_certify_exits_2_on_a_nonpositive_block_trace(demo_file, monkeypatch, capsys):
-    # the block traces are positive whenever the chain is Q^2; the search
-    # still accepts no certificate with one that is not, so it halves to
-    # its cap
+    # the block traces are positive whenever the chain is Q^2; they do not
+    # depend on the diagonal, so the search stops on one that is not before
+    # it tries a diagonal
     import pstab.stabilize
     from pstab import find_q2_nest
 
@@ -923,7 +961,7 @@ def test_certify_exits_2_on_a_nonpositive_block_trace(demo_file, monkeypatch, ca
     value = -block_traces(find_q2_nest(DEMO_A))[(3, 2)]
     assert value == Fraction(-180, 30151081)
     assert out == (
-        "inconclusive: stabilizer search gave up after 64 halvings of I - D; "
+        "inconclusive: stabilizer search gave up after 0 halvings of I - D; "
         f"last violation ('block', 3, 2) = {value}\n"
     )
 
@@ -1169,16 +1207,21 @@ def test_cli_uses_no_private_name_of_another_pstab_module():
     assert private == []
 
 
-@pytest.mark.parametrize("a", [DEMO_A, LEVEL_SEARCH_FAULT], ids=["demo", "fault"])
+@pytest.mark.parametrize(
+    "a,order_two_screens", [(DEMO_A, 1), (LEVEL_SEARCH_FAULT, 4)], ids=["demo", "fault"]
+)
 def test_certify_and_verify_decide_each_exact_fact_once(
-    tmp_path, monkeypatch, capsys, a
+    tmp_path, monkeypatch, capsys, a, order_two_screens
 ):
     # P is decided once per command, by classify_full on A (and on A^2 for
     # the P^2 flag), never on B; certify screens each diagonal on ledger
-    # orders j <= 2 and derives the exact certificate, complete ledger and
-    # Hurwitz minors included, only for one that passes the screen (here
-    # the one it accepts) and writes that; verify derives it once.  Neither command forms a submatrix or a char-poly for Q, Q^2
-    # or any nest level: those order sums are read off A's P sweep
+    # order 1, one that passes on orders j <= 2, and derives the exact
+    # certificate, complete ledger and Hurwitz minors included, only for
+    # one that passes both screens (here the one it accepts) and writes
+    # that; verify derives it once.  Each command inverts A~ once, to B,
+    # and eliminates nothing else: adj(B') is read off A~.  Neither command
+    # forms a submatrix or a char-poly for Q, Q^2 or any nest level: those
+    # order sums are read off A's P sweep
     import pstab.classify
     import pstab.exactmat
     import pstab.nests
@@ -1190,11 +1233,18 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     ledger = pstab.stabilize._trace_ledger
     screens = []
 
-    def screened(b, eps, top=None):
+    def screened(form, d_int, delta, top=None):
         screens.append(top)
-        return ledger(b, eps, top)
+        return ledger(form, d_int, delta, top)
 
     monkeypatch.setattr(pstab.stabilize, "_trace_ledger", screened)
+    adjugate = pstab.exactmat.integer_adjugate
+    adjugated = []  # every matrix that is eliminated
+    monkeypatch.setattr(
+        pstab.exactmat,
+        "integer_adjugate",
+        lambda m: adjugated.append(m) or adjugate(m),
+    )
     counts = _count_calls(
         monkeypatch,
         pstab.classify.classify_full,
@@ -1225,15 +1275,22 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     assert main(["certify", str(matrix_path), "--json", cert_path]) == EXIT_OK
     assert searches == {"find_q2_nest": 1, "build_stabilizer": 1}
     with open(cert_path) as handle:
-        steps = json.load(handle)["stabilizer"]["identity_steps"]
+        doc = json.load(handle)
+    steps = doc["stabilizer"]["identity_steps"]
+    order = [i - 1 for i in reversed(doc["nest"]["tau"])]
+    a_tilde = [[int(a.rows[i][j]) for j in order] for i in order]
     assert counts == expected and char_polys == []
-    assert screens.count(pstab.stabilize.SCREEN_ORDER) == steps + 1
+    assert screens.count(1) == steps + 1
+    assert screens.count(pstab.stabilize.SCREEN_ORDER) == order_two_screens
     assert screens.count(None) == 1
+    assert adjugated == [a_tilde]
     counts.update(dict.fromkeys(counts, 0))
     searches.update(dict.fromkeys(searches, 0))
     screens.clear()
+    adjugated.clear()
     assert main(["verify", cert_path, str(matrix_path)]) == EXIT_OK
     assert screens == [None]
+    assert adjugated == [a_tilde]
     assert counts == expected and char_polys == []
     # verify re-derives from the claimed chain and diagonal: it searches for neither
     assert searches == {"find_q2_nest": 0, "build_stabilizer": 0}

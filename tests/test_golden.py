@@ -76,6 +76,41 @@ CASES = {
         lambda: random_p_matrix(random.Random(16), 5),
         "e8a7be846b9bb02580a1352d690c647e484326702f5b2c3cea3eb0229b96d52b",
     ),
+    # the perfbench ``skewed`` corpus at seed 1 after the demo: two demo
+    # perturbations (2 and 3 halvings) and three n = 6 embeddings (1 each)
+    "skewed1-perturbed-a": (
+        lambda: ExactMatrix(
+            [[6, -29, 1, 1], [1, 3, 1, -5], [1, 1, 10, -10], [1, 2, 1, 10]]
+        ),
+        "55aa33c9868be97806606851e85eaadd2f2f565b4e91ad2fafc321a1777b77dc",
+    ),
+    "skewed1-perturbed-b": (
+        lambda: ExactMatrix(
+            [[6, -29, 2, 1], [1, 2, 1, -5], [2, 1, 10, -10], [1, 1, 1, 10]]
+        ),
+        "cde6be6d1ef7bea9b3074fdbd6e5e1265724bc7bdc795829d57c9679a5910572",
+    ),
+    "skewed1-embedded6-a": (
+        lambda: ExactMatrix([
+            [6, -30, 1, 1, 1, 0], [1, 2, 2, -5, 1, 0], [1, 1, 10, -10, 1, -1],
+            [1, 1, 1, 10, 0, -1], [1, 0, 0, 1, 9, 0], [1, 1, 1, 1, 0, 8],
+        ]),
+        "ce286792075ca748b09d367d2be48505004aa3533a6d76a262ee5fb7be3c50d1",
+    ),
+    "skewed1-embedded6-b": (
+        lambda: ExactMatrix([
+            [6, -30, 1, 1, 1, 0], [1, 2, 1, -5, 0, 0], [1, 1, 10, -10, 1, -1],
+            [0, 1, 1, 10, 0, -1], [0, 1, 1, 1, 12, 0], [1, -1, -1, 1, -1, 8],
+        ]),
+        "4be6f830e851db723f548b7176e55f998fee8e8a014c8b1c1c81afd40003cd0e",
+    ),
+    "skewed1-embedded6-c": (
+        lambda: ExactMatrix([
+            [6, -30, 1, 1, 1, 0], [1, 3, 1, -5, 1, 0], [1, 1, 10, -10, 0, 0],
+            [1, 1, 1, 10, 1, 1], [1, 1, -1, 0, 12, -1], [1, 1, -1, 0, -1, 11],
+        ]),
+        "fa795c205946cd1ae0c65239a1aaf0eedc9b5f7789837ad8e11d6e52e434319e",
+    ),
 }
 
 CLASSIFY_JSON_SHA256 = "8995e3c6fa0bc8ccd097bebf10895fd345f80a45e7cdd35626414c8dd71181be"

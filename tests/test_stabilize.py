@@ -17,7 +17,11 @@ from conftest import (
     row_dominant_matrix,
 )
 from oracle import schur_complement, sylvester_check
-from reference import node_trace_ledger, per_minor_hurwitz_minors
+from reference import (
+    eliminated_integer_form,
+    node_trace_ledger,
+    per_minor_hurwitz_minors,
+)
 from pstab import ExactMatrix, det, inverse, minor, principal_submatrix, trace
 from pstab.compound import compound, diag_generalized_compound
 from pstab.classify import (
@@ -34,13 +38,14 @@ from pstab.errors import (
     SingularMatrixError,
     StabilizerInconclusiveError,
 )
-from pstab.exactmat import lagrange_operator
+from pstab.exactmat import cleared, lagrange_operator
 from pstab.fixtures import DEMO_A, DEMO_CHAIN
 from pstab.nests import NestViolation, find_q2_nest, verify_nest
 from pstab.spectra import Spectrum
 from pstab.stabilize import (
     SCREEN_ORDER,
     Stabilizer,
+    _integer_b,
     _trace_ledger,
     block_traces,
     build_B,
@@ -55,6 +60,22 @@ from pstab.stabilize import (
 def _search(a, **kwargs):
     """:func:`build_stabilizer` on A with its class report and Q^2 nest."""
     return build_stabilizer(a, classify_full(a), find_q2_nest(a), **kwargs)
+
+
+def _integer_diagonal(eps):
+    """(D', delta) with diag(eps) = D' / delta on integers."""
+    delta = math.lcm(*(Fraction(e).denominator for e in eps))
+    return [int(e * delta) for e in eps], delta
+
+
+def _ledger(b, eps, top=None):
+    """:func:`_trace_ledger` of diag(eps) over an invertible B."""
+    return _trace_ledger(eliminated_integer_form(b), *_integer_diagonal(eps), top)
+
+
+def _minors(m):
+    """:func:`hurwitz_minors` of an ExactMatrix."""
+    return hurwitz_minors(*cleared(m))
 
 
 def test_schur_complement_two_by_two():
@@ -267,7 +288,7 @@ def _ledger_cases(seed):
 def test_homotopy_certificate_matches_direct_products():
     for b, eps in _ledger_cases(44):
         n = b.n
-        ledger = _trace_ledger(b, eps)
+        ledger = _ledger(b, eps)
         entries = {key: v for key, v in ledger.items() if key[1]}
         for (j, k, m), value in entries.items():
             cj = compound(b, j)
@@ -285,7 +306,7 @@ def test_homotopy_certificate_matches_direct_products():
 def test_cross_terms_match_direct_products():
     for b, eps in _ledger_cases(45):
         n = b.n
-        cross_terms = {key: v for key, v in _trace_ledger(b, eps).items() if not key[1]}
+        cross_terms = {key: v for key, v in _ledger(b, eps).items() if not key[1]}
         assert set(cross_terms) == {
             (j, 0, m) for j in range(1, n + 1) for m in range(1, j + 1)
         }
@@ -302,7 +323,7 @@ def test_ledger_is_the_expansion_of_the_homotopy_square():
     rng = random.Random(46)
     b = random_matrix(rng, 4, -5, 5)
     eps = [Fraction(1), Fraction(2, 3), Fraction(1, 5), Fraction(1, 9)]
-    ledger = _trace_ledger(b, eps)
+    ledger = _ledger(b, eps)
     _, square_sums = order_sum_traces(b)
 
     def value(j, k, m):
@@ -329,7 +350,7 @@ def test_demo_cross_term_refutes_the_former_stabilizer():
     # its 1 <= k, m ledger is positive, its k = 0 cross term is not
     b = build_B(DEMO_A, find_q2_nest(DEMO_A))
     eps = [Fraction(1), Fraction(1, 64), Fraction(1, 128), Fraction(1, 256)]
-    ledger = _trace_ledger(b, eps)
+    ledger = _ledger(b, eps)
     assert all(v > 0 for (_, k, _), v in ledger.items() if k)
     assert nonpositive_values(ledger) == [
         ((1, 0, 1), Fraction(-49683389, 3859338368))
@@ -359,15 +380,9 @@ def _invertible(case):
 @given(ledger_cases().filter(_invertible))
 def test_screen_is_the_ledger_cut_off_at_order_two(case):
     b, eps = case
-    full = _trace_ledger(b, eps)
-    screen = _trace_ledger(b, eps, SCREEN_ORDER)
+    full = _ledger(b, eps)
+    screen = _ledger(b, eps, SCREEN_ORDER)
     assert screen == {k: v for k, v in full.items() if k[0] <= 2}
-
-
-SINGULAR_CASE = (
-    ExactMatrix([[1, 2, 0], [2, 4, 0], [0, 1, 3]]),
-    [Fraction(1), Fraction(1, 2), Fraction(1, 3)],
-)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -381,21 +396,92 @@ def test_ledger_matches_the_node_ledger(case, top):
     # orders n - 1 and n in closed form, the same exact values as nodes
     # through order n - 1; every B that build_B returns is invertible
     b, eps = case
-    assert _trace_ledger(b, eps, top) == node_trace_ledger(b, eps, top)
+    assert _ledger(b, eps, top) == node_trace_ledger(b, eps, top)
 
 
-@pytest.mark.parametrize("top", [None, 2])
-def test_trace_ledger_raises_on_a_singular_b(top):
-    # orders n - 1 and n are closed through adj(B'), which a singular B
-    # lacks; the pipeline's B is the inverse of a P-matrix
-    b, eps = SINGULAR_CASE
-    with pytest.raises(SingularMatrixError):
-        _trace_ledger(b, eps, top)
+DECREASING = st.lists(POSITIVE, min_size=7, max_size=7, unique=True).map(
+    lambda values: sorted(values, reverse=True)
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    ledger_cases(
+        max_n=7, entries=st.one_of(FRACTIONS, st.integers(-9, 9).map(Fraction))
+    ).filter(_invertible),
+    DECREASING,
+)
+def test_staged_screen_decides_as_the_order_two_screen(case, eps):
+    # the search screens order 1 alone first and orders j <= 2 only when it
+    # passes: it accepts the diagonals the one-shot screen accepts, and
+    # names the same first violation, since ledger keys sort by order
+    b, eps = case[0], eps[: case[0].n]
+    one_shot = nonpositive_values(_ledger(b, eps, SCREEN_ORDER))
+    order_one = _ledger(b, eps, 1)
+    staged = nonpositive_values(order_one) or one_shot
+    assert order_one == {k: v for k, v in _ledger(b, eps).items() if k[0] == 1}
+    assert bool(staged) == bool(one_shot)
+    assert staged[:1] == one_shot[:1]
+
+
+@pytest.mark.parametrize(
+    "a", [DEMO_A, LEVEL_SEARCH_FAULT, row_dominant_matrix(7)],
+    ids=["demo", "fault", "dominant7"],
+)
+def test_order_one_screen_forms_no_product_and_no_char_poly(monkeypatch, a):
+    # order 1 is two quadratic forms of D' in H, read off the integer form
+    import pstab.stabilize
+
+    nest = find_q2_nest(a)
+    form = _integer_b(a, nest, build_B(a, nest))
+    calls = []
+    for name in ("integer_product", "integer_minor_sums"):
+        kernel = getattr(pstab.stabilize, name)
+        monkeypatch.setattr(
+            pstab.stabilize, name,
+            lambda *args, kernel=kernel, name=name: calls.append(name) or kernel(*args),
+        )
+    n = a.n
+    for steps in (0, 3):
+        delta = 2 ** (n - 1 + steps)
+        d_int = [delta - 2 ** (n - 1) + 2 ** (n - 1 - i) for i in range(n)]
+        assert set(_trace_ledger(form, d_int, delta, 1)) == {(1, 0, 1), (1, 1, 1)}
+    assert calls == []
+    _trace_ledger(form, d_int, delta, SCREEN_ORDER)
+    assert calls.count("integer_minor_sums") == 6
+
+
+def _nested_p_matrices():
+    """Seeded P-matrices with a Q^2 nest, n = 1..7, integer and fraction."""
+    rng = random.Random(47)
+    while True:
+        m = random_p_matrix(rng, rng.randint(1, 7))
+        if rng.random() < 0.3:
+            m = m * Fraction(rng.randint(1, 9), rng.randint(2, 9))
+        if find_q2_nest(m) is not None:
+            yield m
+
+
+def test_adjugate_read_off_a_tilde_is_the_eliminated_one():
+    # adj(B') and det(B') of the integer form equal a fraction-free
+    # elimination of B', which fixes both up to one shared sign
+    for a, _ in zip(_nested_p_matrices(), range(40)):
+        nest = find_q2_nest(a)
+        b = build_B(a, nest)
+        form = _integer_b(a, nest, b)
+        eliminated = eliminated_integer_form(b)
+        assert form[:4] == eliminated[:4]
+        adj, p = eliminated[4:]
+        assert (form.adj, form.det) in (
+            (adj, p), ([[-x for x in row] for row in adj], -p)
+        )
+        assert form.det == det(b) * form.beta**a.n
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_complete_ledger_takes_n_choose_two_char_polys(monkeypatch, n):
-    # nodes s <= t in {0..n-2} for an invertible B, none at n <= 2
+    # nodes s <= t in {0..n-2} for an invertible B at n >= 4; none at
+    # n <= 3, where the orders n - 1, n and 1 are all closed
     import pstab.stabilize
 
     calls = []
@@ -407,13 +493,13 @@ def test_complete_ledger_takes_n_choose_two_char_polys(monkeypatch, n):
 
     monkeypatch.setattr(pstab.stabilize, "integer_minor_sums", counted)
     b = random_spd_matrix(random.Random(n), n)
-    _trace_ledger(b, [Fraction(1, 2**i) for i in range(n)])
-    assert len(calls) == (n * (n - 1) // 2 if n >= 3 else 0)
+    _ledger(b, [Fraction(1, 2**i) for i in range(n)])
+    assert len(calls) == (n * (n - 1) // 2 if n >= 4 else 0)
 
 
 def test_top_order_of_a_one_by_one_ledger():
     # L(1,k,m) = e^(k+m) b^2, the closed form with no node at all
-    ledger = _trace_ledger(ExactMatrix([[Fraction(-3, 2)]]), [Fraction(2, 5)])
+    ledger = _ledger(ExactMatrix([[Fraction(-3, 2)]]), [Fraction(2, 5)])
     assert ledger == {
         (1, 0, 1): Fraction(2, 5) * Fraction(9, 4),
         (1, 1, 1): Fraction(4, 25) * Fraction(9, 4),
@@ -429,9 +515,9 @@ def test_screen_reports_the_violation_of_the_full_ledger(a):
     gaps = [1 - Fraction(1, 2**i) for i in range(b.n)]
     for steps in range(stab.identity_steps):
         eps = [1 - gap / 2**steps for gap in gaps]
-        violations = nonpositive_values(_trace_ledger(b, eps, SCREEN_ORDER))
+        violations = nonpositive_values(_ledger(b, eps, SCREEN_ORDER))
         assert violations
-        assert violations[0] == nonpositive_values(_trace_ledger(b, eps))[0]
+        assert violations[0] == nonpositive_values(_ledger(b, eps))[0]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -442,22 +528,22 @@ def test_screen_reports_the_violation_of_the_full_ledger(a):
 )
 def test_hurwitz_minors_match_a_determinant_per_minor(m):
     # entries in {-1, 0, 1} give zero pivots, and minors after them
-    assert hurwitz_minors(m) == per_minor_hurwitz_minors(m)
+    assert _minors(m) == per_minor_hurwitz_minors(m)
 
 
 def test_hurwitz_minors_decide_positive_stability():
-    assert all(v > 0 for v in hurwitz_minors(DEMO_A))
-    assert all(v > 0 for v in hurwitz_minors(ExactMatrix.identity(3)))
+    assert all(v > 0 for v in _minors(DEMO_A))
+    assert all(v > 0 for v in _minors(ExactMatrix.identity(3)))
     # eigenvalues -1 and 2: not positively stable
-    assert not all(v > 0 for v in hurwitz_minors(ExactMatrix.diagonal([-1, 2])))
+    assert not all(v > 0 for v in _minors(ExactMatrix.diagonal([-1, 2])))
     # eigenvalues 1 +- 2i and 0 +- i (a pure imaginary pair) in block form
     rotation = ExactMatrix(
         [[1, -2, 0, 0], [2, 1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
     )
-    assert not all(v > 0 for v in hurwitz_minors(rotation))
+    assert not all(v > 0 for v in _minors(rotation))
     # eigenvalues 1 +- i and 1 +- 3i
     stable = ExactMatrix([[1, -1, 0, 0], [1, 1, 0, 0], [0, 0, 1, -3], [0, 0, 3, 1]])
-    assert all(v > 0 for v in hurwitz_minors(stable))
+    assert all(v > 0 for v in _minors(stable))
 
 
 def test_nonpositive_values_order():
@@ -482,15 +568,15 @@ def test_build_stabilizer_demo():
     b, stab = cert.b_matrix, cert.stabilizer
     assert stab.eps[0] == 1
     assert all(x > y for x, y in zip(stab.eps, stab.eps[1:]))
-    assert nonpositive_values(_trace_ledger(b, stab.eps)) == []
+    assert nonpositive_values(_ledger(b, stab.eps)) == []
 
 
 def test_build_stabilizer_demo_passes_both_exact_checks():
     cert = _search(DEMO_A)
     b, stab = cert.b_matrix, cert.stabilizer
-    cross_terms = [v for (_, k, _), v in _trace_ledger(b, stab.eps).items() if not k]
+    cross_terms = [v for (_, k, _), v in _ledger(b, stab.eps).items() if not k]
     assert cross_terms and all(v > 0 for v in cross_terms)
-    assert all(v > 0 for v in hurwitz_minors(b.scale_rows(stab.eps)))
+    assert all(v > 0 for v in _minors(b.scale_rows(stab.eps)))
     # the demo needs D close to I: the cross term (1,0,1) is negative for
     # the geometric start diag(1, 1/2, 1/4, 1/8)
     assert stab.identity_steps > 0
@@ -522,31 +608,37 @@ def test_shrink_cap_message_names_halvings_and_last_violation():
     )
 
 
-@pytest.mark.parametrize("a", [DEMO_A, LEVEL_SEARCH_FAULT], ids=["demo", "fault"])
-def test_build_stabilizer_computes_one_ledger_per_diagonal(monkeypatch, a):
-    # every diagonal tried is screened on orders j <= 2; only the accepted
-    # one gets the complete ledger and the Hurwitz minors
+@pytest.mark.parametrize(
+    "a,order_two_screens", [(DEMO_A, 1), (LEVEL_SEARCH_FAULT, 4)], ids=["demo", "fault"]
+)
+def test_build_stabilizer_computes_one_ledger_per_diagonal(
+    monkeypatch, a, order_two_screens
+):
+    # every diagonal tried is screened on order 1; one that passes is
+    # screened on orders j <= 2, and only the accepted one gets the
+    # complete ledger and the Hurwitz minors
     import pstab.stabilize
 
     ledger = pstab.stabilize._trace_ledger
     minors = pstab.stabilize.hurwitz_minors
     calls = []
 
-    def counted(b, eps, top=None):
+    def counted(form, d_int, delta, top=None):
         calls.append(top)
-        return ledger(b, eps, top)
+        return ledger(form, d_int, delta, top)
 
-    def counted_minors(m):
+    def counted_minors(m, c):
         calls.append("hurwitz")
-        return minors(m)
+        return minors(m, c)
 
     monkeypatch.setattr(pstab.stabilize, "_trace_ledger", counted)
     monkeypatch.setattr(pstab.stabilize, "hurwitz_minors", counted_minors)
     stab = _search(a).stabilizer
     assert stab.identity_steps > 0
-    assert calls.count(SCREEN_ORDER) == stab.identity_steps + 1
-    assert calls[-3:] == [SCREEN_ORDER, None, "hurwitz"]
-    assert len(calls) == stab.identity_steps + 3
+    assert calls.count(1) == stab.identity_steps + 1
+    assert calls.count(SCREEN_ORDER) == order_two_screens
+    assert calls[-4:] == [1, SCREEN_ORDER, None, "hurwitz"]
+    assert len(calls) == stab.identity_steps + order_two_screens + 3
 
 
 def test_certify_stability_level_search_fault():
@@ -628,16 +720,16 @@ def test_build_stabilizer_rejects_a_screened_diagonal_whose_certificate_fails(
     minors = pstab.stabilize.hurwitz_minors
     calls = []
 
-    def first_fails(m):
-        calls.append(m)
-        values = minors(m)
+    def first_fails(m, c):
+        calls.append((m, c))
+        values = minors(m, c)
         return (-values[0], *values[1:]) if len(calls) == 1 else values
 
     monkeypatch.setattr(pstab.stabilize, "hurwitz_minors", first_fails)
     cert = _search(DEMO_A)
     assert len(calls) == 2
     assert cert.stabilizer.identity_steps == 9
-    assert cert.endpoint_hurwitz == minors(calls[-1])
+    assert cert.endpoint_hurwitz == minors(*calls[-1])
     assert nonpositive_values(
         cert.trace_ledger, cert.endpoint_hurwitz, cert.block_trace_values
     ) == []
@@ -675,8 +767,8 @@ def test_certify_stability_demo_exact_fields_positive():
     assert len(cert.endpoint_hurwitz) == 4
     assert all(v > 0 for v in cert.endpoint_hurwitz)
     endpoint = cert.b_matrix.scale_rows(cert.stabilizer.eps)
-    assert cert.endpoint_hurwitz == hurwitz_minors(endpoint)
-    assert cert.trace_ledger == _trace_ledger(cert.b_matrix, cert.stabilizer.eps)
+    assert cert.endpoint_hurwitz == _minors(endpoint)
+    assert cert.trace_ledger == _ledger(cert.b_matrix, cert.stabilizer.eps)
 
 
 def test_certify_stability_hypothesis_failures():
