@@ -37,7 +37,7 @@ from .nests import NestViolation, verify_nest
 from .stabilize import (
     DEFAULT_MAX_SHRINK,
     Stabilizer,
-    build_B,
+    block_traces,
     certify_stability,
     exact_certificate,
     nonpositive_values,
@@ -197,7 +197,7 @@ def certificate_document(cert) -> dict:
         },
         "block_traces": {
             f"{j},{m}": frac_str(v)
-            for (j, m), v in sorted(cert.block_trace_values.items())
+            for (j, m), v in sorted(block_traces(cert.nest).items())
         },
         "stabilizer": {
             "eps": [frac_str(e) for e in cert.stabilizer.eps],
@@ -310,17 +310,18 @@ def verify_document(doc: dict, a: ExactMatrix):
     First ``input.matrix`` must be ``a`` as the writer states it, so a
     certificate of another matrix stops the check.  The three claims are
     ``nest.chain``, ``stabilizer.eps`` and ``stabilizer.identity_steps``.
-    :func:`pstab.stabilize.exact_certificate`, which builds every
+    :func:`pstab.stabilize.exact_certificate`, the derivation of every
     certificate ``certify`` writes, rebuilds the certificate from them and
     :func:`certificate_document` writes it again, so the format has one
-    definition: each exact field, ``nest.tau`` among them, must equal the
-    rewritten one, text for text.  The block traces, the trace ledger
+    definition: each exact field, ``nest.tau`` and the block traces among
+    them, must equal the rewritten one, text for text.  The trace ledger
     and its cross terms (the homotopy stays Q^2) and the endpoint Hurwitz
     minors (diag(eps) * B is positively stable) must be positive, decided
-    on the re-derived values by :func:`pstab.stabilize.nonpositive_values`.
-    The matrix must be a P-matrix, and the nest's full level makes it Q^2;
-    B inherits both (see :func:`pstab.stabilize.build_B`).  The float
-    sections are advisory.
+    on the re-derived values by :func:`pstab.stabilize.nonpositive_values`;
+    the re-verified Q^2 levels make the block traces positive.  The matrix
+    must be a P-matrix, and the nest's full level makes it Q^2; B inherits
+    both (see :func:`pstab.stabilize.build_B`).  The float sections are
+    advisory.
     """
     try:
         cert = _rederive(doc, a)
@@ -331,9 +332,7 @@ def verify_document(doc: dict, a: ExactMatrix):
         problems += _section_problems(section, doc.get(section), want)
     problems += [
         f"{_value_name(key)} is not positive"
-        for key, _ in nonpositive_values(
-            cert.trace_ledger, cert.endpoint_hurwitz, cert.block_trace_values
-        )
+        for key, _ in nonpositive_values(cert.trace_ledger, cert.endpoint_hurwitz)
     ]
     return [p for p in problems if p]
 
@@ -341,12 +340,9 @@ def verify_document(doc: dict, a: ExactMatrix):
 def _value_name(key):
     """A value keyed as by :func:`pstab.stabilize.nonpositive_values`,
     named by its section's label and its index there."""
-    if key[0] == "block":
-        section, key = "block_traces", key[1:]
-    elif key[0] == "hurwitz":
+    section = "trace_ledger" if key[1] else "cross_terms"
+    if key[0] == "hurwitz":
         section, key = "endpoint_hurwitz_minors", key[1:]
-    else:
-        section = "trace_ledger" if key[1] else "cross_terms"
     return f"{_INDEXED[section]} ({','.join(map(str, key))})"
 
 
@@ -366,7 +362,6 @@ def _rederive(doc, a):
         nest = verify_nest(a, chain, report.minor_table)
         if isinstance(nest, NestViolation):
             raise MatrixArgumentError(nest.describe())
-        b = build_B(a, nest)
     except MatrixArgumentError as exc:
         raise _Discrepancy(f"nest fails re-verification: {exc}") from exc
     eps = _field(doc, "stabilizer", "eps", _tuple_of(_fraction))
@@ -377,7 +372,7 @@ def _rederive(doc, a):
         stabilizer = Stabilizer(eps=eps, identity_steps=steps)
     except MatrixArgumentError as exc:
         raise _Discrepancy(f"stabilizer fails re-verification: {exc}") from exc
-    return exact_certificate(a, report, nest, b, stabilizer)
+    return exact_certificate(a, report, nest, stabilizer)
 
 
 def _shape(value):

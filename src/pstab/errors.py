@@ -37,23 +37,20 @@ class HypothesisError(CertificationError):
 
 
 class StabilizerInconclusiveError(CertificationError):
-    """The diagonal-stabilizer search hit its halving cap or a nonpositive block trace.
+    """The diagonal-stabilizer search hit its halving cap.
 
     Not a refutation: when B is positively stable a diagonal close enough
     to I passes both exact checks, but the search gave up after
     ``halvings`` halvings of I - D.  ``last_violation`` names the last
-    nonpositive value as (key, value), or is None when no diagonal was
-    tried.
+    nonpositive value as (key, value).
     """
 
     kind = "inconclusive"
 
     def __init__(self, halvings, last_violation):
+        key, value = last_violation
         message = f"stabilizer search gave up after {halvings} halvings of I - D"
-        if last_violation is not None:
-            key, value = last_violation
-            message += f"; last violation {key} = {value}"
-        super().__init__(message)
+        super().__init__(f"{message}; last violation {key} = {value}")
         self.last_violation = last_violation
 
 

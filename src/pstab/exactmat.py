@@ -211,7 +211,7 @@ def cleared(m: ExactMatrix):
 
 
 def integer_product(a, b) -> list:
-    """Product of two square integer matrices given as lists of int rows."""
+    """Product of two integer matrices given as lists of int rows."""
     cols = list(zip(*b))
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 

@@ -28,19 +28,20 @@ No compound matrix and no Schur complement is formed: every exact
 quantity is a sum of principal minors from the char-poly kernel
 (:mod:`pstab.exactmat`).  The block traces are read off the nest's levels,
 Tr((B^(j)[1..m])^2) = E_(n-j)(A[S_(n-m)]^2) / det(A)^2 (see
-:func:`block_traces`); the ledger is read off the generating function
+:func:`block_traces`), positive and never checked because the nest is
+Q^2; the ledger is read off the generating function
 E_j((I + sD) B (I + tD) B) = sum s^k t^m L(j,k,m), whose nodes are
 E_j(N_s W_t) with N_s = B^2 + s B D B and the diagonal W_t = I + t D (up
-to integer scales) and whose orders 1, n - 1 and n are closed (see
-:func:`_trace_ledger`), so a complete ledger takes n(n-1)/2 char-polys
-at n >= 4; the Hurwitz minors are the pivots of one fraction-free
-elimination of the Hurwitz matrix of E_k(D B).
+to integer scales) and whose orders 1, n - 1 and n follow one Gram rule
+(see :func:`_trace_ledger`), so a complete ledger takes n(n-1)/2
+char-polys at n >= 4; the Hurwitz minors are the pivots of one
+fraction-free elimination of the Hurwitz matrix of E_k(D B).
 
-Each exact value is computed once per certification: the search screens
-every diagonal cheapest first, on the ledger's order 1 in O(n^2), then on
-its orders j <= 2 (six nodes, no matrix power), and for one that passes
-derives the exact part of its certificate with :func:`exact_certificate`,
-the call ``verify`` rebuilds a certificate with.  One rule,
+Each exact value is computed once per certification: the search builds
+B's integer form once, screens every diagonal on it cheapest first, on the
+ledger's order 1 in O(n^2), then on its orders j <= 2 (six nodes, no
+matrix power), and derives the certificate of one that passes from it as
+``verify`` does with :func:`exact_certificate`.  One rule,
 :func:`nonpositive_values`, decides the sign of every exact value: in the
 screens, in the search's acceptance test and in ``verify``.
 
@@ -78,7 +79,10 @@ from .exactmat import (
 from .nests import NestCertificate
 
 DEFAULT_MAX_SHRINK = 64
-# ledger orders a diagonal that passes order 1 is screened on
+# ledger orders a diagonal that passes order 1 is screened on.  On the
+# benchmark workloads (seeds 1-10) it rejects diagonals of the level-search
+# fault input only, three per certify, each in 0.4 ms where its certificate
+# would take 2.4 ms (n = 6, Python 3.11.7), so the stage stays.
 SCREEN_ORDER = 2
 
 
@@ -108,22 +112,34 @@ def build_B(a: ExactMatrix, nest: NestCertificate) -> ExactMatrix:
     return inverse(ExactMatrix([[a.rows[i][j] for j in order] for i in order]))
 
 
-_IntegerB = namedtuple("_IntegerB", "rows beta hadamard square adj det")
+_IntegerB = namedtuple("_IntegerB", "b rows beta square grams")
 
 
-def _integer_b(a: ExactMatrix, nest: NestCertificate, b: ExactMatrix) -> _IntegerB:
-    """B = build_B(a, nest) as B' = beta B on integers, with what no diagonal
-    changes: H = B' o B'^T, B'^2, and, for A~ = A'/c on integers and
-    det(A') = c^n det(A), adj(B') = (beta c)^(n-1) A' / det(A') and
+def _integer_b(a: ExactMatrix, nest: NestCertificate) -> _IntegerB:
+    """B = build_B(a, nest) with what no diagonal changes, on integers:
+    B' = beta B, B'^2 and ``grams``, which maps each closed order j in
+    {1, n - 1, n} to (G_j = B'^(j) o B'^(j)T, the index sets of order j).
+    No compound is formed: they are (B' o B'^T, the {i}),
+    (adj(B') o adj(B')^T, the [n] - {i}) and (det(B')^2, [n]), where for
+    A~ = A'/c on integers and det(A') = c^n det(A),
+    adj(B') = (beta c)^(n-1) A' / det(A') and
     det(B') = (beta c)^n / det(A'), exact divisions."""
+    b, n = build_B(a, nest), a.n
     (rows, beta), (a_int, c) = cleared(b), cleared(a)
     order = [i - 1 for i in reversed(nest.tau)]
-    det_a = int(nest.levels[-1].order_sums[-1] * c**b.n)
-    scale = (beta * c) ** (b.n - 1)
-    hadamard = [list(map(operator.mul, row, col)) for row, col in zip(rows, zip(*rows))]
+    det_a = int(nest.levels[-1].order_sums[-1] * c**n)
+    scale = (beta * c) ** (n - 1)
     adj = [[scale * a_int[i][j] // det_a for j in order] for i in order]
-    square, det_b = integer_product(rows, rows), scale * beta * c // det_a
-    return _IntegerB(rows, beta, hadamard, square, adj, det_b)
+    hadamard, adj_gram = (
+        [list(map(operator.mul, row, col)) for row, col in zip(m, zip(*m))]
+        for m in (rows, adj)
+    )
+    grams = {
+        1: (hadamard, [[i] for i in range(n)]),
+        n - 1: (adj_gram, [[*range(i), *range(i + 1, n)] for i in range(n)]),
+        n: ([[(scale * beta * c // det_a) ** 2]], [range(n)]),
+    }
+    return _IntegerB(b, rows, beta, integer_product(rows, rows), grams)
 
 
 # -- block traces and the trace ledger -------------------------------------
@@ -194,48 +210,32 @@ def _trace_ledger(form, d_int, delta, top=None) -> dict:
     E_j(UV) = E_j(VU), E_j(X_s X_t) = E_j(N_s W_t) with
     N_s = delta B'^2 + s B'D'B' and the diagonal W_t = delta I + t D', so
     every node is a column scaling of a combination of two fixed products.
-    Order j has degree j in s and in t, so orders j <= q are evaluated for
-    s <= t in {0..q} (E_j(X_s X_t) = E_j(X_t X_s)) with the char-poly cut
-    off at order q, and the coefficients of order j are recovered from its
-    values P on the nodes 0..j by two exact Vandermonde passes,
-    W P W^T / (j!)^2 with the integer Lagrange operator W = j! V^(-1) of
-    :func:`pstab.exactmat.lagrange_operator`.
+    Order j has degree j in s and in t, so orders 2 <= j <= q = min(top,
+    n - 2) are evaluated for s <= t in {0..q} (E_j(X_s X_t) = E_j(X_t X_s))
+    with the char-poly cut off at order q, and the coefficients of order j
+    are recovered from its values P on the nodes 0..j by two exact
+    Vandermonde passes, W P W^T / (j!)^2 with the integer Lagrange operator
+    W = j! V^(-1) of :func:`pstab.exactmat.lagrange_operator`.
 
-    Three orders need no node.  With pi_i(x) = prod_(r != i)
-    (delta + x d'_r) = sum_k c_k(i) x^k:
+    The orders j in {1, n - 1, n} need no node.  E_j(X_s X_t) is the
+    trace of X_s^(j) X_t^(j), and (delta I + s D')^(j) is diagonal, its
+    entry on the index set alpha being p_alpha(s) = prod_(i in alpha)
+    (delta + s d'_i).  So with P_j the coefficients of p_alpha, one row per
+    alpha, and G_j = B'^(j) o B'^(j)T,
 
-    * B^(n) = det B and D_k^(n) = e_k(eps), so L(n,k,m) = e_k(eps) e_m(eps)
-      det(B)^2, with delta^n e_k(eps) the coefficients of
-      det(delta I + x D') = prod_i (delta + x d'_i);
-    * E_(n-1)(M) = Tr adj(M), adj(X_s X_t) = adj(X_t) adj(X_s) and
-      adj(X_s) = adj(B') diag(pi_i(s)), so
-      L(n-1,k,m) (delta beta)^(2(n-1)) = sum_(i,l) G_il c_k(i) c_m(l) with
-      G_il = adj(B')_il adj(B')_li;
-    * E_1 is a trace, so L(1,k,m) (delta beta)^2 = u_k^T H u_m with
-      u_0 = delta 1 and u_1 = d', read off the node diagonals H 1 and H d'.
+        (delta beta)^(2j) L(j,k,m) = (P_j^T G_j P_j)_km,
 
-    So q = n - 2 when top >= n - 1, and q = top below it; order 1 is
-    closed unless q >= 2, so its screen takes no product or char-poly.
+    where ``form.grams`` holds G_j without a compound (see
+    :func:`_integer_b`).  Order 1, an n-by-2 P_1 around H, takes O(n^2)
+    products and no char-poly, so its screen is cheap.
     """
-    b_int, beta, hadamard, square, adj, det_b = form
-    n = len(b_int)
+    b_rows, beta, square, grams = form[1:]
+    n = len(b_rows)
     top = n if top is None else min(top, n)
-    q, closed = top, {}
-    if top >= n - 1:
-        q = n - 2
-        g = [list(map(operator.mul, row, col)) for row, col in zip(adj, zip(*adj))]
-        c = [diagonal_poly(delta, d_int[:i] + d_int[i + 1 :]) for i in range(n)]
-        closed[n - 1] = integer_product(integer_product(list(zip(*c)), g), c)
-        if top == n:
-            poly = diagonal_poly(delta, d_int)
-            closed[n] = [[det_b**2 * x * y for y in poly] for x in poly]
-    if q == 1:  # column m = 0 is never read
-        h_d = [sum(map(operator.mul, row, d_int)) for row in hadamard]
-        u_h_d = (delta * sum(h_d), sum(map(operator.mul, d_int, h_d)))
-        closed[1], q = [(None, x) for x in u_h_d], 0
-    if q > 0:
+    q = min(top, n - 2)
+    if q >= 2:
         sandwich = integer_product(
-            b_int, [[d * x for x in row] for d, row in zip(d_int, b_int)]
+            b_rows, [[d * x for x in row] for d, row in zip(d_int, b_rows)]
         )
         grid = {}
         for s in range(q + 1):
@@ -250,14 +250,16 @@ def _trace_ledger(form, d_int, delta, top=None) -> dict:
 
     ledger = {}
     for j in range(1, top + 1):
-        if j <= q:
+        if j in grams:
+            gram, sets = grams[j]
+            p = [diagonal_poly(delta, [d_int[i] for i in alpha]) for alpha in sets]
+            coeffs = integer_product(integer_product(list(zip(*p)), gram), p)
+            scale = (delta * beta) ** (2 * j)
+        else:
             w = lagrange_operator(j)
             values = [[grid[s, t][j] for t in range(j + 1)] for s in range(j + 1)]
             coeffs = integer_product(integer_product(w, values), list(zip(*w)))
             scale = math.factorial(j) ** 2 * (delta * beta) ** (2 * j)
-        else:
-            coeffs = closed[j]
-            scale = (delta * beta) ** (2 * j)
         for k in range(j + 1):
             for m_pos in range(1, j + 1):
                 ledger[(j, k, m_pos)] = Fraction(coeffs[k][m_pos], scale)
@@ -287,17 +289,17 @@ def hurwitz_minors(a, c) -> tuple:
     )
 
 
-def nonpositive_values(ledger, minors=(), traces=None) -> list:
+def nonpositive_values(ledger, minors=()) -> list:
     """Every nonpositive value among the exact values the stability claim
-    rests on, as (key, value) pairs in order: the block traces keyed
-    ("block", j, m), the ledger keyed (j, k, m) in key order, and the
-    Hurwitz minors keyed ("hurwitz", k).  Empty when all are positive.
+    rests on, as (key, value) pairs in order: the ledger keyed (j, k, m) in
+    key order, then the Hurwitz minors keyed ("hurwitz", k).  Empty when
+    all are positive.
 
     Ledger keys sort by j first, so a ledger cut off at an order j reports
-    first what the complete ledger would.
+    first what the complete ledger would.  No block trace is checked: the
+    nest functions accept only Q^2 levels, which make each positive.
     """
-    values = [(("block", *key), v) for key, v in sorted((traces or {}).items())]
-    values += sorted(ledger.items())
+    values = sorted(ledger.items())
     values += [(("hurwitz", k), v) for k, v in enumerate(minors, start=1)]
     return [(key, v) for key, v in values if v <= 0]
 
@@ -307,55 +309,54 @@ def nonpositive_values(ledger, minors=(), traces=None) -> list:
 
 class StabilityCertificate(namedtuple(
     "StabilityCertificate",
-    "matrix report nest b_matrix block_trace_values stabilizer"
-    " trace_ledger endpoint_hurwitz spectrum stabilized_spectrum"
-    " wedge_margin spectrum_reason disagreement",
+    "matrix report nest b_matrix stabilizer trace_ledger endpoint_hurwitz"
+    " spectrum stabilized_spectrum wedge_margin spectrum_reason disagreement",
     defaults=(None,) * 5,
 )):
     """Everything needed to re-check a positive-stability claim.
 
     All fields up to ``endpoint_hurwitz`` are exact rationals re-derivable
     from the input matrix alone, all made by :func:`exact_certificate`.
-    Each fact is held once: the ``nest`` carries the chain and the
-    permutations tau and theta of the transform (see
+    Each fact is held once: the ``nest`` carries the chain, the
+    permutations tau and theta of the transform and the order sums that
+    :func:`block_traces` reads the block traces off (see
     :class:`pstab.nests.NestCertificate`), ``b_matrix`` is B,
-    ``block_trace_values`` maps (j, m) to Tr((B^(j)[1..m])^2),
     ``trace_ledger`` is the flat dict {(j, k, m): L(j,k,m)}, 0 <= k <= j
     and 1 <= m <= j, of :func:`_trace_ledger`, cross terms included, and
     ``endpoint_hurwitz`` holds the Hurwitz minors of
     det(xI + diag(eps) * B).  The claim rests on their signs, which
     :func:`nonpositive_values` decides once in the search that accepts
-    them and once in ``verify``: the block traces are positive, a positive
-    ledger keeps the homotopy Q^2, and positive endpoint minors prove
-    diag(eps) * B positively stable.  The ``spectrum`` of the input
-    matrix, the ``stabilized_spectrum`` of diag(eps) * B and the
-    ``wedge_margin`` are the only floating-point content; they are
-    advisory cross-checks, and all three are None when the spectra were
-    not computed, with ``spectrum_reason`` saying why.  ``disagreement``
-    says how the float evidence contradicts the exact claim (a nonpositive
-    eigenvalue, a wedge margin <= 0, or a failed sum/product cross-check),
-    and is None when it does not.
+    them and once in ``verify``: a positive ledger keeps the homotopy Q^2,
+    and positive endpoint minors prove diag(eps) * B positively stable.
+    The ``spectrum`` of the input matrix, the ``stabilized_spectrum`` of
+    diag(eps) * B and the ``wedge_margin`` are the only floating-point
+    content; they are advisory cross-checks, and all three are None when
+    the spectra were not computed, with ``spectrum_reason`` saying why.
+    ``disagreement`` says how the float evidence contradicts the exact
+    claim (a nonpositive eigenvalue, a wedge margin <= 0, or a failed
+    sum/product cross-check), and is None when it does not.
     """
 
     __slots__ = ()
 
 
 def exact_certificate(
-    a: ExactMatrix, report, nest: NestCertificate, b: ExactMatrix, stabilizer, traces=None
+    a: ExactMatrix, report, nest: NestCertificate, stabilizer
 ) -> StabilityCertificate:
     """The certificate, without spectra, that a Q^2 nest and a stabilizer
-    make of A, given A's class report, B = build_B(a, nest) and maybe
-    ``traces`` = block_traces(nest): the one code that derives the block
-    traces, the ledger and the endpoint Hurwitz minors, signs unchecked."""
+    make of A, given A's class report: B, the ledger and the endpoint
+    Hurwitz minors, signs unchecked, as the search derives them."""
+    return _certificate(a, report, nest, _integer_b(a, nest), stabilizer)
+
+
+def _certificate(a, report, nest, form, stabilizer) -> StabilityCertificate:
+    """:func:`exact_certificate` with B's integer form ``form`` given."""
     delta = math.lcm(*(e.denominator for e in stabilizer.eps))
-    d_int, form = [int(e * delta) for e in stabilizer.eps], _integer_b(a, nest, b)
+    d_int = [int(e * delta) for e in stabilizer.eps]
     endpoint = [[d * x for x in row] for d, row in zip(d_int, form.rows)]
-    return StabilityCertificate(
-        matrix=a, report=report, nest=nest, b_matrix=b,
-        block_trace_values=block_traces(nest) if traces is None else traces,
-        stabilizer=stabilizer, trace_ledger=_trace_ledger(form, d_int, delta),
-        endpoint_hurwitz=hurwitz_minors(endpoint, delta * form.beta),
-    )
+    ledger = _trace_ledger(form, d_int, delta)
+    minors = hurwitz_minors(endpoint, delta * form.beta)
+    return StabilityCertificate(a, report, nest, form.b, stabilizer, ledger, minors)
 
 
 def build_stabilizer(
@@ -373,24 +374,21 @@ def build_stabilizer(
     accepted.  As D -> I every L(j,k,m) tends to C(j,k) C(j,m) E_j(B^2) > 0
     and diag(eps) * B tends to B, so when B is positively stable the search
     ends after finitely many halvings; after ``max_shrink`` of them it
-    raises StabilizerInconclusiveError, and after 0 on a nonpositive block
-    trace, which no D changes.
+    raises StabilizerInconclusiveError.
 
-    Each D is screened cheapest first on B's integer form, built once: on
-    the ledger's order 1 in O(n^2), then on its orders j <= SCREEN_ORDER
-    (see :func:`_trace_ledger`); only a D that passes both gets its
-    certificate.  A screen's first violation is the complete ledger's.
+    B's integer form is built once, and each D is screened cheapest first
+    on it: on the ledger's order 1 in O(n^2), then on its orders
+    j <= SCREEN_ORDER (see :func:`_trace_ledger`); only a D that passes
+    both gets its certificate, derived from the same form.  A screen's
+    first violation is the complete ledger's.
 
     The search never tests B: that B is a P- and Q^2-matrix is the
     theorem's hypothesis, which the caller establishes on A (see
     :func:`build_B`).
     """
-    traces = block_traces(nest)
-    violations = nonpositive_values({}, traces=traces)
-    if violations:
-        raise StabilizerInconclusiveError(0, violations[0])
-    b = build_B(a, nest)
-    form, n = _integer_b(a, nest, b), b.n
+    if max_shrink < 0:
+        raise MatrixArgumentError("max_shrink must be at least 0")
+    form, n = _integer_b(a, nest), a.n
     for steps in range(max_shrink + 1):
         delta = 2 ** (n - 1 + steps)
         d_int = [delta - 2 ** (n - 1) + 2 ** (n - 1 - i) for i in range(n)]
@@ -399,11 +397,11 @@ def build_stabilizer(
         ) or nonpositive_values(_trace_ledger(form, d_int, delta, SCREEN_ORDER))
         if not violations:
             stabilizer = Stabilizer(tuple(Fraction(d, delta) for d in d_int), steps)
-            cert = exact_certificate(a, report, nest, b, stabilizer, traces)
+            cert = _certificate(a, report, nest, form, stabilizer)
             violations = nonpositive_values(cert.trace_ledger, cert.endpoint_hurwitz)
             if not violations:
                 return cert
-    raise StabilizerInconclusiveError(max_shrink, (violations or [None])[0])
+    raise StabilizerInconclusiveError(max_shrink, violations[0])
 
 
 # -- the top-level certificate ---------------------------------------------

@@ -27,7 +27,6 @@ from pstab.exactmat import (
     cleared,
     det,
     index_sets,
-    integer_det,
     integer_minor_sums,
     integer_product,
     lagrange_operator,
@@ -140,12 +139,10 @@ def permutation_multiset_match(values_a, values_b, abs_tol=1e-8, rel_tol=1e-8):
 
 def node_trace_ledger(b: ExactMatrix, eps, top=None) -> dict:
     """The ledger {(j, k, m): L(j,k,m)} of diag(eps) over B for orders
-    j <= top (default n), interpolated from nodes through order n - 1,
-    with only the top order L(n,k,m) = e_k(eps) e_m(eps) det(B)^2 in
-    closed form."""
+    j <= top (default n), every order interpolated from nodes, with no
+    order in closed form."""
     n = b.n
-    top = n if top is None else min(top, n)
-    q = min(top, n - 1)
+    q = n if top is None else min(top, n)
     b_int, beta = cleared(b)
     delta = math.lcm(*(e.denominator for e in eps))
     d_int = [e.numerator * (delta // e.denominator) for e in eps]
@@ -166,21 +163,12 @@ def node_trace_ledger(b: ExactMatrix, eps, top=None) -> dict:
             grid[s, t] = grid[t, s] = integer_minor_sums(node, q)
     w_rows, w = lagrange_operator(q), math.factorial(q)
     w_cols = [list(col) for col in zip(*w_rows)]
-    if top == n:
-        det_sq = integer_det(b_int) ** 2
-        poly = [1]
-        for d in d_int:
-            poly = [delta * x + d * y for x, y in zip(poly + [0], [0] + poly)]
 
     ledger = {}
-    for j in range(1, top + 1):
-        if j <= q:
-            values = [[grid[s, t][j] for t in nodes] for s in nodes]
-            coeffs = integer_product(integer_product(w_rows, values), w_cols)
-            scale = w * w * (delta * beta) ** (2 * j)
-        else:
-            coeffs = [[det_sq * x * y for y in poly] for x in poly]
-            scale = (delta * beta) ** (2 * j)
+    for j in range(1, q + 1):
+        values = [[grid[s, t][j] for t in nodes] for s in nodes]
+        coeffs = integer_product(integer_product(w_rows, values), w_cols)
+        scale = w * w * (delta * beta) ** (2 * j)
         for k in range(j + 1):
             for m_pos in range(1, j + 1):
                 ledger[(j, k, m_pos)] = Fraction(coeffs[k][m_pos], scale)
@@ -190,11 +178,20 @@ def node_trace_ledger(b: ExactMatrix, eps, top=None) -> dict:
 def eliminated_integer_form(b: ExactMatrix):
     """B's integer form as :func:`pstab.stabilize._integer_b` holds it, of
     any invertible B, with +-adj(B') and +-det(B') (one sign for both)
-    from :func:`pstab.exactmat.integer_adjugate` of B'; the ledger reads
-    only adj(B')_il adj(B')_li and det(B')^2, which the sign leaves alone."""
+    from :func:`pstab.exactmat.integer_adjugate` of B'; the form keeps only
+    adj(B')_il adj(B')_li and det(B')^2, which the sign leaves alone."""
     from pstab.stabilize import _IntegerB
 
     rows, beta = cleared(b)
     adj, p = integer_adjugate(rows)
-    hadamard = [list(map(operator.mul, row, col)) for row, col in zip(rows, zip(*rows))]
-    return _IntegerB(rows, beta, hadamard, integer_product(rows, rows), adj, p)
+    n = b.n
+
+    def gram(m):
+        return [[m[i][l] * m[l][i] for l in range(n)] for i in range(n)]
+
+    grams = {
+        1: (gram(rows), [[i] for i in range(n)]),
+        n - 1: (gram(adj), [[r for r in range(n) if r != i] for i in range(n)]),
+        n: ([[p * p]], [range(n)]),
+    }
+    return _IntegerB(b, rows, beta, integer_product(rows, rows), grams)

@@ -775,16 +775,14 @@ def test_verify_decides_positivity_on_the_rederived_values(
     # nonpositive exact value is L(1,0,1): every text matches, the sign fails
     from pstab import classify_full, find_q2_nest
     from pstab.cli import certificate_document
-    from pstab.stabilize import Stabilizer, build_B, exact_certificate
+    from pstab.stabilize import Stabilizer, exact_certificate
 
     cert_path, _ = demo_certificate
     nest = find_q2_nest(DEMO_A)
     former = Stabilizer(
         eps=(Fraction(1), Fraction(1, 64), Fraction(1, 128), Fraction(1, 256))
     )
-    cert = exact_certificate(
-        DEMO_A, classify_full(DEMO_A), nest, build_B(DEMO_A, nest), former
-    )
+    cert = exact_certificate(DEMO_A, classify_full(DEMO_A), nest, former)
     _rewrite(cert_path, certificate_document(cert))
     assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
     assert capsys.readouterr().out == "FAIL: cross term (1,0,1) is not positive\n"
@@ -938,31 +936,6 @@ def test_certify_exits_2_when_no_screened_diagonal_passes_the_exact_checks(
     assert capsys.readouterr().out == (
         "inconclusive: stabilizer search gave up after 10 halvings of I - D; "
         "last violation ('hurwitz', 4) = -1\n"
-    )
-
-
-def test_certify_exits_2_on_a_nonpositive_block_trace(demo_file, monkeypatch, capsys):
-    # the block traces are positive whenever the chain is Q^2; they do not
-    # depend on the diagonal, so the search stops on one that is not before
-    # it tries a diagonal
-    import pstab.stabilize
-    from pstab import find_q2_nest
-
-    block_traces = pstab.stabilize.block_traces
-
-    def one_nonpositive(nest):
-        values = block_traces(nest)
-        values[(3, 2)] = -values[(3, 2)]
-        return values
-
-    monkeypatch.setattr(pstab.stabilize, "block_traces", one_nonpositive)
-    assert main(["certify", demo_file, "--json", "-"]) == EXIT_INCONCLUSIVE
-    out = capsys.readouterr().out
-    value = -block_traces(find_q2_nest(DEMO_A))[(3, 2)]
-    assert value == Fraction(-180, 30151081)
-    assert out == (
-        "inconclusive: stabilizer search gave up after 0 halvings of I - D; "
-        f"last violation ('block', 3, 2) = {value}\n"
     )
 
 
@@ -1218,10 +1191,11 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     # order 1, one that passes on orders j <= 2, and derives the exact
     # certificate, complete ledger and Hurwitz minors included, only for
     # one that passes both screens (here the one it accepts) and writes
-    # that; verify derives it once.  Each command inverts A~ once, to B,
-    # and eliminates nothing else: adj(B') is read off A~.  Neither command
-    # forms a submatrix or a char-poly for Q, Q^2 or any nest level: those
-    # order sums are read off A's P sweep
+    # that; verify derives it once.  Each command builds B's integer form
+    # once, the search reusing it for the certificate it accepts, and so
+    # inverts A~ once, to B, and eliminates nothing else: adj(B') is read
+    # off A~.  Neither command forms a submatrix or a char-poly for Q, Q^2
+    # or any nest level: those order sums are read off A's P sweep
     import pstab.classify
     import pstab.exactmat
     import pstab.nests
@@ -1251,8 +1225,11 @@ def test_certify_and_verify_decide_each_exact_fact_once(
         pstab.classify.is_p,
         pstab.classify.is_q2,
         pstab.exactmat.principal_submatrix,
+        pstab.exactmat.inverse,
         pstab.stabilize.hurwitz_minors,
         pstab.stabilize.exact_certificate,
+        pstab.stabilize._certificate,
+        pstab.stabilize._integer_b,
     )
     kernel = pstab.classify.integer_minor_sums
     char_polys = []  # through the binding that Q, Q^2 and nest levels use
@@ -1269,8 +1246,11 @@ def test_certify_and_verify_decide_each_exact_fact_once(
         "is_p": 0,
         "is_q2": 0,
         "principal_submatrix": 0,
+        "inverse": 1,
         "hurwitz_minors": 1,
-        "exact_certificate": 1,
+        "exact_certificate": 0,
+        "_certificate": 1,
+        "_integer_b": 1,
     }
     assert main(["certify", str(matrix_path), "--json", cert_path]) == EXIT_OK
     assert searches == {"find_q2_nest": 1, "build_stabilizer": 1}
@@ -1291,7 +1271,7 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     assert main(["verify", cert_path, str(matrix_path)]) == EXIT_OK
     assert screens == [None]
     assert adjugated == [a_tilde]
-    assert counts == expected and char_polys == []
+    assert counts == {**expected, "exact_certificate": 1} and char_polys == []
     # verify re-derives from the claimed chain and diagonal: it searches for neither
     assert searches == {"find_q2_nest": 0, "build_stabilizer": 0}
     # the public nest search, with no table, takes one char-poly per

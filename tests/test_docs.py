@@ -1,6 +1,7 @@
 """The documentation against the code: README's Python example runs,
-every public name ``pstab`` exports resolves, and README's size-cap table
-holds every cap with its value."""
+every public name ``pstab`` exports resolves, every dotted ``pstab`` name
+README's prose mentions resolves, and README's size-cap table holds every
+cap with its value."""
 
 import contextlib
 import functools
@@ -32,6 +33,45 @@ def test_every_public_name_resolves_once():
     assert len(names) == len(set(names))
     for name in names:
         assert getattr(pstab, name) is not None, name
+
+
+def _readme_pstab_names():
+    """{dotted name: whether it resolves} for each inline-code name in
+    README's prose that starts with ``pstab``, a pstab module or a public
+    pstab name, resolved in that module or on ``pstab``."""
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    modules = {path.stem for path in Path(pstab.__file__).parent.glob("*.py")}
+    found = {}
+    for name in set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", prose)):
+        parts = name.split(".")
+        if parts[0] == "pstab":
+            parts = parts[1:]
+        elif parts[0] not in modules and parts[0] not in pstab.__all__:
+            continue  # a certificate key path or a standard-library name
+        if parts and parts[0] in modules:
+            parts[0] = importlib.import_module(f"pstab.{parts[0]}")
+        else:
+            parts.insert(0, pstab)
+        try:
+            functools.reduce(getattr, parts[1:], parts[0])
+        except AttributeError:
+            found[name] = False
+        else:
+            found[name] = True
+    return found
+
+
+def test_readme_dotted_pstab_names_resolve():
+    # modules, module members and record fields alike: a field or function
+    # that goes must leave the prose too
+    found = _readme_pstab_names()
+    assert [name for name, resolves in found.items() if not resolves] == []
+    assert {
+        "pstab.stabilize.nonpositive_values",
+        "exactmat.integer_minor_sums",
+        "ClassReport.minor_table",
+        "NestCertificate.levels",
+    } <= set(found)
 
 
 def _size_caps():

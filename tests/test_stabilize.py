@@ -206,6 +206,32 @@ def test_block_traces_match_compound_blocks():
     assert permuted >= 2  # the fault and one permuted embedding
 
 
+@st.composite
+def nested_p_matrices(draw):
+    """The first of :func:`_nested_p_matrices` at a drawn seed, and up to
+    eight orders to read chains off."""
+    m = next(_nested_p_matrices(draw(st.integers(0, 2**32))))
+    orders = st.permutations(range(1, m.n + 1))
+    return m, draw(st.lists(orders, min_size=1, max_size=8))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(nested_p_matrices())
+def test_block_traces_of_every_accepted_nest_are_positive(case):
+    # nothing checks a block trace's sign: each is E_(n-j)(A[S_(n-m)]^2) /
+    # det(A)^2 of a level that find_q2_nest or verify_nest proved Q^2
+    a, orders = case
+    report = classify_full(a)
+    nests = [find_q2_nest(a), find_q2_nest(a, report.minor_table)]
+    for order in orders:
+        chain = [tuple(sorted(order[:k])) for k in range(1, a.n + 1)]
+        nests.append(verify_nest(a, chain, report.minor_table))
+    accepted = [nest for nest in nests if not isinstance(nest, NestViolation)]
+    assert len(accepted) >= 2
+    for nest in accepted:
+        assert all(v > 0 for v in block_traces(nest).values())
+
+
 def test_stabilizer_validation():
     Stabilizer(eps=(Fraction(1), Fraction(1, 2)))
     with pytest.raises(MatrixArgumentError):
@@ -255,9 +281,9 @@ def test_records_keep_positional_construction_and_defaults():
         eps=(Fraction(1), Fraction(1, 2)), identity_steps=0
     )
     cert = certify_stability(DEMO_A)
-    exact = cert[:8]
+    exact = cert[:7]
     bare = type(cert)(*exact)
-    assert bare[:8] == exact
+    assert bare[:7] == exact
     assert (
         bare.spectrum, bare.stabilized_spectrum, bare.wedge_margin,
         bare.spectrum_reason, bare.disagreement,
@@ -388,13 +414,14 @@ def test_screen_is_the_ledger_cut_off_at_order_two(case):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     ledger_cases(
-        max_n=6, entries=st.one_of(FRACTIONS, st.integers(-1, 1).map(Fraction))
+        max_n=7, entries=st.one_of(FRACTIONS, st.integers(-1, 1).map(Fraction))
     ).filter(_invertible),
-    st.one_of(st.none(), st.integers(1, 6)),
+    st.one_of(st.none(), st.integers(1, 7)),
 )
 def test_ledger_matches_the_node_ledger(case, top):
-    # orders n - 1 and n in closed form, the same exact values as nodes
-    # through order n - 1; every B that build_B returns is invertible
+    # orders 1, n - 1 and n by the Gram rule, the same exact values as an
+    # interpolation of every order from nodes; every B that build_B
+    # returns is invertible
     b, eps = case
     assert _ledger(b, eps, top) == node_trace_ledger(b, eps, top)
 
@@ -429,31 +456,36 @@ def test_staged_screen_decides_as_the_order_two_screen(case, eps):
     ids=["demo", "fault", "dominant7"],
 )
 def test_order_one_screen_forms_no_product_and_no_char_poly(monkeypatch, a):
-    # order 1 is two quadratic forms of D' in H, read off the integer form
+    # no char-poly and no n-by-n product: order 1 is P_1^T H P_1 with the
+    # n-by-2 coefficient matrix P_1 of the polynomials delta + x d'_i, and
+    # H is read off the integer form
     import pstab.stabilize
 
-    nest = find_q2_nest(a)
-    form = _integer_b(a, nest, build_B(a, nest))
+    form = _integer_b(a, find_q2_nest(a))
     calls = []
     for name in ("integer_product", "integer_minor_sums"):
         kernel = getattr(pstab.stabilize, name)
         monkeypatch.setattr(
             pstab.stabilize, name,
-            lambda *args, kernel=kernel, name=name: calls.append(name) or kernel(*args),
+            lambda *args, kernel=kernel, name=name: calls.append(
+                (name, len(args[0]), len(args[1][0])) if name == "integer_product"
+                else name
+            ) or kernel(*args),
         )
     n = a.n
     for steps in (0, 3):
         delta = 2 ** (n - 1 + steps)
         d_int = [delta - 2 ** (n - 1) + 2 ** (n - 1 - i) for i in range(n)]
         assert set(_trace_ledger(form, d_int, delta, 1)) == {(1, 0, 1), (1, 1, 1)}
-    assert calls == []
+    assert calls == [("integer_product", 2, n), ("integer_product", 2, 2)] * 2
+    calls.clear()
     _trace_ledger(form, d_int, delta, SCREEN_ORDER)
     assert calls.count("integer_minor_sums") == 6
 
 
-def _nested_p_matrices():
+def _nested_p_matrices(seed=47):
     """Seeded P-matrices with a Q^2 nest, n = 1..7, integer and fraction."""
-    rng = random.Random(47)
+    rng = random.Random(seed)
     while True:
         m = random_p_matrix(rng, rng.randint(1, 7))
         if rng.random() < 0.3:
@@ -463,19 +495,15 @@ def _nested_p_matrices():
 
 
 def test_adjugate_read_off_a_tilde_is_the_eliminated_one():
-    # adj(B') and det(B') of the integer form equal a fraction-free
-    # elimination of B', which fixes both up to one shared sign
+    # the Gram matrices of the integer form, built from adj(B') and det(B')
+    # read off A~, equal those of a fraction-free elimination of B', which
+    # fixes adj(B') and det(B') up to one shared sign
     for a, _ in zip(_nested_p_matrices(), range(40)):
         nest = find_q2_nest(a)
-        b = build_B(a, nest)
-        form = _integer_b(a, nest, b)
-        eliminated = eliminated_integer_form(b)
-        assert form[:4] == eliminated[:4]
-        adj, p = eliminated[4:]
-        assert (form.adj, form.det) in (
-            (adj, p), ([[-x for x in row] for row in adj], -p)
-        )
-        assert form.det == det(b) * form.beta**a.n
+        form = _integer_b(a, nest)
+        assert form.b == build_B(a, nest)
+        assert form == eliminated_integer_form(form.b)
+        assert form.grams[a.n][0] == [[(det(form.b) * form.beta**a.n) ** 2]]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -547,16 +575,14 @@ def test_hurwitz_minors_decide_positive_stability():
 
 
 def test_nonpositive_values_order():
-    # block traces, then the ledger in key order, then the Hurwitz minors
+    # the ledger in key order, then the Hurwitz minors
     good = {(1, 1, 1): Fraction(1), (1, 0, 1): Fraction(1)}
     assert nonpositive_values(good, (Fraction(1), Fraction(2))) == []
     assert nonpositive_values(good, (Fraction(1), Fraction(0))) == [
         (("hurwitz", 2), Fraction(0))
     ]
     bad = {(2, 1, 1): Fraction(-2), (1, 1, 1): Fraction(1), (1, 0, 1): Fraction(-1)}
-    traces = {(2, 1): Fraction(0), (1, 1): Fraction(1)}
-    assert nonpositive_values(bad, (Fraction(-1),), traces) == [
-        (("block", 2, 1), Fraction(0)),
+    assert nonpositive_values(bad, (Fraction(-1),)) == [
         ((1, 0, 1), Fraction(-1)),
         ((2, 1, 1), Fraction(-2)),
         (("hurwitz", 1), Fraction(-1)),
@@ -703,7 +729,7 @@ def test_certify_stability_demo_certificate():
     assert sorted(cert.nest.theta) == [1, 2, 3, 4]
     assert cert.b_matrix == inverse(DEMO_A)
     assert nonpositive_values(cert.trace_ledger) == []
-    assert all(v > 0 for v in cert.block_trace_values.values())
+    assert all(v > 0 for v in block_traces(cert.nest).values())
     assert cert.wedge_margin > 0
     assert all(v.real > 0 for v in cert.spectrum.eigenvalues)
     assert det(cert.matrix) == 5491
@@ -730,9 +756,7 @@ def test_build_stabilizer_rejects_a_screened_diagonal_whose_certificate_fails(
     assert len(calls) == 2
     assert cert.stabilizer.identity_steps == 9
     assert cert.endpoint_hurwitz == minors(*calls[-1])
-    assert nonpositive_values(
-        cert.trace_ledger, cert.endpoint_hurwitz, cert.block_trace_values
-    ) == []
+    assert nonpositive_values(cert.trace_ledger, cert.endpoint_hurwitz) == []
 
 
 @pytest.mark.parametrize(
@@ -751,9 +775,7 @@ def test_certify_stability_is_the_exact_certificate_of_its_witnesses(a):
     # every exact field certify writes must be the one exact_certificate
     # derives from them
     cert = certify_stability(a)
-    exact = exact_certificate(
-        a, cert.report, cert.nest, cert.b_matrix, cert.stabilizer
-    )
+    exact = exact_certificate(a, cert.report, cert.nest, cert.stabilizer)
     assert exact == cert._replace(
         spectrum=None, stabilized_spectrum=None, wedge_margin=None,
         spectrum_reason=None, disagreement=None,
