@@ -3,8 +3,10 @@ stage, certificate serialization and the built-in demo.
 
 Matrix files are plain text: a dimension line, then n rows of n entries
 (integers, fractions like "-7/5", or finite decimals, all parsed exactly).
-An entry, and the dimension, may have at most MAX_LITERAL_DIGITS digits;
-an entry's decimal exponent is at most MAX_LITERAL_EXPONENT in magnitude.
+An entry, the dimension, and the numerator and the denominator of a
+certificate's claimed stabilizer.eps may have at most MAX_LITERAL_DIGITS
+digits; an entry's decimal exponent is at most MAX_LITERAL_EXPONENT in
+magnitude.
 Certificates are JSON with every exact value stored as a fraction string;
 the only floats are the advisory eigenvalues and wedge margin.
 :func:`certificate_document` is the format's one definition: `verify`
@@ -25,7 +27,6 @@ import functools
 import json
 import re
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -267,16 +268,16 @@ _RATIO = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def _fraction(value):
-    """An exact value in the "p/q" form that :func:`frac_str` writes, read
-    at any length.  No other form is read: "1e10000000" would be 11
-    characters standing for a 10^7-digit integer."""
+    """An exact value in the "p/q" form that :func:`frac_str` writes, with
+    at most MAX_LITERAL_DIGITS digits in p and in q.  No other form is
+    read: "1e10000000" would be 11 characters standing for a 10^7-digit
+    integer.  The cap is checked on the text, before any int is built:
+    verify derives the ledger of a claimed diagonal before it compares
+    any text, so its time would grow with the claimed digits."""
     match = _RATIO.fullmatch(_typed(str)(value))
-    if match is None:
-        raise ValueError("expected a fraction p/q")
-    try:
-        return Fraction(int(match[1]), int(match[2]))
-    except ValueError:  # past the str-to-int digit limit
-        return Fraction(int(Decimal(match[1])), int(Decimal(match[2])))
+    if match is None or any(map(_literal_size_problem, match.groups())):
+        raise ValueError("expected a fraction p/q within the digit cap")
+    return Fraction(int(match[1]), int(match[2]))
 
 
 def _field(doc, section, key, convert):

@@ -3,13 +3,15 @@
 Entries are ``fractions.Fraction`` at the API boundary only.  Every exact
 kernel first clears denominators, A' = cA with c the lcm of the entries'
 denominators, and runs on Python ints: the product, the Bareiss
-determinant, every minor of each order by Laplace expansion (the
-compounds), the fraction-free Gauss-Jordan adjugate and the char-poly
-kernel (power traces and Newton's identities, with a root-squaring step
-for the square).  A Fraction is built once per result entry.  Floating
-point enters the system only in :mod:`pstab.spectra`.  Index sets at the
-API boundary are 1-based strictly increasing tuples, matching the usual
-minor notation A(i1...ik; j1...jk).
+determinant (one elimination behind every determinant and minor; the
+endpoint Hurwitz minors take one per leading block), every minor of each
+order by Laplace expansion (the compounds), the fraction-free
+Gauss-Jordan adjugate and the char-poly kernel (power traces and
+Newton's identities, with a root-squaring step for the square).  A
+Fraction is built once per result entry.  Floating point enters the
+system only in :mod:`pstab.spectra`.  Index sets at the API boundary are
+1-based strictly increasing tuples, matching the usual minor notation
+A(i1...ik; j1...jk).
 """
 
 from __future__ import annotations
@@ -223,56 +225,33 @@ def det(m: ExactMatrix) -> Fraction:
     return Fraction(integer_det(a), c**m.n)
 
 
-def _bareiss_pivots(a):
-    """Yield (pivot, row swaps so far) per step of fraction-free (Bareiss)
-    elimination of an integer matrix given as a list of int rows: every
-    division is exact.  Until the first swap the k-th pivot is det A[1..k]
-    (Sylvester's identity); a column with no nonzero candidate yields 0
-    and ends it."""
+def integer_det(a) -> int:
+    """Determinant of an integer matrix given as a list of int rows, by
+    fraction-free (Bareiss) elimination.
+
+    Step k replaces every row below the pivot row by (p_k row - a_ik pivot
+    row) / p_(k-1), an exact integer division, with p_k the k-th pivot and
+    p_0 = 1; the last pivot is det A up to the sign of the row swaps.  A
+    column with no nonzero candidate makes the determinant 0.
+    """
     a = [list(row) for row in a]
     n = len(a)
-    swaps, prev = 0, 1
+    sign, prev = 1, 1
     for col in range(n):
-        if a[col][col] == 0:
-            r = next((r for r in range(col + 1, n) if a[r][col]), None)
-            if r is None:
-                yield 0, swaps
-                return
-            a[col], a[r] = a[r], a[col]
-            swaps += 1
+        pivot_row = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != col:
+            a[col], a[pivot_row] = a[pivot_row], a[col]
+            sign = -sign
         pivot_line = a[col]
         pivot = pivot_line[col]
-        yield pivot, swaps
         for row in a[col + 1 :]:
             factor = row[col]
             for c in range(col + 1, n):
                 row[c] = (row[c] * pivot - factor * pivot_line[c]) // prev
         prev = pivot
-
-
-def integer_det(a) -> int:
-    """Determinant of an integer matrix given as a list of int rows: the
-    last pivot of :func:`_bareiss_pivots`, signed by its row swaps."""
-    *_, (pivot, swaps) = _bareiss_pivots(a)
-    return -pivot if swaps % 2 else pivot
-
-
-def integer_leading_minors(a) -> list:
-    """[det A[1..1], ..., det A[1..n]] of an integer matrix given as a
-    list of int rows.
-
-    The pivots of one elimination (:func:`_bareiss_pivots`) up to its first
-    row swap are leading minors.  From the first zero pivot on, each
-    remaining minor is an :func:`integer_det` of its own block.
-    """
-    minors = []
-    for pivot, swaps in _bareiss_pivots(a):
-        if swaps or not pivot:
-            break
-        minors.append(pivot)
-    for k in range(len(minors) + 1, len(a) + 1):
-        minors.append(integer_det([row[:k] for row in a[:k]]))
-    return minors
+    return sign * prev
 
 
 def integer_compounds(a):

@@ -34,8 +34,8 @@ E_j((I + sD) B (I + tD) B) = sum s^k t^m L(j,k,m), whose nodes are
 E_j(N_s W_t) with N_s = B^2 + s B D B and the diagonal W_t = I + t D (up
 to integer scales) and whose orders 1, n - 1 and n follow one Gram rule
 (see :func:`_trace_ledger`), so a complete ledger takes n(n-1)/2
-char-polys at n >= 4; the Hurwitz minors are the pivots of one
-fraction-free elimination of the Hurwitz matrix of E_k(D B).
+char-polys at n >= 4; the Hurwitz minors are one fraction-free
+determinant per leading block of the Hurwitz matrix of E_k(D B).
 
 Each exact value is computed once per certification: the search builds
 B's integer form once, screens every diagonal on it cheapest first, on the
@@ -70,7 +70,7 @@ from .exactmat import (
     ExactMatrix,
     cleared,
     diagonal_poly,
-    integer_leading_minors,
+    integer_det,
     integer_minor_sums,
     integer_product,
     inverse,
@@ -275,8 +275,8 @@ def hurwitz_minors(a, c) -> tuple:
     det(xI + M) lies in the open left half-plane, that is iff M is
     positively stable.  H' holds the integer E_(2j-i)(a) and entry (i, j)
     of H is H'_ij / c^(2j-i), so det H[1..k] = det H'[1..k] /
-    c^(k(k+1)/2): the minors are the pivots of one fraction-free
-    elimination of H' (see :func:`pstab.exactmat.integer_leading_minors`).
+    c^(k(k+1)/2), one :func:`pstab.exactmat.integer_det` per leading
+    block of H'.
     """
     coeffs, n = integer_minor_sums(a), len(a)
     rows = [
@@ -284,8 +284,8 @@ def hurwitz_minors(a, c) -> tuple:
         for i in range(1, n + 1)
     ]
     return tuple(
-        Fraction(value, c ** (k * (k + 1) // 2))
-        for k, value in enumerate(integer_leading_minors(rows), start=1)
+        Fraction(integer_det([row[:k] for row in rows[:k]]), c ** (k * (k + 1) // 2))
+        for k in range(1, n + 1)
     )
 
 

@@ -33,6 +33,7 @@ from pstab.cli import (
     MAX_LITERAL_EXPONENT,
     MatrixParseError,
     _literal_size_problem,
+    _value_name,
     entry_str,
     frac_str,
     main,
@@ -622,6 +623,25 @@ def test_verify_reads_the_chain_in_its_canonical_form(
     assert capsys.readouterr().out == "FAIL: nest.chain does not re-verify\n"
 
 
+def test_verify_names_the_first_level_of_a_chain_that_is_not_q2(
+    demo_file, demo_certificate, capsys
+):
+    cert_path, doc = demo_certificate
+    doc["nest"]["chain"] = [[1], [1, 2], [1, 2, 3], [1, 2, 3, 4]]
+    _rewrite(cert_path, doc)
+    assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
+    assert capsys.readouterr().out == (
+        "FAIL: nest fails re-verification: level 2 subset (1, 2): "
+        "order-1 minor sum of the square is -20\n"
+    )
+
+
+def test_a_hurwitz_minor_is_named_by_its_section_and_index():
+    # no verify input tried reaches a nonpositive endpoint minor, so the
+    # name is checked directly
+    assert _value_name(("hurwitz", 3)) == "endpoint Hurwitz minor (3)"
+
+
 def test_verify_rejects_a_list_section_written_as_an_object(
     demo_file, demo_certificate, capsys
 ):
@@ -713,6 +733,33 @@ def test_verify_builds_no_integer_from_an_exponent(
     assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
     assert time.perf_counter() - start < 5
     assert name in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "digits,malformed",
+    [(MAX_LITERAL_DIGITS + 1, True), (MAX_LITERAL_DIGITS, False)],
+    ids=["past-the-cap", "at-the-cap"],
+)
+def test_verify_caps_the_digits_of_a_claimed_eps(
+    demo_file, demo_certificate, digits, malformed, capsys
+):
+    # 10^(digits-1) + 1 has `digits` digits and is prime to the numerator 1;
+    # past the cap no int is built and no ledger derived
+    cert_path, doc = demo_certificate
+    doc["stabilizer"]["eps"][-1] = f"1/{10 ** (digits - 1) + 1}"
+    _rewrite(cert_path, doc)
+    start = time.perf_counter()
+    assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    if malformed:
+        assert elapsed < 1
+        assert out == (
+            "FAIL: certificate field stabilizer.eps is missing or malformed\n"
+        )
+    else:
+        assert "stabilizer.eps" not in out
+        assert "FAIL: trace ledger entry (1,1,1) does not re-verify\n" in out
 
 
 @pytest.mark.parametrize(

@@ -17,8 +17,8 @@ from pstab.exactmat import (
     check_index_set,
     cleared,
     index_sets,
+    integer_compounds,
     integer_det,
-    integer_leading_minors,
     integer_minor_sums,
     principal_submatrix,
     submatrix,
@@ -214,12 +214,11 @@ def test_minor_sums_to_order_two_form_no_product(monkeypatch):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(square_lists(st.integers(-3, 3), 7))
 def test_leading_minors_match_a_determinant_per_block(a):
-    # small entries give zero pivots, after which each minor is its own det
-    expected = [
-        det(ExactMatrix([row[:k] for row in a[:k]])) for k in range(1, len(a) + 1)
-    ]
-    assert integer_leading_minors(a) == expected
-    assert integer_det(a) == expected[-1]
+    # small entries give zero pivots and row swaps; the Laplace expansion
+    # of integer_compounds is the reference (its first subset is 1..k)
+    expected = [minors[0][0] for _, minors in integer_compounds(a)]
+    blocks = [[row[:k] for row in a[:k]] for k in range(1, len(a) + 1)]
+    assert list(map(integer_det, blocks)) == expected
 
 
 FRACTIONS = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 7))

@@ -109,6 +109,14 @@ def test_find_q2_nest_none_when_full_set_fails():
     assert find_q2_nest(ExactMatrix([[0, 1], [1, 0]])) is None
 
 
+def test_find_q2_nest_none_when_the_descent_fails():
+    # Q^2 but not P, and no 3-subset is Q^2: the search passes the full
+    # set and finds no level below it
+    m = ExactMatrix([[3, -3, 2, 3], [-1, 0, 0, 4], [-4, 2, 1, -4], [-3, 1, -3, 0]])
+    assert is_q2(m)[0] and not is_p(m)[0]
+    assert find_q2_nest(m) is None
+
+
 def test_find_q2_nest_is_deterministic():
     assert find_q2_nest(DEMO_A) == find_q2_nest(DEMO_A)
 

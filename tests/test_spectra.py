@@ -51,6 +51,23 @@ def test_eigenvalue_cross_checks_scale_with_the_entries():
         eigenvalues(ExactMatrix.diagonal([1, 10**400]))
 
 
+@pytest.mark.parametrize(
+    "values,missed",
+    [([2.0, 4.0], "eigenvalue sum"), ([1.0, 4.0], "eigenvalue product")],
+    ids=["sum", "product"],
+)
+def test_eigenvalues_that_miss_the_exact_trace_or_det_raise(
+    monkeypatch, values, missed
+):
+    # diag(2, 3) has trace 5 and det 6: [2, 4] misses the trace, [1, 4]
+    # keeps it and misses the determinant
+    import numpy
+
+    monkeypatch.setattr(numpy.linalg, "eigvals", lambda _: numpy.array(values))
+    with pytest.raises(NumericToleranceError, match=missed):
+        eigenvalues(ExactMatrix.diagonal([2, 3]))
+
+
 def test_is_positively_stable_margin():
     spectrum = eigenvalues(ExactMatrix.diagonal([1, 5]))
     assert is_positively_stable(spectrum)

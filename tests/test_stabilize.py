@@ -609,6 +609,11 @@ def test_build_stabilizer_demo_passes_both_exact_checks():
     assert all(e > Fraction(99, 100) for e in stab.eps)
 
 
+def test_build_stabilizer_rejects_a_negative_max_shrink():
+    with pytest.raises(MatrixArgumentError, match="max_shrink must be at least 0"):
+        _search(DEMO_A, max_shrink=-1)
+
+
 def test_build_stabilizer_shrink_cap():
     with pytest.raises(StabilizerInconclusiveError):
         _search(DEMO_A, max_shrink=1)
