@@ -11,16 +11,17 @@ time, each from one exact integer division per bordered minor, and forms
 an order only when its consumer asks for it.  P reads the sweep of A' and
 stops at the first nonpositive minor (:func:`is_p`).  Q and Q^2 are the
 order sums of A' and their root-squaring step: in :func:`classify_full`,
-the sums of the sweep's orders when A is P, which then also answer Q^2
-for every principal submatrix (:func:`_table_q2`, the nest levels), and
-one char-poly of A' otherwise.  Square dominance needs
-the minors A(a;b) off the diagonal only through their sum of squares,
-which by Cauchy-Binet is a principal minor of the Gram matrix A'A'^T
-(A'^T A' for the column side), so it reads the sweeps of A' and of the
-Gram matrix side by side and stops at the first violation.  A symmetric
-matrix is sign-symmetric, since A(a;b) = A(b;a); only a non-symmetric one
-reads every minor A(a;b), from the all-minor generator of
-:mod:`pstab.exactmat`, which forms one order at a time by Laplace
+the sums of the sweep's orders when A is P, and one char-poly of A'
+otherwise.  The nest levels, Q^2 of principal submatrices A[S], have one
+reader (:func:`_level_q2`): the sums over S's subsets of the minors the
+sweep listed when there is a table, else one char-poly of A'[S].  Square
+dominance needs the minors A(a;b) off the diagonal only through their
+sum of squares, which by Cauchy-Binet is a principal minor of the Gram
+matrix A'A'^T (A'^T A' for the column side), so it reads the sweeps of A'
+and of the Gram matrix side by side and stops at the first violation.  A
+symmetric matrix is sign-symmetric, since A(a;b) = A(b;a); only a
+non-symmetric one reads every minor A(a;b), from the all-minor generator
+of :mod:`pstab.exactmat`, which forms one order at a time by Laplace
 expansion on A' (:func:`~pstab.exactmat.integer_compounds`).  Its order 2
 and up are the one part capped in n (SIGN_SYMMETRY_MAX_N).
 
@@ -108,7 +109,7 @@ class ClassReport(namedtuple(
     complete table of the principal minors of A' = cA, a list of int lists
     by order as :func:`_principal_minors` yields them, when A is a
     P-matrix, and None otherwise; the nest levels read it (see
-    :func:`_table_q2`).
+    :func:`_level_q2`).
     """
 
     __slots__ = ()
@@ -239,23 +240,28 @@ def is_q2(m: ExactMatrix):
     return _q2_verdict(*order_sum_traces(m))
 
 
-def _table_q2(table, c):
-    """:func:`is_q2` of each principal submatrix A[S], by index set S, read
-    off the principal minors of A' = cA that one complete sweep lists by
-    order (``table``): E_k(A'[S]) is the sum of the minors on the
-    k-subsets of S.  No submatrix and no char-poly is formed."""
-    n = len(table)
-    subsets = itertools.chain.from_iterable(index_sets(n, k) for k in range(n + 1))
-    minors = dict(zip(subsets, itertools.chain([1], *table)))
+def _level_q2(m: ExactMatrix, table=None):
+    """:func:`is_q2` of each principal submatrix A[S], by sorted index set
+    S, on A' = cA cleared once.  E(A'[S]) is read off ``table``, the
+    principal minors of A' that one complete sweep lists by order, as the
+    sums of the minors on the k-subsets of S, when it is given; otherwise
+    it is one char-poly of the integer submatrix A'[S]."""
+    a, c = cleared(m)
+    if table is None:
+        def level_sums(s):
+            return integer_minor_sums([[a[i - 1][j - 1] for j in s] for i in s])
+    else:
+        n = len(table)
+        subsets = itertools.chain.from_iterable(index_sets(n, k) for k in range(n + 1))
+        minors = dict(zip(subsets, itertools.chain([1], *table)))
 
-    def test(subset):
-        sums = [
-            sum(minors[s] for s in itertools.combinations(subset, k))
-            for k in range(len(subset) + 1)
-        ]
-        return _q2_verdict(*_order_sums(sums, c))
+        def level_sums(subset):
+            return [
+                sum(minors[s] for s in itertools.combinations(subset, k))
+                for k in range(len(subset) + 1)
+            ]
 
-    return test
+    return lambda subset: _q2_verdict(*_order_sums(level_sums(subset), c))
 
 
 def _sign_symmetry_witness(a, c):

@@ -4,13 +4,14 @@ The stability theorem needs a maximal chain S_1 in S_2 in ... in S_n of
 index sets whose principal submatrices are all Q^2-matrices.  Because the
 Q^2 property of a principal submatrix depends only on its index set, the
 search walks the subset lattice (at most 2^n verdicts, memoized) rather
-than the n! orderings.  Given the table of principal minors that
-:func:`pstab.classify.classify_full` leaves on the report of a P-matrix
-(``ClassReport.minor_table``), a verdict is a sum over principal minors
-already swept; without it, it is a char-poly of the principal submatrix.
+than the n! orderings.  One reader, :func:`pstab.classify._level_q2`,
+gives each verdict on A' = cA cleared once: a sum over the principal
+minors that :func:`pstab.classify.classify_full` swept for a P-matrix
+(``ClassReport.minor_table``), else one char-poly of A'[S].
 
 A nest is its levels (:class:`NestCertificate`): the chain and its
 permutations are read off the levels' evidence, so the two cannot disagree.
+A chain that is not a Q^2 nest raises MatrixArgumentError.
 """
 
 from __future__ import annotations
@@ -18,31 +19,15 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
-from .classify import _table_q2, is_q2
+from .classify import _level_q2
 from .errors import MatrixArgumentError
-from .exactmat import ExactMatrix, cleared, principal_submatrix, rational_str
+from .exactmat import ExactMatrix, rational_str
 
 
 class LevelEvidence(namedtuple("LevelEvidence", "subset order_sums order_sums_square")):
     """Order sums for one principal submatrix and its square."""
 
     __slots__ = ()
-
-
-class NestViolation(
-    namedtuple("NestViolation", "level subset order value from_square")
-):
-    """First failing level of a candidate chain; ``level`` is its 1-based
-    position in the chain."""
-
-    __slots__ = ()
-
-    def describe(self):
-        src = "square" if self.from_square else "matrix"
-        return (
-            f"level {self.level} subset {self.subset}: order-{self.order} "
-            f"minor sum of the {src} is {rational_str(self.value)}"
-        )
 
 
 class NestCertificate(namedtuple("NestCertificate", "levels")):
@@ -86,7 +71,10 @@ def chain_tau(chain):
 
 
 def _validate_chain(chain, n):
-    chain = [tuple(sorted(s)) for s in chain]
+    try:  # sorting by int.__index__ refuses an index that is not an int
+        chain = [tuple(sorted(s, key=int.__index__)) for s in chain]
+    except TypeError as exc:  # such an index, or a level that is not a collection
+        raise MatrixArgumentError(f"chain is not a list of index sets: {exc}") from None
     if len(chain) != n:
         raise MatrixArgumentError(
             f"chain must have {n} levels, got {len(chain)}"
@@ -94,20 +82,11 @@ def _validate_chain(chain, n):
     for k, s in enumerate(chain, start=1):
         if len(s) != k or len(set(s)) != k:
             raise MatrixArgumentError(f"chain level {k} must have {k} indices")
-        if any(not (1 <= i <= n) for i in s):
+        if any(not 1 <= i <= n for i in s):
             raise MatrixArgumentError(f"chain level {k} has out-of-range indices")
         if k > 1 and not set(chain[k - 2]) <= set(s):
             raise MatrixArgumentError(f"chain level {k} does not contain level {k-1}")
     return chain
-
-
-def _q2_test(m, minor_table):
-    """The memoized Q^2 test of A[S] by index set S: read off
-    ``minor_table`` (:func:`pstab.classify._table_q2`) when given, else a
-    char-poly of each principal submatrix."""
-    if minor_table is None:
-        return functools.cache(lambda s: is_q2(principal_submatrix(m, s)))
-    return functools.cache(_table_q2(minor_table, cleared(m)[1]))
 
 
 def find_q2_nest(m: ExactMatrix, minor_table=None):
@@ -116,10 +95,11 @@ def find_q2_nest(m: ExactMatrix, minor_table=None):
 
     Descends from the full index set, trying removable indices in
     increasing order, so the returned chain is deterministic.
-    ``minor_table`` is the ``ClassReport.minor_table`` of ``m``, if any.
+    ``minor_table`` is the ``ClassReport.minor_table`` of ``m``, if any;
+    each index set tried is read once by :func:`pstab.classify._level_q2`.
     """
     n = m.n
-    q2 = _q2_test(m, minor_table)
+    q2 = functools.cache(_level_q2(m, minor_table))
     full = tuple(range(1, n + 1))
     ok, *_ = q2(full)
     if not ok:
@@ -142,13 +122,17 @@ def find_q2_nest(m: ExactMatrix, minor_table=None):
 
 
 def _chain_evidence(chain, q2):
-    """The NestCertificate of a validated chain, or its first violation."""
+    """The NestCertificate of a validated chain; raises MatrixArgumentError
+    naming its first level that is not Q^2, by 1-based position."""
     levels = []
     for level, subset in enumerate(chain, start=1):
         ok, sums_m, sums_m2, witness = q2(subset)
         if not ok:
-            square = all(s > 0 for s in sums_m)  # the matrix itself is Q
-            return NestViolation(level, subset, witness.order, witness.value, square)
+            src = "square" if all(s > 0 for s in sums_m) else "matrix"
+            raise MatrixArgumentError(
+                f"level {level} subset {subset}: order-{witness.order} "
+                f"minor sum of the {src} is {rational_str(witness.value)}"
+            )
         levels.append(LevelEvidence(subset, tuple(sums_m), tuple(sums_m2)))
     return NestCertificate(tuple(levels))
 
@@ -157,9 +141,9 @@ def verify_nest(m: ExactMatrix, chain, minor_table=None):
     """Re-verify an externally supplied chain.
 
     Returns the NestCertificate of the validated chain, each level's index
-    set sorted, when every level is Q^2, otherwise the NestViolation for
-    the first failing level.  ``minor_table`` is as in
-    :func:`find_q2_nest`.
+    set sorted, when every level is Q^2; otherwise raises
+    MatrixArgumentError for the chain's shape or naming its first level
+    that is not Q^2.  ``minor_table`` is as in :func:`find_q2_nest`.
     """
     chain = _validate_chain(chain, m.n)
-    return _chain_evidence(chain, _q2_test(m, minor_table))
+    return _chain_evidence(chain, _level_q2(m, minor_table))

@@ -185,10 +185,10 @@ class Stabilizer(namedtuple("Stabilizer", "eps identity_steps")):
     __slots__ = ()
 
     def __new__(cls, eps, identity_steps=0):
-        if eps[0] != 1:
+        if not isinstance(eps, (tuple, list)) or not eps or eps[0] != 1:
             raise MatrixArgumentError("stabilizer must start with eps_1 = 1")
-        for a, b in zip(eps, eps[1:]):
-            if not (0 < b < a):
+        for a, b in zip((2, *eps), eps):  # 2 > e_1 puts e_1 under the type check
+            if not isinstance(b, (int, Fraction)) or not 0 < b < a:
                 raise MatrixArgumentError(
                     "stabilizer entries must decrease strictly and stay positive"
                 )

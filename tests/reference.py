@@ -1,14 +1,16 @@
 """The Fraction and per-minor routines the integer kernels replaced, kept
 as references for the property tests.
 
-Each is the former body of its :mod:`pstab` counterpart: P by one Bareiss
-determinant per principal minor, E(A) by the Faddeev-LeVerrier recurrence
-(n integer products), the inverse by Gauss-Jordan elimination over Q, and
-the product by the naive Fraction double sum, the Hurwitz minors
-by one Bareiss determinant per leading block, and the trace ledger by
+Most are the former body of their :mod:`pstab` counterpart: P by one
+Bareiss determinant per principal minor, E(A) by the Faddeev-LeVerrier
+recurrence (n integer products), the inverse by Gauss-Jordan elimination
+over Q, the product by the naive Fraction double sum, the trace ledger by
 char-poly nodes through order n - 1, and B's integer form by a
-fraction-free elimination of B' for adj(B').  The spectrum matcher is
-the search over every pairing that :func:`pstab.spectra.multiset_match`
+fraction-free elimination of B' for adj(B').  The Hurwitz minors take one
+cofactor determinant (:func:`oracle.naive_det`) per leading block of the
+Hurwitz matrix of the Faddeev-LeVerrier coefficients, so they share no
+kernel with :func:`pstab.stabilize.hurwitz_minors`.  The spectrum matcher
+is the search over every pairing that :func:`pstab.spectra.multiset_match`
 decides by augmenting paths.  The package does not import this module.
 """
 
@@ -19,19 +21,18 @@ import math
 import operator
 from fractions import Fraction
 
+from oracle import naive_det
 from pstab.classify import MinorWitness
 from pstab.errors import SingularMatrixError
 from pstab.exactmat import (
     integer_adjugate,
     ExactMatrix,
     cleared,
-    det,
     index_sets,
     integer_minor_sums,
     integer_product,
     lagrange_operator,
     minor,
-    principal_submatrix,
 )
 
 
@@ -106,18 +107,15 @@ def naive_product(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 def per_minor_hurwitz_minors(m: ExactMatrix) -> tuple:
     """Leading principal minors of the Hurwitz matrix of det(xI + M), one
-    determinant each; E_k(M) = E_k(cM) / c^k on the cleared cM."""
-    a, c = cleared(m)
-    coeffs = [Fraction(e, c**k) for k, e in enumerate(integer_minor_sums(a))]
+    cofactor determinant each, on the Faddeev-LeVerrier E_k(M)."""
+    coeffs = [Fraction(1), *fraction_minor_sums(m)]
     n = m.n
     rows = [
         [coeffs[2 * j - i] if 0 <= 2 * j - i <= n else 0 for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
-    hurwitz = ExactMatrix(rows)
     return tuple(
-        det(principal_submatrix(hurwitz, tuple(range(1, k + 1))))
-        for k in range(1, n + 1)
+        naive_det(ExactMatrix([row[:k] for row in rows[:k]])) for k in range(1, n + 1)
     )
 
 

@@ -1321,10 +1321,21 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     assert counts == {**expected, "exact_certificate": 1} and char_polys == []
     # verify re-derives from the claimed chain and diagonal: it searches for neither
     assert searches == {"find_q2_nest": 0, "build_stabilizer": 0}
-    # the public nest search, with no table, takes one char-poly per
-    # principal submatrix it tries
+    # the public nest search, with no table, takes one integer char-poly
+    # per principal submatrix it tries, the full set first, and forms no
+    # Fraction submatrix
+    level_q2 = pstab.nests._level_q2
+    reads = []  # one entry per call to the cached level reader
+
+    def counted_level_q2(*args):
+        reader = level_q2(*args)
+        return lambda subset: reads.append(subset) or reader(subset)
+
+    monkeypatch.setattr(pstab.nests, "_level_q2", counted_level_q2)
     assert pstab.nests.find_q2_nest(a) is not None
-    assert counts["is_q2"] == len(char_polys) >= a.n
+    assert counts["is_q2"] == counts["principal_submatrix"] == 0
+    assert len(set(reads)) == len(reads) == len(char_polys) >= a.n
+    assert char_polys[0] == a.n
 
 
 def test_verify_refuses_a_matrix_that_is_not_p(tmp_path, capsys):

@@ -3,13 +3,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracle import naive_det
+from reference import naive_product
 from pstab import ExactMatrix
-from pstab.classify import _table_q2, classify_full, is_p, is_q2, order_sum_traces
+from pstab.classify import _level_q2, classify_full, is_p, is_q2, order_sum_traces
 from pstab.errors import MatrixArgumentError
-from pstab.exactmat import cleared, index_sets, principal_submatrix
+from pstab.exactmat import index_sets, principal_submatrix
 from pstab.fixtures import (
     DEMO_A,
     DEMO_CHAIN,
@@ -22,7 +24,6 @@ from pstab.fixtures import (
 from pstab.nests import (
     LevelEvidence,
     NestCertificate,
-    NestViolation,
     chain_tau,
     find_q2_nest,
     verify_nest,
@@ -86,12 +87,17 @@ def test_verify_nest_reports_first_violation():
     # the {1,2} submatrix of the demo matrix is Q but its square has
     # negative trace, so a chain through it must fail at level 2
     chain = ((1,), (1, 2), (1, 2, 3), (1, 2, 3, 4))
-    violation = verify_nest(DEMO_A, chain)
-    assert isinstance(violation, NestViolation)
-    assert violation.level == 2
-    assert violation.subset == (1, 2)
-    assert violation.from_square
-    assert "square" in violation.describe()
+    table = classify_full(DEMO_A).minor_table
+    for minor_table in (None, table):
+        with pytest.raises(MatrixArgumentError) as excinfo:
+            verify_nest(DEMO_A, chain, minor_table)
+        assert str(excinfo.value) == (
+            "level 2 subset (1, 2): order-1 minor sum of the square is -20"
+        )
+    # a level whose matrix is not Q is named by the matrix
+    m = ExactMatrix([[1, 0], [0, -1]])
+    with pytest.raises(MatrixArgumentError, match="^level 2 subset .*matrix is 0$"):
+        verify_nest(m, ((1,), (1, 2)))
 
 
 def test_verify_nest_validates_chain_shape():
@@ -103,6 +109,19 @@ def test_verify_nest_validates_chain_shape():
         verify_nest(DEMO_A, ((1,), (1, 1), (1, 2, 3), (1, 2, 3, 4)))  # repeats
     with pytest.raises(MatrixArgumentError):
         verify_nest(DEMO_A, ((1,), (1, 5), (1, 2, 3), (1, 2, 3, 4)))  # range
+    m = ExactMatrix.identity(2)
+    with pytest.raises(MatrixArgumentError):
+        verify_nest(m, [("1",), ("1", "2")])  # indices that are not ints
+    with pytest.raises(MatrixArgumentError):
+        verify_nest(m, [(1,), (1, "2")])  # mixed, so not sortable
+    with pytest.raises(MatrixArgumentError):
+        verify_nest(m, [1, (1, 2)])  # a level that is not a set
+    with pytest.raises(MatrixArgumentError):
+        verify_nest(m, [([1],), ([1], 2)])  # an unhashable index
+    with pytest.raises(MatrixArgumentError):
+        verify_nest(m, [(1.0,), (1.0, 2.0)])  # floats equal to ints
+    with pytest.raises(MatrixArgumentError):
+        verify_nest(m, None)
 
 
 def test_find_q2_nest_none_when_full_set_fails():
@@ -148,12 +167,71 @@ def p_matrices(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(p_matrices())
 def test_level_sums_from_the_p_sweep_match_a_char_poly_per_submatrix(m):
-    subset_q2 = _table_q2(classify_full(m).minor_table, cleared(m)[1])
+    from_table = _level_q2(m, classify_full(m).minor_table)
+    from_char_poly = _level_q2(m)
     for k in range(1, m.n + 1):
         for s in index_sets(m.n, k):
             sub = principal_submatrix(m, s)
-            assert subset_q2(s) == is_q2(sub)
-            assert subset_q2(s)[1:3] == order_sum_traces(sub)
+            assert from_table(s) == from_char_poly(s) == is_q2(sub)
+            assert from_table(s)[1:3] == order_sum_traces(sub)
+
+
+def _brute_order_sums(m):
+    """[E_1, ..., E_n] of m, one cofactor determinant per principal minor."""
+    return [
+        sum(naive_det(principal_submatrix(m, t)) for t in index_sets(m.n, k))
+        for k in range(1, m.n + 1)
+    ]
+
+
+@st.composite
+def level_matrices(draw):
+    """Integer or fraction matrices, n = 1..6, half of them raised to P."""
+    n = draw(st.integers(1, 6))
+    entry = draw(
+        st.sampled_from(
+            [
+                st.integers(-6, 6),
+                st.builds(Fraction, st.integers(-20, 20), st.integers(1, 5)),
+            ]
+        )
+    )
+    row = st.lists(entry, min_size=n, max_size=n)
+    m = ExactMatrix(draw(st.lists(row, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        while not is_p(m)[0]:
+            m = m + ExactMatrix.identity(n)
+    return m
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(level_matrices())
+@example(ExactMatrix([[2, -1, -2], [-2, 3, -3], [-2, 2, 2]]))  # A(1,3; 1,3) = 0
+@example(ExactMatrix([[1, 2], [3, 4]]))  # not P
+def test_the_level_reader_matches_brute_force_minor_sums(m):
+    # every level S, from the P sweep's table when A is P and from one
+    # char-poly of A'[S] always: E(A[S]) and E(A[S]^2) as sums of cofactor
+    # determinants over the principal submatrices of A[S] and of A[S]A[S]
+    table = classify_full(m).minor_table
+    assert (table is None) == (not is_p(m)[0])
+    readers = [_level_q2(m)] + ([] if table is None else [_level_q2(m, table)])
+    for k in range(1, m.n + 1):
+        for s in index_sets(m.n, k):
+            sub = principal_submatrix(m, s)
+            sums_m = _brute_order_sums(sub)
+            sums_m2 = _brute_order_sums(naive_product(sub, sub))
+            for read in readers:
+                ok, got_m, got_m2, witness = read(s)
+                assert (got_m, got_m2) == (sums_m, sums_m2)
+                assert ok == all(v > 0 for v in sums_m + sums_m2) == (witness is None)
+
+
+def _verdict(m, chain, table=None):
+    """verify_nest's certificate of ``chain``, or the message it raises."""
+    try:
+        return verify_nest(m, chain, table)
+    except MatrixArgumentError as exc:
+        return str(exc)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -170,7 +248,7 @@ def test_nest_search_and_check_agree_with_and_without_the_table(m):
     if nest is not None:
         chains.append(nest.chain)
     for chain in chains:
-        assert verify_nest(m, chain, table) == verify_nest(m, chain)
+        assert _verdict(m, chain, table) == _verdict(m, chain)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
