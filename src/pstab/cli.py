@@ -7,8 +7,11 @@ An entry, the dimension, and the numerator and the denominator of a
 certificate's claimed stabilizer.eps may have at most MAX_LITERAL_DIGITS
 digits; an entry's decimal exponent is at most MAX_LITERAL_EXPONENT in
 magnitude.
-Certificates are JSON with every exact value stored as a fraction string;
-the only floats are the advisory eigenvalues and wedge margin.
+A certificate is one line of compact JSON, which ``python -m json.tool
+cert.json`` pretty-prints, with every exact value stored as a fraction
+string; the only floats are the advisory eigenvalues and wedge margin.
+`verify` parses any JSON layout, so the indented certificates of earlier
+versions verify unchanged.
 :func:`certificate_document` is the format's one definition: `verify`
 rebuilds a certificate from its chain and diagonal with `certify`'s one
 derivation, :func:`pstab.stabilize.exact_certificate`, writes it again and
@@ -476,7 +479,7 @@ def cmd_certify(args) -> int:
 
     doc = certificate_document(cert)
     if args.json:
-        payload = json.dumps(doc, indent=2)
+        payload = json.dumps(doc, separators=(",", ":"))
         if args.json == "-":
             print(payload)
         else:

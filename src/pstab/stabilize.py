@@ -178,8 +178,8 @@ def block_traces(nest: NestCertificate):
 class Stabilizer(namedtuple("Stabilizer", "eps identity_steps")):
     """Strictly decreasing positive diagonal, e_1 = 1 > e_2 > ... > e_n > 0.
 
-    ``eps`` holds the Fractions e_i; ``identity_steps`` counts the halvings
-    of I - D from the geometric start.
+    ``eps`` holds the Fractions e_i; ``identity_steps``, an int >= 0,
+    counts the halvings of I - D from the geometric start.
     """
 
     __slots__ = ()
@@ -192,6 +192,8 @@ class Stabilizer(namedtuple("Stabilizer", "eps identity_steps")):
                 raise MatrixArgumentError(
                     "stabilizer entries must decrease strictly and stay positive"
                 )
+        if type(identity_steps) is not int or identity_steps < 0:
+            raise MatrixArgumentError("stabilizer identity_steps must be an int >= 0")
         return super().__new__(cls, eps, identity_steps)
 
 

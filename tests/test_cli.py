@@ -23,7 +23,7 @@ from conftest import (
     random_spd_matrix,
     row_dominant_matrix,
 )
-from pstab import ExactMatrix
+from pstab import ExactMatrix, certify_stability
 from pstab.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT,
@@ -34,6 +34,7 @@ from pstab.cli import (
     MatrixParseError,
     _literal_size_problem,
     _value_name,
+    certificate_document,
     entry_str,
     frac_str,
     main,
@@ -449,6 +450,50 @@ def test_certify_demo_and_verify_round_trip(demo_file, tmp_path, capsys):
     assert "re-verifies" in capsys.readouterr().out
 
 
+def test_certify_writes_the_certificate_as_one_line_of_compact_json(
+    demo_file, tmp_path, capsys
+):
+    cert_path = tmp_path / "cert.json"
+    assert main(["certify", demo_file, "--json", str(cert_path)]) == EXIT_OK
+    text = cert_path.read_text(encoding="utf-8")
+    line, end = text.split("\n")
+    assert end == ""
+    doc = json.loads(line)
+    assert doc == certificate_document(certify_stability(DEMO_A))
+    assert line == json.dumps(doc, separators=(",", ":"))
+
+    # "--json -" prints the same line first, and a JSON decoder stops at its end
+    capsys.readouterr()
+    assert main(["certify", demo_file, "--json", "-"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert json.JSONDecoder().raw_decode(out) == (doc, len(line))
+    assert out.startswith(line + "\ncertified: positively stable (n = 4)\n")
+
+
+# the compact layout certify writes, and the indented one of earlier versions
+LAYOUTS = {"compact": {"separators": (",", ":")}, "indented": {"indent": 2}}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_verify_reads_a_certificate_in_either_layout(
+    demo_file, demo_certificate, capsys, layout
+):
+    cert_path, doc = demo_certificate
+    with open(cert_path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(doc, **LAYOUTS[layout]) + "\n")
+    assert main(["verify", cert_path, demo_file]) == EXIT_OK
+    assert capsys.readouterr().out == "certificate re-verifies\n"
+
+    key = sorted(doc["trace_ledger"])[0]
+    doc["trace_ledger"][key] = frac_str(Fraction(doc["trace_ledger"][key]) + 1)
+    with open(cert_path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(doc, **LAYOUTS[layout]) + "\n")
+    assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
+    assert capsys.readouterr().out == (
+        f"FAIL: trace ledger entry ({key}) does not re-verify\n"
+    )
+
+
 def test_certify_and_verify_level_search_fault(tmp_path, capsys):
     matrix_path = tmp_path / "fault.txt"
     matrix_path.write_text(matrix_text(LEVEL_SEARCH_FAULT))
@@ -821,7 +866,6 @@ def test_verify_decides_positivity_on_the_rederived_values(
     # a document written honestly for the former demo diagonal, whose only
     # nonpositive exact value is L(1,0,1): every text matches, the sign fails
     from pstab import classify_full, find_q2_nest
-    from pstab.cli import certificate_document
     from pstab.stabilize import Stabilizer, exact_certificate
 
     cert_path, _ = demo_certificate
@@ -1343,7 +1387,6 @@ def test_verify_refuses_a_matrix_that_is_not_p(tmp_path, capsys):
     # document is derived honestly from A, flags included, so the missing
     # P hypothesis is the one discrepancy.
     from pstab import classify_full, find_q2_nest, spectra
-    from pstab.cli import certificate_document
     from pstab.stabilize import build_stabilizer
 
     a = ExactMatrix([[2, -1, -2], [-2, 3, -3], [-2, 2, 2]])

@@ -254,6 +254,17 @@ def test_stabilizer_validation():
         Stabilizer(5)
 
 
+@pytest.mark.parametrize("steps", [-3, "x", 1.0, None, True])
+def test_stabilizer_refuses_identity_steps_that_are_not_a_count(steps):
+    with pytest.raises(MatrixArgumentError, match="identity_steps"):
+        Stabilizer((Fraction(1), Fraction(1, 2)), identity_steps=steps)
+
+
+@pytest.mark.parametrize("steps", [0, 5])
+def test_stabilizer_keeps_a_count_of_identity_steps(steps):
+    assert Stabilizer((Fraction(1),), identity_steps=steps).identity_steps == steps
+
+
 def test_records_are_immutable_values():
     cert = certify_stability(DEMO_A)
     records = [
