@@ -205,7 +205,8 @@ def order_sum_traces(m: ExactMatrix):
 
 
 def _order_sums(sums, c):
-    """(E(M), E(M^2)), orders 1..n, from (E_0, ..., E_n) of M' = cM."""
+    """(E(M), E(M^2)), orders 1..n, from the iterable E_0, ..., E_n of M' = cM."""
+    sums = list(sums)
     return (
         [Fraction(e, c**k) for k, e in enumerate(sums) if k],
         [Fraction(e, c ** (2 * k)) for k, e in enumerate(squared_minor_sums(sums)) if k],

@@ -7,11 +7,11 @@ determinant (one elimination behind every determinant and minor; the
 endpoint Hurwitz minors take one per leading block), every minor of each
 order by Laplace expansion (the compounds), the fraction-free
 Gauss-Jordan adjugate and the char-poly kernel (power traces and
-Newton's identities, with a root-squaring step for the square).  A
-Fraction is built once per result entry.  Floating point enters the
-system only in :mod:`pstab.spectra`.  Index sets at the API boundary are
-1-based strictly increasing tuples, matching the usual minor notation
-A(i1...ik; j1...jk).
+Newton's identities, yielded order by order, with a root-squaring step
+for the square).  A Fraction is built once per result entry.  Floating
+point enters the system only in :mod:`pstab.spectra`.  Index sets at the
+API boundary are 1-based strictly increasing tuples, matching the usual
+minor notation A(i1...ik; j1...jk).
 """
 
 from __future__ import annotations
@@ -355,43 +355,42 @@ def trace(m: ExactMatrix) -> Fraction:
     return sum((m.rows[i][i] for i in range(m.n)), Fraction(0))
 
 
-def integer_minor_sums(a, top=None) -> list:
-    """(E_0, ..., E_top) of an integer matrix given as a list of int rows;
-    ``top`` defaults to n.
+def integer_minor_sums(a):
+    """Yield E_0, E_1, ..., E_n of an integer matrix given as a list of
+    int rows, one order at a time.
 
     E_k is the sum of the principal minors of order k, the k-th elementary
-    symmetric function of the eigenvalues.  The power sums p_k = Tr(A^k),
-    k = 1..top, come from the powers A, ..., A^h with h = ceil(top/2), as
-    Tr(A^i A^(k-i)) with i, k - i <= h; Newton's identities
+    symmetric function of the eigenvalues.  Order k takes the power sum
+    p_k = Tr(A^k) as Tr(A^h A^(k-h)) with h = ceil(k/2), and Newton's
+    identities
 
         k E_k = sum_(i=1..k) (-1)^(i-1) E_(k-i) p_i
 
-    then give every E_k.  On an integer matrix each E_k is an integer, so
-    the division by k is exact and nothing leaves the ints: h - 1 matrix
-    products and top traces of products, where Faddeev-LeVerrier takes n
-    products.  At top = 2 no product is formed: E_1 = Tr A and
-    E_2 = (Tr(A)^2 - Tr(A^2)) / 2.
+    then give E_k.  On an integer matrix each E_k is an integer, so the
+    division by k is exact and nothing leaves the ints.  The power A^h is
+    formed only when an order asks for it: reading the orders up to k
+    takes ceil(k/2) - 1 matrix products, where Faddeev-LeVerrier takes n,
+    so none up to order 2, E_1 = Tr A and E_2 = (Tr(A)^2 - Tr(A^2)) / 2.
+    Callers that want every order take ``list(...)``.
     """
     n = len(a)
-    top = n if top is None else top
-    h = (top + 1) // 2
-    powers = [None, a]
-    for _ in range(h - 1):
-        powers.append(integer_product(powers[-1], a))
-    sums, traces = [1], [None]
-    for k in range(1, top + 1):
-        if k <= h:
-            traces.append(sum(powers[k][r][r] for r in range(n)))
-        else:  # Tr(XY) pairs row r of X with column r of Y
-            cols = zip(*powers[k - h])
-            traces.append(
-                sum(sum(map(operator.mul, row, col)) for row, col in zip(powers[h], cols))
-            )
+    powers, columns, sums = [None, a], [None], [1]
+    traces = [None, sum(a[r][r] for r in range(n))]
+    yield 1
+    for k in range(1, n + 1):
+        h = (k + 1) // 2
+        if h == len(powers):
+            powers.append(integer_product(powers[-1], a))
+        if k - h == len(columns):  # A^(k-h) column by column, flattened
+            columns.append(list(itertools.chain.from_iterable(zip(*powers[k - h]))))
+        if k > 1:  # Tr(XY) pairs X row by row with Y column by column
+            x = itertools.chain.from_iterable(powers[h])
+            traces.append(sum(map(operator.mul, x, columns[k - h])))
         total = sum(
             (-1) ** (i - 1) * sums[k - i] * traces[i] for i in range(1, k + 1)
         )
         sums.append(total // k)
-    return sums
+        yield sums[-1]
 
 
 def diagonal_poly(delta, d_values) -> list:

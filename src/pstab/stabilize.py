@@ -38,12 +38,12 @@ char-polys at n >= 4; the Hurwitz minors are one fraction-free
 determinant per leading block of the Hurwitz matrix of E_k(D B).
 
 Each exact value is computed once per certification: the search builds
-B's integer form once, screens every diagonal on it cheapest first, on the
-ledger's order 1 in O(n^2), then on its orders j <= 2 (six nodes, no
-matrix power), and derives the certificate of one that passes from it as
-``verify`` does with :func:`exact_certificate`.  One rule,
-:func:`nonpositive_values`, decides the sign of every exact value: in the
-screens, in the search's acceptance test and in ``verify``.
+B's integer form once and derives each diagonal's ledger on it once,
+order by order up to the first nonpositive value (order 1 in O(n^2),
+order 2 from six nodes, no matrix power); only one whose complete ledger
+is positive gets its Hurwitz minors.  One rule, :func:`nonpositive_values`,
+decides the sign of every exact value: on each order the search reads,
+in its acceptance test and in ``verify``.
 
 Exact and numeric content are kept separate: the ledger, Hurwitz minors,
 block traces and class verdicts are rational arithmetic; eigenvalues are
@@ -52,6 +52,7 @@ tolerance-carrying floats, recorded as advisory cross-checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import namedtuple
@@ -79,11 +80,6 @@ from .exactmat import (
 from .nests import NestCertificate
 
 DEFAULT_MAX_SHRINK = 64
-# ledger orders a diagonal that passes order 1 is screened on.  On the
-# benchmark workloads (seeds 1-10) it rejects diagonals of the level-search
-# fault input only, three per certify, each in 0.4 ms where its certificate
-# would take 2.4 ms (n = 6, Python 3.11.7), so the stage stays.
-SCREEN_ORDER = 2
 
 
 # -- the permutation transform ---------------------------------------------
@@ -197,11 +193,11 @@ class Stabilizer(namedtuple("Stabilizer", "eps identity_steps")):
         return super().__new__(cls, eps, identity_steps)
 
 
-def _trace_ledger(form, d_int, delta, top=None) -> dict:
-    """The ledger {(j, k, m): L(j,k,m)} of D = diag(d_int) / delta over B
-    of integer form ``form`` (:func:`_integer_b`), 0 <= k <= j and
-    1 <= m <= j for orders j <= top (default n), from one generating
-    function; the k = 0 keys are the cross terms.
+def _trace_ledger(form, d_int, delta):
+    """Yield the ledger of D = diag(d_int) / delta over B of integer form
+    ``form`` (:func:`_integer_b`) order by order, each when it is asked
+    for: for j = 1..n, {(j, k, m): L(j,k,m)}, 0 <= k <= j and 1 <= m <= j,
+    in key order; the k = 0 keys are the cross terms.
 
     By Cauchy-Binet and (I + sD)^(j) = sum_k s^k D_k^(j),
 
@@ -212,12 +208,13 @@ def _trace_ledger(form, d_int, delta, top=None) -> dict:
     E_j(UV) = E_j(VU), E_j(X_s X_t) = E_j(N_s W_t) with
     N_s = delta B'^2 + s B'D'B' and the diagonal W_t = delta I + t D', so
     every node is a column scaling of a combination of two fixed products.
-    Order j has degree j in s and in t, so orders 2 <= j <= q = min(top,
-    n - 2) are evaluated for s <= t in {0..q} (E_j(X_s X_t) = E_j(X_t X_s))
-    with the char-poly cut off at order q, and the coefficients of order j
-    are recovered from its values P on the nodes 0..j by two exact
+    Order j has degree j in s and in t, so an order 2 <= j <= n - 2 reads
+    E_j off the nodes s <= t in {0..j} (E_j(X_s X_t) = E_j(X_t X_s)), whose
+    char-polys are made on first use and read one order further per order,
+    and recovers its coefficients from these values P by two exact
     Vandermonde passes, W P W^T / (j!)^2 with the integer Lagrange operator
-    W = j! V^(-1) of :func:`pstab.exactmat.lagrange_operator`.
+    W = j! V^(-1) of :func:`pstab.exactmat.lagrange_operator`.  Order 2
+    takes six nodes and no matrix power, the complete ledger n(n - 1)/2.
 
     The orders j in {1, n - 1, n} need no node.  E_j(X_s X_t) is the
     trace of X_s^(j) X_t^(j), and (delta I + s D')^(j) is diagonal, its
@@ -229,43 +226,39 @@ def _trace_ledger(form, d_int, delta, top=None) -> dict:
 
     where ``form.grams`` holds G_j without a compound (see
     :func:`_integer_b`).  Order 1, an n-by-2 P_1 around H, takes O(n^2)
-    products and no char-poly, so its screen is cheap.
+    products and no char-poly.
     """
     b_rows, beta, square, grams = form[1:]
     n = len(b_rows)
-    top = n if top is None else min(top, n)
-    q = min(top, n - 2)
-    if q >= 2:
-        sandwich = integer_product(
-            b_rows, [[d * x for x in row] for d, row in zip(d_int, b_rows)]
-        )
-        grid = {}
-        for s in range(q + 1):
-            n_s = [
-                [delta * x + s * y for x, y in zip(row, line)]
-                for row, line in zip(square, sandwich)
-            ]
-            for t in range(s, q + 1):
-                w_t = [delta + t * d for d in d_int]
-                node = [list(map(operator.mul, row, w_t)) for row in n_s]
-                grid[s, t] = grid[t, s] = integer_minor_sums(node, q)
-
-    ledger = {}
-    for j in range(1, top + 1):
+    nodes, grid, n_s = {}, {}, []  # node char-polys, their order-j values, N_s
+    for j in range(1, n + 1):
         if j in grams:
             gram, sets = grams[j]
             p = [diagonal_poly(delta, [d_int[i] for i in alpha]) for alpha in sets]
             coeffs = integer_product(integer_product(list(zip(*p)), gram), p)
             scale = (delta * beta) ** (2 * j)
         else:
+            if not nodes:
+                sandwich = integer_product(
+                    b_rows, [[d * x for x in row] for d, row in zip(d_int, b_rows)]
+                )
+            for s, t in itertools.combinations_with_replacement(range(j + 1), 2):
+                if (s, t) not in nodes:
+                    if s == len(n_s):  # s occurs first in increasing order
+                        n_s.append([
+                            [delta * x + s * y for x, y in zip(row, line)]
+                            for row, line in zip(square, sandwich)
+                        ])
+                    w_t = [delta + t * d for d in d_int]
+                    node = [list(map(operator.mul, row, w_t)) for row in n_s[s]]
+                    nodes[s, t] = itertools.islice(integer_minor_sums(node), j, None)
+                grid[s, t] = grid[t, s] = next(nodes[s, t])
             w = lagrange_operator(j)
-            values = [[grid[s, t][j] for t in range(j + 1)] for s in range(j + 1)]
+            values = [[grid[s, t] for t in range(j + 1)] for s in range(j + 1)]
             coeffs = integer_product(integer_product(w, values), list(zip(*w)))
             scale = math.factorial(j) ** 2 * (delta * beta) ** (2 * j)
-        for k in range(j + 1):
-            for m_pos in range(1, j + 1):
-                ledger[(j, k, m_pos)] = Fraction(coeffs[k][m_pos], scale)
-    return ledger
+        pairs = itertools.product(range(j + 1), range(1, j + 1))
+        yield {(j, k, m): Fraction(coeffs[k][m], scale) for k, m in pairs}
 
 
 def hurwitz_minors(a, c) -> tuple:
@@ -280,7 +273,7 @@ def hurwitz_minors(a, c) -> tuple:
     c^(k(k+1)/2), one :func:`pstab.exactmat.integer_det` per leading
     block of H'.
     """
-    coeffs, n = integer_minor_sums(a), len(a)
+    coeffs, n = list(integer_minor_sums(a)), len(a)
     rows = [
         [coeffs[2 * j - i] if 0 <= 2 * j - i <= n else 0 for j in range(1, n + 1)]
         for i in range(1, n + 1)
@@ -297,7 +290,8 @@ def nonpositive_values(ledger, minors=()) -> list:
     key order, then the Hurwitz minors keyed ("hurwitz", k).  Empty when
     all are positive.
 
-    Ledger keys sort by j first, so a ledger cut off at an order j reports
+    Ledger keys sort by j first, and :func:`_trace_ledger` yields the
+    orders in turn, so the first order with a nonpositive value reports
     first what the complete ledger would.  No block trace is checked: the
     nest functions accept only Q^2 levels, which make each positive.
     """
@@ -351,12 +345,16 @@ def exact_certificate(
     return _certificate(a, report, nest, _integer_b(a, nest), stabilizer)
 
 
-def _certificate(a, report, nest, form, stabilizer) -> StabilityCertificate:
-    """:func:`exact_certificate` with B's integer form ``form`` given."""
+def _certificate(a, report, nest, form, stabilizer, ledger=None):
+    """:func:`exact_certificate` with B's integer form ``form`` given, and
+    the complete ``ledger`` over it when the search has read it."""
     delta = math.lcm(*(e.denominator for e in stabilizer.eps))
     d_int = [int(e * delta) for e in stabilizer.eps]
     endpoint = [[d * x for x in row] for d, row in zip(d_int, form.rows)]
-    ledger = _trace_ledger(form, d_int, delta)
+    if ledger is None:
+        ledger = {}
+        for order in _trace_ledger(form, d_int, delta):
+            ledger |= order
     minors = hurwitz_minors(endpoint, delta * form.beta)
     return StabilityCertificate(a, report, nest, form.b, stabilizer, ledger, minors)
 
@@ -378,29 +376,31 @@ def build_stabilizer(
     ends after finitely many halvings; after ``max_shrink`` of them it
     raises StabilizerInconclusiveError.
 
-    B's integer form is built once, and each D is screened cheapest first
-    on it: on the ledger's order 1 in O(n^2), then on its orders
-    j <= SCREEN_ORDER (see :func:`_trace_ledger`); only a D that passes
-    both gets its certificate, derived from the same form.  A screen's
-    first violation is the complete ledger's.
+    B's integer form is built once, and each D's ledger is derived on it
+    once, order by order (:func:`_trace_ledger`), up to the first order
+    with a nonpositive value, whose first is the complete ledger's.  Only
+    a D whose complete ledger is positive gets its Hurwitz minors and its
+    certificate, which keeps that ledger.
 
     The search never tests B: that B is a P- and Q^2-matrix is the
     theorem's hypothesis, which the caller establishes on A (see
     :func:`build_B`).
     """
-    if max_shrink < 0:
-        raise MatrixArgumentError("max_shrink must be at least 0")
+    if type(max_shrink) is not int or max_shrink < 0:
+        raise MatrixArgumentError("max_shrink must be an int >= 0")
     form, n = _integer_b(a, nest), a.n
     for steps in range(max_shrink + 1):
         delta = 2 ** (n - 1 + steps)
         d_int = [delta - 2 ** (n - 1) + 2 ** (n - 1 - i) for i in range(n)]
-        violations = nonpositive_values(
-            _trace_ledger(form, d_int, delta, 1)
-        ) or nonpositive_values(_trace_ledger(form, d_int, delta, SCREEN_ORDER))
-        if not violations:
+        ledger = {}
+        for order in _trace_ledger(form, d_int, delta):
+            ledger |= order
+            if violations := nonpositive_values(order):
+                break
+        else:
             stabilizer = Stabilizer(tuple(Fraction(d, delta) for d in d_int), steps)
-            cert = _certificate(a, report, nest, form, stabilizer)
-            violations = nonpositive_values(cert.trace_ledger, cert.endpoint_hurwitz)
+            cert = _certificate(a, report, nest, form, stabilizer, ledger)
+            violations = nonpositive_values(ledger, cert.endpoint_hurwitz)
             if not violations:
                 return cert
     raise StabilizerInconclusiveError(max_shrink, violations[0])

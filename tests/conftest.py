@@ -14,9 +14,9 @@ from pstab.exactmat import rational_str
 # P and Q^2 with a Q^2 nest, spectrum real parts >= 4.7.  The stabilizer
 # search accepts it after three halvings of I - D, and each diagonal before
 # passes the ledger's order 1 but not its order 2: the one input of the
-# benchmark workloads on which the order-2 screen rejects a diagonal.  A
-# search that fixed the stabilizer's entries one level at a time gave up
-# on it.
+# benchmark workloads on which the search stops reading a diagonal's ledger
+# at order 2.  A search that fixed the stabilizer's entries one level at a
+# time gave up on it.
 LEVEL_SEARCH_FAULT = ExactMatrix(
     [
         [4, -4, 6, -9, 6, -7],

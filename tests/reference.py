@@ -158,7 +158,8 @@ def node_trace_ledger(b: ExactMatrix, eps, top=None) -> dict:
         for t in range(s, q + 1):
             w_t = [delta + t * d for d in d_int]
             node = [list(map(operator.mul, row, w_t)) for row in n_s]
-            grid[s, t] = grid[t, s] = integer_minor_sums(node, q)
+            sums = itertools.islice(integer_minor_sums(node), q + 1)
+            grid[s, t] = grid[t, s] = list(sums)
     w_rows, w = lagrange_operator(q), math.factorial(q)
     w_cols = [list(col) for col in zip(*w_rows)]
 

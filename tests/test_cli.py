@@ -1015,7 +1015,7 @@ def test_verify_undecodable_certificate_exits_3(demo_file, tmp_path, capsys):
 def test_certify_exits_2_when_no_screened_diagonal_passes_the_exact_checks(
     demo_file, monkeypatch, capsys
 ):
-    # every diagonal that passes the screen gets a last Hurwitz minor of
+    # every diagonal whose ledger is positive gets a last Hurwitz minor of
     # -1: the search accepts none, and names that minor
     import pstab.stabilize
 
@@ -1272,17 +1272,17 @@ def test_cli_uses_no_private_name_of_another_pstab_module():
 
 
 @pytest.mark.parametrize(
-    "a,order_two_screens", [(DEMO_A, 1), (LEVEL_SEARCH_FAULT, 4)], ids=["demo", "fault"]
+    "a,order_two_reads", [(DEMO_A, 1), (LEVEL_SEARCH_FAULT, 4)], ids=["demo", "fault"]
 )
 def test_certify_and_verify_decide_each_exact_fact_once(
-    tmp_path, monkeypatch, capsys, a, order_two_screens
+    tmp_path, monkeypatch, capsys, a, order_two_reads
 ):
     # P is decided once per command, by classify_full on A (and on A^2 for
-    # the P^2 flag), never on B; certify screens each diagonal on ledger
-    # order 1, one that passes on orders j <= 2, and derives the exact
-    # certificate, complete ledger and Hurwitz minors included, only for
-    # one that passes both screens (here the one it accepts) and writes
-    # that; verify derives it once.  Each command builds B's integer form
+    # the P^2 flag), never on B; certify derives each diagonal's ledger
+    # once, read order by order: order 1 for every diagonal, order 2 for
+    # one that passes it, and the rest, with the Hurwitz minors and the
+    # exact certificate, only for one whose orders 1 and 2 are positive
+    # (here the one it accepts), and writes that; verify derives it once.  Each command builds B's integer form
     # once, the search reusing it for the certificate it accepts, and so
     # inverts A~ once, to B, and eliminates nothing else: adj(B') is read
     # off A~.  Neither command forms a submatrix or a char-poly for Q, Q^2
@@ -1296,13 +1296,15 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     matrix_path.write_text(matrix_text(a))
     cert_path = str(tmp_path / "cert.json")
     ledger = pstab.stabilize._trace_ledger
-    screens = []
+    derivations = []  # per ledger derived, the orders read
 
-    def screened(form, d_int, delta, top=None):
-        screens.append(top)
-        return ledger(form, d_int, delta, top)
+    def counted(form, d_int, delta):
+        derivations.append([])
+        for order in ledger(form, d_int, delta):
+            derivations[-1].append(min(order)[0])
+            yield order
 
-    monkeypatch.setattr(pstab.stabilize, "_trace_ledger", screened)
+    monkeypatch.setattr(pstab.stabilize, "_trace_ledger", counted)
     adjugate = pstab.exactmat.integer_adjugate
     adjugated = []  # every matrix that is eliminated
     monkeypatch.setattr(
@@ -1351,16 +1353,18 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     order = [i - 1 for i in reversed(doc["nest"]["tau"])]
     a_tilde = [[int(a.rows[i][j]) for j in order] for i in order]
     assert counts == expected and char_polys == []
-    assert screens.count(1) == steps + 1
-    assert screens.count(pstab.stabilize.SCREEN_ORDER) == order_two_screens
-    assert screens.count(None) == 1
+    complete = list(range(1, a.n + 1))
+    assert len(derivations) == steps + 1
+    assert all(orders[0] == 1 for orders in derivations)
+    assert sum(2 in orders for orders in derivations) == order_two_reads
+    assert derivations.count(complete) == 1 and derivations[-1] == complete
     assert adjugated == [a_tilde]
     counts.update(dict.fromkeys(counts, 0))
     searches.update(dict.fromkeys(searches, 0))
-    screens.clear()
+    derivations.clear()
     adjugated.clear()
     assert main(["verify", cert_path, str(matrix_path)]) == EXIT_OK
-    assert screens == [None]
+    assert derivations == [complete]
     assert adjugated == [a_tilde]
     assert counts == {**expected, "exact_certificate": 1} and char_polys == []
     # verify re-derives from the claimed chain and diagonal: it searches for neither

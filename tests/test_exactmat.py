@@ -182,33 +182,46 @@ def square_lists(entries, max_n):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(square_lists(st.integers(-(10**30), 10**30), 7))
 def test_newton_minor_sums_match_faddeev_leverrier(a):
-    assert integer_minor_sums(a) == faddeev_leverrier(a)
+    assert list(integer_minor_sums(a)) == faddeev_leverrier(a)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(square_lists(st.integers(-4, 4), 7))
 def test_newton_minor_sums_of_small_entries(a):
     # many zero and repeated eigenvalues, and singular matrices
-    assert integer_minor_sums(a) == faddeev_leverrier(a)
+    assert list(integer_minor_sums(a)) == faddeev_leverrier(a)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(square_lists(st.integers(-(10**12), 10**12), 7), st.integers(0, 7))
-def test_minor_sums_cut_off_at_top_are_a_prefix(a, top):
-    top = min(top, len(a))
-    assert integer_minor_sums(a, top) == integer_minor_sums(a)[: top + 1]
+@given(square_lists(st.integers(-(10**12), 10**12), 7))
+def test_every_prefix_of_the_minor_sums_is_faddeev_leverrier(a):
+    # the orders read from a fresh generator, up to each order k in turn
+    expected = faddeev_leverrier(a)
+    for k in range(len(a) + 1):
+        assert list(itertools.islice(integer_minor_sums(a), k + 1)) == expected[: k + 1]
 
 
-def test_minor_sums_to_order_two_form_no_product(monkeypatch):
+def test_reading_k_orders_forms_ceil_half_k_minus_one_products(monkeypatch):
+    # A^h is formed when order k = 2h - 1 asks for it, and no sooner: none
+    # up to order 2, where E_1 = Tr A and E_2 = (Tr(A)^2 - Tr(A^2)) / 2
     import pstab.exactmat
 
-    def refuse(x, y):
-        raise AssertionError("matrix product formed")
-
-    a = [[3, -1, 4], [1, 5, -9], [2, 6, 5]]
-    expected = integer_minor_sums(a)[:3]
-    monkeypatch.setattr(pstab.exactmat, "integer_product", refuse)
-    assert integer_minor_sums(a, 2) == expected
+    product = pstab.exactmat.integer_product
+    products = []
+    monkeypatch.setattr(
+        pstab.exactmat,
+        "integer_product",
+        lambda x, y: products.append(len(x)) or product(x, y),
+    )
+    rng = random.Random(21)
+    for n in range(1, 8):
+        a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        expected = faddeev_leverrier(a)  # its products are not counted
+        products.clear()
+        sums = integer_minor_sums(a)
+        for k in range(n + 1):
+            assert next(sums) == expected[k]
+            assert len(products) == max(0, (k + 1) // 2 - 1)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

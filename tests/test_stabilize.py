@@ -1,5 +1,6 @@
 """Schur complements, the B transform, trace ledgers and certification."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -43,7 +44,6 @@ from pstab.fixtures import DEMO_A, DEMO_CHAIN
 from pstab.nests import find_q2_nest, verify_nest
 from pstab.spectra import Spectrum
 from pstab.stabilize import (
-    SCREEN_ORDER,
     Stabilizer,
     _integer_b,
     _trace_ledger,
@@ -68,9 +68,23 @@ def _integer_diagonal(eps):
     return [int(e * delta) for e in eps], delta
 
 
+def _orders(b, eps):
+    """The orders :func:`_trace_ledger` yields for diag(eps) over an
+    invertible B."""
+    return _trace_ledger(eliminated_integer_form(b), *_integer_diagonal(eps))
+
+
 def _ledger(b, eps, top=None):
-    """:func:`_trace_ledger` of diag(eps) over an invertible B."""
-    return _trace_ledger(eliminated_integer_form(b), *_integer_diagonal(eps), top)
+    """The ledger of diag(eps) over an invertible B, its orders read up to
+    ``top`` (default n)."""
+    orders = itertools.islice(_orders(b, eps), top)
+    return {key: v for order in orders for key, v in order.items()}
+
+
+def _first_violations(b, eps):
+    """:func:`nonpositive_values` of the first order read that has any, as
+    the search reads them; empty when the complete ledger is positive."""
+    return next(filter(None, map(nonpositive_values, _orders(b, eps))), [])
 
 
 def _minors(m):
@@ -425,10 +439,18 @@ def _invertible(case):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(ledger_cases().filter(_invertible))
 def test_screen_is_the_ledger_cut_off_at_order_two(case):
+    # the orders read, up to order 2 or any other, are a prefix of the
+    # complete ledger in key order, one order per step
     b, eps = case
     full = _ledger(b, eps)
-    screen = _ledger(b, eps, SCREEN_ORDER)
-    assert screen == {k: v for k, v in full.items() if k[0] <= 2}
+    assert list(full) == sorted(full)
+    for top in range(b.n + 1):
+        prefix = _ledger(b, eps, top)
+        assert prefix == {k: v for k, v in full.items() if k[0] <= top}
+        assert list(prefix) == [k for k in full if k[0] <= top]
+    assert [{k[0] for k in order} for order in _orders(b, eps)] == [
+        {j} for j in range(1, b.n + 1)
+    ]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -458,17 +480,16 @@ DECREASING = st.lists(POSITIVE, min_size=7, max_size=7, unique=True).map(
     ).filter(_invertible),
     DECREASING,
 )
-def test_staged_screen_decides_as_the_order_two_screen(case, eps):
-    # the search screens order 1 alone first and orders j <= 2 only when it
-    # passes: it accepts the diagonals the one-shot screen accepts, and
-    # names the same first violation, since ledger keys sort by order
+def test_the_first_violation_read_is_the_complete_ledgers(case, eps):
+    # the search reads the orders in turn and stops at the first with a
+    # nonpositive value: it accepts the diagonals whose complete ledger is
+    # positive, and names the same first violation, since ledger keys
+    # sort by order
     b, eps = case[0], eps[: case[0].n]
-    one_shot = nonpositive_values(_ledger(b, eps, SCREEN_ORDER))
-    order_one = _ledger(b, eps, 1)
-    staged = nonpositive_values(order_one) or one_shot
-    assert order_one == {k: v for k, v in _ledger(b, eps).items() if k[0] == 1}
-    assert bool(staged) == bool(one_shot)
-    assert staged[:1] == one_shot[:1]
+    complete = nonpositive_values(_ledger(b, eps))
+    read = _first_violations(b, eps)
+    assert bool(read) == bool(complete)
+    assert read[:1] == complete[:1]
 
 
 @pytest.mark.parametrize(
@@ -476,31 +497,40 @@ def test_staged_screen_decides_as_the_order_two_screen(case, eps):
     ids=["demo", "fault", "dominant7"],
 )
 def test_order_one_screen_forms_no_product_and_no_char_poly(monkeypatch, a):
-    # no char-poly and no n-by-n product: order 1 is P_1^T H P_1 with the
-    # n-by-2 coefficient matrix P_1 of the polynomials delta + x d'_i, and
-    # H is read off the integer form
+    # reading order 1 forms no char-poly and no n-by-n product: it is
+    # P_1^T H P_1 with the n-by-2 coefficient matrix P_1 of the polynomials
+    # delta + x d'_i, and H is read off the integer form.  Reading order 2
+    # next makes six node char-polys, each read to order 2 with no power
+    import pstab.exactmat
     import pstab.stabilize
 
     form = _integer_b(a, find_q2_nest(a))
     calls = []
-    for name in ("integer_product", "integer_minor_sums"):
-        kernel = getattr(pstab.stabilize, name)
-        monkeypatch.setattr(
-            pstab.stabilize, name,
-            lambda *args, kernel=kernel, name=name: calls.append(
-                (name, len(args[0]), len(args[1][0])) if name == "integer_product"
-                else name
-            ) or kernel(*args),
-        )
+    product, kernel = pstab.stabilize.integer_product, pstab.stabilize.integer_minor_sums
+    monkeypatch.setattr(
+        pstab.stabilize, "integer_product",
+        lambda x, y: calls.append(("integer_product", len(x), len(y[0])))
+        or product(x, y),
+    )
+    monkeypatch.setattr(
+        pstab.stabilize, "integer_minor_sums",
+        lambda m: calls.append("integer_minor_sums") or kernel(m),
+    )
+    power = pstab.exactmat.integer_product  # the kernel's own binding
+    monkeypatch.setattr(
+        pstab.exactmat, "integer_product",
+        lambda x, y: calls.append("power") or power(x, y),
+    )
     n = a.n
     for steps in (0, 3):
         delta = 2 ** (n - 1 + steps)
         d_int = [delta - 2 ** (n - 1) + 2 ** (n - 1 - i) for i in range(n)]
-        assert set(_trace_ledger(form, d_int, delta, 1)) == {(1, 0, 1), (1, 1, 1)}
+        orders = _trace_ledger(form, d_int, delta)
+        assert set(next(orders)) == {(1, 0, 1), (1, 1, 1)}
     assert calls == [("integer_product", 2, n), ("integer_product", 2, 2)] * 2
     calls.clear()
-    _trace_ledger(form, d_int, delta, SCREEN_ORDER)
-    assert calls.count("integer_minor_sums") == 6
+    assert {k[0] for k in next(orders)} == {2}
+    assert calls.count("integer_minor_sums") == 6 and "power" not in calls
 
 
 def _nested_p_matrices(seed=47):
@@ -535,9 +565,9 @@ def test_complete_ledger_takes_n_choose_two_char_polys(monkeypatch, n):
     calls = []
     kernel = pstab.stabilize.integer_minor_sums
 
-    def counted(a, top=None):
-        calls.append(top)
-        return kernel(a, top)
+    def counted(a):
+        calls.append(len(a))
+        return kernel(a)
 
     monkeypatch.setattr(pstab.stabilize, "integer_minor_sums", counted)
     b = random_spd_matrix(random.Random(n), n)
@@ -556,15 +586,15 @@ def test_top_order_of_a_one_by_one_ledger():
 
 @pytest.mark.parametrize("a", [DEMO_A, LEVEL_SEARCH_FAULT], ids=["demo", "fault"])
 def test_screen_reports_the_violation_of_the_full_ledger(a):
-    # every diagonal the search rejects fails at order 1 or 2, and its
-    # screen names the value the full ledger would name first
+    # every diagonal the search rejects fails at order 1 or 2, and the
+    # orders read name the value the full ledger would name first
     cert = _search(a)
     b, stab = cert.b_matrix, cert.stabilizer
     gaps = [1 - Fraction(1, 2**i) for i in range(b.n)]
     for steps in range(stab.identity_steps):
         eps = [1 - gap / 2**steps for gap in gaps]
-        violations = nonpositive_values(_ledger(b, eps, SCREEN_ORDER))
-        assert violations
+        violations = _first_violations(b, eps)
+        assert violations and violations[0][0][0] <= 2
         assert violations[0] == nonpositive_values(_ledger(b, eps))[0]
 
 
@@ -633,8 +663,16 @@ def test_build_stabilizer_demo_passes_both_exact_checks():
 
 
 def test_build_stabilizer_rejects_a_negative_max_shrink():
-    with pytest.raises(MatrixArgumentError, match="max_shrink must be at least 0"):
+    with pytest.raises(MatrixArgumentError, match="max_shrink must be an int >= 0"):
         _search(DEMO_A, max_shrink=-1)
+
+
+@pytest.mark.parametrize("max_shrink", [1.5, "3", None, True])
+def test_a_max_shrink_that_is_not_an_int_is_an_argument_error(max_shrink):
+    # the rule Stabilizer.identity_steps keeps: True would run one halving
+    for search in (_search, certify_stability):
+        with pytest.raises(MatrixArgumentError, match="max_shrink must be an int >= 0"):
+            search(DEMO_A, max_shrink=max_shrink)
 
 
 def test_build_stabilizer_shrink_cap():
@@ -663,36 +701,62 @@ def test_shrink_cap_message_names_halvings_and_last_violation():
 
 
 @pytest.mark.parametrize(
-    "a,order_two_screens", [(DEMO_A, 1), (LEVEL_SEARCH_FAULT, 4)], ids=["demo", "fault"]
+    "a,order_two_reads,char_polys",
+    [(DEMO_A, 1, 7), (LEVEL_SEARCH_FAULT, 4, 34)],
+    ids=["demo", "fault"],
 )
 def test_build_stabilizer_computes_one_ledger_per_diagonal(
-    monkeypatch, a, order_two_screens
+    monkeypatch, a, order_two_reads, char_polys
 ):
-    # every diagonal tried is screened on order 1; one that passes is
-    # screened on orders j <= 2, and only the accepted one gets the
-    # complete ledger and the Hurwitz minors
+    # each diagonal tried gets one derivation of its ledger, read order by
+    # order up to the first order with a nonpositive value, order 1 or 2
+    # here; only the accepted one is read to order n and gets the Hurwitz
+    # minors.  A diagonal rejected at order 2 makes six node char-polys and
+    # forms no power of any node; the accepted one makes n(n - 1)/2 node
+    # char-polys and the Hurwitz minors one
+    import pstab.exactmat
     import pstab.stabilize
 
-    ledger = pstab.stabilize._trace_ledger
-    minors = pstab.stabilize.hurwitz_minors
-    calls = []
+    ledger, minors = pstab.stabilize._trace_ledger, pstab.stabilize.hurwitz_minors
+    kernel, power = pstab.stabilize.integer_minor_sums, pstab.exactmat.integer_product
+    report, nest = classify_full(a), find_q2_nest(a)
+    diagonals = []  # per diagonal tried, the orders read and the kernel calls
 
-    def counted(form, d_int, delta, top=None):
-        calls.append(top)
-        return ledger(form, d_int, delta, top)
+    def counted(form, d_int, delta):
+        diagonals.append([])
+        for order in ledger(form, d_int, delta):
+            diagonals[-1].append(min(order)[0])
+            yield order
 
     def counted_minors(m, c):
-        calls.append("hurwitz")
+        diagonals[-1].append("hurwitz")
         return minors(m, c)
 
     monkeypatch.setattr(pstab.stabilize, "_trace_ledger", counted)
     monkeypatch.setattr(pstab.stabilize, "hurwitz_minors", counted_minors)
-    stab = _search(a).stabilizer
-    assert stab.identity_steps > 0
-    assert calls.count(1) == stab.identity_steps + 1
-    assert calls.count(SCREEN_ORDER) == order_two_screens
-    assert calls[-4:] == [1, SCREEN_ORDER, None, "hurwitz"]
-    assert len(calls) == stab.identity_steps + order_two_screens + 3
+    monkeypatch.setattr(
+        pstab.stabilize, "integer_minor_sums",
+        lambda m: diagonals[-1].append("char_poly") or kernel(m),
+    )
+    monkeypatch.setattr(
+        pstab.exactmat, "integer_product",
+        lambda x, y: diagonals[-1].append("power") or power(x, y),
+    )
+    stab = build_stabilizer(a, report, nest).stabilizer
+    n = a.n
+    *rejected, accepted = diagonals
+    def reads(events):
+        return [e for e in events if e not in ("char_poly", "power")]
+
+    assert stab.identity_steps == len(rejected) > 0
+    assert reads(accepted) == [*range(1, n + 1), "hurwitz"]
+    for events in rejected:
+        assert reads(events) in ([1], [1, 2])
+        assert events.count("char_poly") == 6 * (reads(events) == [1, 2])
+        assert "power" not in events
+    assert accepted.count("char_poly") == n * (n - 1) // 2 + 1
+    assert sum(2 in events for events in diagonals) == order_two_reads
+    assert sum(events.count("char_poly") for events in diagonals) == char_polys
 
 
 def test_certify_stability_level_search_fault():
