@@ -13,8 +13,7 @@ stops at the first nonpositive minor (:func:`is_p`).  Q and Q^2 are the
 order sums of A' and their root-squaring step: in :func:`classify_full`,
 the sums of the sweep's orders when A is P, and one char-poly of A'
 otherwise.  The nest levels, Q^2 of principal submatrices A[S], have one
-reader (:func:`_level_q2`): the sums over S's subsets of the minors the
-sweep listed when there is a table, else one char-poly of A'[S].  Square
+reader (:func:`_level_q2`): one char-poly of A'[S].  Square
 dominance needs the minors A(a;b) off the diagonal only through their
 sum of squares, which by Cauchy-Binet is a principal minor of the Gram
 matrix A'A'^T (A'^T A' for the column side), so it reads the sweeps of A'
@@ -98,18 +97,14 @@ def _holds(key):
 
 
 class ClassReport(namedtuple(
-    "ClassReport", "n order_sums order_sums_square witnesses minor_table"
+    "ClassReport", "n order_sums order_sums_square witnesses"
 )):
     """The class verdicts, held as the witnesses that refute them.
 
     ``witnesses`` maps the key (see CLASSES) of each class that fails to
     its witness; the ``is_*`` verdicts and :meth:`flags` are read off it.
     ``order_sums`` and ``order_sums_square`` hold, per order 1..n, the sums
-    of principal minors of M and of M*M.  ``minor_table`` is the P sweep's
-    complete table of the principal minors of A' = cA, a list of int lists
-    by order as :func:`_principal_minors` yields them, when A is a
-    P-matrix, and None otherwise; the nest levels read it (see
-    :func:`_level_q2`).
+    of principal minors of M and of M*M.
     """
 
     __slots__ = ()
@@ -241,28 +236,17 @@ def is_q2(m: ExactMatrix):
     return _q2_verdict(*order_sum_traces(m))
 
 
-def _level_q2(m: ExactMatrix, table=None):
+def _level_q2(m: ExactMatrix):
     """:func:`is_q2` of each principal submatrix A[S], by sorted index set
-    S, on A' = cA cleared once.  E(A'[S]) is read off ``table``, the
-    principal minors of A' that one complete sweep lists by order, as the
-    sums of the minors on the k-subsets of S, when it is given; otherwise
-    it is one char-poly of the integer submatrix A'[S]."""
+    S, on A' = cA cleared once: one char-poly of the integer submatrix
+    A'[S] per call."""
     a, c = cleared(m)
-    if table is None:
-        def level_sums(s):
-            return integer_minor_sums([[a[i - 1][j - 1] for j in s] for i in s])
-    else:
-        n = len(table)
-        subsets = itertools.chain.from_iterable(index_sets(n, k) for k in range(n + 1))
-        minors = dict(zip(subsets, itertools.chain([1], *table)))
 
-        def level_sums(subset):
-            return [
-                sum(minors[s] for s in itertools.combinations(subset, k))
-                for k in range(len(subset) + 1)
-            ]
+    def level_q2(s):
+        sums = integer_minor_sums([[a[i - 1][j - 1] for j in s] for i in s])
+        return _q2_verdict(*_order_sums(sums, c))
 
-    return lambda subset: _q2_verdict(*_order_sums(level_sums(subset), c))
+    return level_q2
 
 
 def _sign_symmetry_witness(a, c):
@@ -348,18 +332,16 @@ def classify_full(m: ExactMatrix) -> ClassReport:
     P and both dominance sides read one sweep of A' (A'^T has the same
     principal minors), each only as far as it goes; none reads past an
     order holding a zero minor, which the next order would divide by.  A
-    P-matrix reads it to the end: its order sums are the sums of the
-    orders, and the report keeps them as its ``minor_table`` for the nest
-    levels.
+    P-matrix reads it to the end, so its order sums are the sums of the
+    sweep's orders; any other matrix takes one char-poly of A'.
     """
     a, c = cleared(m)
-    p_minors, table, row_minors, col_minors = itertools.tee(_principal_minors(a), 4)
+    p_minors, orders, row_minors, col_minors = itertools.tee(_principal_minors(a), 4)
     p_witness = _first_nonpositive_minor(p_minors, m.n, c)
     if p_witness is None:
-        table = list(table)
-        sums = [1, *map(sum, table)]
+        sums = [1, *map(sum, orders)]
     else:
-        table, sums = None, integer_minor_sums(a)
+        sums = integer_minor_sums(a)
     sums_m, sums_m2 = _order_sums(sums, c)
     q_witness = _first_nonpositive(sums_m)
     checks = (
@@ -374,4 +356,4 @@ def classify_full(m: ExactMatrix) -> ClassReport:
         ("col_sqdd", _square_dominance_witness(col_minors, list(zip(*a)), c)),
     )
     witnesses = {key: witness for key, witness in checks if witness is not None}
-    return ClassReport(m.n, sums_m, sums_m2, witnesses, table)
+    return ClassReport(m.n, sums_m, sums_m2, witnesses)

@@ -363,7 +363,7 @@ def _rederive(doc, a):
         raise _Discrepancy(f"matrix is not a P-matrix: {witness}")
     chain = _field(doc, "nest", "chain", _tuple_of(_tuple_of(_typed(int))))
     try:
-        nest = verify_nest(a, chain, report.minor_table)
+        nest = verify_nest(a, chain)
     except MatrixArgumentError as exc:
         raise _Discrepancy(f"nest fails re-verification: {exc}") from exc
     eps = _field(doc, "stabilizer", "eps", _tuple_of(_fraction))
@@ -556,7 +556,7 @@ def cmd_demo(args) -> int:
     scaled = a.scale_rows(fx.DEMO_D)
     check("Tr((D A)^2) with D = diag(1,1,1/10,1/10)", trace(scaled.square()),
           fx.DEMO_SCALED_SQUARE_TRACE)
-    nest = find_q2_nest(a, report.minor_table)
+    nest = find_q2_nest(a)
     check("Q^2 chain", nest.chain if nest else None, fx.DEMO_CHAIN)
     # A1 and A12 are the chain levels of size n-1 and n-2
     *_, a12, a1, _ = (level.order_sums_square for level in nest.levels)

@@ -3,11 +3,12 @@
 The stability theorem needs a maximal chain S_1 in S_2 in ... in S_n of
 index sets whose principal submatrices are all Q^2-matrices.  Because the
 Q^2 property of a principal submatrix depends only on its index set, the
-search walks the subset lattice (at most 2^n verdicts, memoized) rather
-than the n! orderings.  One reader, :func:`pstab.classify._level_q2`,
-gives each verdict on A' = cA cleared once: a sum over the principal
-minors that :func:`pstab.classify.classify_full` swept for a P-matrix
-(``ClassReport.minor_table``), else one char-poly of A'[S].
+search walks the subset lattice rather than the n! orderings: verdicts
+and failed descents are both memoized by index set, so it takes at most
+2^n verdicts, descends from each subset at most once, and looks a verdict
+up at most n 2^(n-1) + 1 times.  One reader,
+:func:`pstab.classify._level_q2`, gives each verdict on A' = cA cleared
+once: one char-poly of A'[S].
 
 A nest is its levels (:class:`NestCertificate`): the chain and its
 permutations are read off the levels' evidence, so the two cannot disagree.
@@ -71,10 +72,13 @@ def chain_tau(chain):
 
 
 def _validate_chain(chain, n):
-    try:  # sorting by int.__index__ refuses an index that is not an int
-        chain = [tuple(sorted(s, key=int.__index__)) for s in chain]
-    except TypeError as exc:  # such an index, or a level that is not a collection
+    try:
+        chain = [tuple(s) for s in chain]
+    except TypeError as exc:  # a chain or a level that is not a collection
         raise MatrixArgumentError(f"chain is not a list of index sets: {exc}") from None
+    if any(type(i) is not int for s in chain for i in s):  # a bool would be JSON true
+        raise MatrixArgumentError("chain indices must be ints")
+    chain = [tuple(sorted(s)) for s in chain]
     if len(chain) != n:
         raise MatrixArgumentError(
             f"chain must have {n} levels, got {len(chain)}"
@@ -89,22 +93,24 @@ def _validate_chain(chain, n):
     return chain
 
 
-def find_q2_nest(m: ExactMatrix, minor_table=None):
+def find_q2_nest(m: ExactMatrix):
     """Depth-first search for a maximal Q^2 chain; its NestCertificate, or
     None if none exists.
 
     Descends from the full index set, trying removable indices in
-    increasing order, so the returned chain is deterministic.
-    ``minor_table`` is the ``ClassReport.minor_table`` of ``m``, if any;
-    each index set tried is read once by :func:`pstab.classify._level_q2`.
+    increasing order, so the returned chain is deterministic.  Each index
+    set tried is read once by :func:`pstab.classify._level_q2`, and each
+    one that passes is descended from once: a subset below which no chain
+    was found is not walked again from another path.
     """
     n = m.n
-    q2 = functools.cache(_level_q2(m, minor_table))
+    q2 = functools.cache(_level_q2(m))
     full = tuple(range(1, n + 1))
     ok, *_ = q2(full)
     if not ok:
         return None
 
+    @functools.cache
     def descend(subset):
         if len(subset) == 1:
             return [subset]
@@ -137,13 +143,14 @@ def _chain_evidence(chain, q2):
     return NestCertificate(tuple(levels))
 
 
-def verify_nest(m: ExactMatrix, chain, minor_table=None):
+def verify_nest(m: ExactMatrix, chain):
     """Re-verify an externally supplied chain.
 
     Returns the NestCertificate of the validated chain, each level's index
     set sorted, when every level is Q^2; otherwise raises
     MatrixArgumentError for the chain's shape or naming its first level
-    that is not Q^2.  ``minor_table`` is as in :func:`find_q2_nest`.
+    that is not Q^2.  Each level takes one char-poly
+    (:func:`pstab.classify._level_q2`), up to the first that fails.
     """
     chain = _validate_chain(chain, m.n)
-    return _chain_evidence(chain, _level_q2(m, minor_table))
+    return _chain_evidence(chain, _level_q2(m))

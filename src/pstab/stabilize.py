@@ -297,7 +297,8 @@ def nonpositive_values(ledger, minors=()) -> list:
     """
     values = sorted(ledger.items())
     values += [(("hurwitz", k), v) for k, v in enumerate(minors, start=1)]
-    return [(key, v) for key, v in values if v <= 0]
+    # same as v <= 0, denominators being positive, but skips Fraction._richcmp
+    return [(key, v) for key, v in values if v.numerator <= 0]
 
 
 # -- the certificate and the stabilizer search -----------------------------
@@ -437,7 +438,7 @@ def certify_stability(
                 f"not-{key}", f"input is not a {label}-matrix: {witness.describe()}",
                 witness=witness,
             )
-    nest = find_q2_nest(a, report.minor_table)
+    nest = find_q2_nest(a)
     if nest is None:
         raise HypothesisError(
             "no-nest", "no maximal Q^2 chain of principal submatrices exists"

@@ -410,7 +410,7 @@ def test_classify_full_without_p_matches_per_minor_reference(m):
     report = classify_full(m)
     verdict, witness = per_minor_is_p(m)
     assert not verdict and report.witnesses["P"] == report.witnesses["P2"] == witness
-    assert not report.is_p and not report.is_p2 and report.minor_table is None
+    assert not report.is_p and not report.is_p2
     assert (report.order_sums, report.order_sums_square) == (
         fraction_minor_sums(m), fraction_minor_sums(naive_product(m, m))
     )
@@ -435,8 +435,8 @@ def test_classify_full_without_p_matches_per_minor_reference(m):
 def test_class_reports_compare_by_value_and_hold_plain_data(a):
     report = classify_full(a)
     assert report == classify_full(a)
-    assert report.minor_table is None or all(
-        type(v) is int for order in report.minor_table for v in order
+    assert all(
+        type(v) is Fraction for v in report.order_sums + report.order_sums_square
     )
     text = repr(report)
     assert text.startswith("ClassReport(n=")
@@ -446,9 +446,7 @@ def test_class_reports_compare_by_value_and_hold_plain_data(a):
 
 
 def test_a_class_report_is_its_witnesses():
-    assert ClassReport._fields == (
-        "n", "order_sums", "order_sums_square", "witnesses", "minor_table"
-    )
+    assert ClassReport._fields == ("n", "order_sums", "order_sums_square", "witnesses")
     verdicts = {
         "P": "is_p", "Q": "is_q", "P2": "is_p2", "Q2": "is_q2",
         "sign_symmetric": "is_sign_symmetric",

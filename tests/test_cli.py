@@ -1285,8 +1285,10 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     # (here the one it accepts), and writes that; verify derives it once.  Each command builds B's integer form
     # once, the search reusing it for the certificate it accepts, and so
     # inverts A~ once, to B, and eliminates nothing else: adj(B') is read
-    # off A~.  Neither command forms a submatrix or a char-poly for Q, Q^2
-    # or any nest level: those order sums are read off A's P sweep
+    # off A~.  Neither command forms a Fraction submatrix or a char-poly for
+    # Q or Q^2, whose order sums are read off A's P sweep; a nest level is
+    # one integer char-poly, once per index set the search reads, the full
+    # set first, and once per chain level in verify
     import pstab.classify
     import pstab.exactmat
     import pstab.nests
@@ -1334,6 +1336,14 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     searches = _count_calls(
         monkeypatch, pstab.nests.find_q2_nest, pstab.stabilize.build_stabilizer
     )
+    level_q2 = pstab.nests._level_q2
+    reads = []  # one entry per call to the cached level reader
+
+    def counted_level_q2(m):
+        reader = level_q2(m)
+        return lambda subset: reads.append(subset) or reader(subset)
+
+    monkeypatch.setattr(pstab.nests, "_level_q2", counted_level_q2)
     expected = {
         "classify_full": 1,
         "is_p": 0,
@@ -1352,7 +1362,9 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     steps = doc["stabilizer"]["identity_steps"]
     order = [i - 1 for i in reversed(doc["nest"]["tau"])]
     a_tilde = [[int(a.rows[i][j]) for j in order] for i in order]
-    assert counts == expected and char_polys == []
+    assert counts == expected
+    assert reads[0] == tuple(range(1, a.n + 1)) and len(set(reads)) == len(reads)
+    assert char_polys == [len(subset) for subset in reads]
     complete = list(range(1, a.n + 1))
     assert len(derivations) == steps + 1
     assert all(orders[0] == 1 for orders in derivations)
@@ -1363,27 +1375,16 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     searches.update(dict.fromkeys(searches, 0))
     derivations.clear()
     adjugated.clear()
+    reads.clear()
+    char_polys.clear()
     assert main(["verify", cert_path, str(matrix_path)]) == EXIT_OK
     assert derivations == [complete]
     assert adjugated == [a_tilde]
-    assert counts == {**expected, "exact_certificate": 1} and char_polys == []
+    assert counts == {**expected, "exact_certificate": 1}
+    assert reads == [tuple(level) for level in doc["nest"]["chain"]]
+    assert char_polys == list(range(1, a.n + 1))
     # verify re-derives from the claimed chain and diagonal: it searches for neither
     assert searches == {"find_q2_nest": 0, "build_stabilizer": 0}
-    # the public nest search, with no table, takes one integer char-poly
-    # per principal submatrix it tries, the full set first, and forms no
-    # Fraction submatrix
-    level_q2 = pstab.nests._level_q2
-    reads = []  # one entry per call to the cached level reader
-
-    def counted_level_q2(*args):
-        reader = level_q2(*args)
-        return lambda subset: reads.append(subset) or reader(subset)
-
-    monkeypatch.setattr(pstab.nests, "_level_q2", counted_level_q2)
-    assert pstab.nests.find_q2_nest(a) is not None
-    assert counts["is_q2"] == counts["principal_submatrix"] == 0
-    assert len(set(reads)) == len(reads) == len(char_polys) >= a.n
-    assert char_polys[0] == a.n
 
 
 def test_verify_refuses_a_matrix_that_is_not_p(tmp_path, capsys):

@@ -69,7 +69,6 @@ def test_readme_dotted_pstab_names_resolve():
     assert {
         "pstab.stabilize.nonpositive_values",
         "exactmat.integer_minor_sums",
-        "ClassReport.minor_table",
         "NestCertificate.levels",
     } <= set(found)
 

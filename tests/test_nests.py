@@ -1,6 +1,9 @@
 """Search and verification of Q^2 chains of principal submatrices."""
 
+import functools
+import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,8 +11,9 @@ from hypothesis import strategies as st
 
 from oracle import naive_det
 from reference import naive_product
+import pstab.nests
 from pstab import ExactMatrix
-from pstab.classify import _level_q2, classify_full, is_p, is_q2, order_sum_traces
+from pstab.classify import _level_q2, is_p, is_q2
 from pstab.errors import MatrixArgumentError
 from pstab.exactmat import index_sets, principal_submatrix
 from pstab.fixtures import (
@@ -87,13 +91,11 @@ def test_verify_nest_reports_first_violation():
     # the {1,2} submatrix of the demo matrix is Q but its square has
     # negative trace, so a chain through it must fail at level 2
     chain = ((1,), (1, 2), (1, 2, 3), (1, 2, 3, 4))
-    table = classify_full(DEMO_A).minor_table
-    for minor_table in (None, table):
-        with pytest.raises(MatrixArgumentError) as excinfo:
-            verify_nest(DEMO_A, chain, minor_table)
-        assert str(excinfo.value) == (
-            "level 2 subset (1, 2): order-1 minor sum of the square is -20"
-        )
+    with pytest.raises(MatrixArgumentError) as excinfo:
+        verify_nest(DEMO_A, chain)
+    assert str(excinfo.value) == (
+        "level 2 subset (1, 2): order-1 minor sum of the square is -20"
+    )
     # a level whose matrix is not Q is named by the matrix
     m = ExactMatrix([[1, 0], [0, -1]])
     with pytest.raises(MatrixArgumentError, match="^level 2 subset .*matrix is 0$"):
@@ -120,6 +122,9 @@ def test_verify_nest_validates_chain_shape():
         verify_nest(m, [([1],), ([1], 2)])  # an unhashable index
     with pytest.raises(MatrixArgumentError):
         verify_nest(m, [(1.0,), (1.0, 2.0)])  # floats equal to ints
+    with pytest.raises(MatrixArgumentError, match="^chain indices must be ints$"):
+        # a bool is an int subclass; kept, it would reach the certificate as JSON true
+        verify_nest(DEMO_A, [(4,), (3, 4), (2, 3, 4), (True, 2, 3, 4)])
     with pytest.raises(MatrixArgumentError):
         verify_nest(m, None)
 
@@ -140,7 +145,7 @@ def test_find_q2_nest_is_deterministic():
     assert find_q2_nest(DEMO_A) == find_q2_nest(DEMO_A)
 
 
-# -- the level verdicts read off the P sweep against one char-poly each -----
+# -- the level reader and the search against references -------------------
 
 
 @st.composite
@@ -162,18 +167,6 @@ def p_matrices(draw):
     while not is_p(m)[0]:
         m = m + ExactMatrix.identity(n)
     return m + ExactMatrix.identity(n) * draw(st.sampled_from([0, 0, 2, 6, 20]))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(p_matrices())
-def test_level_sums_from_the_p_sweep_match_a_char_poly_per_submatrix(m):
-    from_table = _level_q2(m, classify_full(m).minor_table)
-    from_char_poly = _level_q2(m)
-    for k in range(1, m.n + 1):
-        for s in index_sets(m.n, k):
-            sub = principal_submatrix(m, s)
-            assert from_table(s) == from_char_poly(s) == is_q2(sub)
-            assert from_table(s)[1:3] == order_sum_traces(sub)
 
 
 def _brute_order_sums(m):
@@ -209,46 +202,95 @@ def level_matrices(draw):
 @example(ExactMatrix([[2, -1, -2], [-2, 3, -3], [-2, 2, 2]]))  # A(1,3; 1,3) = 0
 @example(ExactMatrix([[1, 2], [3, 4]]))  # not P
 def test_the_level_reader_matches_brute_force_minor_sums(m):
-    # every level S, from the P sweep's table when A is P and from one
-    # char-poly of A'[S] always: E(A[S]) and E(A[S]^2) as sums of cofactor
-    # determinants over the principal submatrices of A[S] and of A[S]A[S]
-    table = classify_full(m).minor_table
-    assert (table is None) == (not is_p(m)[0])
-    readers = [_level_q2(m)] + ([] if table is None else [_level_q2(m, table)])
+    # every level S, by one char-poly of A'[S] on A' = cA cleared once:
+    # E(A[S]) and E(A[S]^2) as sums of cofactor determinants over the
+    # principal submatrices of A[S] and of A[S]A[S], and the verdict as
+    # is_q2 gives it on A[S] cleared on its own
+    read = _level_q2(m)
     for k in range(1, m.n + 1):
         for s in index_sets(m.n, k):
             sub = principal_submatrix(m, s)
             sums_m = _brute_order_sums(sub)
             sums_m2 = _brute_order_sums(naive_product(sub, sub))
-            for read in readers:
-                ok, got_m, got_m2, witness = read(s)
-                assert (got_m, got_m2) == (sums_m, sums_m2)
-                assert ok == all(v > 0 for v in sums_m + sums_m2) == (witness is None)
+            verdict = read(s)
+            ok, got_m, got_m2, witness = verdict
+            assert (got_m, got_m2) == (sums_m, sums_m2)
+            assert ok == all(v > 0 for v in sums_m + sums_m2) == (witness is None)
+            assert verdict == is_q2(sub)
 
 
-def _verdict(m, chain, table=None):
+def _reference_chain(m):
+    """The chain the depth-first search must return, or None: the first
+    order, lexicographic in the indices removed from the full set, whose
+    every level is Q^2 by is_q2 on its Fraction submatrix."""
+    n = m.n
+    level_q2 = functools.cache(lambda s: is_q2(principal_submatrix(m, s))[0])
+    for removed in itertools.permutations(range(1, n + 1)):
+        chain = [tuple(sorted(removed[n - k :])) for k in range(1, n + 1)]
+        if all(map(level_q2, chain)):
+            return tuple(chain)
+    return None
+
+
+def _verdict(m, chain):
     """verify_nest's certificate of ``chain``, or the message it raises."""
     try:
-        return verify_nest(m, chain, table)
+        return verify_nest(m, chain)
     except MatrixArgumentError as exc:
         return str(exc)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(p_matrices())
-def test_nest_search_and_check_agree_with_and_without_the_table(m):
-    table = classify_full(m).minor_table
+def test_nest_search_and_check_match_a_reference_search(m):
+    # the memoized search returns the first chain in depth-first order, and
+    # verify_nest accepts a chain exactly when each level is Q^2, naming
+    # the first level that is not
     nest = find_q2_nest(m)
-    assert find_q2_nest(m, table) == nest
+    expected = _reference_chain(m)
+    assert (None if nest is None else nest.chain) == expected
     n = m.n
     chains = [
         [tuple(range(1, k + 1)) for k in range(1, n + 1)],
         [tuple(range(n - k + 1, n + 1)) for k in range(1, n + 1)],
     ]
-    if nest is not None:
-        chains.append(nest.chain)
+    if expected is not None:
+        chains.append(expected)
     for chain in chains:
-        assert _verdict(m, chain, table) == _verdict(m, chain)
+        failing = [
+            (k, s) for k, s in enumerate(chain, start=1)
+            if not is_q2(principal_submatrix(m, s))[0]
+        ]
+        verdict = _verdict(m, chain)
+        if failing:
+            assert verdict.startswith("level %d subset %s: " % failing[0])
+        else:
+            assert verdict.chain == tuple(chain)
+
+
+def test_the_search_descends_from_each_subset_once(monkeypatch):
+    # a stub reader that rejects every 3-subset: no chain exists, and the
+    # search must not walk a failed subtree again for every path that
+    # reaches it.  Every lookup of a cached verdict is counted.
+    n = 10
+    lookups = []
+
+    def reader(subset):
+        return len(subset) != 3, [], [], None
+
+    def counting_cache(f):
+        cached = functools.cache(f)
+        if f is not reader:
+            return cached
+        return lambda subset: lookups.append(subset) or cached(subset)
+
+    monkeypatch.setattr(pstab.nests, "_level_q2", lambda m: reader)
+    monkeypatch.setattr(pstab.nests, "functools", SimpleNamespace(cache=counting_cache))
+    assert find_q2_nest(ExactMatrix.identity(n)) is None
+    # each subset of size 4..n is descended from once and looks up each
+    # subset one smaller; the full set is looked up once more first
+    assert len(set(lookups)) == 2**n - 1 - n - n * (n - 1) // 2
+    assert len(lookups) == 4661 <= n * 2 ** (n - 1) + 1
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -259,8 +301,3 @@ def test_verify_nest_returns_the_nest_it_re_verifies(m):
         assert verify_nest(m, nest.chain) == nest
         assert verify_nest(m, [s[::-1] for s in nest.chain]) == nest
 
-
-def test_a_matrix_that_is_not_p_leaves_no_table():
-    report = classify_full(ExactMatrix([[2, -1, -2], [-2, 3, -3], [-2, 2, 2]]))
-    assert report.is_q2 and not report.is_p
-    assert report.minor_table is None

@@ -235,12 +235,11 @@ def test_block_traces_of_every_accepted_nest_are_positive(case):
     # nothing checks a block trace's sign: each is E_(n-j)(A[S_(n-m)]^2) /
     # det(A)^2 of a level that find_q2_nest or verify_nest proved Q^2
     a, orders = case
-    report = classify_full(a)
-    accepted = [find_q2_nest(a), find_q2_nest(a, report.minor_table)]
+    accepted = [find_q2_nest(a)]
     for order in orders:
         chain = [tuple(sorted(order[:k])) for k in range(1, a.n + 1)]
         try:
-            accepted.append(verify_nest(a, chain, report.minor_table))
+            accepted.append(verify_nest(a, chain))
         except MatrixArgumentError:
             pass  # a level of the chain is not Q^2
     assert None not in accepted
