@@ -3,16 +3,16 @@
 The public surface: exact matrices and minors (:mod:`pstab.exactmat`),
 compound matrices and the exterior products and generalized compounds
 read off them (:mod:`pstab.compound`), matrix-class tests
-(:mod:`pstab.classify`), Q^2 chain search (:mod:`pstab.nests`), the
-certification pipeline, from the B transform to the trace ledger, the
-stabilizer and the one positivity rule that ``certify`` and ``verify``
-share (:mod:`pstab.stabilize`), and advisory numeric spectra
-(:mod:`pstab.spectra`).
+(:mod:`pstab.classify`), the certificate and its checker, from the nest
+and the B transform to the trace ledger, the stabilizer and the one
+positivity rule that ``certify`` and ``verify`` share
+(:mod:`pstab.certificate`), Q^2 chain search (:mod:`pstab.nests`), the
+stabilizer search and certification pipeline (:mod:`pstab.stabilize`),
+and advisory numeric spectra (:mod:`pstab.spectra`).
 """
 
 from .exactmat import (
     ExactMatrix,
-    Rational,
     as_rational,
     det,
     minor,
@@ -27,22 +27,21 @@ from .compound import (
     generalized_compound,
 )
 from .classify import ClassReport, classify_full, is_p, is_q, is_q2
-from .nests import NestCertificate, find_q2_nest, verify_nest
-from .stabilize import (
+from .certificate import (
+    NestCertificate,
     StabilityCertificate,
     Stabilizer,
+    __version__,
     block_traces,
     build_B,
-    build_stabilizer,
-    certify_stability,
+    verify_nest,
 )
+from .nests import find_q2_nest
+from .stabilize import build_stabilizer, certify_stability
 from .spectra import Spectrum, eigenvalues, is_positively_stable, wedge_check
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ExactMatrix",
-    "Rational",
     "as_rational",
     "det",
     "minor",

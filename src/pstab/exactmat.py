@@ -25,8 +25,6 @@ from fractions import Fraction
 
 from .errors import MatrixArgumentError, SingularMatrixError
 
-Rational = Fraction
-
 
 def as_rational(x) -> Fraction:
     """Convert an entry to an exact rational.

@@ -9,7 +9,7 @@ char-poly nodes through order n - 1, and B's integer form by a
 fraction-free elimination of B' for adj(B').  The Hurwitz minors take one
 cofactor determinant (:func:`oracle.naive_det`) per leading block of the
 Hurwitz matrix of the Faddeev-LeVerrier coefficients, so they share no
-kernel with :func:`pstab.stabilize.hurwitz_minors`.  The spectrum matcher
+kernel with :func:`pstab.certificate.hurwitz_minors`.  The spectrum matcher
 is the search over every pairing that :func:`pstab.spectra.multiset_match`
 decides by augmenting paths.  The package does not import this module.
 """
@@ -175,11 +175,11 @@ def node_trace_ledger(b: ExactMatrix, eps, top=None) -> dict:
 
 
 def eliminated_integer_form(b: ExactMatrix):
-    """B's integer form as :func:`pstab.stabilize._integer_b` holds it, of
+    """B's integer form as :func:`pstab.certificate._integer_b` holds it, of
     any invertible B, with +-adj(B') and +-det(B') (one sign for both)
     from :func:`pstab.exactmat.integer_adjugate` of B'; the form keeps only
     adj(B')_il adj(B')_li and det(B')^2, which the sign leaves alone."""
-    from pstab.stabilize import _IntegerB
+    from pstab.certificate import _IntegerB
 
     rows, beta = cleared(b)
     adj, p = integer_adjugate(rows)

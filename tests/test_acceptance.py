@@ -30,6 +30,7 @@ from oracle import (
     sylvester_check,
 )
 from pstab import ExactMatrix, det, inverse, minor, principal_submatrix, trace
+from pstab.certificate import verify_nest
 from pstab.classify import classify_full, is_p, is_q, is_q2, is_square_diag_dominant
 from pstab.cli import main
 from pstab.compound import (
@@ -55,7 +56,7 @@ from pstab.fixtures import (
     DEMO_SUB_34_SQUARE_DET,
     DEMO_SUB_34_SQUARE_TRACE,
 )
-from pstab.nests import find_q2_nest, verify_nest
+from pstab.nests import find_q2_nest
 from pstab.spectra import eigenvalues, multiset_match, wedge_check
 from pstab.stabilize import certify_stability
 

@@ -24,21 +24,23 @@ from conftest import (
     row_dominant_matrix,
 )
 from pstab import ExactMatrix, certify_stability
-from pstab.cli import (
-    EXIT_INCONCLUSIVE,
-    EXIT_INPUT,
-    EXIT_OK,
-    EXIT_REFUTED,
+from pstab.certificate import (
     MAX_LITERAL_DIGITS,
     MAX_LITERAL_EXPONENT,
     MatrixParseError,
     _literal_size_problem,
     _value_name,
     certificate_document,
-    entry_str,
     frac_str,
-    main,
     parse_matrix,
+)
+from pstab.cli import (
+    EXIT_INCONCLUSIVE,
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_REFUTED,
+    entry_str,
+    main,
 )
 from pstab.errors import NumericToleranceError
 from pstab.fixtures import DEMO_A, DEMO_COMPOUND_2, DEMO_EIGENVALUES
@@ -866,7 +868,7 @@ def test_verify_decides_positivity_on_the_rederived_values(
     # a document written honestly for the former demo diagonal, whose only
     # nonpositive exact value is L(1,0,1): every text matches, the sign fails
     from pstab import classify_full, find_q2_nest
-    from pstab.stabilize import Stabilizer, exact_certificate
+    from pstab.certificate import Stabilizer, exact_certificate
 
     cert_path, _ = demo_certificate
     nest = find_q2_nest(DEMO_A)
@@ -1017,11 +1019,11 @@ def test_certify_exits_2_when_no_screened_diagonal_passes_the_exact_checks(
 ):
     # every diagonal whose ledger is positive gets a last Hurwitz minor of
     # -1: the search accepts none, and names that minor
-    import pstab.stabilize
+    import pstab.certificate
 
-    minors = pstab.stabilize.hurwitz_minors
+    minors = pstab.certificate.hurwitz_minors
     monkeypatch.setattr(
-        pstab.stabilize, "hurwitz_minors", lambda m, c: (*minors(m, c)[:-1], Fraction(-1))
+        pstab.certificate, "hurwitz_minors", lambda m, c: (*minors(m, c)[:-1], Fraction(-1))
     )
     assert main(["certify", demo_file, "--max-shrink", "10"]) == EXIT_INCONCLUSIVE
     assert capsys.readouterr().out == (
@@ -1217,9 +1219,9 @@ def test_certify_and_verify_form_no_schur_complement(tmp_path, monkeypatch, caps
     # package defines or imports the Schur and Sylvester routines (they
     # live in the test oracle), and each command checks the chain once:
     # certify found it, verify re-verifies it
-    import pstab.nests
+    import pstab.certificate
 
-    for path in Path(pstab.nests.__file__).parent.glob("*.py"):
+    for path in Path(pstab.certificate.__file__).parent.glob("*.py"):
         names = set()
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -1231,7 +1233,7 @@ def test_certify_and_verify_form_no_schur_complement(tmp_path, monkeypatch, caps
     matrix_path = tmp_path / "a.txt"
     matrix_path.write_text(matrix_text(a))
     cert_path = str(tmp_path / "cert.json")
-    counts = _count_calls(monkeypatch, pstab.nests.verify_nest)
+    counts = _count_calls(monkeypatch, pstab.certificate.verify_nest)
     assert main(["certify", str(matrix_path), "--json", cert_path]) == EXIT_OK
     assert counts == {"verify_nest": 0}
     assert main(["verify", cert_path, str(matrix_path)]) == EXIT_OK
@@ -1266,7 +1268,7 @@ def test_cli_uses_no_private_name_of_another_pstab_module():
         and isinstance(node.value, ast.Name)
         and node.value.id in modules
     ]
-    assert {"exact_certificate", "DEMO_A"} <= set(used)
+    assert {"verify_document", "DEMO_A"} <= set(used)
     private = [n for n in used if n.startswith("_") and not n.endswith("__")]
     assert private == []
 
@@ -1289,6 +1291,7 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     # Q or Q^2, whose order sums are read off A's P sweep; a nest level is
     # one integer char-poly, once per index set the search reads, the full
     # set first, and once per chain level in verify
+    import pstab.certificate
     import pstab.classify
     import pstab.exactmat
     import pstab.nests
@@ -1297,7 +1300,7 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     matrix_path = tmp_path / "a.txt"
     matrix_path.write_text(matrix_text(a))
     cert_path = str(tmp_path / "cert.json")
-    ledger = pstab.stabilize._trace_ledger
+    ledger = pstab.certificate._trace_ledger
     derivations = []  # per ledger derived, the orders read
 
     def counted(form, d_int, delta):
@@ -1306,7 +1309,8 @@ def test_certify_and_verify_decide_each_exact_fact_once(
             derivations[-1].append(min(order)[0])
             yield order
 
-    monkeypatch.setattr(pstab.stabilize, "_trace_ledger", counted)
+    for module in (pstab.certificate, pstab.stabilize):
+        monkeypatch.setattr(module, "_trace_ledger", counted)
     adjugate = pstab.exactmat.integer_adjugate
     adjugated = []  # every matrix that is eliminated
     monkeypatch.setattr(
@@ -1321,10 +1325,9 @@ def test_certify_and_verify_decide_each_exact_fact_once(
         pstab.classify.is_q2,
         pstab.exactmat.principal_submatrix,
         pstab.exactmat.inverse,
-        pstab.stabilize.hurwitz_minors,
-        pstab.stabilize.exact_certificate,
-        pstab.stabilize._certificate,
-        pstab.stabilize._integer_b,
+        pstab.certificate.hurwitz_minors,
+        pstab.certificate.exact_certificate,
+        pstab.certificate._integer_b,
     )
     kernel = pstab.classify.integer_minor_sums
     char_polys = []  # through the binding that Q, Q^2 and nest levels use
@@ -1343,7 +1346,8 @@ def test_certify_and_verify_decide_each_exact_fact_once(
         reader = level_q2(m)
         return lambda subset: reads.append(subset) or reader(subset)
 
-    monkeypatch.setattr(pstab.nests, "_level_q2", counted_level_q2)
+    for module in (pstab.certificate, pstab.nests):
+        monkeypatch.setattr(module, "_level_q2", counted_level_q2)
     expected = {
         "classify_full": 1,
         "is_p": 0,
@@ -1351,8 +1355,7 @@ def test_certify_and_verify_decide_each_exact_fact_once(
         "principal_submatrix": 0,
         "inverse": 1,
         "hurwitz_minors": 1,
-        "exact_certificate": 0,
-        "_certificate": 1,
+        "exact_certificate": 1,
         "_integer_b": 1,
     }
     assert main(["certify", str(matrix_path), "--json", cert_path]) == EXIT_OK
@@ -1380,11 +1383,32 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     assert main(["verify", cert_path, str(matrix_path)]) == EXIT_OK
     assert derivations == [complete]
     assert adjugated == [a_tilde]
-    assert counts == {**expected, "exact_certificate": 1}
+    assert counts == expected
     assert reads == [tuple(level) for level in doc["nest"]["chain"]]
     assert char_polys == list(range(1, a.n + 1))
     # verify re-derives from the claimed chain and diagonal: it searches for neither
     assert searches == {"find_q2_nest": 0, "build_stabilizer": 0}
+
+
+def test_verify_runs_no_search_and_no_eigenvalue(demo_file, tmp_path, monkeypatch, capsys):
+    # verify runs the checker alone; certify, counted the same way, runs
+    # both searches and the two advisory spectra
+    import pstab.nests
+    import pstab.spectra
+    import pstab.stabilize
+
+    counts = _count_calls(
+        monkeypatch,
+        pstab.nests.find_q2_nest,
+        pstab.stabilize.build_stabilizer,
+        pstab.spectra.eigenvalues,
+    )
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify", demo_file, "--json", cert_path]) == EXIT_OK
+    assert counts == {"find_q2_nest": 1, "build_stabilizer": 1, "eigenvalues": 2}
+    counts.update(dict.fromkeys(counts, 0))
+    assert main(["verify", cert_path, demo_file]) == EXIT_OK
+    assert counts == {"find_q2_nest": 0, "build_stabilizer": 0, "eigenvalues": 0}
 
 
 def test_verify_refuses_a_matrix_that_is_not_p(tmp_path, capsys):

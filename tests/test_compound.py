@@ -179,14 +179,19 @@ def test_compound_refuses_past_the_minor_cap_before_forming_any(monkeypatch):
 
 def _imports(module):
     """(module imported from, names imported) of each import statement in
-    a pstab module, a relative import resolved against the package."""
+    a pstab module, a relative import resolved against the package, and
+    ``from . import m`` of a module file m read as an import of pstab.m."""
     tree = ast.parse((SRC / f"{module}.py").read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from ((alias.name, ()) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             base = "pstab." * (node.level > 0) + (node.module or "")
-            yield base.rstrip("."), tuple(alias.name for alias in node.names)
+            names = tuple(alias.name for alias in node.names)
+            if base == "pstab." and all((SRC / f"{n}.py").is_file() for n in names):
+                yield from ((f"pstab.{name}", ()) for name in names)
+            else:
+                yield base.rstrip("."), names
 
 
 def test_pipeline_modules_do_not_import_compound():
@@ -205,14 +210,50 @@ def test_pipeline_modules_do_not_import_compound():
     [
         ("exactmat", {"errors"}),
         ("compound", {"exactmat", "errors"}),
-        ("nests", {"classify", "errors", "exactmat"}),
+        ("nests", {"certificate", "classify", "exactmat"}),
+        ("certificate", {"classify", "errors", "exactmat"}),
+        (
+            "stabilize",
+            {"certificate", "classify", "errors", "exactmat", "nests", "spectra"},
+        ),
     ],
 )
 def test_the_minor_kernel_layering(module, allowed):
     # exactmat is the kernel, and compound reads the all-minor generator
-    # from it, never from classify; nests reads the level verdicts from
-    # classify and is read by stabilize, never the other way round
+    # from it, never from classify; the checker, certificate, reads the
+    # level verdicts from classify and is read by the searches, nests and
+    # stabilize, never the other way round.  Each row lists exactly the
+    # pstab modules its module imports
     imported = {
         base for base, _ in _imports(module) if base.split(".")[0] == "pstab"
     }
-    assert imported <= {f"pstab.{name}" for name in allowed}, imported
+    assert imported == {f"pstab.{name}" for name in allowed}, imported
+
+
+def test_the_checker_imports_no_search():
+    # verify's trusted base is pstab.certificate and the modules its own
+    # import statements reach: no package __init__, no search, no spectra,
+    # compound, cli or fixtures, no numpy, and no search function defined
+    closure, outside, todo = set(), set(), ["pstab.certificate"]
+    while todo:
+        module = todo.pop()
+        if module in closure:
+            continue
+        closure.add(module)
+        name = "__init__" if module == "pstab" else module.removeprefix("pstab.")
+        for base, _ in _imports(name):
+            if base.split(".")[0] == "pstab":
+                todo.append(base)
+            else:
+                outside.add(base.split(".")[0])
+    assert closure == {
+        "pstab.certificate", "pstab.classify", "pstab.exactmat", "pstab.errors"
+    }
+    assert "numpy" not in outside, outside
+    defined = {
+        node.name
+        for module in closure
+        for node in ast.walk(ast.parse((SRC / f"{module[6:]}.py").read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert not defined & {"find_q2_nest", "build_stabilizer", "certify_stability"}

@@ -67,7 +67,7 @@ def test_readme_dotted_pstab_names_resolve():
     found = _readme_pstab_names()
     assert [name for name, resolves in found.items() if not resolves] == []
     assert {
-        "pstab.stabilize.nonpositive_values",
+        "pstab.certificate.nonpositive_values",
         "exactmat.integer_minor_sums",
         "NestCertificate.levels",
     } <= set(found)
@@ -102,3 +102,15 @@ def test_readme_lists_every_size_cap_with_its_value():
         for name in re.findall(r"^(\w*MAX\w*) = ", path.read_text("utf-8"), re.M)
     }
     assert set(_size_caps()) == constants | {"int_info.default_max_str_digits"}
+
+
+def test_readme_trusted_base_counts_its_lines():
+    # the paragraph names the files of the checker's import closure (whose
+    # membership tests/test_compound.py checks) and their total line count
+    paragraph = README.read_text(encoding="utf-8").split("**Trusted base.**", 1)[1]
+    match = re.search(r"the files (.*?), ([\d,]+) lines in all", paragraph, re.S)
+    files = re.findall(r"`src/pstab/(\w+\.py)`", match[1])
+    assert set(files) == {"certificate.py", "classify.py", "exactmat.py", "errors.py"}
+    source = Path(pstab.__file__).parent
+    count = sum((source / name).read_bytes().count(b"\n") for name in files)
+    assert int(match[2].replace(",", "")) == count

@@ -13,6 +13,7 @@ from oracle import naive_det
 from reference import naive_product
 import pstab.nests
 from pstab import ExactMatrix
+from pstab.certificate import LevelEvidence, NestCertificate, chain_tau, verify_nest
 from pstab.classify import _level_q2, is_p, is_q2
 from pstab.errors import MatrixArgumentError
 from pstab.exactmat import index_sets, principal_submatrix
@@ -25,13 +26,7 @@ from pstab.fixtures import (
     DEMO_SUB_34_SQUARE_DET,
     DEMO_SUB_34_SQUARE_TRACE,
 )
-from pstab.nests import (
-    LevelEvidence,
-    NestCertificate,
-    chain_tau,
-    find_q2_nest,
-    verify_nest,
-)
+from pstab.nests import find_q2_nest
 
 
 def test_demo_nest_chain_and_tau():

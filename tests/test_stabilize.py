@@ -24,6 +24,17 @@ from reference import (
     per_minor_hurwitz_minors,
 )
 from pstab import ExactMatrix, det, inverse, minor, principal_submatrix, trace
+from pstab.certificate import (
+    Stabilizer,
+    _integer_b,
+    _trace_ledger,
+    block_traces,
+    build_B,
+    exact_certificate,
+    hurwitz_minors,
+    nonpositive_values,
+    verify_nest,
+)
 from pstab.compound import compound, diag_generalized_compound
 from pstab.classify import (
     MinorWitness,
@@ -41,20 +52,9 @@ from pstab.errors import (
 )
 from pstab.exactmat import cleared, lagrange_operator
 from pstab.fixtures import DEMO_A, DEMO_CHAIN
-from pstab.nests import find_q2_nest, verify_nest
+from pstab.nests import find_q2_nest
 from pstab.spectra import Spectrum
-from pstab.stabilize import (
-    Stabilizer,
-    _integer_b,
-    _trace_ledger,
-    block_traces,
-    build_B,
-    build_stabilizer,
-    certify_stability,
-    exact_certificate,
-    hurwitz_minors,
-    nonpositive_values,
-)
+from pstab.stabilize import build_stabilizer, certify_stability
 
 
 def _search(a, **kwargs):
@@ -501,18 +501,18 @@ def test_order_one_screen_forms_no_product_and_no_char_poly(monkeypatch, a):
     # delta + x d'_i, and H is read off the integer form.  Reading order 2
     # next makes six node char-polys, each read to order 2 with no power
     import pstab.exactmat
-    import pstab.stabilize
+    import pstab.certificate
 
     form = _integer_b(a, find_q2_nest(a))
     calls = []
-    product, kernel = pstab.stabilize.integer_product, pstab.stabilize.integer_minor_sums
+    product, kernel = pstab.certificate.integer_product, pstab.certificate.integer_minor_sums
     monkeypatch.setattr(
-        pstab.stabilize, "integer_product",
+        pstab.certificate, "integer_product",
         lambda x, y: calls.append(("integer_product", len(x), len(y[0])))
         or product(x, y),
     )
     monkeypatch.setattr(
-        pstab.stabilize, "integer_minor_sums",
+        pstab.certificate, "integer_minor_sums",
         lambda m: calls.append("integer_minor_sums") or kernel(m),
     )
     power = pstab.exactmat.integer_product  # the kernel's own binding
@@ -559,16 +559,16 @@ def test_adjugate_read_off_a_tilde_is_the_eliminated_one():
 def test_complete_ledger_takes_n_choose_two_char_polys(monkeypatch, n):
     # nodes s <= t in {0..n-2} for an invertible B at n >= 4; none at
     # n <= 3, where the orders n - 1, n and 1 are all closed
-    import pstab.stabilize
+    import pstab.certificate
 
     calls = []
-    kernel = pstab.stabilize.integer_minor_sums
+    kernel = pstab.certificate.integer_minor_sums
 
     def counted(a):
         calls.append(len(a))
         return kernel(a)
 
-    monkeypatch.setattr(pstab.stabilize, "integer_minor_sums", counted)
+    monkeypatch.setattr(pstab.certificate, "integer_minor_sums", counted)
     b = random_spd_matrix(random.Random(n), n)
     _ledger(b, [Fraction(1, 2**i) for i in range(n)])
     assert len(calls) == (n * (n - 1) // 2 if n >= 4 else 0)
@@ -624,6 +624,53 @@ def test_hurwitz_minors_decide_positive_stability():
     # eigenvalues 1 +- i and 1 +- 3i
     stable = ExactMatrix([[1, -1, 0, 0], [1, 1, 0, 0], [0, 0, 1, -3], [0, 0, 3, 1]])
     assert all(v > 0 for v in _minors(stable))
+
+
+# Q^2 with a Q^2 nest but not P, A(1,3; 1,3) = 0; eigenvalues 1 and 3 +- i
+NOT_P_STABLE = ExactMatrix([[2, -1, -2], [-2, 3, -3], [-2, 2, 2]])
+# Q^2 with a Q^2 nest, not P and not positively stable: a search that
+# skipped the endpoint Hurwitz minors would accept it after 4 halvings
+NOT_P_UNSTABLE = ExactMatrix(
+    [[3, -4, 0, 1], [-3, 4, 5, 2], [-5, -1, -3, -6], [-1, 0, 0, 4]]
+)
+
+
+def _accepted(a):
+    """The certificate :func:`build_stabilizer` accepts for A, or None
+    when A is not Q^2, has no Q^2 nest or the search is inconclusive."""
+    report = classify_full(a)
+    nest = find_q2_nest(a) if report.is_q2 else None
+    if nest is None:
+        return None
+    try:
+        return build_stabilizer(a, report, nest)
+    except StabilizerInconclusiveError:
+        return None
+
+
+def test_every_certificate_the_search_accepts_is_of_a_stable_matrix():
+    # the proof rests on A's Q^2, the ledger and the endpoint Hurwitz
+    # minors, not on P: every certificate the search accepts, for a P input
+    # or not, is of a positively stable A, judged by A's own Hurwitz
+    # minors, one cofactor determinant each, with no float
+    rng = random.Random(31)
+    draws = [NOT_P_STABLE, NOT_P_UNSTABLE]
+    for _ in range(400):
+        n = rng.randint(3, 5)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        diagonal = ExactMatrix.diagonal([rng.randint(0, 12) for _ in range(n)])
+        draws.append(ExactMatrix(rows) + diagonal)
+    certified = {True: 0, False: 0}  # by whether A is P
+    for a in draws:
+        cert = _accepted(a)
+        if cert is not None:
+            assert all(v > 0 for v in per_minor_hurwitz_minors(a)), a.rows
+            certified[cert.report.is_p] += 1
+    assert not _accepted(NOT_P_STABLE).report.is_p
+    assert not all(v > 0 for v in per_minor_hurwitz_minors(NOT_P_UNSTABLE))
+    assert find_q2_nest(NOT_P_UNSTABLE) is not None
+    assert _accepted(NOT_P_UNSTABLE) is None
+    assert sum(certified.values()) >= 100 and certified[False] >= 10, certified
 
 
 def test_nonpositive_values_order():
@@ -713,11 +760,12 @@ def test_build_stabilizer_computes_one_ledger_per_diagonal(
     # minors.  A diagonal rejected at order 2 makes six node char-polys and
     # forms no power of any node; the accepted one makes n(n - 1)/2 node
     # char-polys and the Hurwitz minors one
+    import pstab.certificate
     import pstab.exactmat
     import pstab.stabilize
 
-    ledger, minors = pstab.stabilize._trace_ledger, pstab.stabilize.hurwitz_minors
-    kernel, power = pstab.stabilize.integer_minor_sums, pstab.exactmat.integer_product
+    ledger, minors = pstab.stabilize._trace_ledger, pstab.certificate.hurwitz_minors
+    kernel, power = pstab.certificate.integer_minor_sums, pstab.exactmat.integer_product
     report, nest = classify_full(a), find_q2_nest(a)
     diagonals = []  # per diagonal tried, the orders read and the kernel calls
 
@@ -732,9 +780,9 @@ def test_build_stabilizer_computes_one_ledger_per_diagonal(
         return minors(m, c)
 
     monkeypatch.setattr(pstab.stabilize, "_trace_ledger", counted)
-    monkeypatch.setattr(pstab.stabilize, "hurwitz_minors", counted_minors)
+    monkeypatch.setattr(pstab.certificate, "hurwitz_minors", counted_minors)
     monkeypatch.setattr(
-        pstab.stabilize, "integer_minor_sums",
+        pstab.certificate, "integer_minor_sums",
         lambda m: diagonals[-1].append("char_poly") or kernel(m),
     )
     monkeypatch.setattr(
@@ -832,9 +880,9 @@ def test_build_stabilizer_rejects_a_screened_diagonal_whose_certificate_fails(
     # the search accepts a diagonal on its whole exact certificate, not on
     # the screen: the demo's first screened diagonal (8 halvings) is turned
     # down when one of its Hurwitz minors is made nonpositive
-    import pstab.stabilize
+    import pstab.certificate
 
-    minors = pstab.stabilize.hurwitz_minors
+    minors = pstab.certificate.hurwitz_minors
     calls = []
 
     def first_fails(m, c):
@@ -842,7 +890,7 @@ def test_build_stabilizer_rejects_a_screened_diagonal_whose_certificate_fails(
         values = minors(m, c)
         return (-values[0], *values[1:]) if len(calls) == 1 else values
 
-    monkeypatch.setattr(pstab.stabilize, "hurwitz_minors", first_fails)
+    monkeypatch.setattr(pstab.certificate, "hurwitz_minors", first_fails)
     cert = _search(DEMO_A)
     assert len(calls) == 2
     assert cert.stabilizer.identity_steps == 9
