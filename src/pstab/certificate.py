@@ -172,7 +172,7 @@ def _literal_size_problem(token):
 
 
 def load_matrix(path) -> ExactMatrix:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_matrix(handle.read())
 
 

@@ -24,6 +24,14 @@ of :mod:`pstab.exactmat`, which forms one order at a time by Laplace
 expansion on A' (:func:`~pstab.exactmat.integer_compounds`).  Its order 2
 and up are the one part capped in n (SIGN_SYMMETRY_MAX_N).
 
+P^2 is P and P of A^2.  By Cauchy-Binet a principal minor of A^2 is the
+sum over b of A(a;b) A(b;a): sign-symmetry makes every term nonnegative,
+the term A(a;a)^2 positive when A is P, and row and column square
+dominance together bound the terms b != a strictly below A(a;a)^2 by
+Cauchy-Schwarz.  One side alone does not: [[8, 6], [-3, 4]] is P and row
+dominant, with (A^2)_22 = -2.  Only a P-matrix with neither property
+sweeps A'^2.
+
 All verdicts are exact.  Every negative verdict carries a witness that
 re-evaluates to a violation; witness ordering is deterministic (smallest
 minor order first, then lexicographic rank).  A report is its witnesses:
@@ -333,7 +341,10 @@ def classify_full(m: ExactMatrix) -> ClassReport:
     principal minors), each only as far as it goes; none reads past an
     order holding a zero minor, which the next order would divide by.  A
     P-matrix reads it to the end, so its order sums are the sums of the
-    sweep's orders; any other matrix takes one char-poly of A'.
+    sweep's orders; any other matrix takes one char-poly of A'.  P^2 takes
+    P's witness when A is not P, holds when A is sign-symmetric or square
+    dominant on both sides (one side is not enough; see the module
+    docstring), and otherwise reads a sweep of A'^2.
     """
     a, c = cleared(m)
     p_minors, orders, row_minors, col_minors = itertools.tee(_principal_minors(a), 4)
@@ -344,16 +355,19 @@ def classify_full(m: ExactMatrix) -> ClassReport:
         sums = integer_minor_sums(a)
     sums_m, sums_m2 = _order_sums(sums, c)
     q_witness = _first_nonpositive(sums_m)
+    sign = _sign_symmetry_witness(a, c)
+    row = _square_dominance_witness(row_minors, a, c)
+    col = _square_dominance_witness(col_minors, list(zip(*a)), c)
     checks = (
         ("P", p_witness),
         ("Q", q_witness),
         ("Q2", q_witness or _first_nonpositive(sums_m2)),
-        ("P2", p_witness or _first_nonpositive_minor(
+        ("P2", p_witness or (sign and (row or col) and _first_nonpositive_minor(
             _principal_minors(integer_product(a, a)), m.n, c * c
-        )),
-        ("sign_symmetric", _sign_symmetry_witness(a, c)),
-        ("row_sqdd", _square_dominance_witness(row_minors, a, c)),
-        ("col_sqdd", _square_dominance_witness(col_minors, list(zip(*a)), c)),
+        ))),
+        ("sign_symmetric", sign),
+        ("row_sqdd", row),
+        ("col_sqdd", col),
     )
     witnesses = {key: witness for key, witness in checks if witness is not None}
     return ClassReport(m.n, sums_m, sums_m2, witnesses)

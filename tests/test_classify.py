@@ -114,6 +114,48 @@ def test_spd_matrices_are_sign_symmetric_p2():
         assert is_sign_symmetric(m)[0]
 
 
+ROW_ONLY_DOMINANT = ExactMatrix([[8, 6], [-3, 4]])
+
+
+def test_one_side_of_square_dominance_does_not_make_p2():
+    # P, and 64 > 36, 16 > 9 on the rows, but 16 <= 36 on column 2:
+    # A^2 = [[46, 72], [-36, -2]]
+    report = classify_full(ROW_ONLY_DOMINANT)
+    assert report.is_p and report.is_row_sqdd
+    assert not report.is_col_sqdd and not report.is_sign_symmetric
+    assert not report.is_p2
+    assert report.witnesses["P2"] == MinorWitness(
+        order=1, rows=(2,), cols=(2,), value=Fraction(-2)
+    )
+    assert report.witnesses["P2"].describe() == "A(2; 2) = -2"
+
+
+@pytest.mark.parametrize(
+    "m, sweeps",
+    [
+        (random_spd_matrix(random.Random(33), 6), 0),  # sign-symmetric
+        (row_dominant_matrix(6), 0),  # square dominant on both sides
+        (ROW_ONLY_DOMINANT, 1),
+    ],
+    ids=["spd", "two-sided-dominant", "row-only-dominant"],
+)
+def test_p2_sweeps_the_square_only_when_no_classical_condition_decides_it(
+    m, sweeps, monkeypatch
+):
+    calls = []
+    product = classify.integer_product
+
+    def counting_product(a, b):
+        calls.append(a)
+        return product(a, b)
+
+    monkeypatch.setattr(classify, "integer_product", counting_product)
+    report = classify_full(m)
+    assert report.is_p
+    assert len(calls) == sweeps
+    assert report.is_p2 == per_minor_is_p(m.square())[0]
+
+
 def test_sign_symmetry_witness():
     verdict, witness = is_sign_symmetric(DEMO_A)
     assert not verdict
@@ -207,11 +249,22 @@ def reference_square_dominance(m, side):
 @st.composite
 def class_test_matrices(draw):
     """Integer, fraction, sparse, singular or nearly symmetric matrices,
-    n = 1..6, with a diagonal shift that lets the checks run past order 1."""
+    n = 1..6, with a diagonal shift that lets the checks run past order 1;
+    or D*S, D a positive diagonal and S symmetric positive definite, which
+    is P and sign-symmetric (its minors multiply to d_a d_b S(a;b)^2 >= 0)
+    but, as a rule, not symmetric."""
     n = draw(st.integers(1, 6))
-    kind = draw(
-        st.sampled_from(["integer", "fraction", "sparse", "singular", "symmetric"])
-    )
+    kind = draw(st.sampled_from(
+        ["integer", "fraction", "sparse", "singular", "symmetric", "scaled-spd"]
+    ))
+    if kind == "scaled-spd":
+        def vector(entry):
+            return st.lists(entry, min_size=n, max_size=n)
+
+        g = ExactMatrix(draw(vector(vector(st.integers(-3, 3)))))
+        s = g * g.transpose() + ExactMatrix.diagonal(draw(vector(st.integers(1, 4))))
+        d = draw(vector(st.fractions(min_value=1, max_value=9, max_denominator=4)))
+        return ExactMatrix.diagonal(d) * s
     if kind == "fraction":
         entry = st.fractions(min_value=-9, max_value=9, max_denominator=7)
     elif kind == "sparse":
@@ -236,6 +289,7 @@ def class_test_matrices(draw):
 @given(class_test_matrices())
 def test_minor_table_checks_match_per_minor_reference(m):
     report = classify_full(m)
+    assert report.is_p2 == (per_minor_is_p(m)[0] and per_minor_is_p(m.square())[0])
     row, col = (
         (is_square_diag_dominant(m, side), reference_square_dominance(m, side))
         for side in ("row", "col")
@@ -318,6 +372,7 @@ def dominance_test_matrices(draw):
 @given(dominance_test_matrices())
 def test_square_dominance_sweeps_match_per_minor_reference(m):
     report = classify_full(m)
+    assert report.is_p2 == (per_minor_is_p(m)[0] and per_minor_is_p(m.square())[0])
     for side in ("row", "col"):
         verdict, witness = reference_square_dominance(m, side)
         assert is_square_diag_dominant(m, side) == (verdict, witness)

@@ -248,6 +248,33 @@ def test_classify_superscript_dimension_exits_3(tmp_path, capsys):
     assert "input error: line 1, entry 1" in capsys.readouterr().err
 
 
+def test_a_byte_order_mark_is_not_part_of_the_matrix(tmp_path, capsys):
+    # editors on some systems start a UTF-8 file with U+FEFF
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(matrix_text(DEMO_A), encoding="utf-8")
+    marked.write_text(matrix_text(DEMO_A), encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+
+    def run(*argv):
+        code = main([str(arg) for arg in argv])
+        return code, capsys.readouterr()
+
+    outputs = {}
+    for path in (plain, marked):
+        cert = tmp_path / f"{path.stem}.json"
+        outputs[path] = (
+            run("classify", path, "--json"),
+            run("certify", path, "--json", cert),
+            cert.read_bytes(),
+            run("verify", cert, plain),
+            run("verify", cert, marked),
+        )
+    assert outputs[marked] == outputs[plain]
+    (classified, _), (certified, _), _, (verified, _), _ = outputs[plain]
+    # the demo is not sign-symmetric, so classify refutes a class
+    assert (classified, certified, verified) == (EXIT_REFUTED, EXIT_OK, EXIT_OK)
+
+
 @pytest.mark.parametrize("command", ["classify", "certify", "compound", "verify"])
 def test_dimension_past_the_digit_cap_exits_3(command, tmp_path, capsys):
     # int() refuses more than 4300 digits; the entries' digit cap comes first
