@@ -71,10 +71,10 @@ from .exactmat import (
     ExactMatrix,
     cleared,
     diagonal_poly,
+    integer_adjugate,
     integer_det,
     integer_minor_sums,
     integer_product,
-    inverse,
     lagrange_operator,
     rational_str,
 )
@@ -282,7 +282,7 @@ def verify_nest(m: ExactMatrix, chain):
 
 def build_B(a: ExactMatrix, nest: NestCertificate) -> ExactMatrix:
     """Transform A into B via the chain's permutation and exact inversion;
-    returns B.
+    returns B, the ``b`` of :func:`_integer_b`.
 
     With tau = (i_1, ..., i_n) listing the chain inner-to-outer, the
     permutation theta(i_m) = n - m + 1 (``nest.theta``) sends the chain's
@@ -296,29 +296,35 @@ def build_B(a: ExactMatrix, nest: NestCertificate) -> ExactMatrix:
     inverse of the conjugated n-by-n matrix A~,
     E_k(B^2) = E_(n-k)(A~^2) / det(A~)^2, positive because A is Q^2.
     """
-    # A~ lists A's rows and columns in reversed tau order
-    order = [i - 1 for i in reversed(nest.tau)]
-    return inverse(ExactMatrix([[a.rows[i][j] for j in order] for i in order]))
+    return _integer_b(a, nest).b
 
 
 _IntegerB = namedtuple("_IntegerB", "b rows beta square grams")
 
 
 def _integer_b(a: ExactMatrix, nest: NestCertificate) -> _IntegerB:
-    """B = build_B(a, nest) with what no diagonal changes, on integers:
+    """B of :func:`build_B` with what no diagonal changes, on integers:
     B' = beta B, B'^2 and ``grams``, which maps each closed order j in
     {1, n - 1, n} to (G_j = B'^(j) o B'^(j)T, the index sets of order j).
-    No compound is formed: they are (B' o B'^T, the {i}),
-    (adj(B') o adj(B')^T, the [n] - {i}) and (det(B')^2, [n]), where for
-    A~ = A'/c on integers and det(A') = c^n det(A),
-    adj(B') = (beta c)^(n-1) A' / det(A') and
-    det(B') = (beta c)^n / det(A'), exact divisions."""
-    b, n = build_B(a, nest), a.n
-    (rows, beta), (a_int, c) = cleared(b), cleared(a)
+
+    A is cleared once and permuted, A~' = c A~; one fraction-free
+    elimination (:func:`pstab.exactmat.integer_adjugate`) gives p and adj,
+    +-det(A~') and +-adj(A~') with one sign, and B = c adj / p.  With g the
+    gcd of p and c adj, signed as p, beta = p / g is the lcm of B's
+    denominators and B' = c adj / g.  No compound is formed: G_j is
+    (B' o B'^T, the {i}), (adj(B') o adj(B')^T, the [n] - {i}) or
+    (det(B')^2, [n]), with adj(B') = (beta c)^(n-1) A~' / det(A~') and
+    det(B') = (beta c)^n / det(A~'), exact divisions by p whose sign the
+    squares drop."""
+    (a_int, c), n = cleared(a), a.n
     order = [i - 1 for i in reversed(nest.tau)]
-    det_a = int(nest.levels[-1].order_sums[-1] * c**n)
+    a_tilde = [[a_int[i][j] for j in order] for i in order]
+    adj, p = integer_adjugate(a_tilde)
+    p_b = [[c * x for x in row] for row in adj]
+    g = math.gcd(p, *itertools.chain.from_iterable(p_b)) * (1 if p > 0 else -1)
+    beta, rows = p // g, [[x // g for x in row] for row in p_b]
     scale = (beta * c) ** (n - 1)
-    adj = [[scale * a_int[i][j] // det_a for j in order] for i in order]
+    adj = [[scale * x // p for x in row] for row in a_tilde]  # +-adj(B')
     hadamard, adj_gram = (
         [list(map(operator.mul, row, col)) for row, col in zip(m, zip(*m))]
         for m in (rows, adj)
@@ -326,8 +332,9 @@ def _integer_b(a: ExactMatrix, nest: NestCertificate) -> _IntegerB:
     grams = {
         1: (hadamard, [[i] for i in range(n)]),
         n - 1: (adj_gram, [[*range(i), *range(i + 1, n)] for i in range(n)]),
-        n: ([[(scale * beta * c // det_a) ** 2]], [range(n)]),
+        n: ([[(scale * beta * c // p) ** 2]], [range(n)]),
     }
+    b = ExactMatrix([[Fraction(x, beta) for x in row] for row in rows])
     return _IntegerB(b, rows, beta, integer_product(rows, rows), grams)
 
 

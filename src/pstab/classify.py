@@ -12,8 +12,9 @@ an order only when its consumer asks for it.  P reads the sweep of A' and
 stops at the first nonpositive minor (:func:`is_p`).  Q and Q^2 are the
 order sums of A' and their root-squaring step: in :func:`classify_full`,
 the sums of the sweep's orders when A is P, and one char-poly of A'
-otherwise.  The nest levels, Q^2 of principal submatrices A[S], have one
-reader (:func:`_level_q2`): one char-poly of A'[S].  Square
+otherwise.  Every other Q^2 test, of a nest level A[S] or of the whole
+matrix (:func:`is_q2`), has one reader (:func:`_level_q2`): one char-poly
+of A'[S].  Square
 dominance needs the minors A(a;b) off the diagonal only through their
 sum of squares, which by Cauchy-Binet is a principal minor of the Gram
 matrix A'A'^T (A'^T A' for the column side), so it reads the sweeps of A'
@@ -195,20 +196,9 @@ def is_p(m: ExactMatrix):
     return witness is None, witness
 
 
-def order_sum_traces(m: ExactMatrix):
-    """Sums of principal minors of each order for M and for M^2.
-
-    The order-k sum E_k is the k-th coefficient of det(xI + M).  Both lists
-    come from one char-poly of the integer-cleared M' = cM: E_k(M) =
-    E_k(M') / c^k by :func:`integer_minor_sums`, and E_k(M^2) =
-    E_k(M'^2) / c^(2k) by the root-squaring step :func:`squared_minor_sums`.
-    """
-    a, c = cleared(m)
-    return _order_sums(integer_minor_sums(a), c)
-
-
 def _order_sums(sums, c):
-    """(E(M), E(M^2)), orders 1..n, from the iterable E_0, ..., E_n of M' = cM."""
+    """(E(M), E(M^2)), orders 1..n, from the iterable E_0, ..., E_n of
+    M' = cM: E_k(M) = E_k(M') / c^k, E_k(M^2) = E_k(M'^2) / c^(2k)."""
     sums = list(sums)
     return (
         [Fraction(e, c**k) for k, e in enumerate(sums) if k],
@@ -230,22 +220,22 @@ def _q2_verdict(sums_m, sums_m2):
 
 def is_q(m: ExactMatrix):
     """Q-matrix test.  Returns (verdict, order_sums, witness)."""
-    sums, _ = order_sum_traces(m)
+    sums = is_q2(m)[1]
     witness = _first_nonpositive(sums)
     return witness is None, sums, witness
 
 
 def is_q2(m: ExactMatrix):
-    """Q^2 test: both M and M^2 are Q-matrices.
+    """Q^2 test: both M and M^2 are Q-matrices (:func:`_level_q2` of [n]).
 
     Returns (verdict, sums_m, sums_m2, witness); a witness from the square
     is tagged by its being drawn from sums_m2.
     """
-    return _q2_verdict(*order_sum_traces(m))
+    return _level_q2(m)(tuple(range(1, m.n + 1)))
 
 
 def _level_q2(m: ExactMatrix):
-    """:func:`is_q2` of each principal submatrix A[S], by sorted index set
+    """The Q^2 test of each principal submatrix A[S], by sorted index set
     S, on A' = cA cleared once: one char-poly of the integer submatrix
     A'[S] per call."""
     a, c = cleared(m)

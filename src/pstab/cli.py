@@ -122,7 +122,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.certificate, "r", encoding="utf-8") as handle:
+    with open(args.certificate, "r", encoding="utf-8-sig") as handle:
         try:
             doc = json.load(handle)
         except RecursionError:

@@ -23,7 +23,6 @@ from pstab.classify import (
     is_q2,
     is_sign_symmetric,
     is_square_diag_dominant,
-    order_sum_traces,
 )
 from pstab.errors import MatrixArgumentError
 from pstab.exactmat import index_sets, minor
@@ -67,7 +66,7 @@ def test_order_sum_traces_match_direct_minors():
     for _ in range(10):
         n = rng.choice([2, 3, 4])
         m = random_matrix(rng, n, -4, 4)
-        sums_m, sums_m2 = order_sum_traces(m)
+        sums_m, sums_m2 = is_q2(m)[1:3]
         sq = m.square()
         for k in range(1, n + 1):
             direct = sum(minor(m, s, s) for s in index_sets(n, k))
@@ -440,7 +439,7 @@ def test_sweep_witness_deep_in_the_lattice():
 @given(p_test_matrices())
 def test_order_sums_match_faddeev_leverrier_of_the_square(m):
     # E(M^2) by root squaring against the char-poly of the formed square
-    assert order_sum_traces(m) == (
+    assert is_q2(m)[1:3] == (
         fraction_minor_sums(m), fraction_minor_sums(naive_product(m, m))
     )
 

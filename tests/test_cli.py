@@ -249,7 +249,8 @@ def test_classify_superscript_dimension_exits_3(tmp_path, capsys):
 
 
 def test_a_byte_order_mark_is_not_part_of_the_matrix(tmp_path, capsys):
-    # editors on some systems start a UTF-8 file with U+FEFF
+    # editors on some systems start a UTF-8 file with U+FEFF, a matrix
+    # file or a certificate
     plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
     plain.write_text(matrix_text(DEMO_A), encoding="utf-8")
     marked.write_text(matrix_text(DEMO_A), encoding="utf-8-sig")
@@ -262,6 +263,7 @@ def test_a_byte_order_mark_is_not_part_of_the_matrix(tmp_path, capsys):
     outputs = {}
     for path in (plain, marked):
         cert = tmp_path / f"{path.stem}.json"
+        marked_cert = tmp_path / f"{path.stem}.marked.json"
         outputs[path] = (
             run("classify", path, "--json"),
             run("certify", path, "--json", cert),
@@ -269,6 +271,8 @@ def test_a_byte_order_mark_is_not_part_of_the_matrix(tmp_path, capsys):
             run("verify", cert, plain),
             run("verify", cert, marked),
         )
+        marked_cert.write_bytes(b"\xef\xbb\xbf" + cert.read_bytes())
+        assert run("verify", marked_cert, plain) == outputs[path][3]
     assert outputs[marked] == outputs[plain]
     (classified, _), (certified, _), _, (verified, _), _ = outputs[plain]
     # the demo is not sign-symmetric, so classify refutes a class
@@ -1312,9 +1316,9 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     # one that passes it, and the rest, with the Hurwitz minors and the
     # exact certificate, only for one whose orders 1 and 2 are positive
     # (here the one it accepts), and writes that; verify derives it once.  Each command builds B's integer form
-    # once, the search reusing it for the certificate it accepts, and so
-    # inverts A~ once, to B, and eliminates nothing else: adj(B') is read
-    # off A~.  Neither command forms a Fraction submatrix or a char-poly for
+    # once, the search reusing it for the certificate it accepts, from one
+    # elimination of A~ and no Fraction inverse: B' is read off adj(A~)
+    # and adj(B') off A~.  Neither command forms a Fraction submatrix or a char-poly for
     # Q or Q^2, whose order sums are read off A's P sweep; a nest level is
     # one integer char-poly, once per index set the search reads, the full
     # set first, and once per chain level in verify
@@ -1340,11 +1344,12 @@ def test_certify_and_verify_decide_each_exact_fact_once(
         monkeypatch.setattr(module, "_trace_ledger", counted)
     adjugate = pstab.exactmat.integer_adjugate
     adjugated = []  # every matrix that is eliminated
-    monkeypatch.setattr(
-        pstab.exactmat,
-        "integer_adjugate",
-        lambda m: adjugated.append(m) or adjugate(m),
-    )
+    for module in (pstab.exactmat, pstab.certificate):
+        monkeypatch.setattr(
+            module,
+            "integer_adjugate",
+            lambda m: adjugated.append(m) or adjugate(m),
+        )
     counts = _count_calls(
         monkeypatch,
         pstab.classify.classify_full,
@@ -1380,7 +1385,7 @@ def test_certify_and_verify_decide_each_exact_fact_once(
         "is_p": 0,
         "is_q2": 0,
         "principal_submatrix": 0,
-        "inverse": 1,
+        "inverse": 0,
         "hurwitz_minors": 1,
         "exact_certificate": 1,
         "_integer_b": 1,

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     LEVEL_SEARCH_FAULT,
+    random_fraction_matrix,
     random_invertible,
     random_matrix,
     random_p_matrix,
@@ -20,11 +21,14 @@ from conftest import (
 from oracle import schur_complement, sylvester_check
 from reference import (
     eliminated_integer_form,
+    fraction_inverse,
     node_trace_ledger,
     per_minor_hurwitz_minors,
 )
 from pstab import ExactMatrix, det, inverse, minor, principal_submatrix, trace
 from pstab.certificate import (
+    LevelEvidence,
+    NestCertificate,
     Stabilizer,
     _integer_b,
     _trace_ledger,
@@ -42,7 +46,6 @@ from pstab.classify import (
     classify_full,
     is_p,
     is_q2,
-    order_sum_traces,
 )
 from pstab.errors import (
     HypothesisError,
@@ -166,16 +169,46 @@ def test_build_B_demo():
 
 
 def test_build_B_applies_the_permutation():
-    # conjugation check: the inverse of B carries entry (i, j) of A at
-    # position (theta(i), theta(j))
+    # B is the inverse of A~, which carries entry (i, j) of A at position
+    # (theta(i), theta(j)), and B' = beta B with beta the lcm of B's
+    # denominators.  build_B reads only the nest's permutation, so beside
+    # one SPD input with its found nest, any invertible A on a seeded chain
+    # serves: fraction entries, a negative determinant and a zero leading
+    # entry of A~, which makes the elimination swap rows, included
     rng = random.Random(43)
-    a = random_spd_matrix(rng, 3)
-    nest = find_q2_nest(a)
-    theta, b = nest.theta, build_B(a, nest)
-    bi = inverse(b)
-    for i in range(1, 4):
-        for j in range(1, 4):
-            assert bi.entry(theta[i - 1], theta[j - 1]) == a.entry(i, j)
+    spd = random_spd_matrix(rng, 3)
+    cases = [(spd, find_q2_nest(spd))]
+    for n in range(1, 7):
+        for make in (random_invertible, random_invertible, random_fraction_matrix):
+            a = make(rng, n, -3, 3)
+            while det(a) == 0:
+                a = make(rng, n, -3, 3)
+            tau = rng.sample(range(1, n + 1), n)
+            chain = [tuple(sorted(tau[:k])) for k in range(1, n + 1)]
+            cases.append((a, NestCertificate(tuple(
+                LevelEvidence(level, (), ()) for level in chain
+            ))))
+    seen = set()
+    for a, nest in cases:
+        theta, b = nest.theta, build_B(a, nest)
+        order = [theta.index(r) for r in range(1, a.n + 1)]
+        a_tilde = ExactMatrix([[a.rows[i][j] for j in order] for i in order])
+        for i in range(1, a.n + 1):
+            for j in range(1, a.n + 1):
+                assert a_tilde.entry(theta[i - 1], theta[j - 1]) == a.entry(i, j)
+        assert b == fraction_inverse(a_tilde)
+        beta = math.lcm(*(x.denominator for row in b.rows for x in row))
+        form = _integer_b(a, nest)
+        assert (form.b, form.beta) == (b, beta)
+        assert form.rows == [[int(beta * x) for x in row] for row in b.rows]
+        seen.update(
+            name for name, holds in (
+                ("fraction", cleared(a)[1] > 1),
+                ("negative determinant", det(a) < 0),
+                ("row swap", a_tilde.rows[0][0] == 0),
+            ) if holds
+        )
+    assert seen == {"fraction", "negative determinant", "row swap"}
 
 
 def test_block_traces_demo_all_positive():
@@ -383,7 +416,7 @@ def test_ledger_is_the_expansion_of_the_homotopy_square():
     b = random_matrix(rng, 4, -5, 5)
     eps = [Fraction(1), Fraction(2, 3), Fraction(1, 5), Fraction(1, 9)]
     ledger = _ledger(b, eps)
-    _, square_sums = order_sum_traces(b)
+    _, square_sums = is_q2(b)[1:3]
 
     def value(j, k, m):
         if k == m == 0:
@@ -394,7 +427,7 @@ def test_ledger_is_the_expansion_of_the_homotopy_square():
 
     for t in (Fraction(0), Fraction(1, 3), Fraction(5, 7), Fraction(1)):
         m_t = b.scale_rows([t + (1 - t) * e for e in eps])
-        _, sums = order_sum_traces(m_t)
+        _, sums = is_q2(m_t)[1:3]
         for j in range(1, 5):
             expansion = sum(
                 t ** (2 * j - k - m) * (1 - t) ** (k + m) * value(j, k, m)
