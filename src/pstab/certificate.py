@@ -47,9 +47,10 @@ The format.  Matrix files are plain text: a dimension line, then n rows
 of n entries (integers, fractions like "-7/5", or finite decimals, all
 parsed exactly), within the literal caps MAX_LITERAL_DIGITS and
 MAX_LITERAL_EXPONENT.  A certificate is one line of compact JSON with
-every exact value a fraction string; the only floats are the advisory
-eigenvalues and wedge margin.  ``verify`` parses any JSON layout, so the
-indented certificates of earlier versions verify unchanged.
+every exact value a fraction string; the only floats are A's advisory
+eigenvalues and wedge margin.  ``verify`` reads that section for its type
+alone and parses any JSON layout, so the certificates of earlier
+versions, indented or listing D B's eigenvalues, verify unchanged.
 :func:`certificate_document` is the format's one definition:
 :func:`verify_document` rebuilds a certificate from its claims, writes it
 again and diffs the two documents, reading no key the writer does not
@@ -507,18 +508,18 @@ def nonpositive_values(ledger, minors=()) -> list:
 class StabilityCertificate(namedtuple(
     "StabilityCertificate",
     "matrix report nest b_matrix stabilizer trace_ledger endpoint_hurwitz"
-    " spectrum stabilized_spectrum wedge_margin spectrum_reason disagreement",
-    defaults=(None,) * 5,
+    " spectrum wedge_margin spectrum_reason disagreement",
+    defaults=(None,) * 4,
 )):
     """Everything needed to re-check a positive-stability claim.
 
     The fields up to ``endpoint_hurwitz`` are exact, each fact held once:
     the ``nest`` (chain, tau, theta and the block traces' order sums), B,
     the flat ledger {(j, k, m): L(j,k,m)} with its cross terms, and the
-    Hurwitz minors of det(xI + diag(eps) * B).  The spectra of A and of
-    diag(eps) * B and the ``wedge_margin`` are advisory floats, None when
-    not computed, with ``spectrum_reason`` saying why; ``disagreement``
-    says how they contradict the exact claim, or is None.
+    Hurwitz minors of det(xI + diag(eps) * B), which decide the endpoint.
+    A's ``spectrum`` and the ``wedge_margin`` are advisory floats, None
+    when not computed, with ``spectrum_reason`` saying why;
+    ``disagreement`` says how they contradict the exact claim, or is None.
     """
 
     __slots__ = ()
@@ -527,7 +528,7 @@ class StabilityCertificate(namedtuple(
 def exact_certificate(
     a: ExactMatrix, report, nest: NestCertificate, stabilizer, form=None, ledger=None
 ) -> StabilityCertificate:
-    """The certificate, without spectra, that a Q^2 nest and a stabilizer
+    """The certificate, without a spectrum, that a Q^2 nest and a stabilizer
     make of A, given A's class report: B, the ledger and the endpoint
     Hurwitz minors, signs unchecked.  The search passes B's integer form
     ``form`` (:func:`_integer_b`), built once for all its diagonals, and
@@ -577,12 +578,12 @@ def certificate_document(cert) -> dict:
     """Serialize a StabilityCertificate to a JSON-ready dict.
 
     Everything up to endpoint_hurwitz_minors is exact (fraction strings);
-    the spectrum section is the only floating-point content.  The nest's
-    chain, ``tau`` and the transform's ``theta`` are read off the nest's
-    levels, so the chain written is the one its evidence is for.  When the
-    spectra were not computed it is {"computed": false, "reason": ...};
-    when they contradict the exact claim it names the contradiction under
-    "disagreement".
+    the spectrum section, A's eigenvalues, is the only floating-point
+    content.  The nest's chain, ``tau`` and the transform's ``theta`` are
+    read off the nest's levels, so the chain written is the one its
+    evidence is for.  When the spectrum was not computed it is
+    {"computed": false, "reason": ...}; when it contradicts the exact
+    claim it names the contradiction under "disagreement".
     """
     report = cert.report
     return {
@@ -629,9 +630,6 @@ def _spectrum_doc(cert):
         return {"computed": False, "reason": cert.spectrum_reason}
     doc = {
         "input_eigenvalues": [_complex_doc(v) for v in cert.spectrum.eigenvalues],
-        "stabilized_eigenvalues": [
-            _complex_doc(v) for v in cert.stabilized_spectrum.eigenvalues
-        ],
         "wedge_margin": cert.wedge_margin,
         "method": cert.spectrum.method,
     }
@@ -744,7 +742,7 @@ def _value_name(key):
 
 
 def _rederive(doc, a):
-    """The StabilityCertificate, without spectra, that the document's
+    """The StabilityCertificate, without a spectrum, that the document's
     claims make of ``a``; raises _Discrepancy saying why a claim does not
     hold."""
     matrix = _field(doc, "input", "matrix", _tuple_of(_tuple_of(_typed(str))))

@@ -33,6 +33,17 @@ Cauchy-Schwarz.  One side alone does not: [[8, 6], [-3, 4]] is P and row
 dominant, with (A^2)_22 = -2.  Only a P-matrix with neither property
 sweeps A'^2.
 
+Q^2, which the stability theorem asks for, follows from each of the three
+conditions on a P-matrix; so the theorem generalizes Carlson's
+(sign-symmetric) and Tang et al.'s (square dominant) results.  Over the
+k-sets, E_k(A^2) = sum_a A(a;a)^2 + sum_a sum_(b != a) A(a;b) A(b;a).
+Sign-symmetry makes every off-diagonal term nonnegative.  Cauchy-Binet
+and |xy| <= (x^2 + y^2) / 2 bound their sum in magnitude by
+sum_a sum_(b != a) A(a;b)^2, which square dominance on one side puts
+below the first sum: Q^2, but not P^2, as [[8, 6], [-3, 4]] has
+E(A^2) = (44, 2500).  All three conditions pass to principal
+submatrices, so every maximal chain is a Q^2 nest.
+
 All verdicts are exact.  Every negative verdict carries a witness that
 re-evaluates to a violation; witness ordering is deterministic (smallest
 minor order first, then lexicographic rank).  A report is its witnesses:

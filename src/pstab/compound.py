@@ -34,9 +34,6 @@ from .exactmat import (
 # A j-th compound forms the C(n,k)^2 minors of every order k <= j; past this
 # many in all it forms none (every order at n = 11 is 705,431).
 COMPOUND_MAX_MINORS = 10**6
-# The polarization sum takes 2^j - 1 compounds of C(n,j)^2 minors each.
-EXTERIOR_MAX_N = 6
-EXTERIOR_MAX_J = 4
 
 
 def _check_order(n, j):
@@ -51,18 +48,24 @@ def _check_wedge(n, j, wedge_m):
         )
 
 
+def _check_minors(n, j, compounds=1, what="compound order"):
+    """Refuse ``compounds`` j-th compounds at n, before forming any, past
+    COMPOUND_MAX_MINORS minors of every order k <= j in all."""
+    count = compounds * sum(math.comb(n, k) ** 2 for k in range(1, j + 1))
+    if count > COMPOUND_MAX_MINORS:
+        raise MatrixArgumentError(
+            f"{what} j={j} at n={n} forms {count} minors; "
+            f"at most {COMPOUND_MAX_MINORS} are allowed"
+        )
+
+
 def compound(m: ExactMatrix, j: int) -> ExactMatrix:
     """The j-th compound matrix: entry (alpha, beta) = A(alpha; beta), the
     minor A'(alpha; beta) / c^j of A' = cA on integers, read off order j of
     :func:`pstab.exactmat.integer_compounds`, which forms the orders below
     it first; past COMPOUND_MAX_MINORS minors it raises MatrixArgumentError."""
     _check_order(m.n, j)
-    count = sum(math.comb(m.n, k) ** 2 for k in range(1, j + 1))
-    if count > COMPOUND_MAX_MINORS:
-        raise MatrixArgumentError(
-            f"compound order j={j} at n={m.n} forms {count} minors; "
-            f"at most {COMPOUND_MAX_MINORS} are allowed"
-        )
+    _check_minors(m.n, j)
     a, c = cleared(m)
     _, minors = next(itertools.islice(integer_compounds(a), j - 1, None))
     scale = c**j
@@ -80,7 +83,8 @@ def exterior_product(matrices) -> ExactMatrix:
         M_1 ^ ... ^ M_j = sum over nonempty T in [j] of
                           (-1)^(j-|T|) (sum_{i in T} M_i)^(j) / j!.
 
-    Capped at n <= 6, j <= 4 because the sum takes 2^j - 1 compounds.
+    The sum takes 2^j - 1 compounds, so it is refused before any is formed
+    when their minors number more than COMPOUND_MAX_MINORS.
     """
     matrices = list(matrices)
     j = len(matrices)
@@ -90,11 +94,7 @@ def exterior_product(matrices) -> ExactMatrix:
     if any(mat.n != n for mat in matrices):
         raise MatrixArgumentError("all matrices must have the same dimension")
     _check_order(n, j)
-    if n > EXTERIOR_MAX_N or j > EXTERIOR_MAX_J:
-        raise MatrixArgumentError(
-            f"exterior_product is capped at n <= {EXTERIOR_MAX_N}, "
-            f"j <= {EXTERIOR_MAX_J} (cost is 2^j - 1 compounds)"
-        )
+    _check_minors(n, j, 2**j - 1, "exterior product of")
     terms = (
         (-1) ** (j - size) * compound(functools.reduce(operator.add, subset), j)
         for size in range(1, j + 1)

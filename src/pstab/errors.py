@@ -64,5 +64,6 @@ class NumericToleranceError(CertificationError):
 
 
 class DoubleRangeError(NumericToleranceError):
-    """An exact matrix has an entry that no double holds, so it has no
+    """An exact matrix has an entry that no double holds, one that
+    overflows or a nonzero one whose double is 0.0, so it has no
     floating-point image to take eigenvalues of."""

@@ -28,7 +28,8 @@ class Spectrum(namedtuple("Spectrum", "eigenvalues method")):
 def eigenvalues(m: ExactMatrix) -> Spectrum:
     """All eigenvalues of the double-precision image of an exact matrix.
 
-    Raises DoubleRangeError if an entry is beyond the double range, and
+    Raises DoubleRangeError if an entry is beyond the double range, one
+    that overflows or a nonzero one whose double is 0.0, and
     NumericToleranceError if the eigenvalue sum or product disagrees with
     the exact trace or determinant beyond n * 1e-8 * (1 + |value|).  The
     comparison is made on values scaled by 2^-e, 2^e about the largest
@@ -41,6 +42,8 @@ def eigenvalues(m: ExactMatrix) -> Spectrum:
         dense = [[float(x) for x in row] for row in m.rows]
     except OverflowError as exc:
         raise DoubleRangeError("matrix entries exceed the double range") from exc
+    if any(x and not y for pair in zip(m.rows, dense) for x, y in zip(*pair)):
+        raise DoubleRangeError("a nonzero matrix entry underflows to 0.0")
     import numpy as np
 
     values = np.linalg.eigvals(np.array(dense, dtype=float))

@@ -5,8 +5,8 @@ the one derivation of its exact part, which the search runs on the
 diagonal it accepts and ``verify`` re-runs on the claimed one.
 
 Exact and numeric content are kept separate: the ledger, Hurwitz minors,
-block traces and class verdicts are rational arithmetic; eigenvalues are
-tolerance-carrying floats, recorded as advisory cross-checks.
+block traces and class verdicts are rational arithmetic; A's eigenvalues
+are tolerance-carrying floats, recorded as an advisory cross-check.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def build_stabilizer(
     a: ExactMatrix, report, nest: NestCertificate, max_shrink: int = DEFAULT_MAX_SHRINK
 ) -> StabilityCertificate:
     """Search for a diagonal that passes both exact checks; returns the
-    :func:`exact_certificate` of the one accepted, without spectra.
+    :func:`exact_certificate` of the one accepted, without a spectrum.
 
     B is build_B(a, nest).  The search starts at the geometric diagonal
     D_0 = diag(1, 1/2, ..., 2^(1-n)) and tries
@@ -97,14 +97,14 @@ def certify_stability(
     StabilizerInconclusiveError; on success every exact field of the
     returned certificate is positive where the claim needs it and
     independently re-verifiable.  The verdict rests on those fields alone:
-    no float value raises.  Spectra that cannot be computed, because an
-    entry is beyond the double range or their sum/product cross-check
-    fails, are left out (None); an advisory spectrum that contradicts the
-    exact claim is recorded as the certificate's ``disagreement``.
+    no float value raises.  A's spectrum, the one float value (D B is
+    decided by its exact Hurwitz minors), is left out (None) when an entry
+    of A is beyond the double range or the sum/product cross-check fails,
+    and recorded as ``disagreement`` when it contradicts the exact claim.
 
     P and Q^2 are decided once, on A by :func:`classify_full`.  The exact
     fields are the certificate :func:`build_stabilizer` accepted, derived
-    once and checked once; only the advisory spectra are added to it.
+    once and checked once; only the advisory spectrum is added to it.
     """
     from .nests import find_q2_nest
 
@@ -125,15 +125,10 @@ def certify_stability(
     cert = build_stabilizer(a, report, nest, max_shrink)
     spectrum = margin = reason = disagreement = None
     try:
-        stabilized = spectra.eigenvalues(
-            cert.b_matrix.scale_rows(cert.stabilizer.eps)
-        )
         spectrum = spectra.eigenvalues(a)
     except DoubleRangeError:
-        stabilized = None
-        reason = "an entry of A or of D B is beyond the double range"
+        reason = "an entry of A is beyond the double range"
     except NumericToleranceError as exc:
-        stabilized = None
         reason = disagreement = str(exc)
     else:
         ok_wedge, margin = spectra.wedge_check(spectrum, a.n, kind="sharpened")
@@ -147,6 +142,6 @@ def certify_stability(
                 f"sharpened wedge bound violated numerically (slack {margin})"
             )
     return cert._replace(
-        spectrum=spectrum, stabilized_spectrum=stabilized, wedge_margin=margin,
-        spectrum_reason=reason, disagreement=disagreement,
+        spectrum=spectrum, wedge_margin=margin, spectrum_reason=reason,
+        disagreement=disagreement,
     )

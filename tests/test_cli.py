@@ -401,8 +401,8 @@ def test_certify_scaled_demo_beyond_the_double_determinant(tmp_path, capsys):
 def test_certify_leaves_out_a_spectrum_beyond_the_double_range(
     tmp_path, capsys, text
 ):
-    # the exact fields are complete; only the advisory spectra need doubles
-    # (for "tiny", B = A^-1 holds 10^5000)
+    # the exact fields are complete; only the advisory spectrum needs
+    # doubles (for "tiny", 10^-5000 is nonzero and its double is 0.0)
     path = tmp_path / "m.txt"
     path.write_text(text)
     cert_path = str(tmp_path / "cert.json")
@@ -411,9 +411,56 @@ def test_certify_leaves_out_a_spectrum_beyond_the_double_range(
         doc = json.load(handle)
     assert doc["spectrum"] == {
         "computed": False,
-        "reason": "an entry of A or of D B is beyond the double range",
+        "reason": "an entry of A is beyond the double range",
     }
     assert main(["verify", cert_path, str(path)]) == EXIT_OK
+    assert "re-verifies" in capsys.readouterr().out
+
+
+def test_certify_takes_the_spectrum_of_a_whose_entries_fit_in_doubles(
+    tmp_path, capsys
+):
+    # 10^-310 is a subnormal double, so A has a spectrum, though
+    # B = A^-1 holds 10^310, which no double holds
+    path = tmp_path / "m.txt"
+    path.write_text("2\n1 0\n0 1e-310\n")
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify", str(path), "--json", cert_path]) == EXIT_OK
+    assert "eigenvalues: 1+0i, 1e-310+0i" in capsys.readouterr().out
+    with open(cert_path) as handle:
+        spectrum = json.load(handle)["spectrum"]
+    assert spectrum["input_eigenvalues"] == [
+        {"re": 1.0, "im": 0.0}, {"re": 1e-310, "im": 0.0}
+    ]
+    assert "stabilized_eigenvalues" not in spectrum
+    assert main(["verify", cert_path, str(path)]) == EXIT_OK
+
+
+def test_a_certificate_listing_the_endpoint_eigenvalues_still_verifies(
+    demo_file, tmp_path, capsys
+):
+    # earlier versions also wrote the advisory eigenvalues of D B, after
+    # A's; verify reads the spectrum section for its type alone
+    from pstab import spectra
+
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify", demo_file, "--json", cert_path]) == EXIT_OK
+    with open(cert_path) as handle:
+        doc = json.load(handle)
+    spectrum = doc["spectrum"]
+    assert list(spectrum) == ["input_eigenvalues", "wedge_margin", "method"]
+    cert = certify_stability(DEMO_A)
+    endpoint = spectra.eigenvalues(cert.b_matrix.scale_rows(cert.stabilizer.eps))
+    doc["spectrum"] = {
+        "input_eigenvalues": spectrum["input_eigenvalues"],
+        "stabilized_eigenvalues": [
+            {"re": v.real, "im": v.imag} for v in endpoint.eigenvalues
+        ],
+        **spectrum,
+    }
+    _rewrite(cert_path, doc)
+    capsys.readouterr()
+    assert main(["verify", cert_path, demo_file]) == EXIT_OK
     assert "re-verifies" in capsys.readouterr().out
 
 
@@ -1424,7 +1471,7 @@ def test_certify_and_verify_decide_each_exact_fact_once(
 
 def test_verify_runs_no_search_and_no_eigenvalue(demo_file, tmp_path, monkeypatch, capsys):
     # verify runs the checker alone; certify, counted the same way, runs
-    # both searches and the two advisory spectra
+    # both searches and the one advisory spectrum, A's
     import pstab.nests
     import pstab.spectra
     import pstab.stabilize
@@ -1437,7 +1484,7 @@ def test_verify_runs_no_search_and_no_eigenvalue(demo_file, tmp_path, monkeypatc
     )
     cert_path = str(tmp_path / "cert.json")
     assert main(["certify", demo_file, "--json", cert_path]) == EXIT_OK
-    assert counts == {"find_q2_nest": 1, "build_stabilizer": 1, "eigenvalues": 2}
+    assert counts == {"find_q2_nest": 1, "build_stabilizer": 1, "eigenvalues": 1}
     counts.update(dict.fromkeys(counts, 0))
     assert main(["verify", cert_path, demo_file]) == EXIT_OK
     assert counts == {"find_q2_nest": 0, "build_stabilizer": 0, "eigenvalues": 0}
@@ -1455,11 +1502,9 @@ def test_verify_refuses_a_matrix_that_is_not_p(tmp_path, capsys):
     assert report.is_q2 and not report.is_p
     # the search's certificate is exact_certificate's, with no spectra
     exact = build_stabilizer(a, report, find_q2_nest(a))
-    endpoint = exact.b_matrix.scale_rows(exact.stabilizer.eps)
     spectrum = spectra.eigenvalues(a)
     cert = exact._replace(
         spectrum=spectrum,
-        stabilized_spectrum=spectra.eigenvalues(endpoint),
         wedge_margin=spectra.wedge_check(spectrum, a.n, kind="sharpened")[1],
     )
     matrix_path = tmp_path / "a.txt"

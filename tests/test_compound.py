@@ -92,13 +92,27 @@ def test_exterior_product_is_symmetric_in_factors():
             assert exterior_product(list(perm)) == base
 
 
-def test_exterior_product_caps():
-    m = ExactMatrix.identity(7)
-    with pytest.raises(MatrixArgumentError):
-        exterior_product([m, m])
-    m5 = ExactMatrix.identity(5)
-    with pytest.raises(MatrixArgumentError):
-        exterior_product([m5] * 5)
+def test_exterior_product_caps(monkeypatch):
+    # j factors take 2^j - 1 compounds, each of every order k <= j: for
+    # j = 2 at n = 4 that is 3 * (16 + 36) = 156 minors
+    formed = []
+    monkeypatch.setattr(
+        compound_module, "integer_compounds",
+        lambda a: formed.append(a) or exactmat.integer_compounds(a),
+    )
+    identity = ExactMatrix.identity(4)
+    monkeypatch.setattr(compound_module, "COMPOUND_MAX_MINORS", 156)
+    assert exterior_product([identity, identity]) == ExactMatrix.identity(6)
+    assert len(formed) == 3
+    formed.clear()
+    monkeypatch.setattr(compound_module, "COMPOUND_MAX_MINORS", 155)
+    with pytest.raises(MatrixArgumentError, match="j=2 at n=4 forms 156 minors"):
+        exterior_product([identity, identity])
+    assert formed == []
+    monkeypatch.undo()
+    # 3 * (49 + 441) = 1470 minors: under the cap that compound has
+    seven = ExactMatrix.identity(7)
+    assert exterior_product([seven, seven]) == ExactMatrix.identity(21)
     with pytest.raises(MatrixArgumentError):
         exterior_product([])
 

@@ -6,15 +6,15 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracle import naive_det
+from oracle import naive_compound, naive_det
 from reference import naive_product
 import pstab.nests
 from pstab import ExactMatrix
 from pstab.certificate import LevelEvidence, NestCertificate, chain_tau, verify_nest
-from pstab.classify import _level_q2, is_p, is_q2
+from pstab.classify import _level_q2, classify_full, is_p, is_q2
 from pstab.errors import MatrixArgumentError
 from pstab.exactmat import index_sets, principal_submatrix
 from pstab.fixtures import (
@@ -296,3 +296,95 @@ def test_verify_nest_returns_the_nest_it_re_verifies(m):
         assert verify_nest(m, nest.chain) == nest
         assert verify_nest(m, [s[::-1] for s in nest.chain]) == nest
 
+
+
+# -- the classical classes the theorem generalizes -------------------------
+
+
+def _square(n, entry):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _positive_diagonal(draw, n):
+    entry = st.fractions(min_value=1, max_value=64, max_denominator=4)
+    return ExactMatrix.diagonal(draw(st.lists(entry, min_size=n, max_size=n)))
+
+
+@st.composite
+def sign_symmetric_p_matrices(draw):
+    """D1 S D2, n = 1..6, with S symmetric positive definite and D1, D2
+    positive diagonals: a minor is d1(a) S(a;b) d2(b), so a pair of
+    opposite minors multiplies to d1(a) d2(a) d1(b) d2(b) S(a;b)^2 >= 0
+    and a principal minor is positive, though as a rule D1 S D2 is not
+    symmetric."""
+    n = draw(st.integers(1, 6))
+    g = ExactMatrix(draw(_square(n, st.integers(-3, 3))))
+    shift = st.lists(st.integers(1, 4), min_size=n, max_size=n)
+    s = g * g.transpose() + ExactMatrix.diagonal(draw(shift))
+    return _positive_diagonal(draw, n) * s * _positive_diagonal(draw, n)
+
+
+@st.composite
+def row_dominant_p_matrices(draw):
+    """D (T + E), n = 1..6: E with entries in -2..2, T a diagonal with
+    entries in 2n..4n, which as a rule makes T + E P and square dominant
+    on its rows at every order, and D a positive diagonal.  Each minor
+    A(a;b) of D (T + E) is d(a) times that of T + E, so D keeps both
+    properties, and an uneven D takes the column side away."""
+    n = draw(st.integers(1, 6))
+    rows = draw(_square(n, st.integers(-2, 2)))
+    for i in range(n):
+        rows[i][i] = draw(st.integers(2 * n, 4 * n))
+    return _positive_diagonal(draw, n) * ExactMatrix(rows)
+
+
+def _assert_the_classical_lemma(m, order, key):
+    # The theorem covers the class: A is Q^2 and every maximal chain is a
+    # Q^2 nest.  Over the k-sets, by Cauchy-Binet,
+    # E_k(A^2) = sum_a A(a;a)^2 + sum_a sum_(b != a) A(a;b) A(b;a), and the
+    # second sum is at most sum_a sum_(b != a) A(a;b)^2 in magnitude; that
+    # bound is below the first sum when A is square dominant on one side,
+    # and sign-symmetry makes every one of its terms nonnegative.
+    report = classify_full(m)
+    assume(report.is_p and report.flags()[key])
+    for k, square_sum in enumerate(report.order_sums_square, start=1):
+        minors = naive_compound(m, k).rows
+        diagonal = sum(minors[a][a] ** 2 for a in range(len(minors)))
+        off = sum(
+            x * x for a, row in enumerate(minors) for b, x in enumerate(row) if a != b
+        )
+        assert abs(square_sum - diagonal) <= off
+        if key == "sign_symmetric":
+            assert square_sum >= diagonal
+        else:
+            assert off < diagonal
+    assert report.is_q2 and is_q2(m)[0]
+    assert find_q2_nest(m) is not None
+    chain = [order[:k] for k in range(1, m.n + 1)]
+    assert verify_nest(m, chain).chain == tuple(tuple(sorted(s)) for s in chain)
+
+
+def _with_a_permutation(matrices):
+    return matrices.flatmap(
+        lambda m: st.tuples(st.just(m), st.permutations(range(1, m.n + 1)))
+    )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_with_a_permutation(sign_symmetric_p_matrices()))
+def test_a_sign_symmetric_p_matrix_is_q2_with_every_chain_a_nest(case):
+    _assert_the_classical_lemma(*case, "sign_symmetric")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_with_a_permutation(row_dominant_p_matrices()))
+@example((ExactMatrix([[8, 6], [-3, 4]]), (2, 1)))  # row side only: not P^2
+def test_a_row_square_dominant_p_matrix_is_q2_with_every_chain_a_nest(case):
+    _assert_the_classical_lemma(*case, "row_sqdd")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_with_a_permutation(row_dominant_p_matrices().map(ExactMatrix.transpose)))
+@example((ExactMatrix([[8, -3], [6, 4]]), (2, 1)))  # column side only: not P^2
+def test_a_column_square_dominant_p_matrix_is_q2_with_every_chain_a_nest(case):
+    _assert_the_classical_lemma(*case, "col_sqdd")

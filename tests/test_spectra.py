@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_matrix
 from pstab import ExactMatrix
-from pstab.errors import MatrixArgumentError, NumericToleranceError
+from pstab.errors import DoubleRangeError, MatrixArgumentError, NumericToleranceError
 from pstab.spectra import (
     eigenvalues,
     is_positively_stable,
@@ -49,6 +49,16 @@ def test_eigenvalue_cross_checks_scale_with_the_entries():
     assert multiset_match(spectrum.eigenvalues, [1e300, 2e300, 1e300, 1e300])
     with pytest.raises(NumericToleranceError):
         eigenvalues(ExactMatrix.diagonal([1, 10**400]))
+
+
+def test_an_entry_that_no_double_holds_raises_double_range_error():
+    # 10^-5000 is nonzero and its double is 0.0; 10^400 overflows
+    for big_or_tiny in ("1e-5000", 10**400):
+        with pytest.raises(DoubleRangeError):
+            eigenvalues(ExactMatrix.diagonal([1, big_or_tiny]))
+    # a subnormal double holds 10^-310
+    spectrum = eigenvalues(ExactMatrix.diagonal([1, "1e-310"]))
+    assert sorted(v.real for v in spectrum.eigenvalues) == [1e-310, 1.0]
 
 
 @pytest.mark.parametrize(

@@ -351,9 +351,8 @@ def test_records_keep_positional_construction_and_defaults():
     bare = type(cert)(*exact)
     assert bare[:7] == exact
     assert (
-        bare.spectrum, bare.stabilized_spectrum, bare.wedge_margin,
-        bare.spectrum_reason, bare.disagreement,
-    ) == (None,) * 5
+        bare.spectrum, bare.wedge_margin, bare.spectrum_reason, bare.disagreement,
+    ) == (None,) * 4
 
 
 def test_trace_ledger_violation_reporting():
@@ -949,8 +948,7 @@ def test_certify_stability_is_the_exact_certificate_of_its_witnesses(a):
     cert = certify_stability(a)
     exact = exact_certificate(a, cert.report, cert.nest, cert.stabilizer)
     assert exact == cert._replace(
-        spectrum=None, stabilized_spectrum=None, wedge_margin=None,
-        spectrum_reason=None, disagreement=None,
+        spectrum=None, wedge_margin=None, spectrum_reason=None, disagreement=None,
     )
     assert exact.b_matrix == build_B(a, cert.nest)
 
