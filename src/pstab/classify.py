@@ -22,8 +22,9 @@ and of the Gram matrix side by side and stops at the first violation.  A
 symmetric matrix is sign-symmetric, since A(a;b) = A(b;a); only a
 non-symmetric one reads every minor A(a;b), from the all-minor generator
 of :mod:`pstab.exactmat`, which forms one order at a time by Laplace
-expansion on A' (:func:`~pstab.exactmat.integer_compounds`).  Its order 2
-and up are the one part capped in n (SIGN_SYMMETRY_MAX_N).
+expansion on A' (:func:`~pstab.exactmat.integer_compounds`), and stops
+before an order that would take it past SIGN_SYMMETRY_MAX_MINORS minors
+(:func:`~pstab.exactmat.check_minor_budget`).
 
 P^2 is P and P of A^2.  By Cauchy-Binet a principal minor of A^2 is the
 sum over b of A(a;b) A(b;a): sign-symmetry makes every term nonnegative,
@@ -60,6 +61,7 @@ from fractions import Fraction
 from .errors import MatrixArgumentError
 from .exactmat import (
     ExactMatrix,
+    check_minor_budget,
     cleared,
     index_sets,
     integer_compounds,
@@ -69,11 +71,11 @@ from .exactmat import (
     squared_minor_sums,
 )
 
-# The sign-symmetry check of a non-symmetric matrix compares all C(n,k)^2
-# minors of each order, C(2n,n) - 1 in all (3431 at n = 7), each from k
-# integer products; past this n it stops before order 2.  Symmetric input
-# reads no minor, and no other check is capped.
-SIGN_SYMMETRY_MAX_N = 7
+# The sign-symmetry check of a non-symmetric matrix forms no order of minors
+# that would take it past this many, C(14,7) - 1, in all: every order at
+# n <= 7, order 2 at n <= 11 and order 1 alone past that.  Symmetric input
+# reads no minor.
+SIGN_SYMMETRY_MAX_MINORS = 3431
 
 
 class MinorWitness(namedtuple("MinorWitness", "order rows cols value")):
@@ -263,8 +265,9 @@ def _sign_symmetry_witness(a, c):
     for the integer-cleared A' = cA given by its rows ``a``; the witness
     value is the product on A' over c^(2k).  A symmetric matrix is
     sign-symmetric after n^2 comparisons.  Any other reads
-    :func:`~pstab.exactmat.integer_compounds` by order, and past
-    SIGN_SYMMETRY_MAX_N raises before order 2.
+    :func:`~pstab.exactmat.integer_compounds` by order and raises
+    MatrixArgumentError before an order past SIGN_SYMMETRY_MAX_MINORS
+    minors in all (the count through n + 1 is the count through n).
     """
     if list(map(tuple, a)) == list(zip(*a)):
         return None
@@ -276,10 +279,9 @@ def _sign_symmetry_witness(a, c):
                     order=k, rows=subsets[i], cols=subsets[j],
                     value=Fraction(product, c ** (2 * k)),
                 )
-        if len(a) > SIGN_SYMMETRY_MAX_N:
-            raise MatrixArgumentError(
-                f"sign-symmetry check is capped at n <= {SIGN_SYMMETRY_MAX_N}"
-            )
+        check_minor_budget(
+            len(a), k + 1, SIGN_SYMMETRY_MAX_MINORS, "sign-symmetry check through order"
+        )
     return None
 
 
@@ -338,16 +340,18 @@ def is_square_diag_dominant(m: ExactMatrix, side="row"):
 def classify_full(m: ExactMatrix) -> ClassReport:
     """Run every class test and aggregate the verdicts.
 
-    P and both dominance sides read one sweep of A' (A'^T has the same
-    principal minors), each only as far as it goes; none reads past an
-    order holding a zero minor, which the next order would divide by.  A
-    P-matrix reads it to the end, so its order sums are the sums of the
-    sweep's orders; any other matrix takes one char-poly of A'.  P^2 takes
-    P's witness when A is not P, holds when A is sign-symmetric or square
-    dominant on both sides (one side is not enough; see the module
-    docstring), and otherwise reads a sweep of A'^2.
+    Sign-symmetry goes first, so an input its minor budget refuses pays
+    for no other test.  P and both dominance sides read one sweep of A'
+    (A'^T has the same principal minors), each only as far as it goes; none
+    reads past an order holding a zero minor, which the next order would
+    divide by.  A P-matrix reads it to the end, so its order sums are the
+    sums of the sweep's orders; any other matrix takes one char-poly of A'.
+    P^2 takes P's witness when A is not P, holds when A is sign-symmetric
+    or square dominant on both sides (one side is not enough; see the
+    module docstring), and otherwise reads a sweep of A'^2.
     """
     a, c = cleared(m)
+    sign = _sign_symmetry_witness(a, c)
     p_minors, orders, row_minors, col_minors = itertools.tee(_principal_minors(a), 4)
     p_witness = _first_nonpositive_minor(p_minors, m.n, c)
     if p_witness is None:
@@ -356,7 +360,6 @@ def classify_full(m: ExactMatrix) -> ClassReport:
         sums = integer_minor_sums(a)
     sums_m, sums_m2 = _order_sums(sums, c)
     q_witness = _first_nonpositive(sums_m)
-    sign = _sign_symmetry_witness(a, c)
     row = _square_dominance_witness(row_minors, a, c)
     col = _square_dominance_witness(col_minors, list(zip(*a)), c)
     checks = (

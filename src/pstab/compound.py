@@ -9,7 +9,9 @@ with m copies of A and j-m copies of the identity it specializes to the
 generalized compound, whose diagonal-input case has a closed form in
 elementary symmetric polynomials.  Both are read off compounds alone: the
 exterior product by polarization, the generalized compound by
-interpolation in x of (I + xA)^(j).
+interpolation in x of (I + xA)^(j).  Each call counts the minors of all
+the compounds it forms and is refused past COMPOUND_MAX_MINORS, by the
+rule every all-minor read shares (:func:`pstab.exactmat.check_minor_budget`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import MatrixArgumentError
 from .exactmat import (
     ExactMatrix,
     as_rational,
+    check_minor_budget,
     cleared,
     diagonal_poly,
     index_sets,
@@ -32,7 +35,8 @@ from .exactmat import (
 )
 
 # A j-th compound forms the C(n,k)^2 minors of every order k <= j; past this
-# many in all it forms none (every order at n = 11 is 705,431).
+# many in all, over the compounds a call forms, it forms none (every order
+# at n = 11 is 705,431).
 COMPOUND_MAX_MINORS = 10**6
 
 
@@ -48,24 +52,13 @@ def _check_wedge(n, j, wedge_m):
         )
 
 
-def _check_minors(n, j, compounds=1, what="compound order"):
-    """Refuse ``compounds`` j-th compounds at n, before forming any, past
-    COMPOUND_MAX_MINORS minors of every order k <= j in all."""
-    count = compounds * sum(math.comb(n, k) ** 2 for k in range(1, j + 1))
-    if count > COMPOUND_MAX_MINORS:
-        raise MatrixArgumentError(
-            f"{what} j={j} at n={n} forms {count} minors; "
-            f"at most {COMPOUND_MAX_MINORS} are allowed"
-        )
-
-
 def compound(m: ExactMatrix, j: int) -> ExactMatrix:
     """The j-th compound matrix: entry (alpha, beta) = A(alpha; beta), the
     minor A'(alpha; beta) / c^j of A' = cA on integers, read off order j of
     :func:`pstab.exactmat.integer_compounds`, which forms the orders below
     it first; past COMPOUND_MAX_MINORS minors it raises MatrixArgumentError."""
     _check_order(m.n, j)
-    _check_minors(m.n, j)
+    check_minor_budget(m.n, j, COMPOUND_MAX_MINORS, "compound order")
     a, c = cleared(m)
     _, minors = next(itertools.islice(integer_compounds(a), j - 1, None))
     scale = c**j
@@ -94,7 +87,7 @@ def exterior_product(matrices) -> ExactMatrix:
     if any(mat.n != n for mat in matrices):
         raise MatrixArgumentError("all matrices must have the same dimension")
     _check_order(n, j)
-    _check_minors(n, j, 2**j - 1, "exterior product of")
+    check_minor_budget(n, j, COMPOUND_MAX_MINORS, "exterior product of", 2**j - 1)
     terms = (
         (-1) ** (j - size) * compound(functools.reduce(operator.add, subset), j)
         for size in range(1, j + 1)
@@ -117,10 +110,12 @@ def generalized_compound(m: ExactMatrix, j: int, wedge_m: int) -> ExactMatrix:
     normalization: this is C(j, m) times the averaged exterior product of
     the same factor list, which is what makes the diagonal case come out as
     plain elementary symmetric polynomials and makes det(tI + A) expand
-    through these coefficients.
+    through these coefficients.  The j + 1 compounds are refused before any
+    is formed when their minors number more than COMPOUND_MAX_MINORS.
     """
     n = m.n
     _check_wedge(n, j, wedge_m)
+    check_minor_budget(n, j, COMPOUND_MAX_MINORS, "generalized compound order", j + 1)
     ident = ExactMatrix.identity(n)
     terms = (
         w * compound(ident + x * m, j)

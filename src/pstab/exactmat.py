@@ -285,6 +285,18 @@ def integer_compounds(a):
         yield subsets, minors
 
 
+def check_minor_budget(n, j, budget, what, reads=1):
+    """The one refusal rule of every all-minor read: raise
+    MatrixArgumentError, before order j is formed, when ``reads`` reads of
+    :func:`integer_compounds` at n through order j form more than
+    ``budget`` minors, the C(n,k)^2 of every order k <= j each."""
+    count = reads * sum(math.comb(n, k) ** 2 for k in range(1, j + 1))
+    if count > budget:
+        raise MatrixArgumentError(
+            f"{what} j={j} at n={n} forms {count} minors; at most {budget} are allowed"
+        )
+
+
 def submatrix(m: ExactMatrix, rows, cols) -> ExactMatrix:
     rows = check_index_set(rows, m.n)
     cols = check_index_set(cols, m.n, k=len(rows))

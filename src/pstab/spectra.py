@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
+from fractions import Fraction
 
 from .errors import DoubleRangeError, MatrixArgumentError, NumericToleranceError
 from .exactmat import ExactMatrix, det, trace
@@ -31,12 +32,12 @@ def eigenvalues(m: ExactMatrix) -> Spectrum:
     Raises DoubleRangeError if an entry is beyond the double range, one
     that overflows or a nonzero one whose double is 0.0, and
     NumericToleranceError if the eigenvalue sum or product disagrees with
-    the exact trace or determinant beyond n * 1e-8 * (1 + |value|).  The
-    comparison is made on values scaled by 2^-e, 2^e about the largest
-    entry, so that the determinant of a matrix with large entries stays
-    within the double range.  A power-of-two scale is exact in binary
-    floating point, so wherever the unscaled values are normal doubles the
-    comparison is the same as on them.
+    the exact trace or determinant beyond n * 1e-8 * (f + |value|), f the
+    smaller of 1 and 2^e, 2^e about the largest entry.  The comparison is
+    made on values scaled by 2^-e, so that the determinant of a matrix with
+    large or small entries stays within the double range.  A power-of-two
+    scale is exact in binary floating point, so wherever the unscaled
+    values are normal doubles the comparison is the same as on them.
     """
     try:
         dense = [[float(x) for x in row] for row in m.rows]
@@ -51,27 +52,25 @@ def eigenvalues(m: ExactMatrix) -> Spectrum:
         eigenvalues=tuple(complex(v) for v in values), method="lapack-geev"
     )
 
-    e = max(
-        0,
-        *(x.numerator.bit_length() - x.denominator.bit_length()
-          for row in m.rows for x in row),
-    )
-    scale = math.ldexp(1.0, -e)
-    exact_trace = float(trace(m) / 2**e)
-    exact_det = float(det(m) / 2 ** (m.n * e))
-    eig_sum = sum(v * scale for v in spectrum.eigenvalues)
-    eig_prod = math.prod(v * scale for v in spectrum.eigenvalues)
-    tol_sum = m.n * 1e-8 * (scale + abs(exact_trace))
-    tol_prod = m.n * 1e-8 * (scale**m.n + abs(exact_det))
+    e = max((x.numerator.bit_length() - x.denominator.bit_length()
+             for row in m.rows for x in row if x), default=0)
+    floor = math.ldexp(1.0, -max(e, 0))  # f / 2^e, 1 when every entry is below 1
+    exact_trace = float(trace(m) / Fraction(2) ** e)
+    exact_det = float(det(m) / Fraction(2) ** (m.n * e))
+    scaled = [complex(math.ldexp(v.real, -e), math.ldexp(v.imag, -e))
+              for v in spectrum.eigenvalues]
+    eig_sum, eig_prod = sum(scaled), math.prod(scaled)
+    tol_sum = m.n * 1e-8 * (floor + abs(exact_trace))
+    tol_prod = m.n * 1e-8 * (floor**m.n + abs(exact_det))
     if not abs(eig_sum - exact_trace) <= tol_sum:
         raise NumericToleranceError(
             f"eigenvalue sum {eig_sum} vs exact trace {exact_trace} "
-            f"differs beyond {tol_sum} (all scaled by 2^-{e})"
+            f"differs beyond {tol_sum} (all scaled by 2^{-e})"
         )
     if not abs(eig_prod - exact_det) <= tol_prod:
         raise NumericToleranceError(
             f"eigenvalue product {eig_prod} vs exact det {exact_det} "
-            f"differs beyond {tol_prod} (all scaled by 2^-{e})"
+            f"differs beyond {tol_prod} (all scaled by 2^{-e})"
         )
     return spectrum
 

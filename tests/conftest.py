@@ -89,6 +89,17 @@ def row_dominant_matrix(n):
     )
 
 
+def dense_m_matrix(rng, n):
+    """Off-diagonal entries in -5..-1, each diagonal entry 1..3 above the
+    sum of its row's magnitudes: a strictly row dominant Z-matrix with a
+    positive diagonal, so a nonsingular M-matrix, P and positively stable.
+    Every a_ij a_ji is positive, so sign-symmetry has no order-1 witness."""
+    rows = [[-rng.randint(1, 5) for _ in range(n)] for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] += rng.randint(1, 3) - sum(row)
+    return ExactMatrix(rows)
+
+
 def matrix_text(m):
     """The matrix file of ``m``: a dimension line, then one line per row
     with each entry written "p" or "p/q"."""

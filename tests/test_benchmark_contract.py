@@ -6,9 +6,10 @@ pstab, and a benchmark run whose outputs it rejects reports
 ``correct: false``.  These tests import the benchmark's modules read-only
 and run its checker over seed 1 of each workload, so that any drift of the
 certificate format or of a verdict shows here first.  The ``fault-n8``
-slot is left out: a non-symmetric 8x8 matrix still exits 3 at the
-sign-symmetry cap, which the benchmark counts as a failed operation, not
-a wrong output.
+slot is left out: that non-symmetric 8x8 matrix has no pair of opposite
+signs in the orders its sign-symmetry read reaches within its minor
+budget, 1 and 2, so it still exits 3, which the benchmark counts as a
+failed operation, not a wrong output.
 """
 
 import json
@@ -23,6 +24,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import checker  # noqa: E402
 import selftest  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+from conftest import dense_m_matrix, matrix_text  # noqa: E402
 
 import pstab.cli  # noqa: E402
 from pstab.cli import EXIT_OK, EXIT_REFUTED, main  # noqa: E402
@@ -67,3 +70,15 @@ def test_checker_accepts_every_output_of_seed_1(workload, tmp_path, capsys):
         assert rc == EXIT_REFUTED and "FAIL" in out, (label, where)
         certified += 1
     assert certified >= 3
+
+
+def test_checker_accepts_the_classification_of_an_8x8_m_matrix(tmp_path, capsys):
+    # non-symmetric with every a_ij a_ji > 0: sign-symmetry is refuted at
+    # order 2, read within the minor budget past n = 7
+    m = dense_m_matrix(random.Random(8), 8)
+    path = tmp_path / "m.txt"
+    path.write_text(matrix_text(m))
+    rc, out = _command(["classify", str(path), "--json"], capsys)
+    truth = checker.Truth([[int(x) for x in row] for row in m.rows])
+    assert checker.check_classify(truth, rc, out) == []
+    assert not truth.is_sign_symmetric

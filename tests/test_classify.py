@@ -1,11 +1,14 @@
 """Membership tests for the minor-positivity classes."""
 
+import itertools
 import math
 import random
+import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_matrix, random_spd_matrix, row_dominant_matrix
@@ -25,7 +28,7 @@ from pstab.classify import (
     is_square_diag_dominant,
 )
 from pstab.errors import MatrixArgumentError
-from pstab.exactmat import index_sets, minor
+from pstab.exactmat import index_sets, integer_compounds, minor
 from pstab.fixtures import DEMO_A, DEMO_D, DEMO_SQUARE_ORDER_SUMS
 
 
@@ -179,10 +182,65 @@ def upper_bidiagonal(n):
 
 
 def test_sign_symmetry_cap():
-    # only the minor table, which a non-symmetric matrix needs, is capped
+    # only the minor table, which a non-symmetric matrix needs, has a budget
     with pytest.raises(MatrixArgumentError):
         is_sign_symmetric(upper_bidiagonal(8))
     assert is_sign_symmetric(ExactMatrix.identity(8)) == (True, None)
+
+
+def _minor_count(n, j):
+    return sum(math.comb(n, k) ** 2 for k in range(1, j + 1))
+
+
+@st.composite
+def sign_patterned_matrices(draw):
+    """n = 1..9, entries in -3..3, from dense to mostly zeros, and a_ji of
+    the sign of a_ij (or 0) for every pair, or 0 below the diagonal: order
+    1 never refutes sign-symmetry, so the read goes on as far as a witness
+    or its budget."""
+    n = draw(st.integers(1, 9) | st.integers(7, 9))
+    values = st.sampled_from([0] * draw(st.integers(0, 6)) + [1, 2, 3])
+    rows = [[draw(values) * draw(st.sampled_from([1, -1])) for _ in range(n)]
+            for _ in range(n)]
+    triangular = draw(st.booleans())
+    for i, j in itertools.combinations(range(n), 2):
+        sign = (rows[i][j] > 0) - (rows[i][j] < 0)
+        rows[j][i] = 0 if triangular else abs(rows[j][i]) * sign
+    return ExactMatrix(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sign_patterned_matrices())
+@example(upper_bidiagonal(7))
+@example(upper_bidiagonal(9))
+def test_budgeted_sign_symmetry_is_the_read_of_every_order(m):
+    # the budget changes no verdict it gives, forms no order past it, and
+    # refuses only at the first order whose count through it passes it
+    formed = []
+
+    def recording_minors(a):
+        for subsets, values in integer_compounds(a):
+            formed.append(len(subsets) ** 2)
+            yield subsets, values
+
+    try:
+        with mock.patch.object(classify, "integer_compounds", recording_minors):
+            budgeted = is_sign_symmetric(m)
+    except MatrixArgumentError as exc:
+        j, n, count, budget = map(int, re.fullmatch(
+            r"sign-symmetry check through order j=(\d+) at n=(\d+) forms (\d+) "
+            r"minors; at most (\d+) are allowed", str(exc)
+        ).groups())
+        assert (n, budget) == (m.n, classify.SIGN_SYMMETRY_MAX_MINORS)
+        assert count == _minor_count(n, j) > budget >= _minor_count(n, j - 1)
+        budgeted = None
+    assert sum(formed) <= classify.SIGN_SYMMETRY_MAX_MINORS
+    with mock.patch.object(classify, "SIGN_SYMMETRY_MAX_MINORS", math.inf):
+        full = is_sign_symmetric(m)
+    if budgeted is None:
+        assert full[0] or full[1].order >= j
+    else:
+        assert budgeted == full
 
 
 def test_square_diag_dominance_sides():

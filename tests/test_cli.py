@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     LEVEL_SEARCH_FAULT,
+    dense_m_matrix,
     matrix_hash,
     matrix_text,
     random_spd_matrix,
@@ -363,11 +364,34 @@ def test_non_symmetric_input_past_the_cap_with_an_order_1_witness_certifies(
     assert main(["verify", cert_path, str(path)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("n", [8, 11])
+def test_non_symmetric_m_matrix_past_n_7_certifies(n, tmp_path, capsys):
+    # every a_ij a_ji > 0, so order 1 holds no witness; order 2, within the
+    # sign-symmetry minor budget up to n = 11, holds one
+    m = dense_m_matrix(random.Random(n), n)
+    assert m != m.transpose()
+    path = tmp_path / "m.txt"
+    path.write_text(matrix_text(m))
+    assert main(["classify", "--json", str(path)]) == EXIT_REFUTED
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["flags"]) == [
+        "P", "Q", "P2", "Q2", "sign_symmetric", "row_sqdd", "col_sqdd"
+    ]
+    assert all(type(v) is bool for v in doc["flags"].values())
+    assert doc["flags"]["P"] and doc["flags"]["Q2"]
+    assert doc["witnesses"]["sign_symmetric"].count(",") == 2  # order 2
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify", str(path), "--json", cert_path]) == EXIT_OK
+    assert main(["verify", cert_path, str(path)]) == EXIT_OK
+
+
 @pytest.mark.parametrize("command", ["classify", "certify"])
 def test_non_symmetric_input_past_the_sign_symmetry_cap_exits_3(
     command, tmp_path, capsys
 ):
-    # upper bidiagonal, one negative diagonal entry: not P, not symmetric
+    # upper bidiagonal, one negative diagonal entry: not P, not symmetric,
+    # and no pair of opposite signs in orders 1 and 2, so the sign-symmetry
+    # read stops at its minor budget before order 3
     rows = [
         [(-1 if i == 7 else 8) if i == j else (3 if j == i + 1 else 0) for j in range(8)]
         for i in range(8)
@@ -376,7 +400,8 @@ def test_non_symmetric_input_past_the_sign_symmetry_cap_exits_3(
     path.write_text(matrix_text(ExactMatrix(rows)))
     assert main([command, str(path)]) == EXIT_INPUT
     assert capsys.readouterr().err == (
-        "input error: sign-symmetry check is capped at n <= 7\n"
+        "input error: sign-symmetry check through order j=3 at n=8 forms 3984 "
+        "minors; at most 3431 are allowed\n"
     )
 
 

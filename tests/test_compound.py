@@ -141,6 +141,28 @@ def test_generalized_compound_full_wedge_is_compound():
         assert generalized_compound(m, j, j) == compound(m, j)
 
 
+def test_generalized_compound_counts_all_its_compounds(monkeypatch):
+    # j + 1 compounds, each of every order k <= j: for j = 2 at n = 4 that
+    # is 3 * (16 + 36) = 156 minors, checked before any is formed
+    formed = []
+    monkeypatch.setattr(
+        compound_module, "integer_compounds",
+        lambda a: formed.append(a) or exactmat.integer_compounds(a),
+    )
+    identity = ExactMatrix.identity(4)
+    monkeypatch.setattr(compound_module, "COMPOUND_MAX_MINORS", 156)
+    assert generalized_compound(identity, 2, 1) == 2 * ExactMatrix.identity(6)
+    assert len(formed) == 3
+    formed.clear()
+    monkeypatch.setattr(compound_module, "COMPOUND_MAX_MINORS", 155)
+    with pytest.raises(
+        MatrixArgumentError,
+        match="generalized compound order j=2 at n=4 forms 156 minors; at most 155",
+    ):
+        generalized_compound(identity, 2, 1)
+    assert formed == []
+
+
 def test_generalized_compound_range_errors():
     m = ExactMatrix.identity(3)
     with pytest.raises(MatrixArgumentError):

@@ -51,6 +51,18 @@ def test_eigenvalue_cross_checks_scale_with_the_entries():
         eigenvalues(ExactMatrix.diagonal([1, 10**400]))
 
 
+def test_eigenvalue_cross_checks_scale_with_small_entries(monkeypatch):
+    # det diag(1e-5, 1e-5) = 1e-10: a spectrum whose product is 0 is wrong,
+    # though it is within n * 1e-8 of the determinant
+    import numpy
+
+    m = ExactMatrix.diagonal(["1e-5", "1e-5"])
+    assert multiset_match(eigenvalues(m).eigenvalues, [1e-5, 1e-5], 0, 1e-12)
+    monkeypatch.setattr(numpy.linalg, "eigvals", lambda _: numpy.array([0, 2e-5]))
+    with pytest.raises(NumericToleranceError, match="product"):
+        eigenvalues(m)
+
+
 def test_an_entry_that_no_double_holds_raises_double_range_error():
     # 10^-5000 is nonzero and its double is 0.0; 10^400 overflows
     for big_or_tiny in ("1e-5000", 10**400):
