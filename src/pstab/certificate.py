@@ -66,7 +66,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .classify import _level_q2, classify_full
+from .classify import _classify, _level_q2
 from .errors import MatrixArgumentError
 from .exactmat import (
     ExactMatrix,
@@ -265,17 +265,19 @@ def _chain_evidence(chain, q2):
     return NestCertificate(tuple(levels))
 
 
-def verify_nest(m: ExactMatrix, chain):
+def verify_nest(m: ExactMatrix, chain, full=None):
     """Re-verify an externally supplied chain.
 
     Returns the NestCertificate of the validated chain, each level's index
     set sorted, when every level is Q^2; otherwise raises
     MatrixArgumentError for the chain's shape or naming its first level
     that is not Q^2.  Each level takes one char-poly
-    (:func:`pstab.classify._level_q2`), up to the first that fails.
+    (:func:`pstab.classify._level_q2`), up to the first that fails, except
+    the full one when ``full``, its Q^2 verdict as
+    :func:`pstab.classify.is_q2` gives it, is passed.
     """
     chain = _validate_chain(chain, m.n)
-    return _chain_evidence(chain, _level_q2(m))
+    return _chain_evidence(chain, _level_q2(m, full))
 
 
 # -- the permutation transform ---------------------------------------------
@@ -748,13 +750,13 @@ def _rederive(doc, a):
     matrix = _field(doc, "input", "matrix", _tuple_of(_tuple_of(_typed(str))))
     if matrix != tuple(map(tuple, matrix_doc(a))):
         raise _Discrepancy("input.matrix is not the matrix given")
-    report = classify_full(a)
-    if not report.is_p:
-        witness = report.witnesses["P"].describe()
-        raise _Discrepancy(f"matrix is not a P-matrix: {witness}")
+    classes = _classify(a)
+    p_witness, full = next(classes)
+    if p_witness is not None:
+        raise _Discrepancy(f"matrix is not a P-matrix: {p_witness.describe()}")
     chain = _field(doc, "nest", "chain", _tuple_of(_tuple_of(_typed(int))))
     try:
-        nest = verify_nest(a, chain)
+        nest = verify_nest(a, chain, full)
     except MatrixArgumentError as exc:
         raise _Discrepancy(f"nest fails re-verification: {exc}") from exc
     eps = _field(doc, "stabilizer", "eps", _tuple_of(_fraction))
@@ -765,7 +767,7 @@ def _rederive(doc, a):
         stabilizer = Stabilizer(eps=eps, identity_steps=steps)
     except MatrixArgumentError as exc:
         raise _Discrepancy(f"stabilizer fails re-verification: {exc}") from exc
-    return exact_certificate(a, report, nest, stabilizer)
+    return exact_certificate(a, next(classes), nest, stabilizer)
 
 
 def _shape(value):

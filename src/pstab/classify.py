@@ -14,17 +14,26 @@ order sums of A' and their root-squaring step: in :func:`classify_full`,
 the sums of the sweep's orders when A is P, and one char-poly of A'
 otherwise.  Every other Q^2 test, of a nest level A[S] or of the whole
 matrix (:func:`is_q2`), has one reader (:func:`_level_q2`): one char-poly
-of A'[S].  Square
-dominance needs the minors A(a;b) off the diagonal only through their
-sum of squares, which by Cauchy-Binet is a principal minor of the Gram
-matrix A'A'^T (A'^T A' for the column side), so it reads the sweeps of A'
-and of the Gram matrix side by side and stops at the first violation.  A
-symmetric matrix is sign-symmetric, since A(a;b) = A(b;a); only a
-non-symmetric one reads every minor A(a;b), from the all-minor generator
-of :mod:`pstab.exactmat`, which forms one order at a time by Laplace
-expansion on A' (:func:`~pstab.exactmat.integer_compounds`), and stops
-before an order that would take it past SIGN_SYMMETRY_MAX_MINORS minors
-(:func:`~pstab.exactmat.check_minor_budget`).
+of A'[S], or, for the full set, the verdict the sweep has already given.
+
+:func:`classify_full` takes two steps over the one sweep
+(:func:`_classify`).  The first decides the stability theorem's
+hypotheses on A itself: P, and for a P-matrix Q^2.  The second finishes
+the report with the classes the theorem generalizes.  ``certify`` and
+``verify`` stop after the first when a hypothesis fails, so a refutation
+costs only its witness, and an input that the sign-symmetry budget below
+would refuse is refuted instead when it is not P, not Q^2 or has no nest.
+
+Square dominance needs the minors A(a;b) off the diagonal only through
+their sum of squares, which by Cauchy-Binet is a principal minor of the
+Gram matrix A'A'^T (A'^T A' for the column side), so it reads the sweeps
+of A' and of the Gram matrix side by side and stops at the first
+violation.  A symmetric matrix is sign-symmetric, since A(a;b) = A(b;a);
+only a non-symmetric one reads every minor A(a;b), from the all-minor
+generator of :mod:`pstab.exactmat`, which forms one order at a time by
+Laplace expansion on A' (:func:`~pstab.exactmat.integer_compounds`), and
+stops before an order that would take it past SIGN_SYMMETRY_MAX_MINORS
+minors (:func:`~pstab.exactmat.check_minor_budget`).
 
 P^2 is P and P of A^2.  By Cauchy-Binet a principal minor of A^2 is the
 sum over b of A(a;b) A(b;a): sign-symmetry makes every term nonnegative,
@@ -221,7 +230,7 @@ def _order_sums(sums, c):
 
 def _first_nonpositive(sums):
     for k, value in enumerate(sums, start=1):
-        if value <= 0:
+        if value.numerator <= 0:  # value <= 0 without Fraction._richcmp
             return OrderSumWitness(order=k, value=value)
     return None
 
@@ -247,13 +256,17 @@ def is_q2(m: ExactMatrix):
     return _level_q2(m)(tuple(range(1, m.n + 1)))
 
 
-def _level_q2(m: ExactMatrix):
+def _level_q2(m: ExactMatrix, full=None):
     """The Q^2 test of each principal submatrix A[S], by sorted index set
     S, on A' = cA cleared once: one char-poly of the integer submatrix
-    A'[S] per call."""
+    A'[S] per call.  ``full``, when given, is the verdict of the full index
+    set (the first step of :func:`_classify`), answered without one."""
     a, c = cleared(m)
+    everything = tuple(range(1, m.n + 1))
 
     def level_q2(s):
+        if full is not None and s == everything:
+            return full
         sums = integer_minor_sums([[a[i - 1][j - 1] for j in s] for i in s])
         return _q2_verdict(*_order_sums(sums, c))
 
@@ -337,35 +350,33 @@ def is_square_diag_dominant(m: ExactMatrix, side="row"):
     return witness is None, witness
 
 
-def classify_full(m: ExactMatrix) -> ClassReport:
-    """Run every class test and aggregate the verdicts.
+def _classify(m: ExactMatrix):
+    """The class tests of :func:`classify_full` as a generator of two steps.
 
-    Sign-symmetry goes first, so an input its minor budget refuses pays
-    for no other test.  P and both dominance sides read one sweep of A'
-    (A'^T has the same principal minors), each only as far as it goes; none
-    reads past an order holding a zero minor, which the next order would
-    divide by.  A P-matrix reads it to the end, so its order sums are the
-    sums of the sweep's orders; any other matrix takes one char-poly of A'.
-    P^2 takes P's witness when A is not P, holds when A is sign-symmetric
-    or square dominant on both sides (one side is not enough; see the
-    module docstring), and otherwise reads a sweep of A'^2.
+    The first reads P off one sweep of A' and yields (P's witness or None,
+    the full set's Q^2 verdict as :func:`is_q2` gives it or None when A is
+    not P).  A P-matrix reads the sweep to the end, so its order sums are
+    the sums of the sweep's orders.  The second finishes the ClassReport
+    from the same sweep and yields it: sign-symmetry, one char-poly of A'
+    for the order sums of a matrix that is not P, both dominance sides
+    (A'^T has the same principal minors), then P^2.  None reads past an
+    order holding a zero minor, which the next order would divide by.
     """
     a, c = cleared(m)
-    sign = _sign_symmetry_witness(a, c)
     p_minors, orders, row_minors, col_minors = itertools.tee(_principal_minors(a), 4)
     p_witness = _first_nonpositive_minor(p_minors, m.n, c)
-    if p_witness is None:
-        sums = [1, *map(sum, orders)]
-    else:
-        sums = integer_minor_sums(a)
-    sums_m, sums_m2 = _order_sums(sums, c)
-    q_witness = _first_nonpositive(sums_m)
+    full = None if p_witness else _q2_verdict(*_order_sums([1, *map(sum, orders)], c))
+    yield p_witness, full
+    sign = _sign_symmetry_witness(a, c)
+    _, sums_m, sums_m2, q2_witness = full or _q2_verdict(
+        *_order_sums(integer_minor_sums(a), c)
+    )
     row = _square_dominance_witness(row_minors, a, c)
     col = _square_dominance_witness(col_minors, list(zip(*a)), c)
     checks = (
         ("P", p_witness),
-        ("Q", q_witness),
-        ("Q2", q_witness or _first_nonpositive(sums_m2)),
+        ("Q", _first_nonpositive(sums_m)),
+        ("Q2", q2_witness),
         ("P2", p_witness or (sign and (row or col) and _first_nonpositive_minor(
             _principal_minors(integer_product(a, a)), m.n, c * c
         ))),
@@ -374,4 +385,17 @@ def classify_full(m: ExactMatrix) -> ClassReport:
         ("col_sqdd", col),
     )
     witnesses = {key: witness for key, witness in checks if witness is not None}
-    return ClassReport(m.n, sums_m, sums_m2, witnesses)
+    yield ClassReport(m.n, sums_m, sums_m2, witnesses)
+
+
+def classify_full(m: ExactMatrix) -> ClassReport:
+    """Run every class test and aggregate the verdicts: both steps of
+    :func:`_classify`.
+
+    P^2 takes P's witness when A is not P, holds when A is sign-symmetric
+    or square dominant on both sides (one side is not enough; see the
+    module docstring), and otherwise reads a sweep of A'^2.  The
+    sign-symmetry read raises MatrixArgumentError at its minor budget.
+    """
+    *_, report = _classify(m)
+    return report

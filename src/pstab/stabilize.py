@@ -4,6 +4,10 @@ claim proves positive stability are :mod:`pstab.certificate`'s, and so is
 the one derivation of its exact part, which the search runs on the
 diagonal it accepts and ``verify`` re-runs on the claimed one.
 
+The pipeline checks the theorem's hypotheses, P, Q^2 and a nest, before
+it finishes A's class report, so an input that fails one pays for its
+witness alone.
+
 Exact and numeric content are kept separate: the ledger, Hurwitz minors,
 block traces and class verdicts are rational arithmetic; A's eigenvalues
 are tolerance-carrying floats, recorded as an advisory cross-check.
@@ -23,7 +27,7 @@ from .certificate import (
     exact_certificate,
     nonpositive_values,
 )
-from .classify import classify_full
+from .classify import _classify
 from .errors import (
     DoubleRangeError,
     HypothesisError,
@@ -79,7 +83,8 @@ def build_stabilizer(
         else:
             stabilizer = Stabilizer(tuple(Fraction(d, delta) for d in d_int), steps)
             cert = exact_certificate(a, report, nest, stabilizer, form, ledger)
-            violations = nonpositive_values(ledger, cert.endpoint_hurwitz)
+            # every ledger order was positive: only the Hurwitz minors are left
+            violations = nonpositive_values({}, cert.endpoint_hurwitz)
             if not violations:
                 return cert
     raise StabilizerInconclusiveError(max_shrink, violations[0])
@@ -102,27 +107,33 @@ def certify_stability(
     of A is beyond the double range or the sum/product cross-check fails,
     and recorded as ``disagreement`` when it contradicts the exact claim.
 
-    P and Q^2 are decided once, on A by :func:`classify_full`.  The exact
-    fields are the certificate :func:`build_stabilizer` accepted, derived
-    once and checked once; only the advisory spectrum is added to it.
+    The theorem's hypotheses come first: P, then Q^2, read off one sweep
+    of A (the first step of :func:`pstab.classify._classify`), then the
+    nest, whose search takes the full set's Q^2 verdict from that step.
+    So a refutation costs only its witness; the rest of the class report,
+    which the certificate records, is finished from the same sweep only
+    for an input that passed all three.  The exact fields are the
+    certificate :func:`build_stabilizer` accepted, derived once and
+    checked once; only the advisory spectrum is added to it.
     """
     from .nests import find_q2_nest
 
-    report = classify_full(a)
-    for key, label in (("P", "P"), ("Q2", "Q^2")):
-        witness = report.witnesses.get(key)
+    classes = _classify(a)
+    p_witness, full = next(classes)
+    # full is None only when A is not P, which the first check refutes
+    for key, label, witness in (("P", "P", p_witness), ("Q2", "Q^2", full and full[3])):
         if witness is not None:
             raise HypothesisError(
                 f"not-{key}", f"input is not a {label}-matrix: {witness.describe()}",
                 witness=witness,
             )
-    nest = find_q2_nest(a)
+    nest = find_q2_nest(a, full)
     if nest is None:
         raise HypothesisError(
             "no-nest", "no maximal Q^2 chain of principal submatrices exists"
         )
 
-    cert = build_stabilizer(a, report, nest, max_shrink)
+    cert = build_stabilizer(a, next(classes), nest, max_shrink)
     spectrum = margin = reason = disagreement = None
     try:
         spectrum = spectra.eigenvalues(a)

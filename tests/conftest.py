@@ -100,6 +100,17 @@ def dense_m_matrix(rng, n):
     return ExactMatrix(rows)
 
 
+def row_constant_m_matrix(n):
+    """a_ij = -(i+1) off the diagonal, each diagonal entry 1 above its
+    row's off-diagonal magnitudes: a non-symmetric M-matrix, so P, Q^2 and
+    with a Q^2 nest.  Its off-diagonal entries are constant along each
+    row, so every disjoint order-2 minor a_ik a_jl - a_il a_jk is 0, and
+    orders 1 and 2 hold no pair of opposite signs."""
+    return ExactMatrix(
+        [[(n - 1) * (i + 1) + 1 if i == j else -(i + 1) for j in range(n)] for i in range(n)]
+    )
+
+
 def matrix_text(m):
     """The matrix file of ``m``: a dimension line, then one line per row
     with each entry written "p" or "p/q"."""

@@ -6,10 +6,12 @@ pstab, and a benchmark run whose outputs it rejects reports
 ``correct: false``.  These tests import the benchmark's modules read-only
 and run its checker over seed 1 of each workload, so that any drift of the
 certificate format or of a verdict shows here first.  The ``fault-n8``
-slot is left out: that non-symmetric 8x8 matrix has no pair of opposite
-signs in the orders its sign-symmetry read reaches within its minor
-budget, 1 and 2, so it still exits 3, which the benchmark counts as a
-failed operation, not a wrong output.
+slot is left out of the seed-1 sweep: that non-symmetric 8x8 matrix has
+no pair of opposite signs in the orders its sign-symmetry read reaches
+within its minor budget, 1 and 2, so ``classify`` still exits 3, which
+the benchmark counts as a failed operation, not a wrong output.
+``certify`` refutes it by its P witness before that read, which the
+checker accepts.
 """
 
 import json
@@ -23,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import checker  # noqa: E402
 import selftest  # noqa: E402
+from corpus import N8_NON_P  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 from conftest import dense_m_matrix, matrix_text  # noqa: E402
@@ -82,3 +85,15 @@ def test_checker_accepts_the_classification_of_an_8x8_m_matrix(tmp_path, capsys)
     truth = checker.Truth([[int(x) for x in row] for row in m.rows])
     assert checker.check_classify(truth, rc, out) == []
     assert not truth.is_sign_symmetric
+
+
+def test_checker_accepts_the_refutation_of_fault_n8(tmp_path, capsys):
+    # certify checks P before any class the theorem does not need, so the
+    # order-1 minor A(8; 8) = -1 refutes the input classify stops on
+    path = tmp_path / "fault-n8.txt"
+    path.write_text(
+        f"{len(N8_NON_P)}\n" + "".join(" ".join(map(str, row)) + "\n" for row in N8_NON_P)
+    )
+    rc, out = _command(["certify", str(path)], capsys)
+    assert rc == EXIT_REFUTED
+    assert checker.check_refutation(checker.Truth(N8_NON_P), out) == []

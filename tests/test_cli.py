@@ -22,6 +22,7 @@ from conftest import (
     matrix_hash,
     matrix_text,
     random_spd_matrix,
+    row_constant_m_matrix,
     row_dominant_matrix,
 )
 from pstab import ExactMatrix, certify_stability
@@ -33,6 +34,7 @@ from pstab.certificate import (
     _value_name,
     certificate_document,
     frac_str,
+    matrix_doc,
     parse_matrix,
 )
 from pstab.cli import (
@@ -385,23 +387,54 @@ def test_non_symmetric_m_matrix_past_n_7_certifies(n, tmp_path, capsys):
     assert main(["verify", cert_path, str(path)]) == EXIT_OK
 
 
+# upper bidiagonal, one negative diagonal entry: not P, not symmetric, and
+# no pair of opposite signs in orders 1 and 2
+BIDIAGONAL_8 = ExactMatrix([
+    [(-1 if i == 7 else 8) if i == j else (3 if j == i + 1 else 0) for j in range(8)]
+    for i in range(8)
+])
+BUDGET_ERROR = (
+    "input error: sign-symmetry check through order j=3 at n=8 forms 3984 "
+    "minors; at most 3431 are allowed\n"
+)
+
+
 @pytest.mark.parametrize("command", ["classify", "certify"])
 def test_non_symmetric_input_past_the_sign_symmetry_cap_exits_3(
     command, tmp_path, capsys
 ):
-    # upper bidiagonal, one negative diagonal entry: not P, not symmetric,
-    # and no pair of opposite signs in orders 1 and 2, so the sign-symmetry
-    # read stops at its minor budget before order 3
-    rows = [
-        [(-1 if i == 7 else 8) if i == j else (3 if j == i + 1 else 0) for j in range(8)]
-        for i in range(8)
-    ]
+    # the sign-symmetry read stops at its minor budget before order 3.
+    # classify reads it for every input, the bidiagonal included; certify
+    # only for one that passes every hypothesis, as the row-constant
+    # M-matrix does (P, Q^2 and a nest)
     path = tmp_path / "n8.txt"
-    path.write_text(matrix_text(ExactMatrix(rows)))
-    assert main([command, str(path)]) == EXIT_INPUT
-    assert capsys.readouterr().err == (
-        "input error: sign-symmetry check through order j=3 at n=8 forms 3984 "
-        "minors; at most 3431 are allowed\n"
+    cases = [row_constant_m_matrix(8)] + (
+        [BIDIAGONAL_8] if command == "classify" else []
+    )
+    for m in cases:
+        path.write_text(matrix_text(m))
+        assert main([command, str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == BUDGET_ERROR
+
+
+def test_the_hypotheses_refute_the_bidiagonal_before_the_sign_symmetry_budget(
+    tmp_path, capsys
+):
+    # certify and verify check P before any class the theorem does not
+    # need, so the order-1 witness refutes the bidiagonal that classify
+    # stops on at the budget
+    path = tmp_path / "n8.txt"
+    path.write_text(matrix_text(BIDIAGONAL_8))
+    assert main(["certify", str(path)]) == EXIT_REFUTED
+    out, err = capsys.readouterr()
+    assert (out, err) == (
+        "refuted (not-P): input is not a P-matrix: A(8; 8) = -1\n", ""
+    )
+    cert_path = tmp_path / "cert.json"
+    _rewrite(cert_path, {"input": {"n": 8, "matrix": matrix_doc(BIDIAGONAL_8)}})
+    assert main(["verify", str(cert_path), str(path)]) == EXIT_REFUTED
+    assert capsys.readouterr().out == (
+        "FAIL: matrix is not a P-matrix: A(8; 8) = -1\n"
     )
 
 
@@ -1053,6 +1086,59 @@ def test_verify_rejects_any_one_exact_value_changed(demo_files, data, new):
     assert main(["verify", str(cert_path), matrix_path]) == EXIT_REFUTED
 
 
+def _node_paths(value, path=()):
+    """The key path of every value inside a JSON document, containers and
+    leaves alike, outermost first."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    return [
+        node for key, item in items for node in [(*path, key), *_node_paths(item, (*path, key))]
+    ]
+
+
+# a value of each JSON type, and the deletion of the field
+MALFORMATIONS = [None, False, 0, 0.5, "x", [], {}, "delete"]
+
+
+def test_verify_never_crashes_on_a_malformed_certificate(demo_files, capsys):
+    # every field of the demo's certificate, at any depth, deleted or
+    # replaced by a value of each JSON type that differs from it: verify
+    # exits with a status, never an exception.  Only the advisory tool and
+    # spectrum sections, read for their type alone (an object), and an int claimed for
+    # stabilizer.identity_steps (its type alone is checked, ROADMAP item 7)
+    # may still re-verify
+    folder, matrix_path, doc = demo_files
+    cert_path = folder / "malformed.json"
+    variants = 0
+    for path in _node_paths(doc):
+        for new in MALFORMATIONS:
+            edited = copy.deepcopy(doc)
+            parent = edited
+            for key in path[:-1]:
+                parent = parent[key]
+            if new == "delete":
+                del parent[path[-1]]
+            elif json.dumps(new) == json.dumps(parent[path[-1]]):
+                continue
+            else:
+                parent[path[-1]] = new
+            cert_path.write_text(json.dumps(edited))
+            rc = main(["verify", str(cert_path), matrix_path])
+            capsys.readouterr()
+            advisory = (
+                path[0] in ("tool", "spectrum") and (len(path) > 1 or new == {})
+            ) or (path == ("stabilizer", "identity_steps") and type(new) is int)
+            assert rc in ((EXIT_OK,) if advisory else (EXIT_REFUTED, EXIT_INPUT)), (
+                path, new
+            )
+            variants += 1
+    assert variants > 1000
+
+
 ENTRY_TEXTS = st.one_of(
     st.integers(-9, 9).map(str),
     st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)),
@@ -1382,8 +1468,8 @@ def test_cli_uses_no_private_name_of_another_pstab_module():
 def test_certify_and_verify_decide_each_exact_fact_once(
     tmp_path, monkeypatch, capsys, a, order_two_reads
 ):
-    # P is decided once per command, by classify_full on A (and on A^2 for
-    # the P^2 flag), never on B; certify derives each diagonal's ledger
+    # P is decided once per command, by the one class pass on A (and on A^2
+    # for the P^2 flag), never on B; certify derives each diagonal's ledger
     # once, read order by order: order 1 for every diagonal, order 2 for
     # one that passes it, and the rest, with the Hurwitz minors and the
     # exact certificate, only for one whose orders 1 and 2 are positive
@@ -1392,8 +1478,9 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     # elimination of A~ and no Fraction inverse: B' is read off adj(A~)
     # and adj(B') off A~.  Neither command forms a Fraction submatrix or a char-poly for
     # Q or Q^2, whose order sums are read off A's P sweep; a nest level is
-    # one integer char-poly, once per index set the search reads, the full
-    # set first, and once per chain level in verify
+    # one integer char-poly, once per index set the search reads and once
+    # per chain level in verify, except the full set: both commands answer
+    # it from the P sweep, and take no size-n char-poly
     import pstab.certificate
     import pstab.classify
     import pstab.exactmat
@@ -1424,6 +1511,7 @@ def test_certify_and_verify_decide_each_exact_fact_once(
         )
     counts = _count_calls(
         monkeypatch,
+        pstab.classify._classify,
         pstab.classify.classify_full,
         pstab.classify.is_p,
         pstab.classify.is_q2,
@@ -1446,14 +1534,15 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     level_q2 = pstab.nests._level_q2
     reads = []  # one entry per call to the cached level reader
 
-    def counted_level_q2(m):
-        reader = level_q2(m)
+    def counted_level_q2(m, full=None):
+        reader = level_q2(m, full)
         return lambda subset: reads.append(subset) or reader(subset)
 
     for module in (pstab.certificate, pstab.nests):
         monkeypatch.setattr(module, "_level_q2", counted_level_q2)
     expected = {
-        "classify_full": 1,
+        "_classify": 1,
+        "classify_full": 0,
         "is_p": 0,
         "is_q2": 0,
         "principal_submatrix": 0,
@@ -1471,7 +1560,7 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     a_tilde = [[int(a.rows[i][j]) for j in order] for i in order]
     assert counts == expected
     assert reads[0] == tuple(range(1, a.n + 1)) and len(set(reads)) == len(reads)
-    assert char_polys == [len(subset) for subset in reads]
+    assert char_polys == [len(subset) for subset in reads[1:]]
     complete = list(range(1, a.n + 1))
     assert len(derivations) == steps + 1
     assert all(orders[0] == 1 for orders in derivations)
@@ -1489,9 +1578,50 @@ def test_certify_and_verify_decide_each_exact_fact_once(
     assert adjugated == [a_tilde]
     assert counts == expected
     assert reads == [tuple(level) for level in doc["nest"]["chain"]]
-    assert char_polys == list(range(1, a.n + 1))
+    assert char_polys == list(range(1, a.n))
     # verify re-derives from the claimed chain and diagonal: it searches for neither
     assert searches == {"find_q2_nest": 0, "build_stabilizer": 0}
+
+
+@pytest.mark.parametrize(
+    "a,kind",
+    [
+        (BIDIAGONAL_8, "not-P"),
+        (ExactMatrix([[2, -1, -2], [-2, 3, -3], [-2, 2, 2]]), "not-P"),
+        (ExactMatrix([[6, -30], [1, 2]]), "not-Q2"),
+        (ExactMatrix([[3, 2, -4, 4], [0, 5, 6, 7], [8, -2, 2, 0], [0, -9, 5, 2]]), "not-Q2"),
+    ],
+    ids=["bidiagonal-8", "not-p-3", "not-q2-2", "not-q2-4"],
+)
+def test_certify_refutes_a_hypothesis_before_reading_any_other_class(
+    tmp_path, monkeypatch, capsys, a, kind
+):
+    # P and Q^2 come off A's P sweep, so a refutation reads neither
+    # sign-symmetry nor square dominance, takes no char-poly (a matrix that
+    # is not P would need one for its order sums) and forms no A'^2 (the
+    # P^2 sweep of a P-matrix that is neither sign-symmetric nor square
+    # dominant on both sides); classify of the same input does read them
+    import pstab.classify
+    import pstab.exactmat
+
+    path = tmp_path / "a.txt"
+    path.write_text(matrix_text(a))
+    counts = _count_calls(
+        monkeypatch,
+        pstab.classify._sign_symmetry_witness,
+        pstab.classify._square_dominance_witness,
+        pstab.exactmat.integer_minor_sums,
+        pstab.exactmat.integer_product,
+    )
+    assert main(["certify", str(path)]) == EXIT_REFUTED
+    assert capsys.readouterr().out.startswith(f"refuted ({kind}): ")
+    assert set(counts.values()) == {0}
+    if a.n == 8:  # classify stops at the sign-symmetry budget
+        return
+    assert main(["classify", str(path)]) == EXIT_REFUTED
+    assert counts["_sign_symmetry_witness"] == 1
+    assert counts["_square_dominance_witness"] == 2
+    assert counts["integer_minor_sums" if kind == "not-P" else "integer_product"] == 1
 
 
 def test_verify_runs_no_search_and_no_eigenvalue(demo_file, tmp_path, monkeypatch, capsys):

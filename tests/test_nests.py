@@ -279,7 +279,7 @@ def test_the_search_descends_from_each_subset_once(monkeypatch):
             return cached
         return lambda subset: lookups.append(subset) or cached(subset)
 
-    monkeypatch.setattr(pstab.nests, "_level_q2", lambda m: reader)
+    monkeypatch.setattr(pstab.nests, "_level_q2", lambda m, full=None: reader)
     monkeypatch.setattr(pstab.nests, "functools", SimpleNamespace(cache=counting_cache))
     assert find_q2_nest(ExactMatrix.identity(n)) is None
     # each subset of size 4..n is descended from once and looks up each
