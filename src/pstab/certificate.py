@@ -52,9 +52,9 @@ eigenvalues and wedge margin.  ``verify`` reads that section for its type
 alone and parses any JSON layout, so the certificates of earlier
 versions, indented or listing D B's eigenvalues, verify unchanged.
 :func:`certificate_document` is the format's one definition:
-:func:`verify_document` rebuilds a certificate from its claims, writes it
-again and diffs the two documents, reading no key the writer does not
-emit, such as an older certificate's ``input.sha256``.
+:func:`verify_document` rebuilds a certificate from its two claims, the
+chain and the diagonal, writes it again and diffs the two documents,
+reading no key the writer does not emit (an older ``input.sha256``).
 """
 
 from __future__ import annotations
@@ -374,16 +374,13 @@ def block_traces(nest: NestCertificate):
     return values
 
 
-class Stabilizer(namedtuple("Stabilizer", "eps identity_steps")):
-    """Strictly decreasing positive diagonal, e_1 = 1 > e_2 > ... > e_n > 0.
-
-    ``eps`` holds the Fractions e_i; ``identity_steps``, an int >= 0,
-    counts the halvings of I - D from the geometric start.
-    """
+class Stabilizer(namedtuple("Stabilizer", "eps")):
+    """Strictly decreasing positive diagonal, e_1 = 1 > e_2 > ... > e_n > 0,
+    held as the Fractions e_i in ``eps``."""
 
     __slots__ = ()
 
-    def __new__(cls, eps, identity_steps=0):
+    def __new__(cls, eps):
         if not isinstance(eps, (tuple, list)) or not eps or eps[0] != 1:
             raise MatrixArgumentError("stabilizer must start with eps_1 = 1")
         for a, b in zip((2, *eps), eps):  # 2 > e_1 puts e_1 under the type check
@@ -391,9 +388,14 @@ class Stabilizer(namedtuple("Stabilizer", "eps identity_steps")):
                 raise MatrixArgumentError(
                     "stabilizer entries must decrease strictly and stay positive"
                 )
-        if type(identity_steps) is not int or identity_steps < 0:
-            raise MatrixArgumentError("stabilizer identity_steps must be an int >= 0")
-        return super().__new__(cls, eps, identity_steps)
+        return super().__new__(cls, eps)
+
+    @property
+    def identity_steps(self):
+        """The halvings s of I - D from the geometric start, read off e_n:
+        the search's e_n is 2^(n-1+s) - 2^(n-1) + 1, odd when n >= 2, over
+        2^(n-1+s), and e_1 = 1 at n = 1.  Floored at 0 for any diagonal."""
+        return max(0, self.eps[-1].denominator.bit_length() - len(self.eps))
 
 
 def _trace_ledger(form, d_int, delta):
@@ -610,7 +612,7 @@ def certificate_document(cert) -> dict:
             # all zeros; kept because readers of the format still read it,
             # perfbench/run.py's halving count among them
             "shrink_log": [0] * (cert.matrix.n - 1),
-            "identity_steps": cert.stabilizer.identity_steps,
+            "identity_steps": cert.stabilizer.identity_steps,  # read off eps
         },
         "trace_ledger": {
             f"{j},{k},{m}": frac_str(v)
@@ -656,13 +658,6 @@ def _typed(kind):
         return value
 
     return convert
-
-
-def _count(value):
-    """A JSON int >= 0."""
-    if _typed(int)(value) < 0:
-        raise ValueError("expected an int >= 0")
-    return value
 
 
 def _tuple_of(convert):
@@ -714,11 +709,11 @@ def verify_document(doc: dict, a: ExactMatrix):
     returns every difference found, an empty list when it re-verifies.
 
     First ``input.matrix`` must be ``a`` as the writer states it, and ``a``
-    a P-matrix.  The claims ``nest.chain`` (re-verified by
-    :func:`verify_nest`), ``stabilizer.eps`` and
-    ``stabilizer.identity_steps`` are rebuilt into a certificate and
-    written again: each exact field must equal the rewritten one, text for
-    text, and each value :func:`nonpositive_values` reads must be positive.
+    a P-matrix.  The two claims, ``nest.chain`` (re-verified by
+    :func:`verify_nest`) and ``stabilizer.eps``, are rebuilt into a
+    certificate and written again: each field, those read off the claims
+    included, must equal the rewritten one, text for text, and each value
+    :func:`nonpositive_values` reads must be positive.
     """
     try:
         cert = _rederive(doc, a)
@@ -760,11 +755,10 @@ def _rederive(doc, a):
     except MatrixArgumentError as exc:
         raise _Discrepancy(f"nest fails re-verification: {exc}") from exc
     eps = _field(doc, "stabilizer", "eps", _tuple_of(_fraction))
-    steps = _field(doc, "stabilizer", "identity_steps", _count)
     if len(eps) != a.n:
         raise _Discrepancy(f"stabilizer diagonal has {len(eps)} entries, not {a.n}")
     try:
-        stabilizer = Stabilizer(eps=eps, identity_steps=steps)
+        stabilizer = Stabilizer(eps)
     except MatrixArgumentError as exc:
         raise _Discrepancy(f"stabilizer fails re-verification: {exc}") from exc
     return exact_certificate(a, next(classes), nest, stabilizer)

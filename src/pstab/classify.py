@@ -28,12 +28,15 @@ Square dominance needs the minors A(a;b) off the diagonal only through
 their sum of squares, which by Cauchy-Binet is a principal minor of the
 Gram matrix A'A'^T (A'^T A' for the column side), so it reads the sweeps
 of A' and of the Gram matrix side by side and stops at the first
-violation.  A symmetric matrix is sign-symmetric, since A(a;b) = A(b;a);
-only a non-symmetric one reads every minor A(a;b), from the all-minor
-generator of :mod:`pstab.exactmat`, which forms one order at a time by
-Laplace expansion on A' (:func:`~pstab.exactmat.integer_compounds`), and
-stops before an order that would take it past SIGN_SYMMETRY_MAX_MINORS
-minors (:func:`~pstab.exactmat.check_minor_budget`).
+violation.  A matrix that a positive diagonal W makes symmetric, A W
+symmetric, is sign-symmetric: A(a;b) W(b) = A(b;a) W(a), so
+A(a;b) A(b;a) = A(a;b)^2 W(b) / W(a) >= 0, with W(b) the product of the
+w_j over b.  Symmetric input has W = I.  Only a matrix with no such W
+reads every minor A(a;b), from the all-minor generator of
+:mod:`pstab.exactmat`, which forms one order at a time by Laplace
+expansion on A' (:func:`~pstab.exactmat.integer_compounds`), and stops
+before an order that would take it past SIGN_SYMMETRY_MAX_MINORS minors
+(:func:`~pstab.exactmat.check_minor_budget`).
 
 P^2 is P and P of A^2.  By Cauchy-Binet a principal minor of A^2 is the
 sum over b of A(a;b) A(b;a): sign-symmetry makes every term nonnegative,
@@ -80,10 +83,10 @@ from .exactmat import (
     squared_minor_sums,
 )
 
-# The sign-symmetry check of a non-symmetric matrix forms no order of minors
-# that would take it past this many, C(14,7) - 1, in all: every order at
-# n <= 7, order 2 at n <= 11 and order 1 alone past that.  Symmetric input
-# reads no minor.
+# The sign-symmetry check of a matrix that no positive diagonal makes
+# symmetric forms no order of minors that would take it past this many,
+# C(14,7) - 1, in all: every order at n <= 7, order 2 at n <= 11 and order
+# 1 alone past that.  Any other input reads no minor.
 SIGN_SYMMETRY_MAX_MINORS = 3431
 
 
@@ -273,16 +276,37 @@ def _level_q2(m: ExactMatrix, full=None):
     return level_q2
 
 
+def _symmetrizable(a):
+    """Whether A' W is symmetric for some positive diagonal W, A' given by
+    its int rows ``a``.  A walk over the pairs with a_ij a_ji > 0 sets
+    w_j = w_i a_ji / a_ij, held as (numerator, denominator) > 0, one root
+    per component; then W exists iff a_ij w_j = a_ji w_i for every pair."""
+    n, w = len(a), [None] * len(a)
+    for root in range(n):
+        if w[root] is None:
+            w[root], reached = (1, 1), [root]
+            for i in reached:  # grows as the walk reaches rows
+                for j in range(n):
+                    if w[j] is None and a[i][j] * a[j][i] > 0:
+                        w[j] = (w[i][0] * abs(a[j][i]), w[i][1] * abs(a[i][j]))
+                        reached.append(j)
+    return all(
+        a[i][j] * w[j][0] * w[i][1] == a[j][i] * w[i][0] * w[j][1]
+        for i, j in itertools.combinations(range(n), 2)
+    )
+
+
 def _sign_symmetry_witness(a, c):
     """The first pair A(r;s) * A(s;r) < 0, r before s in lex order, or None,
     for the integer-cleared A' = cA given by its rows ``a``; the witness
-    value is the product on A' over c^(2k).  A symmetric matrix is
-    sign-symmetric after n^2 comparisons.  Any other reads
+    value is the product on A' over c^(2k).  A matrix that a positive
+    diagonal makes symmetric is sign-symmetric after O(n^2) products
+    (:func:`_symmetrizable`).  Any other reads
     :func:`~pstab.exactmat.integer_compounds` by order and raises
     MatrixArgumentError before an order past SIGN_SYMMETRY_MAX_MINORS
     minors in all (the count through n + 1 is the count through n).
     """
-    if list(map(tuple, a)) == list(zip(*a)):
+    if _symmetrizable(a):
         return None
     for k, (subsets, minors) in enumerate(integer_compounds(a), start=1):
         for i, j in itertools.combinations(range(len(subsets)), 2):

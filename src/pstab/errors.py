@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the whole package.
+"""The exceptions shared by the whole package.
 
 Certification failures are structured: each carries enough data to name the
 exact hypothesis that failed, so the CLI can map them onto stable exit codes
@@ -17,17 +17,12 @@ class SingularMatrixError(ZeroDivisionError):
         super().__init__(message)
 
 
-class CertificationError(Exception):
-    """Base class for structured certification failures."""
-
-    kind = "error"
-
-
-class HypothesisError(CertificationError):
+class HypothesisError(Exception):
     """The input matrix fails one of the theorem's hypotheses.
 
-    ``witness`` is whatever object the failing classifier produced
-    (a minor witness, an order-sum witness, or None for a missing nest).
+    ``kind`` names it ("not-P", "not-Q2" or "no-nest"); ``witness`` is
+    whatever object the failing classifier produced (a minor witness, an
+    order-sum witness, or None for a missing nest).
     """
 
     def __init__(self, kind, message, witness=None):
@@ -36,7 +31,7 @@ class HypothesisError(CertificationError):
         self.witness = witness
 
 
-class StabilizerInconclusiveError(CertificationError):
+class StabilizerInconclusiveError(Exception):
     """The diagonal-stabilizer search hit its halving cap.
 
     Not a refutation: when B is positively stable a diagonal close enough
@@ -45,8 +40,6 @@ class StabilizerInconclusiveError(CertificationError):
     nonpositive value as (key, value).
     """
 
-    kind = "inconclusive"
-
     def __init__(self, halvings, last_violation):
         key, value = last_violation
         message = f"stabilizer search gave up after {halvings} halvings of I - D"
@@ -54,13 +47,11 @@ class StabilizerInconclusiveError(CertificationError):
         self.last_violation = last_violation
 
 
-class NumericToleranceError(CertificationError):
+class NumericToleranceError(Exception):
     """A floating-point cross-check fell outside its stated tolerance.
 
     Advisory: :func:`pstab.stabilize.certify_stability` records it in the
     certificate, and no exit code depends on it."""
-
-    kind = "numeric"
 
 
 class DoubleRangeError(NumericToleranceError):

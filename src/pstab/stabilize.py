@@ -81,7 +81,7 @@ def build_stabilizer(
             if violations := nonpositive_values(order):
                 break
         else:
-            stabilizer = Stabilizer(tuple(Fraction(d, delta) for d in d_int), steps)
+            stabilizer = Stabilizer(tuple(Fraction(d, delta) for d in d_int))
             cert = exact_certificate(a, report, nest, stabilizer, form, ledger)
             # every ledger order was positive: only the Hurwitz minors are left
             violations = nonpositive_values({}, cert.endpoint_hurwitz)

@@ -105,7 +105,8 @@ def row_constant_m_matrix(n):
     row's off-diagonal magnitudes: a non-symmetric M-matrix, so P, Q^2 and
     with a Q^2 nest.  Its off-diagonal entries are constant along each
     row, so every disjoint order-2 minor a_ik a_jl - a_il a_jk is 0, and
-    orders 1 and 2 hold no pair of opposite signs."""
+    orders 1 and 2 hold no pair of opposite signs.  a_ij / a_ji is
+    (i+1) / (j+1), so A diag(1, ..., n) is symmetric and A sign-symmetric."""
     return ExactMatrix(
         [[(n - 1) * (i + 1) + 1 if i == j else -(i + 1) for j in range(n)] for i in range(n)]
     )

@@ -8,7 +8,8 @@ and run its checker over seed 1 of each workload, so that any drift of the
 certificate format or of a verdict shows here first.  The ``fault-n8``
 slot is left out of the seed-1 sweep: that non-symmetric 8x8 matrix has
 no pair of opposite signs in the orders its sign-symmetry read reaches
-within its minor budget, 1 and 2, so ``classify`` still exits 3, which
+within its minor budget, 1 and 2, and no positive diagonal makes it
+symmetric, so ``classify`` still exits 3, which
 the benchmark counts as a failed operation, not a wrong output.
 ``certify`` refutes it by its P witness before that read, which the
 checker accepts.
@@ -28,7 +29,11 @@ import selftest  # noqa: E402
 from corpus import N8_NON_P  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-from conftest import dense_m_matrix, matrix_text  # noqa: E402
+from conftest import (  # noqa: E402
+    dense_m_matrix,
+    matrix_text,
+    row_constant_m_matrix,
+)
 
 import pstab.cli  # noqa: E402
 from pstab.cli import EXIT_OK, EXIT_REFUTED, main  # noqa: E402
@@ -76,15 +81,21 @@ def test_checker_accepts_every_output_of_seed_1(workload, tmp_path, capsys):
 
 
 def test_checker_accepts_the_classification_of_an_8x8_m_matrix(tmp_path, capsys):
-    # non-symmetric with every a_ij a_ji > 0: sign-symmetry is refuted at
-    # order 2, read within the minor budget past n = 7
-    m = dense_m_matrix(random.Random(8), 8)
-    path = tmp_path / "m.txt"
-    path.write_text(matrix_text(m))
-    rc, out = _command(["classify", str(path), "--json"], capsys)
-    truth = checker.Truth([[int(x) for x in row] for row in m.rows])
-    assert checker.check_classify(truth, rc, out) == []
-    assert not truth.is_sign_symmetric
+    # non-symmetric with every a_ij a_ji > 0.  The dense one's sign-symmetry
+    # is refuted at order 2, read within the minor budget past n = 7; the
+    # row-constant one has no pair of opposite signs in orders 1 and 2, but
+    # A diag(1, ..., 8) is symmetric, so it is sign-symmetric with no minor
+    # read
+    for m, sign_symmetric in (
+        (dense_m_matrix(random.Random(8), 8), False),
+        (row_constant_m_matrix(8), True),
+    ):
+        path = tmp_path / "m.txt"
+        path.write_text(matrix_text(m))
+        rc, out = _command(["classify", str(path), "--json"], capsys)
+        truth = checker.Truth([[int(x) for x in row] for row in m.rows])
+        assert checker.check_classify(truth, rc, out) == []
+        assert truth.is_sign_symmetric == sign_symmetric
 
 
 def test_checker_accepts_the_refutation_of_fault_n8(tmp_path, capsys):

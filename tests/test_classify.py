@@ -11,7 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_matrix, random_spd_matrix, row_dominant_matrix
+from conftest import (
+    random_matrix,
+    random_spd_matrix,
+    row_constant_m_matrix,
+    row_dominant_matrix,
+)
 from test_golden import classify_corpus
 from reference import fraction_minor_sums, naive_product, per_minor_is_p
 from pstab import ExactMatrix
@@ -182,10 +187,30 @@ def upper_bidiagonal(n):
 
 
 def test_sign_symmetry_cap():
-    # only the minor table, which a non-symmetric matrix needs, has a budget
+    # only the minor table, which a matrix that no positive diagonal makes
+    # symmetric needs, has a budget
     with pytest.raises(MatrixArgumentError):
         is_sign_symmetric(upper_bidiagonal(8))
     assert is_sign_symmetric(ExactMatrix.identity(8)) == (True, None)
+
+
+def test_a_matrix_a_positive_diagonal_makes_symmetric_reads_no_minor(monkeypatch):
+    # A W symmetric for W = diag(1, ..., n), for W = D with A = D S, and
+    # for one W per block of a block-diagonal D S: each is sign-symmetric
+    # at any n, past the budget included
+    built = record_minor_orders(monkeypatch)
+    s = ExactMatrix([[0 if (i < 3) != (j < 3) else 1 + (i * j) % 3 for j in range(9)]
+                     for i in range(9)])
+    d = ExactMatrix.diagonal([Fraction(i + 1, 7 - i % 3) for i in range(9)])
+    for m in (row_constant_m_matrix(8), row_constant_m_matrix(12), d * s):
+        assert m != m.transpose()
+        assert is_sign_symmetric(m) == (True, None)
+    assert built == []
+    # every a_ij a_ji > 0, but a_12 a_23 a_31 != a_21 a_32 a_13: no W, and
+    # the minors are read
+    m = ExactMatrix([[5, 1, 1], [2, 5, 1], [1, 1, 5]])
+    assert is_sign_symmetric(m) == reference_sign_symmetry(m)
+    assert built
 
 
 def _minor_count(n, j):
@@ -307,19 +332,25 @@ def reference_square_dominance(m, side):
 def class_test_matrices(draw):
     """Integer, fraction, sparse, singular or nearly symmetric matrices,
     n = 1..6, with a diagonal shift that lets the checks run past order 1;
-    or D*S, D a positive diagonal and S symmetric positive definite, which
-    is P and sign-symmetric (its minors multiply to d_a d_b S(a;b)^2 >= 0)
-    but, as a rule, not symmetric."""
+    or D*S, D a positive diagonal and S symmetric, positive definite or
+    sparse (its zeros may split it into blocks), which is sign-symmetric
+    (its minors multiply to d_a d_b S(a;b)^2 >= 0) but, as a rule, not
+    symmetric."""
     n = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(
-        ["integer", "fraction", "sparse", "singular", "symmetric", "scaled-spd"]
-    ))
-    if kind == "scaled-spd":
+    kind = draw(st.sampled_from([
+        "integer", "fraction", "sparse", "singular", "symmetric", "scaled-spd",
+        "scaled-sparse",
+    ]))
+    if kind.startswith("scaled"):
         def vector(entry):
             return st.lists(entry, min_size=n, max_size=n)
 
-        g = ExactMatrix(draw(vector(vector(st.integers(-3, 3)))))
-        s = g * g.transpose() + ExactMatrix.diagonal(draw(vector(st.integers(1, 4))))
+        if kind == "scaled-spd":
+            g = ExactMatrix(draw(vector(vector(st.integers(-3, 3)))))
+            s = g * g.transpose() + ExactMatrix.diagonal(draw(vector(st.integers(1, 4))))
+        else:
+            upper = draw(vector(vector(st.sampled_from([0, 0, 0, 1, -1, 2, -3]))))
+            s = ExactMatrix([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
         d = draw(vector(st.fractions(min_value=1, max_value=9, max_denominator=4)))
         return ExactMatrix.diagonal(d) * s
     if kind == "fraction":

@@ -387,12 +387,21 @@ def test_non_symmetric_m_matrix_past_n_7_certifies(n, tmp_path, capsys):
     assert main(["verify", cert_path, str(path)]) == EXIT_OK
 
 
-# upper bidiagonal, one negative diagonal entry: not P, not symmetric, and
-# no pair of opposite signs in orders 1 and 2
-BIDIAGONAL_8 = ExactMatrix([
-    [(-1 if i == 7 else 8) if i == j else (3 if j == i + 1 else 0) for j in range(8)]
-    for i in range(8)
-])
+def upper_bidiagonal(n, last):
+    """8 on the diagonal, its last entry ``last``, and 3 just above it:
+    not symmetric, no positive diagonal makes it so (a_12 = 3, a_21 = 0),
+    and no pair of opposite signs in orders 1 and 2."""
+    return ExactMatrix([
+        [(last if i == n - 1 else 8) if i == j else (3 if j == i + 1 else 0)
+         for j in range(n)]
+        for i in range(n)
+    ])
+
+
+# one negative diagonal entry: not P
+BIDIAGONAL_8 = upper_bidiagonal(8, -1)
+# reducible and positive: P and Q^2, with a nest
+POSITIVE_BIDIAGONAL_8 = upper_bidiagonal(8, 8)
 BUDGET_ERROR = (
     "input error: sign-symmetry check through order j=3 at n=8 forms 3984 "
     "minors; at most 3431 are allowed\n"
@@ -404,17 +413,31 @@ def test_non_symmetric_input_past_the_sign_symmetry_cap_exits_3(
     command, tmp_path, capsys
 ):
     # the sign-symmetry read stops at its minor budget before order 3.
-    # classify reads it for every input, the bidiagonal included; certify
-    # only for one that passes every hypothesis, as the row-constant
-    # M-matrix does (P, Q^2 and a nest)
+    # classify reads it for every input; certify only for one that passes
+    # every hypothesis, as the positive bidiagonal does (P, Q^2 and a nest)
     path = tmp_path / "n8.txt"
-    cases = [row_constant_m_matrix(8)] + (
-        [BIDIAGONAL_8] if command == "classify" else []
-    )
-    for m in cases:
-        path.write_text(matrix_text(m))
-        assert main([command, str(path)]) == EXIT_INPUT
-        assert capsys.readouterr().err == BUDGET_ERROR
+    path.write_text(matrix_text(POSITIVE_BIDIAGONAL_8))
+    assert main([command, str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == BUDGET_ERROR
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_a_matrix_a_positive_diagonal_makes_symmetric_certifies_past_the_cap(
+    n, tmp_path, capsys
+):
+    # a_ij / a_ji = (i+1) / (j+1), so A diag(1, ..., n) is symmetric and A
+    # sign-symmetric: no minor is read, though orders 1 and 2 hold no pair
+    # of opposite signs and order 3 is past the budget
+    m = row_constant_m_matrix(n)
+    assert m != m.transpose()
+    path = tmp_path / "rowconst.txt"
+    path.write_text(matrix_text(m))
+    assert main(["classify", "--json", str(path)]) in (EXIT_OK, EXIT_REFUTED)
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["flags"]["sign_symmetric"] and doc["flags"]["P2"]
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["certify", str(path), "--json", cert_path]) == EXIT_OK
+    assert main(["verify", cert_path, str(path)]) == EXIT_OK
 
 
 def test_the_hypotheses_refute_the_bidiagonal_before_the_sign_symmetry_budget(
@@ -851,11 +874,14 @@ def test_verify_rejects_a_document_that_is_not_an_object(
     assert "not a JSON object" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", [{}, "x", -5, None], ids=["object", "str", "negative", "missing"])
+@pytest.mark.parametrize(
+    "value", [{}, "x", 8.0, True, None], ids=["object", "str", "float", "bool", "missing"]
+)
 def test_verify_names_a_malformed_identity_steps(
     demo_file, demo_certificate, value, capsys
 ):
-    # the halving count is provenance, not re-derived, but it must be an int >= 0
+    # the writer emits an int: any other JSON type is malformed, 8.0 and
+    # true included, though each equals an int in Python
     cert_path, doc = demo_certificate
     if value is None:
         del doc["stabilizer"]["identity_steps"]
@@ -863,7 +889,23 @@ def test_verify_names_a_malformed_identity_steps(
         doc["stabilizer"]["identity_steps"] = value
     _rewrite(cert_path, doc)
     assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
-    assert "field stabilizer.identity_steps is missing" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "FAIL: certificate field stabilizer.identity_steps is missing or malformed\n"
+    )
+
+
+@pytest.mark.parametrize("value", [1000000, 7, -1])
+def test_verify_reads_identity_steps_off_eps(demo_file, demo_certificate, value, capsys):
+    # the demo's diagonal is eight halvings from the geometric start, read
+    # off the denominator of e_4 = 2041/2048: any other count is refused
+    cert_path, doc = demo_certificate
+    assert doc["stabilizer"]["identity_steps"] == 8
+    doc["stabilizer"]["identity_steps"] = value
+    _rewrite(cert_path, doc)
+    assert main(["verify", cert_path, demo_file]) == EXIT_REFUTED
+    assert capsys.readouterr().out == (
+        "FAIL: stabilizer.identity_steps does not re-verify\n"
+    )
 
 
 # (path into the certificate, a value that stands for the right number in a
@@ -1108,9 +1150,8 @@ def test_verify_never_crashes_on_a_malformed_certificate(demo_files, capsys):
     # every field of the demo's certificate, at any depth, deleted or
     # replaced by a value of each JSON type that differs from it: verify
     # exits with a status, never an exception.  Only the advisory tool and
-    # spectrum sections, read for their type alone (an object), and an int claimed for
-    # stabilizer.identity_steps (its type alone is checked, ROADMAP item 7)
-    # may still re-verify
+    # spectrum sections, read for their type alone (an object), may still
+    # re-verify
     folder, matrix_path, doc = demo_files
     cert_path = folder / "malformed.json"
     variants = 0
@@ -1129,9 +1170,7 @@ def test_verify_never_crashes_on_a_malformed_certificate(demo_files, capsys):
             cert_path.write_text(json.dumps(edited))
             rc = main(["verify", str(cert_path), matrix_path])
             capsys.readouterr()
-            advisory = (
-                path[0] in ("tool", "spectrum") and (len(path) > 1 or new == {})
-            ) or (path == ("stabilizer", "identity_steps") and type(new) is int)
+            advisory = path[0] in ("tool", "spectrum") and (len(path) > 1 or new == {})
             assert rc in ((EXIT_OK,) if advisory else (EXIT_REFUTED, EXIT_INPUT)), (
                 path, new
             )
@@ -1724,15 +1763,52 @@ def test_verify_deeply_nested_certificate_exits_3(demo_file, tmp_path, capsys):
     assert "nested too deeply" in capsys.readouterr().err
 
 
-def test_python_dash_m_runs_the_cli():
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # the console entry gives each exit code: a round trip through files,
+    # a tampered copy, the give-up, a P^2 witness and the n = 8 cases of
+    # the sign-symmetry read
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pstab", "demo"],
-        env=env, capture_output=True, text=True, timeout=120,
+
+    def run(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pstab", *map(str, argv)],
+            env=env, capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    code, out, _ = run("demo")
+    assert code == EXIT_OK
+    assert "det A: 5491" in out and "FAIL" not in out
+    files = {
+        "demo": DEMO_A,
+        "cx": ExactMatrix([[8, 6], [-3, 4]]),
+        "bidiag": BIDIAGONAL_8,
+        "positive": POSITIVE_BIDIAGONAL_8,
+        "rowconst": row_constant_m_matrix(8),
+    }
+    for name, m in files.items():
+        (tmp_path / f"{name}.txt").write_text(matrix_text(m))
+    for name in ("demo", "rowconst"):
+        assert run("certify", f"{name}.txt", "--json", f"{name}.json")[0] == EXIT_OK
+        assert run("verify", f"{name}.json", f"{name}.txt") == (
+            EXIT_OK, "certificate re-verifies\n", ""
+        )
+    doc = json.loads((tmp_path / "demo.json").read_text())
+    doc["stabilizer"]["eps"][1] = "1023/1024"
+    _rewrite(tmp_path / "tampered.json", doc)
+    code, out, _ = run("verify", "tampered.json", "demo.txt")
+    assert code == EXIT_REFUTED and out.startswith("FAIL: ")
+    code, out, _ = run("certify", "demo.txt", "--max-shrink", "1")
+    assert code == EXIT_INCONCLUSIVE and out.startswith("inconclusive: ")
+    code, out, _ = run("classify", "cx.txt", "--require", "P2", "--json")
+    assert code == EXIT_REFUTED
+    assert json.loads(out)["witnesses"]["P2"] == "A(2; 2) = -2"
+    assert run("certify", "bidiag.txt") == (
+        EXIT_REFUTED, "refuted (not-P): input is not a P-matrix: A(8; 8) = -1\n", ""
     )
-    assert proc.returncode == EXIT_OK
-    assert "det A: 5491" in proc.stdout and "FAIL" not in proc.stdout
+    for command in ("classify", "certify"):
+        assert run(command, "positive.txt") == (EXIT_INPUT, "", BUDGET_ERROR)
 
 
 # Reports, on its last line, which of numpy and scipy a command loaded.

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -302,13 +303,32 @@ def test_stabilizer_validation():
 
 @pytest.mark.parametrize("steps", [-3, "x", 1.0, None, True])
 def test_stabilizer_refuses_identity_steps_that_are_not_a_count(steps):
-    with pytest.raises(MatrixArgumentError, match="identity_steps"):
-        Stabilizer((Fraction(1), Fraction(1, 2)), identity_steps=steps)
+    # the diagonal is the record's one field: a count is not stated beside
+    # it, whatever its value
+    assert Stabilizer._fields == ("eps",)
+    for args, kwargs in ((steps,), {}), ((), {"identity_steps": steps}):
+        with pytest.raises(TypeError):
+            Stabilizer((Fraction(1), Fraction(1, 2)), *args, **kwargs)
 
 
 @pytest.mark.parametrize("steps", [0, 5])
 def test_stabilizer_keeps_a_count_of_identity_steps(steps):
-    assert Stabilizer((Fraction(1),), identity_steps=steps).identity_steps == steps
+    # the count is read off e_n of the diagonal the search tries after
+    # ``steps`` halvings of I - D from the geometric start, at every n
+    for n in range(1, 6):
+        delta = 2 ** (n - 1 + steps)
+        eps = tuple(
+            Fraction(delta - 2 ** (n - 1) + 2 ** (n - 1 - i), delta) for i in range(n)
+        )
+        assert Stabilizer(eps).identity_steps == (steps if n > 1 else 0)
+
+
+@pytest.mark.parametrize(
+    "eps", [(1, Fraction(1, 3)), (1, Fraction(3, 4), Fraction(1, 2)), (1, Fraction(2, 3))]
+)
+def test_identity_steps_of_a_diagonal_the_search_never_tries_is_at_least_0(eps):
+    # the bits of e_n's denominator, less n, would be 0, -1 and 0
+    assert Stabilizer(eps).identity_steps == 0
 
 
 def test_records_are_immutable_values():
@@ -342,10 +362,8 @@ def test_records_keep_positional_construction_and_defaults():
     assert spectrum.eigenvalues == (1 + 0j, 2 + 0j)
     assert spectrum.method == "lapack-geev"
     stabilizer = Stabilizer((Fraction(1), Fraction(1, 2)))
-    assert stabilizer.identity_steps == 0
-    assert stabilizer == Stabilizer(
-        eps=(Fraction(1), Fraction(1, 2)), identity_steps=0
-    )
+    assert stabilizer.eps == (Fraction(1), Fraction(1, 2))
+    assert stabilizer == Stabilizer(eps=(Fraction(1), Fraction(1, 2)))
     cert = certify_stability(DEMO_A)
     exact = cert[:7]
     bare = type(cert)(*exact)
@@ -573,6 +591,26 @@ def _nested_p_matrices(seed=47):
             m = m * Fraction(rng.randint(1, 9), rng.randint(2, 9))
         if find_q2_nest(m) is not None:
             yield m
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32).map(lambda seed: next(_nested_p_matrices(seed))))
+@example(DEMO_A)
+@example(LEVEL_SEARCH_FAULT)
+def test_identity_steps_counts_the_diagonals_the_search_rejected(a):
+    # every diagonal the search tries gets one ledger derivation, and all
+    # but the last are rejected, at a ledger order or a Hurwitz minor
+    import pstab.stabilize
+
+    ledger, tried = pstab.stabilize._trace_ledger, []
+
+    def counted(*args):
+        tried.append(args)
+        return ledger(*args)
+
+    with mock.patch.object(pstab.stabilize, "_trace_ledger", counted):
+        stabilizer = _search(a).stabilizer
+    assert stabilizer.identity_steps == len(tried) - 1
 
 
 def test_adjugate_read_off_a_tilde_is_the_eliminated_one():
