@@ -46,9 +46,9 @@ decides the sign of every ledger value and Hurwitz minor in both.
 The format.  Matrix files are plain text: a dimension line, then n rows
 of n entries (integers, fractions like "-7/5", or finite decimals, all
 parsed exactly), within the literal caps MAX_LITERAL_DIGITS and
-MAX_LITERAL_EXPONENT.  A certificate is one line of compact JSON with
-every exact value a fraction string; the only floats are A's advisory
-eigenvalues and wedge margin.  ``verify`` reads that section for its type
+MAX_LITERAL_EXPONENT of :mod:`pstab.exactmat`.  A certificate is one
+line of compact JSON with every exact value a fraction string; the only
+floats are A's advisory eigenvalues and wedge margin.  ``verify`` reads that section for its type
 alone and parses any JSON layout, so the certificates of earlier
 versions, indented or listing D B's eigenvalues, verify unchanged.
 :func:`certificate_document` is the format's one definition:
@@ -69,7 +69,10 @@ from fractions import Fraction
 from .classify import _classify, _level_q2
 from .errors import MatrixArgumentError
 from .exactmat import (
+    MAX_LITERAL_DIGITS,
+    MAX_LITERAL_EXPONENT,
     ExactMatrix,
+    _literal_size_problem,
     cleared,
     diagonal_poly,
     integer_adjugate,
@@ -81,14 +84,6 @@ from .exactmat import (
 )
 
 __version__ = "0.1.0"
-
-# The exact integer behind a literal can be far larger than its text:
-# "1e100000000" is 11 characters and a 100,000,001-digit integer.  The caps
-# are checked on the text, before the integer is built.
-MAX_LITERAL_DIGITS = 1000
-MAX_LITERAL_EXPONENT = 10000
-_EXPONENT = re.compile(r"[eE][+-]?([\d_]+)$")
-
 
 class MatrixParseError(Exception):
     """Parse failure with 1-based line and token position."""
@@ -155,21 +150,6 @@ def parse_matrix(text) -> ExactMatrix:
                 ) from exc
         rows.append(row)
     return ExactMatrix(rows)
-
-
-def _literal_size_problem(token):
-    """Why the text of a matrix entry or dimension is over the literal caps,
-    or None."""
-    digits = sum(ch.isdigit() for ch in token)
-    if digits > MAX_LITERAL_DIGITS:
-        return f"entry has {digits} digits; at most {MAX_LITERAL_DIGITS} are allowed"
-    match = _EXPONENT.search(token)
-    if match and int(match[1].replace("_", "") or "0") > MAX_LITERAL_EXPONENT:
-        return (
-            f"entry's decimal exponent is larger than {MAX_LITERAL_EXPONENT} "
-            "in magnitude"
-        )
-    return None
 
 
 def load_matrix(path) -> ExactMatrix:

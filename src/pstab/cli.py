@@ -27,7 +27,7 @@ from .classify import CLASSES, classify_full
 from .compound import compound, generalized_compound
 from .errors import HypothesisError, MatrixArgumentError, StabilizerInconclusiveError
 from .exactmat import ExactMatrix, rational_str as entry_str
-from .stabilize import DEFAULT_MAX_SHRINK, certify_stability
+from .stabilize import certify_stability
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -85,7 +85,7 @@ def cmd_compound(args) -> int:
 def cmd_certify(args) -> int:
     a = load_matrix(args.matrix)
     try:
-        cert = certify_stability(a, max_shrink=args.max_shrink)
+        cert = certify_stability(a)
     except HypothesisError as exc:
         print(f"refuted ({exc.kind}): {exc}")
         return EXIT_REFUTED
@@ -205,17 +205,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _halvings(text):
-    """The type of --max-shrink: an integer of at least 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
-
-
 def build_parser():
     parser = _Parser(
         prog="pstab",
@@ -245,12 +234,6 @@ def build_parser():
     p = sub.add_parser("certify", help="run the stability certification pipeline")
     p.add_argument("matrix", help="matrix file")
     p.add_argument("--json", metavar="PATH", help="write the certificate document ('-' for stdout)")
-    p.add_argument(
-        "--max-shrink",
-        type=_halvings,
-        default=DEFAULT_MAX_SHRINK,
-        help="halvings of I - D before giving up (exit 2)",
-    )
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify", help="re-check a certificate against its matrix")

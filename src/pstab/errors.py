@@ -20,15 +20,13 @@ class SingularMatrixError(ZeroDivisionError):
 class HypothesisError(Exception):
     """The input matrix fails one of the theorem's hypotheses.
 
-    ``kind`` names it ("not-P", "not-Q2" or "no-nest"); ``witness`` is
-    whatever object the failing classifier produced (a minor witness, an
-    order-sum witness, or None for a missing nest).
+    ``kind`` names it ("not-P", "not-Q2" or "no-nest"); the message names
+    the witness.
     """
 
-    def __init__(self, kind, message, witness=None):
+    def __init__(self, kind, message):
         super().__init__(message)
         self.kind = kind
-        self.witness = witness
 
 
 class StabilizerInconclusiveError(Exception):

@@ -20,24 +20,50 @@ import functools
 import itertools
 import math
 import operator
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 from .errors import MatrixArgumentError, SingularMatrixError
+
+# The exact integer behind a literal can be far larger than its text:
+# "1e100000000" is 11 characters and a 100,000,001-digit integer.  The caps
+# are checked on the text, before the integer is built.
+MAX_LITERAL_DIGITS = 1000
+MAX_LITERAL_EXPONENT = 10000
+_EXPONENT = re.compile(r"[eE][+-]?([\d_]+)$")
+
+
+def _literal_size_problem(token):
+    """Why the text of a matrix entry or dimension is over the literal caps,
+    or None."""
+    digits = sum(ch.isdigit() for ch in token)
+    if digits > MAX_LITERAL_DIGITS:
+        return f"entry has {digits} digits; at most {MAX_LITERAL_DIGITS} are allowed"
+    match = _EXPONENT.search(token)
+    if match and int(match[1].replace("_", "") or "0") > MAX_LITERAL_EXPONENT:
+        return (
+            f"entry's decimal exponent is larger than {MAX_LITERAL_EXPONENT} "
+            "in magnitude"
+        )
+    return None
 
 
 def as_rational(x) -> Fraction:
     """Convert an entry to an exact rational.
 
     Accepts ints, Fractions and strings ("3", "-7/5", "0.1"); finite
-    decimals convert exactly.  Floats are rejected: silently taking their
-    binary expansion would defeat the point of exact certification.
+    decimals convert exactly, within the literal caps.  Floats are
+    rejected: silently taking their binary expansion would defeat the
+    point of exact certification.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if problem := _literal_size_problem(x):
+            raise MatrixArgumentError(f"bad rational literal: {problem}")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:

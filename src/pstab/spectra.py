@@ -75,9 +75,9 @@ def eigenvalues(m: ExactMatrix) -> Spectrum:
     return spectrum
 
 
-def is_positively_stable(spectrum: Spectrum, margin=0.0):
-    """True iff every eigenvalue has real part strictly above ``margin``."""
-    return all(v.real > margin for v in spectrum.eigenvalues)
+def is_positively_stable(spectrum: Spectrum):
+    """True iff every eigenvalue has a positive real part."""
+    return all(v.real > 0 for v in spectrum.eigenvalues)
 
 
 def wedge_check(spectrum: Spectrum, n, kind="kellogg"):

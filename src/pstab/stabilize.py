@@ -31,20 +31,22 @@ from .classify import _classify
 from .errors import (
     DoubleRangeError,
     HypothesisError,
-    MatrixArgumentError,
     StabilizerInconclusiveError,
     NumericToleranceError,
 )
 from .exactmat import ExactMatrix
 
-DEFAULT_MAX_SHRINK = 64
+# Halvings of I - D before the search gives up.  With 64 every eps entry
+# has a denominator 2^(n-1+s), s <= 64, within MAX_LITERAL_DIGITS for
+# n <= 3,258, so verify's digit cap reads every certificate written.
+MAX_HALVINGS = 64
 
 
 # -- the stabilizer search -------------------------------------------------
 
 
 def build_stabilizer(
-    a: ExactMatrix, report, nest: NestCertificate, max_shrink: int = DEFAULT_MAX_SHRINK
+    a: ExactMatrix, report, nest: NestCertificate
 ) -> StabilityCertificate:
     """Search for a diagonal that passes both exact checks; returns the
     :func:`exact_certificate` of the one accepted, without a spectrum.
@@ -57,7 +59,7 @@ def build_stabilizer(
     minor of diag(eps) * B (:func:`nonpositive_values` lists none) is
     accepted.  As D -> I every L(j,k,m) tends to C(j,k) C(j,m) E_j(B^2) > 0
     and diag(eps) * B tends to B, so when B is positively stable the search
-    ends after finitely many halvings; after ``max_shrink`` of them it
+    ends after finitely many halvings; after MAX_HALVINGS of them it
     raises StabilizerInconclusiveError.
 
     B's integer form is built once, and each D's ledger is derived on it
@@ -69,10 +71,8 @@ def build_stabilizer(
     The search never tests B: the claim rests on A's Q^2, the ledger and
     the Hurwitz minors (see :mod:`pstab.certificate`).
     """
-    if type(max_shrink) is not int or max_shrink < 0:
-        raise MatrixArgumentError("max_shrink must be an int >= 0")
     form, n = _integer_b(a, nest), a.n
-    for steps in range(max_shrink + 1):
+    for steps in range(MAX_HALVINGS + 1):
         delta = 2 ** (n - 1 + steps)
         d_int = [delta - 2 ** (n - 1) + 2 ** (n - 1 - i) for i in range(n)]
         ledger = {}
@@ -87,15 +87,13 @@ def build_stabilizer(
             violations = nonpositive_values({}, cert.endpoint_hurwitz)
             if not violations:
                 return cert
-    raise StabilizerInconclusiveError(max_shrink, violations[0])
+    raise StabilizerInconclusiveError(MAX_HALVINGS, violations[0])
 
 
 # -- the top-level certificate ---------------------------------------------
 
 
-def certify_stability(
-    a: ExactMatrix, max_shrink: int = DEFAULT_MAX_SHRINK
-) -> StabilityCertificate:
+def certify_stability(a: ExactMatrix) -> StabilityCertificate:
     """Run the whole certification pipeline on an exact matrix.
 
     Raises HypothesisError (not-P, not-Q2, no-nest) or
@@ -124,8 +122,7 @@ def certify_stability(
     for key, label, witness in (("P", "P", p_witness), ("Q2", "Q^2", full and full[3])):
         if witness is not None:
             raise HypothesisError(
-                f"not-{key}", f"input is not a {label}-matrix: {witness.describe()}",
-                witness=witness,
+                f"not-{key}", f"input is not a {label}-matrix: {witness.describe()}"
             )
     nest = find_q2_nest(a, full)
     if nest is None:
@@ -133,7 +130,7 @@ def certify_stability(
             "no-nest", "no maximal Q^2 chain of principal submatrices exists"
         )
 
-    cert = build_stabilizer(a, next(classes), nest, max_shrink)
+    cert = build_stabilizer(a, next(classes), nest)
     spectrum = margin = reason = disagreement = None
     try:
         spectrum = spectra.eigenvalues(a)
@@ -143,7 +140,7 @@ def certify_stability(
         reason = disagreement = str(exc)
     else:
         ok_wedge, margin = spectra.wedge_check(spectrum, a.n, kind="sharpened")
-        if not spectra.is_positively_stable(spectrum, margin=0.0):
+        if not spectra.is_positively_stable(spectrum):
             disagreement = (
                 "certified matrix shows a numerically nonpositive eigenvalue; "
                 "exact and numeric evidence disagree"

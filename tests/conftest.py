@@ -28,6 +28,10 @@ LEVEL_SEARCH_FAULT = ExactMatrix(
     ]
 )
 
+# Short texts that stand for huge integers, each past a literal cap; a
+# reader that checks the caps on the text refuses each at once.
+OVERSIZED_LITERALS = ["1e100000000", "1E-100000000", "1e1_0000_0000", "1" * 1001]
+
 
 def random_matrix(rng, n, lo=-9, hi=9):
     return ExactMatrix(

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     LEVEL_SEARCH_FAULT,
+    OVERSIZED_LITERALS,
     dense_m_matrix,
     matrix_hash,
     matrix_text,
@@ -300,9 +301,7 @@ def test_dimension_past_the_digit_cap_exits_3(command, tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize(
-    "token", ["1e100000000", "1E-100000000", "1e1_0000_0000", "1" * 1001]
-)
+@pytest.mark.parametrize("token", OVERSIZED_LITERALS)
 def test_oversized_literal_exits_3_at_once(tmp_path, capsys, token):
     path = tmp_path / "big.txt"
     path.write_text(f"2\n1 0\n0 {token}\n")
@@ -1248,12 +1247,14 @@ def test_certify_exits_2_when_no_screened_diagonal_passes_the_exact_checks(
     # every diagonal whose ledger is positive gets a last Hurwitz minor of
     # -1: the search accepts none, and names that minor
     import pstab.certificate
+    import pstab.stabilize
 
     minors = pstab.certificate.hurwitz_minors
     monkeypatch.setattr(
         pstab.certificate, "hurwitz_minors", lambda m, c: (*minors(m, c)[:-1], Fraction(-1))
     )
-    assert main(["certify", demo_file, "--max-shrink", "10"]) == EXIT_INCONCLUSIVE
+    monkeypatch.setattr(pstab.stabilize, "MAX_HALVINGS", 10)
+    assert main(["certify", demo_file]) == EXIT_INCONCLUSIVE
     assert capsys.readouterr().out == (
         "inconclusive: stabilizer search gave up after 10 halvings of I - D; "
         "last violation ('hurwitz', 4) = -1\n"
@@ -1715,22 +1716,31 @@ def test_verify_refuses_a_matrix_that_is_not_p(tmp_path, capsys):
     "matrix", [DEMO_A, ExactMatrix([[0, 1], [1, 1]])], ids=["demo", "not-P"]
 )
 def test_certify_rejects_a_negative_max_shrink_before_any_work(
-    tmp_path, capsys, matrix
+    tmp_path, monkeypatch, capsys, matrix
 ):
+    # the halving cap is a constant: --max-shrink is an unknown option, a
+    # usage error found before the matrix is read
+    import pstab.cli
+
     path = tmp_path / "m.txt"
     path.write_text(matrix_text(matrix))
-    with pytest.raises(SystemExit) as exc:
-        main(["certify", str(path), "--max-shrink", "-1"])
-    assert exc.value.code == EXIT_INPUT
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--max-shrink" in captured.err
+    calls = []
+    monkeypatch.setattr(pstab.cli, "load_matrix", lambda *args: calls.append(args))
+    for count in ("-1", "1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", str(path), "--max-shrink", count])
+        assert exc.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert "unrecognized arguments: --max-shrink" in captured.err
+    assert calls == []
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["certify", "{demo}", "--max-shrink", "abc"],
+        ["compound", "{demo}", "--order", "abc"],
         ["certify"],
         ["verify", "{demo}"],
         ["frobnicate", "{demo}"],
@@ -1799,8 +1809,21 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     _rewrite(tmp_path / "tampered.json", doc)
     code, out, _ = run("verify", "tampered.json", "demo.txt")
     assert code == EXIT_REFUTED and out.startswith("FAIL: ")
-    code, out, _ = run("certify", "demo.txt", "--max-shrink", "1")
-    assert code == EXIT_INCONCLUSIVE and out.startswith("inconclusive: ")
+    # the give-up, under a halving cap of 1 set before the module runs
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import runpy, sys, pstab.stabilize\n"
+            "pstab.stabilize.MAX_HALVINGS = 1\n"
+            "sys.argv = ['pstab', 'certify', 'demo.txt']\n"
+            "runpy.run_module('pstab', run_name='__main__')",
+        ],
+        env=env, capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert proc.returncode == EXIT_INCONCLUSIVE
+    assert proc.stdout.startswith(
+        "inconclusive: stabilizer search gave up after 1 halvings of I - D; "
+    )
     code, out, _ = run("classify", "cx.txt", "--require", "P2", "--json")
     assert code == EXIT_REFUTED
     assert json.loads(out)["witnesses"]["P2"] == "A(2; 2) = -2"

@@ -2,13 +2,19 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_fraction_matrix, random_invertible, random_matrix
+from conftest import (
+    OVERSIZED_LITERALS,
+    random_fraction_matrix,
+    random_invertible,
+    random_matrix,
+)
 from reference import faddeev_leverrier, fraction_inverse, naive_product
 from pstab import ExactMatrix, det, inverse, minor, trace
 from pstab.errors import MatrixArgumentError, SingularMatrixError
@@ -33,10 +39,15 @@ def test_as_rational_accepts_exact_forms():
     assert as_rational("12") == 12
 
 
-@pytest.mark.parametrize("bad", [0.1, None, [1], "1/0", "abc"])
+@pytest.mark.parametrize(
+    "bad", [0.1, None, [1], "1/0", "abc", *OVERSIZED_LITERALS]
+)
 def test_as_rational_rejects(bad):
+    # an oversized literal is refused on its text, before its integer
+    start = time.perf_counter()
     with pytest.raises(MatrixArgumentError):
         as_rational(bad)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_matrix_must_be_square_and_nonempty():

@@ -11,6 +11,7 @@ from conftest import random_matrix
 from pstab import ExactMatrix
 from pstab.errors import DoubleRangeError, MatrixArgumentError, NumericToleranceError
 from pstab.spectra import (
+    Spectrum,
     eigenvalues,
     is_positively_stable,
     multiset_match,
@@ -91,10 +92,11 @@ def test_eigenvalues_that_miss_the_exact_trace_or_det_raise(
 
 
 def test_is_positively_stable_margin():
-    spectrum = eigenvalues(ExactMatrix.diagonal([1, 5]))
-    assert is_positively_stable(spectrum)
-    assert is_positively_stable(spectrum, margin=0.5)
-    assert not is_positively_stable(spectrum, margin=2.0)
+    # the real parts must be above 0 strictly
+    assert is_positively_stable(eigenvalues(ExactMatrix.diagonal([1, 5])))
+    assert not is_positively_stable(Spectrum((1 + 0j, 2j), "given"))
+    with pytest.raises(TypeError):
+        is_positively_stable(Spectrum((1 + 0j,), "given"), margin=0.5)
 
 
 def test_wedge_check_kellogg_boundary():

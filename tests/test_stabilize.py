@@ -61,9 +61,9 @@ from pstab.spectra import Spectrum
 from pstab.stabilize import build_stabilizer, certify_stability
 
 
-def _search(a, **kwargs):
+def _search(a):
     """:func:`build_stabilizer` on A with its class report and Q^2 nest."""
-    return build_stabilizer(a, classify_full(a), find_q2_nest(a), **kwargs)
+    return build_stabilizer(a, classify_full(a), find_q2_nest(a))
 
 
 def _integer_diagonal(eps):
@@ -778,22 +778,41 @@ def test_build_stabilizer_demo_passes_both_exact_checks():
     assert all(e > Fraction(99, 100) for e in stab.eps)
 
 
-def test_build_stabilizer_rejects_a_negative_max_shrink():
-    with pytest.raises(MatrixArgumentError, match="max_shrink must be an int >= 0"):
-        _search(DEMO_A, max_shrink=-1)
+def test_build_stabilizer_shrink_cap(monkeypatch):
+    # at the cap of 64, with every last Hurwitz minor made -1, and at a
+    # patched cap of 1, where the demo's diagonals are still rejected
+    import pstab.certificate
+    import pstab.stabilize
 
-
-@pytest.mark.parametrize("max_shrink", [1.5, "3", None, True])
-def test_a_max_shrink_that_is_not_an_int_is_an_argument_error(max_shrink):
-    # the rule Stabilizer.identity_steps keeps: True would run one halving
-    for search in (_search, certify_stability):
-        with pytest.raises(MatrixArgumentError, match="max_shrink must be an int >= 0"):
-            search(DEMO_A, max_shrink=max_shrink)
-
-
-def test_build_stabilizer_shrink_cap():
+    minors = pstab.certificate.hurwitz_minors
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            pstab.certificate, "hurwitz_minors",
+            lambda m, c: (*minors(m, c)[:-1], Fraction(-1)),
+        )
+        with pytest.raises(StabilizerInconclusiveError) as exc:
+            _search(DEMO_A)
+    assert str(exc.value) == (
+        "stabilizer search gave up after 64 halvings of I - D; "
+        "last violation ('hurwitz', 4) = -1"
+    )
+    monkeypatch.setattr(pstab.stabilize, "MAX_HALVINGS", 1)
     with pytest.raises(StabilizerInconclusiveError):
-        _search(DEMO_A, max_shrink=1)
+        _search(DEMO_A)
+
+
+def test_every_eps_the_search_can_write_is_within_the_digit_cap():
+    # eps = D' / 2^(n-1+s) with s <= MAX_HALVINGS and 0 < D' <= 2^(n-1+s):
+    # for every n <= 3,258 the largest of those, "(2^k - 1)/2^k", is read by
+    # verify's digit cap.  Raising the halving cap past it fails here.
+    from pstab.certificate import _fraction
+    from pstab.exactmat import MAX_LITERAL_DIGITS
+    from pstab.stabilize import MAX_HALVINGS
+
+    for n in range(1, 3259):
+        k = n - 1 + MAX_HALVINGS
+        assert len(str(2**k)) <= MAX_LITERAL_DIGITS, n
+    assert _fraction(f"{2**k - 1}/{2**k}") == 1 - Fraction(1, 2**k)
 
 
 def test_build_stabilizer_demo_halves_from_the_geometric_start():
@@ -805,9 +824,12 @@ def test_build_stabilizer_demo_halves_from_the_geometric_start():
     )
 
 
-def test_shrink_cap_message_names_halvings_and_last_violation():
+def test_shrink_cap_message_names_halvings_and_last_violation(monkeypatch):
+    import pstab.stabilize
+
+    monkeypatch.setattr(pstab.stabilize, "MAX_HALVINGS", 1)
     with pytest.raises(StabilizerInconclusiveError) as exc:
-        _search(DEMO_A, max_shrink=1)
+        _search(DEMO_A)
     key, value = exc.value.last_violation
     assert value <= 0
     assert str(exc.value) == (
